@@ -11,8 +11,10 @@ placed by an EyePose relative to the home position.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ __all__ = [
     "TargetSpec",
     "AnalyzedTrial",
     "lowpass_filter",
+    "lowpass_block",
     "differentiate",
     "detect_segment",
     "trial_outcome",
@@ -46,6 +49,9 @@ DEFAULT_CUTOFF_HZ = 10.0
 DEFAULT_THRESHOLD = 0.050
 HYSTERESIS_S = 0.020
 MIN_SAMPLES = 25
+# trials filtered together by analyze_trials; peak memory grows with this,
+# not with the number of trials in the batch
+BLOCK_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -60,8 +66,9 @@ class Trajectory:
 
     Raises:
         DomainError: If there are fewer than 25 samples (0.1 s at the
-            default rate), timestamps are not strictly increasing, or
-            sampling deviates from the nominal period by more than 1%.
+            default rate), a sample is nan or infinite, timestamps are not
+            strictly increasing, or sampling deviates from the nominal
+            period by more than 1%.
     """
 
     trial_id: str
@@ -83,8 +90,12 @@ class Trajectory:
             raise DomainError(
                 f"trial {self.trial_id}: need >= {MIN_SAMPLES} samples, got {n}"
             )
-        if self.sample_rate <= 0:
-            raise DomainError(f"trial {self.trial_id}: sample_rate must be positive")
+        if not all(np.isfinite(arr).all() for arr in arrays.values()):
+            raise DomainError(f"trial {self.trial_id}: samples must be finite")
+        if not 0 < self.sample_rate < math.inf:
+            raise DomainError(
+                f"trial {self.trial_id}: sample_rate must be positive and finite"
+            )
         dt = np.diff(arrays["t"])
         if np.any(dt <= 0):
             raise DomainError(f"trial {self.trial_id}: timestamps must strictly increase")
@@ -203,6 +214,42 @@ class AnalyzedTrial:
     outcome: TrialOutcome
 
 
+@lru_cache(maxsize=32)
+def _lowpass_design(sample_rate: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order Butterworth (b, a), designed once per rate and cutoff.
+
+    The cached arrays are shared by every caller, so they are read-only.
+    """
+    nyquist = sample_rate / 2.0
+    if not (0.0 < cutoff < nyquist):
+        raise DomainError(
+            f"cutoff must be in (0, {nyquist}) Hz, got {cutoff!r}"
+        )
+    b, a = butter(2, cutoff, btype="low", fs=sample_rate)
+    b.flags.writeable = False
+    a.flags.writeable = False
+    return b, a
+
+
+def lowpass_block(samples: np.ndarray, sample_rate: float,
+                  cutoff: float = DEFAULT_CUTOFF_HZ) -> np.ndarray:
+    """Zero-phase low-pass of every series in a stack, along the last axis.
+
+    Each series comes out bit for bit as if it were filtered on its own,
+    so a (k, 3, n) block of k trials costs one call instead of 3k.
+
+    Raises:
+        DomainError: If the cutoff is not inside (0, sample_rate/2).
+    """
+    b, a = _lowpass_design(sample_rate, cutoff)
+    return filtfilt(b, a, samples, axis=-1)
+
+
+def _velocity(samples: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d/dt along the last axis: central differences, second-order ends."""
+    return np.gradient(samples, t, axis=-1, edge_order=2)
+
+
 def lowpass_filter(traj: Trajectory, cutoff: float = DEFAULT_CUTOFF_HZ) -> Trajectory:
     """Zero-phase second-order Butterworth low-pass, applied per axis.
 
@@ -212,18 +259,9 @@ def lowpass_filter(traj: Trajectory, cutoff: float = DEFAULT_CUTOFF_HZ) -> Traje
     Raises:
         DomainError: If the cutoff is not inside (0, sample_rate/2).
     """
-    nyquist = traj.sample_rate / 2.0
-    if not (0.0 < cutoff < nyquist):
-        raise DomainError(
-            f"cutoff must be in (0, {nyquist}) Hz, got {cutoff!r}"
-        )
-    b, a = butter(2, cutoff, btype="low", fs=traj.sample_rate)
-    return replace(
-        traj,
-        x=filtfilt(b, a, traj.x),
-        y=filtfilt(b, a, traj.y),
-        z=filtfilt(b, a, traj.z),
-    )
+    x, y, z = lowpass_block(np.stack((traj.x, traj.y, traj.z)),
+                            traj.sample_rate, cutoff)
+    return replace(traj, x=x, y=y, z=z)
 
 
 def differentiate(traj: Trajectory) -> VelocitySeries:
@@ -235,12 +273,30 @@ def differentiate(traj: Trajectory) -> VelocitySeries:
     """
     if len(traj) < 3:
         raise DomainError(f"trial {traj.trial_id}: need >= 3 samples to differentiate")
-    return VelocitySeries(
-        t=traj.t,
-        vx=np.gradient(traj.x, traj.t, edge_order=2),
-        vy=np.gradient(traj.y, traj.t, edge_order=2),
-        vz=np.gradient(traj.z, traj.t, edge_order=2),
-        sample_rate=traj.sample_rate,
+    vx, vy, vz = _velocity(np.stack((traj.x, traj.y, traj.z)), traj.t)
+    return VelocitySeries(t=traj.t, vx=vx, vy=vy, vz=vz,
+                          sample_rate=traj.sample_rate)
+
+
+def _segment(vz: np.ndarray, t: np.ndarray, sample_rate: float,
+             threshold: float) -> MovementSegment | None:
+    min_run = max(1, math.ceil(HYSTERESIS_S * sample_rate))
+    onset = backends.sustained_run_start(vz > threshold, min_run, 0, accept_tail=False)
+    if onset < 0:
+        return None
+    # peak of the detected movement, not of the whole series: a brief
+    # pre-onset glitch taller than the true peak must not drag the
+    # termination scan before the onset
+    peak = onset + int(np.argmax(vz[onset:]))
+    term = backends.sustained_run_start(vz < threshold, min_run, peak + 1,
+                                        accept_tail=True)
+    if term < 0:
+        return None
+    return MovementSegment(
+        onset_index=onset,
+        termination_index=term,
+        onset_time=float(t[onset]),
+        termination_time=float(t[term]),
     )
 
 
@@ -263,25 +319,61 @@ def detect_segment(velocity: VelocitySeries,
         The detected segment, or None when no sustained crossing exists
         (slow-movement rejection).
     """
-    v = velocity.depth
-    min_run = max(1, math.ceil(HYSTERESIS_S * velocity.sample_rate))
-    onset = backends.sustained_run_start(v > threshold, min_run, 0, accept_tail=False)
-    if onset < 0:
-        return None
-    # peak of the detected movement, not of the whole series: a brief
-    # pre-onset glitch taller than the true peak must not drag the
-    # termination scan before the onset
-    peak = onset + int(np.argmax(v[onset:]))
-    term = backends.sustained_run_start(v < threshold, min_run, peak + 1,
-                                        accept_tail=True)
-    if term < 0:
-        return None
-    return MovementSegment(
-        onset_index=onset,
-        termination_index=term,
-        onset_time=float(velocity.t[onset]),
-        termination_time=float(velocity.t[term]),
+    return _segment(velocity.depth, velocity.t, velocity.sample_rate, threshold)
+
+
+def _measure(trial_id: str, target: TargetSpec, eyes: EyeGeometry,
+             eye_pose: EyePose, t: np.ndarray, sample_rate: float,
+             filtered: np.ndarray, vz: np.ndarray,
+             threshold: float) -> TrialOutcome:
+    """Segment and measure one trial from its filtered (3, n) samples."""
+    segment = _segment(vz, t, sample_rate, threshold)
+    if segment is None:
+        return TrialOutcome(trial_id=trial_id, valid=False,
+                            rejection_reason="slow")
+    if target.go_cue_time_s is not None and segment.onset_time < target.go_cue_time_s:
+        return TrialOutcome(trial_id=trial_id, valid=False,
+                            rejection_reason="false start")
+    x, y, z = filtered
+    i0, i1 = segment.onset_index, segment.termination_index
+    movement_distance = float(z[i1] - z[i0])
+    distance_error = movement_distance - target.reach_m
+    endpoint_error = float(z[i1]) - target.reach_m
+    d_target = float(eye_pose.eye_distance_of(target.x_m, target.y_m, target.reach_m))
+    d_hand = float(eye_pose.eye_distance_of(x[i1], y[i1], z[i1]))
+    tau_target = 2.0 * math.atan2(eyes.half_ipd, d_target)
+    tau_hand = 2.0 * math.atan2(eyes.half_ipd, d_hand)
+    return TrialOutcome(
+        trial_id=trial_id,
+        valid=True,
+        segment=segment,
+        movement_distance=movement_distance,
+        distance_error=distance_error,
+        endpoint_error=endpoint_error,
+        disparity_difference=tau_target - tau_hand,
     )
+
+
+def _block_outcomes(trajectories: list[Trajectory], targets: list[TargetSpec],
+                    eyes: list[EyeGeometry], eye_pose: EyePose, cutoff: float,
+                    threshold: float) -> list[TrialOutcome]:
+    """Outcomes of trials that share one sample rate and one t grid.
+
+    The trials are filtered as one (k, 3, n) stack and their depth
+    velocities taken with one gradient call; every trial's numbers equal
+    those of a batch of one.
+    """
+    head = trajectories[0]
+    filtered = lowpass_block(
+        np.array([(traj.x, traj.y, traj.z) for traj in trajectories]),
+        head.sample_rate, cutoff)
+    vz = _velocity(filtered[:, 2], head.t)
+    return [
+        _measure(traj.trial_id, target, trial_eyes, eye_pose, head.t,
+                 head.sample_rate, f, v, threshold)
+        for traj, target, trial_eyes, f, v
+        in zip(trajectories, targets, eyes, filtered, vz)
+    ]
 
 
 def trial_outcome(traj: Trajectory, target: TargetSpec, eyes: EyeGeometry,
@@ -298,33 +390,8 @@ def trial_outcome(traj: Trajectory, target: TargetSpec, eyes: EyeGeometry,
         minus the hand's in the eye frame; negative when the hand stops
         short of the target.
     """
-    filtered = lowpass_filter(traj, cutoff)
-    velocity = differentiate(filtered)
-    segment = detect_segment(velocity, threshold)
-    if segment is None:
-        return TrialOutcome(trial_id=traj.trial_id, valid=False,
-                            rejection_reason="slow")
-    if target.go_cue_time_s is not None and segment.onset_time < target.go_cue_time_s:
-        return TrialOutcome(trial_id=traj.trial_id, valid=False,
-                            rejection_reason="false start")
-    i0, i1 = segment.onset_index, segment.termination_index
-    movement_distance = float(filtered.z[i1] - filtered.z[i0])
-    distance_error = movement_distance - target.reach_m
-    endpoint_error = float(filtered.z[i1]) - target.reach_m
-    d_target = float(eye_pose.eye_distance_of(target.x_m, target.y_m, target.reach_m))
-    d_hand = float(eye_pose.eye_distance_of(filtered.x[i1], filtered.y[i1],
-                                            filtered.z[i1]))
-    tau_target = 2.0 * math.atan2(eyes.half_ipd, d_target)
-    tau_hand = 2.0 * math.atan2(eyes.half_ipd, d_hand)
-    return TrialOutcome(
-        trial_id=traj.trial_id,
-        valid=True,
-        segment=segment,
-        movement_distance=movement_distance,
-        distance_error=distance_error,
-        endpoint_error=endpoint_error,
-        disparity_difference=tau_target - tau_hand,
-    )
+    return _block_outcomes([traj], [target], [eyes], eye_pose, cutoff,
+                           threshold)[0]
 
 
 def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec],
@@ -334,24 +401,33 @@ def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec
     """Analyze a batch of trials, ordered by trial_id.
 
     Trials without a matching target are flagged invalid with reason
-    "no target" rather than aborting the batch.
+    "no target" rather than aborting the batch.  Trials that share a
+    sample rate and a t grid are filtered in blocks of BLOCK_TRIALS; the
+    outcomes equal trial_outcome's for each trial on its own.
     """
-    results = []
-    for traj in sorted(trajectories, key=lambda tr: tr.trial_id):
-        target = targets.get(traj.trial_id)
-        if target is None:
-            results.append(AnalyzedTrial(
+    ordered = sorted(trajectories, key=lambda tr: tr.trial_id)
+    results: list[AnalyzedTrial | None] = [None] * len(ordered)
+    groups: dict[tuple[float, bytes], list[int]] = {}
+    for i, traj in enumerate(ordered):
+        if traj.trial_id in targets:
+            groups.setdefault((traj.sample_rate, traj.t.tobytes()), []).append(i)
+        else:
+            results[i] = AnalyzedTrial(
                 target=TargetSpec(trial_id=traj.trial_id, reach_m=float("nan")),
                 outcome=TrialOutcome(trial_id=traj.trial_id, valid=False,
                                      rejection_reason="no target"),
-            ))
-            continue
-        trial_eyes = EyeGeometry(ipd=target.ipd_m) if target.ipd_m else eyes
-        results.append(AnalyzedTrial(
-            target=target,
-            outcome=trial_outcome(traj, target, trial_eyes, eye_pose, cutoff,
-                                  threshold),
-        ))
+            )
+    for members in groups.values():
+        for start in range(0, len(members), BLOCK_TRIALS):
+            block = members[start:start + BLOCK_TRIALS]
+            block_targets = [targets[ordered[i].trial_id] for i in block]
+            outcomes = _block_outcomes(
+                [ordered[i] for i in block], block_targets,
+                [EyeGeometry(ipd=tgt.ipd_m) if tgt.ipd_m else eyes
+                 for tgt in block_targets],
+                eye_pose, cutoff, threshold)
+            for i, target, outcome in zip(block, block_targets, outcomes):
+                results[i] = AnalyzedTrial(target=target, outcome=outcome)
     return results
 
 
@@ -364,9 +440,9 @@ def read_trajectories_csv(
     """Read trajectories from a CSV with header trial_id,t,x,y,z (SI units).
 
     Rows are grouped by trial_id.  Trials with sampling gaps, irregular
-    periods, or too few samples come back as invalid outcomes (reason
-    "missing data") instead of aborting the batch; malformed rows or
-    non-increasing timestamps are file errors.
+    periods, too few samples, or a nan or infinite value come back as
+    invalid outcomes (reason "missing data") instead of aborting the
+    batch; malformed rows or non-increasing timestamps are file errors.
 
     Returns:
         (trajectories, rejected), each sorted by trial_id.
@@ -399,10 +475,13 @@ def read_trajectories_csv(
     for trial_id, samples in groups.items():
         arr = np.asarray(samples, dtype=np.float64)
         dt = np.diff(arr[:, 0])
-        if len(dt) == 0 or np.any(dt <= 0):
+        # a single sample or a non-finite timestamp leaves no period to
+        # check here; Trajectory rejects such a trial as missing data
+        well_timed = len(dt) > 0 and bool(np.isfinite(arr[:, 0]).all())
+        if well_timed and np.any(dt <= 0):
             raise DataFormatError(f"trial {trial_id}: timestamps must strictly "
                                   f"increase", str(path))
-        rate = 1.0 / float(np.median(dt))
+        rate = 1.0 / float(np.median(dt)) if well_timed else math.nan
         try:
             trajectories.append(Trajectory(
                 trial_id=trial_id, sample_rate=rate,
@@ -415,17 +494,33 @@ def read_trajectories_csv(
             sorted(rejected, key=lambda out: out.trial_id))
 
 
+def _csv_field(value: str) -> str:
+    """value as csv.writer renders it in a row: quoted only when needed."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
 def write_trajectories_csv(trajectories: list[Trajectory], path: str | Path) -> None:
-    """Write trajectories in the trial_id,t,x,y,z schema."""
+    """Write trajectories in the trial_id,t,x,y,z schema.
+
+    The bytes equal a csv.writer row per sample; each trial is formatted
+    as one string, and consecutive trials on the same t grid share its
+    formatted timestamps.
+    """
     path = Path(path)
+    grid: bytes | None = None
+    times: list[str] = []
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_HEADER)
+        fh.write(",".join(TRAJECTORY_HEADER) + "\r\n")
         for traj in trajectories:
-            for i in range(len(traj)):
-                writer.writerow([traj.trial_id, repr(float(traj.t[i])),
-                                 repr(float(traj.x[i])), repr(float(traj.y[i])),
-                                 repr(float(traj.z[i]))])
+            if traj.t.tobytes() != grid:
+                grid, times = traj.t.tobytes(), list(map(repr, traj.t.tolist()))
+            trial_id = _csv_field(traj.trial_id)
+            fh.write("".join([
+                f"{trial_id},{t},{x!r},{y!r},{z!r}\r\n" for t, x, y, z
+                in zip(times, traj.x.tolist(), traj.y.tolist(), traj.z.tolist())
+            ]))
 
 
 OUTCOME_HEADER = [

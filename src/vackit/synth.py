@@ -14,16 +14,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from .errors import DomainError
 from .geometry import EyeGeometry
 from .kinematics import (
+    BLOCK_TRIALS,
     AnalyzedTrial,
     EyePose,
     TargetSpec,
     Trajectory,
     TrialOutcome,
+    lowpass_block,
     write_outcomes_csv,
     write_trajectories_csv,
 )
@@ -278,31 +279,33 @@ def generate_trajectories(config: SimConfig, trials: list[TrialRecord],
     profile, then holds; optional white positional noise is low-pass
     filtered here so it cannot alias into the velocity analysis.
     """
-    by_id = {p.participant_id: p for p in participants}
     fs = config.sample_rate
     duration = config.rest_padding + config.movement_duration + config.rest_padding
     n = int(round(duration * fs)) + 1
     t = np.arange(n) / fs
     u = np.clip((t - config.rest_padding) / config.movement_duration, 0.0, 1.0)
     profile = _minimum_jerk(u)
-    noise_ba = butter(2, 10.0, btype="low", fs=fs) \
-        if config.trajectory_noise_sd > 0 else None
-    rngs = {pid: _participant_rng(p.trajectory_seed) for pid, p in by_id.items()}
+    rngs = {p.participant_id: _participant_rng(p.trajectory_seed)
+            for p in participants}
     trajectories = []
-    for trial in trials:
-        z = profile * trial.endpoint_z
-        x = np.zeros(n)
-        y = np.zeros(n)
-        if noise_ba is not None:
-            rng = rngs[trial.participant_id]
-            noise = rng.normal(0.0, config.trajectory_noise_sd, size=(3, n))
-            b, a = noise_ba
-            x = x + filtfilt(b, a, noise[0])
-            y = y + filtfilt(b, a, noise[1])
-            z = z + filtfilt(b, a, noise[2])
-        trajectories.append(Trajectory(
-            trial_id=trial.trial_id, sample_rate=fs, t=t, x=x, y=y, z=z,
-        ))
+    for start in range(0, len(trials), BLOCK_TRIALS):
+        block = trials[start:start + BLOCK_TRIALS]
+        samples = np.zeros((len(block), 3, n))
+        samples[:, 2] = np.outer([trial.endpoint_z for trial in block], profile)
+        if config.trajectory_noise_sd > 0:
+            # drawn trial by trial, in trial order, from each participant's
+            # own stream; only the filtering is shared by the block
+            noise = np.array([
+                rngs[trial.participant_id].normal(
+                    0.0, config.trajectory_noise_sd, size=(3, n))
+                for trial in block
+            ])
+            samples += lowpass_block(noise, fs, 10.0)
+        trajectories.extend(
+            Trajectory(trial_id=trial.trial_id, sample_rate=fs, t=t,
+                       x=x, y=y, z=z)
+            for trial, (x, y, z) in zip(block, samples)
+        )
     return trajectories
 
 

@@ -363,6 +363,16 @@ class TestAnalyze:
         assert rows[dropped][4] == "0"
         assert rows[dropped][5] == "no target"
 
+    def test_single_sample_trial_is_missing_data(self, simulated, tmp_path):
+        with (simulated / "trajectories.csv").open(
+                "a", encoding="utf-8", newline="") as fh:
+            fh.write("lone,0.0,0.0,0.0,0.0\r\n")
+        outdir = tmp_path / "analysis"
+        assert main(self._analyze_args(simulated, tmp_path, outdir)) == 0
+        rows = {r[0]: r for r in _read_csv_rows(outdir / "outcomes.csv")[1:]}
+        assert rows["lone"][4:6] == ["0", "missing data"]
+        assert sum(row[4] == "1" for row in rows.values()) == 8
+
     def test_unknown_target_field_exits_one(self, simulated, tmp_path,
                                             capsys):
         targets = json.loads(

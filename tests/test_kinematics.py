@@ -23,10 +23,15 @@ phase, which the gain and cross-correlation tests pin down.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import butter, filtfilt
 
 import vackit.kinematics as kin
 from vackit.errors import DataFormatError, DomainError
@@ -68,6 +73,16 @@ def _minimum_jerk_trajectory(distance: float, duration: float,
                       x=zeros, y=zeros, z=z)
 
 
+def _noisy_trajectory(distance: float, duration: float,
+                      rng: np.random.Generator, fs: float = FS,
+                      trial_id: str = "t0", t0: float = 0.0) -> Trajectory:
+    clean = _minimum_jerk_trajectory(distance, duration, fs=fs)
+    x, y, z = rng.normal(0.0, 5e-4, size=(3, len(clean))) \
+        + (clean.x, clean.y, clean.z)
+    return Trajectory(trial_id=trial_id, sample_rate=fs, t=t0 + clean.t,
+                      x=x, y=y, z=z)
+
+
 def _sine_trajectory(freq: float, amp: float = 0.01, seconds: float = 2.0,
                      fs: float = FS) -> Trajectory:
     n = int(round(seconds * fs)) + 1
@@ -84,6 +99,38 @@ def _tone_amplitude(signal: np.ndarray, t: np.ndarray, freq: float) -> float:
                              np.cos(2 * math.pi * freq * t)])
     coef, *_ = np.linalg.lstsq(basis, signal, rcond=None)
     return float(np.hypot(coef[0], coef[1]))
+
+
+def _csv_writer_bytes(trajectories: list[Trajectory]) -> bytes:
+    """Reference trajectory CSV: one csv.writer row per sample."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(kin.TRAJECTORY_HEADER)
+    for traj in trajectories:
+        for i in range(len(traj)):
+            writer.writerow([traj.trial_id, repr(float(traj.t[i])),
+                             repr(float(traj.x[i])), repr(float(traj.y[i])),
+                             repr(float(traj.z[i]))])
+    return buf.getvalue().encode("utf-8")
+
+
+@st.composite
+def _trajectory_sets(draw) -> list[Trajectory]:
+    ids = draw(st.lists(
+        st.text(st.characters(blacklist_categories=("Cs",),
+                              blacklist_characters="\x00"), max_size=6),
+        min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(kin.MIN_SAMPLES, kin.MIN_SAMPLES + 8))
+    rate = draw(st.sampled_from([100.0, FS, 1000.0]))
+    coords = st.floats(allow_nan=False, allow_infinity=False)
+    out = []
+    for trial_id in ids:
+        t0 = draw(st.floats(-1e3, 1e3))
+        x, y, z = np.reshape(draw(st.lists(coords, min_size=3 * n,
+                                           max_size=3 * n)), (3, n))
+        out.append(Trajectory(trial_id, rate, t0 + np.arange(n) / rate,
+                              x, y, z))
+    return out
 
 
 class TestTrajectoryValidation:
@@ -110,6 +157,21 @@ class TestTrajectoryValidation:
         t = np.arange(30) / FS
         with pytest.raises(DomainError):
             Trajectory("len", FS, t, t, t, t[:-1])
+
+    @pytest.mark.parametrize("axis", ["t", "x", "y", "z"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample(self, axis, bad):
+        arrays = {"t": np.arange(30) / FS, "x": np.zeros(30),
+                  "y": np.zeros(30), "z": np.zeros(30)}
+        arrays[axis][12] = bad
+        with pytest.raises(DomainError, match="finite"):
+            Trajectory("bad", FS, **arrays)
+
+    @pytest.mark.parametrize("rate", [0.0, -FS, math.nan, math.inf])
+    def test_bad_sample_rate(self, rate):
+        t = np.arange(30) / FS
+        with pytest.raises(DomainError, match="sample_rate"):
+            Trajectory("rate", rate, t, t, t, t)
 
 
 class TestLowpassFilter:
@@ -148,10 +210,24 @@ class TestLowpassFilter:
 
     def test_cutoff_bounds_checked(self):
         traj = _sine_trajectory(1.0)
-        with pytest.raises(DomainError):
-            lowpass_filter(traj, 0.0)
-        with pytest.raises(DomainError):
-            lowpass_filter(traj, FS / 2)
+        target = TargetSpec(trial_id=traj.trial_id, reach_m=0.25)
+        for cutoff in (0.0, -1.0, FS / 2, math.nan):
+            message = rf"cutoff must be in \(0, {FS / 2}\) Hz, got {cutoff!r}"
+            with pytest.raises(DomainError, match=message):
+                lowpass_filter(traj, cutoff)
+            with pytest.raises(DomainError, match=message):
+                trial_outcome(traj, target, EYES, POSE, cutoff=cutoff)
+            with pytest.raises(DomainError, match=message):
+                analyze_trials([traj], {traj.trial_id: target}, EYES, POSE,
+                               cutoff=cutoff)
+
+    def test_matches_one_dimensional_filtfilt(self):
+        traj = _noisy_trajectory(0.25, 0.4, np.random.default_rng(1))
+        out = lowpass_filter(traj, 8.0)
+        b, a = butter(2, 8.0, btype="low", fs=FS)
+        for axis in "xyz":
+            assert np.array_equal(getattr(out, axis),
+                                  filtfilt(b, a, getattr(traj, axis)))
 
 
 class TestDifferentiate:
@@ -163,6 +239,13 @@ class TestDifferentiate:
         v = differentiate(traj)
         np.testing.assert_allclose(v.vz, 0.37, rtol=1e-12)
         np.testing.assert_allclose(v.vx, 0.0, atol=1e-15)
+
+    def test_matches_one_dimensional_gradient(self):
+        traj = _noisy_trajectory(0.25, 0.4, np.random.default_rng(2))
+        v = differentiate(traj)
+        for axis, vel in zip("xyz", (v.vx, v.vy, v.vz)):
+            assert np.array_equal(
+                vel, np.gradient(getattr(traj, axis), traj.t, edge_order=2))
 
     def test_peak_speed_of_minimum_jerk(self):
         traj = _minimum_jerk_trajectory(0.25, 0.6)
@@ -372,6 +455,71 @@ class TestAnalyzeTrials:
         assert not by_id["b"].valid
         assert by_id["b"].rejection_reason == "no target"
 
+    def test_batch_equals_per_trial_outcomes(self):
+        # mixed lengths, two sample rates, shifted t grids, slow and
+        # false-start trials, trials without a target, and one group
+        # large enough to span more than one block
+        rng = np.random.default_rng(7)
+        trajectories, targets = [], {}
+        for i in range(2 * kin.BLOCK_TRIALS):
+            trial_id = f"tr{i:03d}"
+            distance = 0.005 if i % 8 == 3 else (0.20, 0.25, 0.30)[i % 3]
+            trajectories.append(_noisy_trajectory(
+                distance, 0.5 if i % 6 == 5 else 0.4, rng,
+                fs=200.0 if i % 10 == 9 else FS, trial_id=trial_id,
+                t0=1.0 if i % 9 == 4 else 0.0))
+            if i % 11 != 2:
+                targets[trial_id] = TargetSpec(
+                    trial_id=trial_id, reach_m=distance,
+                    go_cue_time_s=0.5 if i % 13 == 7 else None,
+                    ipd_m=0.058 if i % 4 == 1 else None)
+        groups: dict[tuple[float, bytes], int] = {}
+        for traj in trajectories:
+            if traj.trial_id in targets:
+                key = (traj.sample_rate, traj.t.tobytes())
+                groups[key] = groups.get(key, 0) + 1
+        assert len(groups) > 3 and max(groups.values()) > kin.BLOCK_TRIALS
+
+        analyzed = analyze_trials(trajectories[::-1], targets, EYES, POSE)
+        assert [a.outcome.trial_id for a in analyzed] == \
+            [traj.trial_id for traj in trajectories]
+        for traj, item in zip(trajectories, analyzed):
+            target = targets.get(traj.trial_id)
+            if target is None:
+                assert item.outcome.rejection_reason == "no target"
+                continue
+            trial_eyes = EyeGeometry(ipd=target.ipd_m) if target.ipd_m else EYES
+            assert item.target == target
+            assert item.outcome == trial_outcome(traj, target, trial_eyes, POSE)
+        reasons = {a.outcome.rejection_reason for a in analyzed}
+        assert reasons == {None, "slow", "false start", "no target"}
+
+    @pytest.mark.parametrize("column,value", [("t", "inf"), ("x", "nan"),
+                                              ("z", "-inf")])
+    def test_non_finite_trial_leaves_block_untouched(self, tmp_path,
+                                                     column, value):
+        rng = np.random.default_rng(3)
+        trajectories = [_noisy_trajectory(0.25, 0.4, rng, trial_id=f"tr{i:02d}")
+                        for i in range(12)]
+        targets = {tr.trial_id: TargetSpec(trial_id=tr.trial_id, reach_m=0.25)
+                   for tr in trajectories}
+        path = tmp_path / "traj.csv"
+        write_trajectories_csv(trajectories, path)
+        before = analyze_trials(read_trajectories_csv(path)[0], targets,
+                                EYES, POSE)
+        lines = path.read_bytes().decode("utf-8").split("\r\n")
+        index = lines.index(next(ln for ln in lines if ln.startswith("tr05,")))
+        fields = lines[index + 100].split(",")
+        fields[kin.TRAJECTORY_HEADER.index(column)] = value
+        lines[index + 100] = ",".join(fields)
+        path.write_bytes("\r\n".join(lines).encode("utf-8"))
+
+        back, rejected = read_trajectories_csv(path)
+        assert rejected == [TrialOutcome(trial_id="tr05", valid=False,
+                                         rejection_reason="missing data")]
+        assert analyze_trials(back, targets, EYES, POSE) == \
+            [item for item in before if item.outcome.trial_id != "tr05"]
+
     def test_per_trial_ipd_override(self):
         traj = _minimum_jerk_trajectory(0.25, 0.4, trial_id="a")
         narrow = {"a": TargetSpec(trial_id="a", reach_m=0.25, ipd_m=0.055)}
@@ -419,6 +567,17 @@ class TestTrajectoryCsv:
         assert trajectories == []
         assert rejected[0].rejection_reason == "missing data"
 
+    def test_single_sample_trial_becomes_missing_data(self, tmp_path):
+        path = tmp_path / "lone.csv"
+        write_trajectories_csv([_minimum_jerk_trajectory(0.25, 0.4,
+                                                         trial_id="good")], path)
+        with path.open("a", encoding="utf-8", newline="") as fh:
+            fh.write("lone,0.5,0.0,0.0,0.0\r\n")
+        trajectories, rejected = read_trajectories_csv(path)
+        assert [tr.trial_id for tr in trajectories] == ["good"]
+        assert rejected == [TrialOutcome(trial_id="lone", valid=False,
+                                         rejection_reason="missing data")]
+
     def test_bad_header_is_file_error(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("id,t,x,y,z\n")
@@ -441,6 +600,45 @@ class TestTrajectoryCsv:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(DataFormatError):
             read_trajectories_csv(path)
+
+    def test_two_sample_non_increasing_time_is_file_error(self, tmp_path):
+        path = tmp_path / "pair.csv"
+        path.write_text("trial_id,t,x,y,z\nt0,0.5,0,0,0\nt0,0.5,0,0,0\n")
+        with pytest.raises(DataFormatError, match="strictly increase"):
+            read_trajectories_csv(path)
+
+    def test_bytes_match_csv_writer_for_awkward_ids(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ids = ["a,b", 'say "hi"', "", " lead", "two\nlines", "plain"]
+        # alternating t grids exercise the shared timestamp formatting
+        trajectories = [_noisy_trajectory(0.25, 0.4, rng, trial_id=tid,
+                                          t0=0.5 * (i % 2))
+                        for i, tid in enumerate(ids)]
+        path = tmp_path / "traj.csv"
+        write_trajectories_csv(trajectories, path)
+        assert path.read_bytes() == _csv_writer_bytes(trajectories)
+        back, rejected = read_trajectories_csv(path)
+        assert rejected == []
+        assert [tr.trial_id for tr in back] == sorted(ids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trajectories=st.data())
+    def test_write_read_round_trip_property(self, tmp_path_factory,
+                                            trajectories):
+        trajectories = trajectories.draw(_trajectory_sets())
+        path = tmp_path_factory.mktemp("prop") / "traj.csv"
+        write_trajectories_csv(trajectories, path)
+        assert path.read_bytes() == _csv_writer_bytes(trajectories)
+        back, rejected = read_trajectories_csv(path)
+        assert rejected == []
+        assert [tr.trial_id for tr in back] == \
+            sorted(tr.trial_id for tr in trajectories)
+        by_id = {tr.trial_id: tr for tr in trajectories}
+        for got in back:
+            want = by_id[got.trial_id]
+            for axis in "txyz":
+                assert np.array_equal(getattr(got, axis), getattr(want, axis))
+            assert got.sample_rate == pytest.approx(want.sample_rate, rel=1e-6)
 
 
 class TestOutcomeWriters:

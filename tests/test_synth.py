@@ -24,11 +24,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import butter, filtfilt
 
 from vackit.errors import DomainError
 from vackit.fitting import FitDataset
 from vackit.geometry import EyeGeometry
-from vackit.kinematics import EyePose, analyze_trials, read_trajectories_csv
+from vackit.kinematics import (
+    BLOCK_TRIALS,
+    EyePose,
+    analyze_trials,
+    read_trajectories_csv,
+)
 from vackit.perception import PerturbationParams, predict_endpoint
 from vackit.synth import (
     CONDITION_ORIGINAL,
@@ -269,6 +275,30 @@ class TestGenerateTrajectories:
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.z, tb.z)
         assert np.any(a[0].z[a[0].t <= 0.2] != 0.0)
+
+    def test_matches_per_trial_generation(self):
+        # reference: each trial's noise drawn and filtered on its own
+        config = _config(n_participants=4, repetitions=7,
+                         trajectory_noise_sd=0.0002, motor_noise_sd=0.002)
+        people = generate_participants(config)
+        trials = generate_trials(config, people)
+        assert len(trials) > BLOCK_TRIALS
+        got = generate_trajectories(config, trials, people)
+        rngs = {p.participant_id: np.random.Generator(
+            np.random.Philox(p.trajectory_seed)) for p in people}
+        b, a = butter(2, 10.0, btype="low", fs=config.sample_rate)
+        for traj, trial in zip(got, trials):
+            u = np.clip((traj.t - config.rest_padding)
+                        / config.movement_duration, 0.0, 1.0)
+            z = trial.endpoint_z * (10.0 * u**3 - 15.0 * u**4 + 6.0 * u**5)
+            noise = rngs[trial.participant_id].normal(
+                0.0, config.trajectory_noise_sd, size=(3, len(traj)))
+            assert traj.trial_id == trial.trial_id
+            assert np.array_equal(traj.x, np.zeros(len(traj))
+                                  + filtfilt(b, a, noise[0]))
+            assert np.array_equal(traj.y, np.zeros(len(traj))
+                                  + filtfilt(b, a, noise[1]))
+            assert np.array_equal(traj.z, z + filtfilt(b, a, noise[2]))
 
     def test_analysis_recovers_trial_table(self):
         config = _config(motor_noise_sd=0.003)
