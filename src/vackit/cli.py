@@ -279,6 +279,25 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _warn_not_converged(results: dict) -> None:
+    """One stderr warning per fit, keyed (condition, variant), that did not
+    converge."""
+    for (condition, variant), result in sorted(results.items()):
+        if not result.converged:
+            print(f"vackit: warning: condition {condition}: {variant} fit did "
+                  f"not converge (stop_reason {result.stop_reason} after "
+                  f"{result.n_iter} iterations)", file=sys.stderr)
+
+
+def _not_converged_note(results: dict, condition: str) -> str:
+    """Suffix of a condition's stdout line when any of its fits did not
+    converge."""
+    if any(not result.converged
+           for (cond, _), result in results.items() if cond == condition):
+        return " (not converged)"
+    return ""
+
+
 def _cmd_fit(args: argparse.Namespace) -> int:
     config_path = _default_config_path(args.config)
     data = _load_json(config_path) if config_path else {}
@@ -307,23 +326,30 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             name = f"fit_{condition}_{variant}.json"
             write_fit_json(result, outdir / name)
             outputs.append(name)
+        _warn_not_converged(results)
         for row in rows:
             if row.selected:
                 print(f"condition {row.condition}: selected {row.variant} "
-                      f"(test BIC {row.bic_test:.1f})")
+                      f"(test BIC {row.bic_test:.1f})"
+                      f"{_not_converged_note(results, row.condition)}")
     else:
         spec = ModelSpec(variant=args.variant, eye_pose=eye_pose,
                          ipd_bounds=ipd_bounds, beta_bounds=beta_bounds)
+        results = {}
         for condition in dataset.conditions:
             subset = dataset.select_condition(condition)
             result = fit_model(subset, spec, train_fraction=args.split,
                                split_seed=args.seed)
+            results[(condition, args.variant)] = result
             name = f"fit_{condition}_{args.variant}.json"
             write_fit_json(result, outdir / name)
             outputs.append(name)
+        _warn_not_converged(results)
+        for (condition, _), result in results.items():
             print(f"condition {condition}: beta = "
                   f"{math.degrees(result.beta):+.4f} deg "
-                  f"(test r2 {result.test.r2:.3f})")
+                  f"(test r2 {result.test.r2:.3f})"
+                  f"{_not_converged_note(results, condition)}")
     _write_manifest(outdir / "manifest.json", "fit", {
         "input": args.input, "config_file": config_path, "config": data,
         "variant": args.variant, "split": args.split, "seed": args.seed,

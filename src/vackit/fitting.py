@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataFormatError, DomainError
 from .kinematics import EyePose
-from .marquardt import LMResult, levenberg_marquardt
+from .marquardt import ArrowheadJacobian, LMResult, levenberg_marquardt
 from .perception import fixated_distance_error
 
 __all__ = [
@@ -247,19 +247,20 @@ def residuals(x: np.ndarray, dataset: FitDataset, spec: ModelSpec,
     return _prediction(beta, ipd_rows, eye_distance, spec.variant) - dataset.distance_error
 
 
-def jacobian(x: np.ndarray, dataset: FitDataset, spec: ModelSpec,
-             pidx: np.ndarray, eye_distance: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of the residual vector.
+def _arrowhead(x: np.ndarray, spec: ModelSpec, pidx: np.ndarray,
+               eye_distance: np.ndarray) -> ArrowheadJacobian:
+    """The residual Jacobian as its two row vectors.
 
-    With pred = (i/2)/tan(v) - d, v = (angle(d, i) + beta)/2:
+    Each row depends on beta and on its own participant's interpupillary
+    distance only.  With pred = (i/2)/tan(v) - d, v = (angle(d, i) + beta)/2:
       d pred/d beta = -(i/4)/sin(v)^2
       d pred/d i    = cot(v)/2 - (i/4)/sin(v)^2 * d angle/d i
     where d angle/d i = 1/(d*(1+u^2)) with u = i/(2d).  The zero-offset
-    variant predicts identically zero, so its Jacobian vanishes.
+    variant has no beta column and predicts identically zero, so its
+    entries vanish.
     """
-    n = len(dataset)
     if spec.variant == VARIANT_ZERO_OFFSET:
-        return np.zeros((n, len(x)), dtype=np.float64)
+        return ArrowheadJacobian(None, np.zeros(len(pidx)), pidx, len(x))
     beta = float(x[0])
     ipd_rows = x[1 + pidx]
     d = eye_distance
@@ -270,10 +271,14 @@ def jacobian(x: np.ndarray, dataset: FitDataset, spec: ModelSpec,
     u = ipd_rows / (2.0 * d)
     dtau_dipd = 1.0 / (d * (1.0 + u * u))
     d_ipd = 0.5 / np.tan(v) - (ipd_rows / 4.0) * csc2 * dtau_dipd
-    J = np.zeros((n, len(x)), dtype=np.float64)
-    J[:, 0] = d_beta
-    J[np.arange(n), 1 + pidx] = d_ipd
-    return J
+    return ArrowheadJacobian(d_beta, d_ipd, pidx, len(x) - 1)
+
+
+def jacobian(x: np.ndarray, dataset: FitDataset, spec: ModelSpec,
+             pidx: np.ndarray, eye_distance: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian of the residual vector, as a dense rows x len(x)
+    array; fit solves on the same derivatives without forming it."""
+    return _arrowhead(x, spec, pidx, eye_distance).dense()
 
 
 def goodness_of_fit(observed: np.ndarray, predicted: np.ndarray,
@@ -331,9 +336,9 @@ def fit(dataset: FitDataset, spec: ModelSpec,
     distance cannot separate the offset from that participant's
     interpupillary distance.
     """
-    participants = dataset.participants
-    pid_index = {pid: i for i, pid in enumerate(participants)}
-    pidx = np.array([pid_index[p] for p in dataset.participant_id], dtype=np.int64)
+    participant_ids, pidx = np.unique(dataset.participant_id,
+                                      return_inverse=True)
+    participants = participant_ids.tolist()
     eye_distance = spec.eye_pose.eye_distance(dataset.target_reach)
 
     idx_train, idx_test = dataset.split_indices(train_fraction, split_seed)
@@ -341,36 +346,35 @@ def fit(dataset: FitDataset, spec: ModelSpec,
     pidx_train, pidx_test = pidx[idx_train], pidx[idx_test]
     d_train, d_test = eye_distance[idx_train], eye_distance[idx_test]
 
-    for pid in participants:
-        mask = train_ds.participant_id == pid
-        if len(set(train_ds.target_reach[mask].tolist())) < 2:
-            warnings.warn(
-                f"participant {pid!r} has fewer than two distinct reach "
-                f"distances in the training rows; the offset and that "
-                f"participant's interpupillary distance are not separable",
-                IdentifiabilityWarning,
-                stacklevel=2,
-            )
+    cells = np.unique(np.column_stack((pidx_train, train_ds.target_reach)),
+                      axis=0)
+    n_reaches = np.bincount(cells[:, 0].astype(np.int64),
+                            minlength=len(participants))
+    for p in np.flatnonzero(n_reaches < 2):
+        warnings.warn(
+            f"participant {participants[p]!r} has fewer than two distinct "
+            f"reach distances in the training rows; the offset and that "
+            f"participant's interpupillary distance are not separable",
+            IdentifiabilityWarning,
+            stacklevel=2,
+        )
 
     x_init = _initial_point(spec, len(participants), x0)
     lower, upper = _bounds(spec, len(participants))
     lm: LMResult = levenberg_marquardt(
         lambda x: residuals(x, train_ds, spec, pidx_train, d_train),
-        lambda x: jacobian(x, train_ds, spec, pidx_train, d_train),
+        lambda x: _arrowhead(x, spec, pidx_train, d_train),
         x_init, lower, upper,
     )
 
     if spec.variant == VARIANT_ZERO_OFFSET:
-        beta = 0.0
-        ipd = {pid: float(lm.x[i]) for pid, i in pid_index.items()}
+        beta, ipd_vec = 0.0, lm.x
     else:
-        beta = float(lm.x[0])
-        ipd = {pid: float(lm.x[1 + i]) for pid, i in pid_index.items()}
+        beta, ipd_vec = float(lm.x[0]), lm.x[1:]
+    ipd = dict(zip(participants, ipd_vec.tolist()))
     k = len(lm.x)
-    ipd_rows_test = np.array([ipd[p] for p in test_ds.participant_id])
-    pred_test = _prediction(beta, ipd_rows_test, d_test, spec.variant)
-    ipd_rows_train = np.array([ipd[p] for p in train_ds.participant_id])
-    pred_train = _prediction(beta, ipd_rows_train, d_train, spec.variant)
+    pred_test = _prediction(beta, ipd_vec[pidx_test], d_test, spec.variant)
+    pred_train = _prediction(beta, ipd_vec[pidx_train], d_train, spec.variant)
     return FitResult(
         variant=spec.variant,
         beta=beta,

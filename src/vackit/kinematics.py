@@ -193,7 +193,8 @@ class TargetSpec:
 
     ipd_m, when set, overrides the batch-level eye geometry for this
     trial's disparity measure; use it when participants' interpupillary
-    distances differ.
+    distances differ.  analyze_trials rejects a trial whose ipd_m lies
+    outside (0, 0.1) m as "bad ipd".
     """
 
     trial_id: str
@@ -401,21 +402,36 @@ def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec
     """Analyze a batch of trials, ordered by trial_id.
 
     Trials without a matching target are flagged invalid with reason
-    "no target" rather than aborting the batch.  Trials that share a
-    sample rate and a t grid are filtered in blocks of BLOCK_TRIALS; the
-    outcomes equal trial_outcome's for each trial on its own.
+    "no target", and trials whose target sets an ipd_m outside (0, 0.1) m
+    with reason "bad ipd", rather than aborting the batch.  Trials that
+    share a sample rate and a t grid are filtered in blocks of
+    BLOCK_TRIALS; the outcomes equal trial_outcome's for each trial on its
+    own.
     """
     ordered = sorted(trajectories, key=lambda tr: tr.trial_id)
     results: list[AnalyzedTrial | None] = [None] * len(ordered)
+    trial_eyes: list[EyeGeometry | None] = [None] * len(ordered)
     groups: dict[tuple[float, bytes], list[int]] = {}
     for i, traj in enumerate(ordered):
-        if traj.trial_id in targets:
+        target = targets.get(traj.trial_id)
+        reason = None
+        if target is None:
+            target = TargetSpec(trial_id=traj.trial_id, reach_m=float("nan"))
+            reason = "no target"
+        elif target.ipd_m is None:
+            trial_eyes[i] = eyes
+        else:
+            try:
+                trial_eyes[i] = EyeGeometry(ipd=target.ipd_m)
+            except DomainError:
+                reason = "bad ipd"
+        if reason is None:
             groups.setdefault((traj.sample_rate, traj.t.tobytes()), []).append(i)
         else:
             results[i] = AnalyzedTrial(
-                target=TargetSpec(trial_id=traj.trial_id, reach_m=float("nan")),
+                target=target,
                 outcome=TrialOutcome(trial_id=traj.trial_id, valid=False,
-                                     rejection_reason="no target"),
+                                     rejection_reason=reason),
             )
     for members in groups.values():
         for start in range(0, len(members), BLOCK_TRIALS):
@@ -423,9 +439,7 @@ def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec
             block_targets = [targets[ordered[i].trial_id] for i in block]
             outcomes = _block_outcomes(
                 [ordered[i] for i in block], block_targets,
-                [EyeGeometry(ipd=tgt.ipd_m) if tgt.ipd_m else eyes
-                 for tgt in block_targets],
-                eye_pose, cutoff, threshold)
+                [trial_eyes[i] for i in block], eye_pose, cutoff, threshold)
             for i, target, outcome in zip(block, block_targets, outcomes):
                 results[i] = AnalyzedTrial(target=target, outcome=outcome)
     return results

@@ -2,7 +2,9 @@
 
 A small Levenberg-Marquardt implementation on the normal equations with
 Marquardt's diagonal scaling, written against callables so the residual
-and Jacobian stay decoupled from any particular model.
+and Jacobian stay decoupled from any particular model.  A Jacobian is
+either a dense array or an ArrowheadJacobian, whose normal equations are
+formed and solved in O(rows + groups) without a dense matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import numpy as np
 
 from .errors import FitError
 
-__all__ = ["LMResult", "levenberg_marquardt", "finite_difference_jacobian"]
+__all__ = ["ArrowheadJacobian", "LMResult", "levenberg_marquardt",
+           "finite_difference_jacobian"]
 
 LAMBDA_INIT = 1e-3
 LAMBDA_MAX = 1e8
@@ -38,6 +41,73 @@ class LMResult:
     stop_reason: str
 
 
+@dataclass(frozen=True)
+class ArrowheadJacobian:
+    """Jacobian with an optional dense first column and one entry per row.
+
+    Row i has column[i] in column 0 (when column is set) and entry[i] in
+    the column of its group, group[i], counted after the dense column.
+    J'J is then an arrowhead: one dense corner row and column plus a
+    diagonal, one element per group.
+    """
+
+    column: np.ndarray | None
+    entry: np.ndarray
+    group: np.ndarray
+    n_groups: int
+
+    def dense(self) -> np.ndarray:
+        """The same Jacobian as a rows x (1 + n_groups) or rows x n_groups
+        array."""
+        rows = len(self.entry)
+        first = 0 if self.column is None else 1
+        J = np.zeros((rows, first + self.n_groups), dtype=np.float64)
+        if self.column is not None:
+            J[:, 0] = self.column
+        J[np.arange(rows), first + self.group] = self.entry
+        return J
+
+    def normal_equations(self, r: np.ndarray):
+        """diag(J'J) and the damped solve, as _normal_equations.
+
+        With g = J'r, a = column.column, and w, c the per-group sums of
+        entry^2 and column*entry, the damped step is a Schur complement on
+        the dense column: for D = w + damping[1:],
+          step_0 = (-g_0 + sum(c*g_p/D)) / (a + damping_0 - sum(c^2/D)),
+          step_p = (-g_p - c*step_0) / D.
+        Both cost O(rows + n_groups); no dense matrix is formed.
+        """
+        w = np.bincount(self.group, self.entry * self.entry, self.n_groups)
+        g_groups = np.bincount(self.group, self.entry * r, self.n_groups)
+        if self.column is None:
+            return w, lambda damping: -g_groups / (w + damping)
+        a = float(self.column @ self.column)
+        g0 = float(self.column @ r)
+        c = np.bincount(self.group, self.column * self.entry, self.n_groups)
+
+        def solve(damping: np.ndarray) -> np.ndarray:
+            D = w + damping[1:]
+            c_over_d = c / D
+            # the Schur denominator is positive but can round to zero at
+            # the smallest damping; the loop rejects the non-finite step
+            # and raises the damping, as after a singular dense solve
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step0 = (-g0 + c_over_d @ g_groups) / (a + damping[0] - c_over_d @ c)
+            return np.concatenate(([step0], (-g_groups - c * step0) / D))
+
+        return np.concatenate(([a], w)), solve
+
+
+def _normal_equations(J: np.ndarray | ArrowheadJacobian, r: np.ndarray):
+    """(diag(J'J), solve), where solve(damping) is the step of
+    (J'J + diag(damping)) step = -J'r."""
+    if isinstance(J, ArrowheadJacobian):
+        return J.normal_equations(r)
+    A = J.T @ J
+    g = J.T @ r
+    return np.diag(A), lambda damping: np.linalg.solve(A + np.diag(damping), -g)
+
+
 def _rss(r: np.ndarray) -> float:
     if not np.all(np.isfinite(r)):
         return float("inf")
@@ -46,7 +116,7 @@ def _rss(r: np.ndarray) -> float:
 
 def levenberg_marquardt(
     residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray], np.ndarray | ArrowheadJacobian],
     x0: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
@@ -60,7 +130,8 @@ def levenberg_marquardt(
     by diag(J'J) (unit scale where a diagonal entry vanishes), and rejected
     steps raise the damping tenfold.  Stops when an accepted step reduces
     the residual sum of squares by a relative factor below ftol, or when
-    the projected step is below xtol in the infinity norm.
+    the projected step is below xtol in the infinity norm.  jacobian
+    returns a dense array or an ArrowheadJacobian.
 
     Raises:
         FitError: If the starting residual is not finite, or the damping
@@ -76,14 +147,11 @@ def levenberg_marquardt(
     converged = False
     reason = "max_iter"
     for n_iter in range(1, max_iter + 1):
-        J = jacobian(x)
-        A = J.T @ J
-        g = J.T @ r
-        diag = np.diag(A)
+        diag, solve = _normal_equations(jacobian(x), r)
         scale = np.where(diag > 0, diag, 1.0)
         while True:
             try:
-                step = np.linalg.solve(A + lam * np.diag(scale), -g)
+                step = solve(lam * scale)
             except np.linalg.LinAlgError:
                 step = None
             if step is not None and np.all(np.isfinite(step)):

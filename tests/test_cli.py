@@ -15,12 +15,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vackit import __version__, backends
+from vackit import __version__, backends, fitting
 from vackit.cli import main
 from vackit.correction import MeshModel
 from vackit.kinematics import read_trajectories_csv, write_trajectories_csv
@@ -363,6 +364,21 @@ class TestAnalyze:
         assert rows[dropped][4] == "0"
         assert rows[dropped][5] == "no target"
 
+    def test_zero_ipd_trial_rejected_not_fatal(self, simulated, tmp_path):
+        targets = json.loads(
+            (simulated / "targets.json").read_text(encoding="utf-8"))
+        bad = sorted(targets)[0]
+        targets[bad]["ipd_m"] = 0.0
+        edited = tmp_path / "targets.json"
+        _write_json(edited, targets)
+        outdir = tmp_path / "analysis"
+        args = self._analyze_args(simulated, tmp_path, outdir)
+        args[args.index("--targets") + 1] = str(edited)
+        assert main(args) == 0
+        rows = {r[0]: r for r in _read_csv_rows(outdir / "outcomes.csv")[1:]}
+        assert rows[bad][4:6] == ["0", "bad ipd"]
+        assert sum(row[4] == "1" for row in rows.values()) == len(rows) - 1
+
     def test_single_sample_trial_is_missing_data(self, simulated, tmp_path):
         with (simulated / "trajectories.csv").open(
                 "a", encoding="utf-8", newline="") as fh:
@@ -433,8 +449,10 @@ class TestFit:
                      "--config", self._fit_config(tmp_path / "fit.json"),
                      "--out", str(outdir)])
         assert code == 0
-        assert "condition original: selected with-offset" in \
-            capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "condition original: selected with-offset" in captured.out
+        assert "not converged" not in captured.out
+        assert captured.err == ""
         comparison = _read_csv_rows(outdir / "comparison.csv")
         assert len(comparison) == 3  # header + two variants
         selected = {row[1]: row[-1] for row in comparison[1:]}
@@ -472,6 +490,30 @@ class TestFit:
         assert "beta = +0.0000 deg" in capsys.readouterr().out
         assert not (outdir / "comparison.csv").exists()
         assert (outdir / "fit_original_zero-offset.json").is_file()
+
+    @pytest.mark.parametrize("variant", ["both", "with-offset"])
+    def test_unconverged_fit_flagged(self, outcomes, tmp_path, monkeypatch,
+                                     capsys, variant):
+        # one iteration cannot converge the with-offset fit; the
+        # zero-offset fit stops on its first step
+        monkeypatch.setattr(fitting, "levenberg_marquardt",
+                            partial(fitting.levenberg_marquardt, max_iter=1))
+        outdir = tmp_path / "fits"
+        code = main(["fit", "--input", str(outcomes), "--variant", variant,
+                     "--config", self._fit_config(tmp_path / "fit.json"),
+                     "--out", str(outdir)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "vackit: warning: condition original: with-offset fit did not "
+            "converge (stop_reason max_iter after 1 iterations)"]
+        line, = captured.out.splitlines()
+        assert line.startswith("condition original: ")
+        assert line.endswith(" (not converged)")
+        payload = json.loads((outdir / "fit_original_with-offset.json")
+                             .read_text(encoding="utf-8"))
+        assert (payload["converged"], payload["stop_reason"],
+                payload["n_iter"]) == (False, "max_iter", 1)
 
     def test_config_via_environment(self, outcomes, tmp_path, monkeypatch):
         cfg = self._fit_config(tmp_path / "fit.json")

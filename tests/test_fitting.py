@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -45,7 +46,7 @@ from vackit.fitting import (
     write_fit_json,
 )
 from vackit.kinematics import EyePose
-from vackit.marquardt import finite_difference_jacobian
+from vackit.marquardt import finite_difference_jacobian, levenberg_marquardt
 from vackit.perception import fixated_distance_error
 
 BETA = math.radians(0.22)
@@ -284,6 +285,81 @@ class TestFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error", IdentifiabilityWarning)
             fit(ds, ModelSpec(ipd_bounds=SIM_IPD_BOUNDS))
+
+
+def _reference_fit(ds: FitDataset, spec: ModelSpec, split_seed: int = 0):
+    """The fit run the plain way: LM on the dense public jacobian()."""
+    participants = ds.participants
+    pid_index = {pid: i for i, pid in enumerate(participants)}
+    pidx = np.array([pid_index[p] for p in ds.participant_id])
+    d_eye = spec.eye_pose.eye_distance(ds.target_reach)
+    train, _ = ds.split_indices(seed=split_seed)
+    train_ds, pidx_train, d_train = ds.take(train), pidx[train], d_eye[train]
+    first = int(spec.variant == VARIANT_WITH_OFFSET)
+    x0 = np.full(first + len(participants), 0.063)
+    lower = np.full_like(x0, spec.ipd_bounds[0])
+    upper = np.full_like(x0, spec.ipd_bounds[1])
+    if first:
+        x0[0] = 0.0
+        lower[0], upper[0] = spec.beta_bounds
+    lm = levenberg_marquardt(
+        lambda x: residuals(x, train_ds, spec, pidx_train, d_train),
+        lambda x: jacobian(x, train_ds, spec, pidx_train, d_train),
+        x0, lower, upper)
+    beta = float(lm.x[0]) if first else 0.0
+    return lm, beta, dict(zip(participants, lm.x[first:].tolist()))
+
+
+class TestStructuredFit:
+    """fit solves on the arrowhead structure; the dense route is the
+    reference it must reproduce to rounding."""
+
+    @pytest.mark.parametrize("variant", [VARIANT_WITH_OFFSET,
+                                         VARIANT_ZERO_OFFSET])
+    @pytest.mark.parametrize("bounds", [DEFAULT_IPD_BOUNDS, SIM_IPD_BOUNDS,
+                                        (0.061, 0.065)],
+                             ids=["default", "58-68mm", "pinned"])
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_matches_dense_reference(self, variant, bounds, seed):
+        ds, _ = _synthetic_dataset(n_participants=12, reps=6,
+                                   noise_sd=0.004, seed=seed)
+        spec = ModelSpec(variant=variant, ipd_bounds=bounds)
+        result = fit(ds, spec, split_seed=seed)
+        lm, beta, ipd = _reference_fit(ds, spec, split_seed=seed)
+        assert (result.n_iter, result.converged, result.stop_reason) == \
+            (lm.n_iter, lm.converged, lm.stop_reason)
+        assert abs(result.beta - beta) < 1e-10
+        assert result.ipd.keys() == ipd.keys()
+        assert max(abs(result.ipd[p] - ipd[p]) for p in ipd) < 1e-10
+        if bounds == (0.061, 0.065) and variant == VARIANT_WITH_OFFSET:
+            assert sum(v in bounds for v in result.ipd.values()) >= 2
+
+    def test_memory_is_linear_in_rows(self):
+        # 1,000 participants: the dense training Jacobian alone would
+        # take about 270 MB
+        rng = np.random.default_rng(5)
+        n_participants, reps = 1000, 16
+        ipds = rng.uniform(*SIM_IPD_BOUNDS, n_participants)
+        pid = np.repeat([f"p{i:04d}" for i in range(n_participants)],
+                        len(REACHES) * reps)
+        reach = np.tile(np.repeat(REACHES, reps), n_participants)
+        error = fixated_distance_error(POSE.eye_distance(reach),
+                                       np.repeat(ipds, len(REACHES) * reps),
+                                       BETA) + rng.normal(0.0, 0.002, len(pid))
+        ds = FitDataset(pid, np.full(len(pid), "original"), reach, error)
+        spec = ModelSpec(ipd_bounds=SIM_IPD_BOUNDS)
+        dense_bytes = 8 * (1 + n_participants) * len(ds.split_indices()[0])
+        assert dense_bytes > 260e6
+
+        tracemalloc.start()
+        try:
+            result = fit(ds, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert abs(result.beta - BETA) < math.radians(0.05)
+        assert peak < 0.1 * dense_bytes
 
 
 class TestModelComparison:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -488,7 +489,8 @@ class TestAnalyzeTrials:
             if target is None:
                 assert item.outcome.rejection_reason == "no target"
                 continue
-            trial_eyes = EyeGeometry(ipd=target.ipd_m) if target.ipd_m else EYES
+            trial_eyes = EYES if target.ipd_m is None else \
+                EyeGeometry(ipd=target.ipd_m)
             assert item.target == target
             assert item.outcome == trial_outcome(traj, target, trial_eyes, POSE)
         reasons = {a.outcome.rejection_reason for a in analyzed}
@@ -518,6 +520,26 @@ class TestAnalyzeTrials:
         assert rejected == [TrialOutcome(trial_id="tr05", valid=False,
                                          rejection_reason="missing data")]
         assert analyze_trials(back, targets, EYES, POSE) == \
+            [item for item in before if item.outcome.trial_id != "tr05"]
+
+    @pytest.mark.parametrize("ipd", [0.0, -0.063, 0.1, 0.63, math.nan,
+                                     math.inf])
+    def test_bad_ipd_trial_leaves_block_untouched(self, ipd):
+        rng = np.random.default_rng(4)
+        trajectories = [_noisy_trajectory(0.25, 0.4, rng, trial_id=f"tr{i:02d}")
+                        for i in range(12)]
+        targets = {tr.trial_id: TargetSpec(trial_id=tr.trial_id, reach_m=0.25,
+                                           ipd_m=0.060)
+                   for tr in trajectories}
+        before = analyze_trials(trajectories, targets, EYES, POSE)
+        targets["tr05"] = replace(targets["tr05"], ipd_m=ipd)
+
+        after = analyze_trials(trajectories, targets, EYES, POSE)
+        by_id = {item.outcome.trial_id: item for item in after}
+        assert by_id["tr05"].target == targets["tr05"]
+        assert by_id["tr05"].outcome == TrialOutcome(
+            trial_id="tr05", valid=False, rejection_reason="bad ipd")
+        assert [item for item in after if item.outcome.trial_id != "tr05"] == \
             [item for item in before if item.outcome.trial_id != "tr05"]
 
     def test_per_trial_ipd_override(self):

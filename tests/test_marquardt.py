@@ -3,17 +3,21 @@
 A linear residual A x - b has the closed-form minimizer given by the
 normal equations, which the solver must reproduce to 1e-10 whatever the
 starting point.  The remaining tests probe the box projection, the
-step-extension behavior in flat valleys, the stopping taxonomy, and the
-central-difference Jacobian used to validate analytic derivatives.
+step-extension behavior in flat valleys, the stopping taxonomy, the
+central-difference Jacobian used to validate analytic derivatives, and
+the arrowhead Jacobian's damped solve against the dense one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vackit.errors import FitError
 from vackit.marquardt import (
+    ArrowheadJacobian,
     LMResult,
     finite_difference_jacobian,
     levenberg_marquardt,
@@ -239,3 +243,61 @@ class TestFiniteDifferenceJacobian:
         A, b = _linear_problem(seed=5)
         fd = finite_difference_jacobian(lambda x: A @ x - b, np.ones(4))
         np.testing.assert_allclose(fd, A, rtol=1e-6, atol=5e-9)
+
+
+class TestArrowheadJacobian:
+    @settings(max_examples=200, deadline=None)
+    @given(n_groups=st.integers(1, 40), with_column=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), log_lam=st.floats(-3.0, 3.0),
+           data=st.data())
+    def test_damped_solve_equals_dense(self, n_groups, with_column, seed,
+                                       log_lam, data):
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(1, 6, n_groups).sum())
+        group = np.concatenate([np.arange(n_groups),
+                                rng.integers(0, n_groups, rows - n_groups)])
+        entry = rng.normal(0.0, 1.0, rows)
+        # one group without derivative falls back to unit scale
+        entry[group == data.draw(st.integers(0, n_groups - 1))] = 0.0
+        column = rng.normal(0.0, 1.0, rows) if with_column else None
+        J = ArrowheadJacobian(column, entry, group, n_groups)
+        r = rng.normal(0.0, 1.0, rows)
+
+        dense = J.dense()
+        A = dense.T @ dense
+        diag, solve = J.normal_equations(r)
+        np.testing.assert_allclose(diag, np.diag(A), rtol=1e-13, atol=1e-13)
+        assert np.any(diag == 0.0)
+        damping = 10.0 ** log_lam * np.where(diag > 0, diag, 1.0)
+        step = solve(damping)
+        expected = np.linalg.solve(A + np.diag(damping), -(dense.T @ r))
+        # compare in the damping's scaled norm, where the system's
+        # condition number is at most (1 + n_groups + lam) / lam
+        w = np.sqrt(damping)
+        np.testing.assert_allclose(
+            w * step, w * expected, rtol=0,
+            atol=1e-9 * max(float(np.linalg.norm(w * expected)), 1e-300))
+
+    def test_dense_layout(self):
+        J = ArrowheadJacobian(np.array([1.0, 2.0, 3.0]),
+                              np.array([4.0, 5.0, 6.0]), np.array([1, 0, 1]), 3)
+        np.testing.assert_array_equal(J.dense(), [[1.0, 0.0, 4.0, 0.0],
+                                                  [2.0, 5.0, 0.0, 0.0],
+                                                  [3.0, 0.0, 6.0, 0.0]])
+        no_column = ArrowheadJacobian(None, J.entry, J.group, 3)
+        np.testing.assert_array_equal(no_column.dense(), J.dense()[:, 1:])
+
+    def test_solver_takes_arrowhead_or_dense_alike(self):
+        rng = np.random.default_rng(9)
+        group = np.repeat(np.arange(5), 6)
+        column = rng.normal(0.0, 1.0, len(group))
+        entry = rng.normal(0.0, 1.0, len(group))
+        J = ArrowheadJacobian(column, entry, group, 5)
+        b = rng.normal(0.0, 1.0, len(group))
+        kwargs = dict(residual=lambda x: J.dense() @ x - b, x0=np.zeros(6),
+                      lower=np.full(6, -10.0), upper=np.full(6, 10.0))
+        arrow = levenberg_marquardt(jacobian=lambda x: J, **kwargs)
+        dense = levenberg_marquardt(jacobian=lambda x: J.dense(), **kwargs)
+        assert (arrow.n_iter, arrow.converged, arrow.stop_reason) == \
+            (dense.n_iter, dense.converged, dense.stop_reason)
+        np.testing.assert_allclose(arrow.x, dense.x, rtol=0, atol=1e-12)
