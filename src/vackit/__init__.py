@@ -15,6 +15,7 @@ from .correction import (
     remap_depth,
     transform_mesh,
     transform_point,
+    transform_points,
 )
 from .errors import DataFormatError, DomainError, FitError
 from .fitting import (
@@ -127,6 +128,7 @@ __all__ = [
     "subtended_angle",
     "transform_mesh",
     "transform_point",
+    "transform_points",
     "trial_outcome",
     "visual_angles",
     "write_obj",

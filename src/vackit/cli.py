@@ -27,7 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .correction import predicted_correction_curve, transform_mesh, transform_point
+from .correction import (
+    predicted_correction_curve,
+    transform_mesh,
+    transform_point,
+    transform_points,
+)
 from .errors import DataFormatError, DomainError, FitError
 from .fitting import (
     DEFAULT_BETA_BOUNDS,
@@ -383,15 +388,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
                 _transform_vertex_literal(row, eyes, params) for row in points
             ])
         else:
-            from . import backends
-
-            out, first_bad = backends.remap_points(points, eyes.half_ipd,
-                                                   params.beta_offset)
-            if first_bad >= 0:
-                x, y, z = points[first_bad]
-                raise DomainError(
-                    f"point {first_bad} at ({x}, {y}, {z}) cannot be corrected"
-                )
+            out = transform_points(points, eyes, params)
         write_points_csv(out, out_path)
         n = len(out)
     else:

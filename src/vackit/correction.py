@@ -22,6 +22,7 @@ __all__ = [
     "MeshModel",
     "remap_depth",
     "transform_point",
+    "transform_points",
     "transform_mesh",
     "predicted_correction_curve",
     "CorrectionCurveRow",
@@ -135,23 +136,38 @@ def transform_point(p: ScenePoint, eyes: EyeGeometry, params: PerturbationParams
     return ScenePoint(x=p.x, y=p.y, z=math.sqrt(radicand))
 
 
+def transform_points(points: np.ndarray, eyes: EyeGeometry,
+                     params: PerturbationParams, *, kind: str = "point") -> np.ndarray:
+    """Remap an (N, 3) point array, row order preserved.
+
+    Point math runs through the batch kernel (numba or numpy backend).
+
+    Args:
+        kind: Word naming a row in the error message ("point", "vertex").
+
+    Raises:
+        DomainError: Naming the index and coordinates of the first point
+            that cannot be corrected.
+    """
+    out, first_bad = backends.remap_points(points, eyes.half_ipd,
+                                           params.beta_offset)
+    if first_bad >= 0:
+        x, y, z = points[first_bad]
+        raise DomainError(
+            f"{kind} {first_bad} at ({x}, {y}, {z}) cannot be corrected"
+        )
+    return out
+
+
 def transform_mesh(mesh: MeshModel, eyes: EyeGeometry,
                    params: PerturbationParams) -> MeshModel:
     """Remap every vertex of a mesh; faces and ordering are preserved.
-
-    Vertex math runs through the batch kernel (numba or numpy backend).
 
     Raises:
         DomainError: Naming the index and coordinates of the first vertex
             that cannot be corrected.
     """
-    out, first_bad = backends.remap_points(mesh.vertices, eyes.half_ipd,
-                                           params.beta_offset)
-    if first_bad >= 0:
-        x, y, z = mesh.vertices[first_bad]
-        raise DomainError(
-            f"vertex {first_bad} at ({x}, {y}, {z}) cannot be corrected"
-        )
+    out = transform_points(mesh.vertices, eyes, params, kind="vertex")
     return MeshModel(vertices=out, faces=mesh.faces, provenance=mesh.provenance,
                      normal_lines=mesh.normal_lines)
 

@@ -32,6 +32,7 @@ from vackit.correction import (
     remap_depth,
     transform_mesh,
     transform_point,
+    transform_points,
 )
 from vackit.errors import DomainError
 from vackit.geometry import EyeGeometry, ScenePoint
@@ -186,6 +187,23 @@ class TestTransformMesh:
         with pytest.raises(DomainError) as exc:
             transform_mesh(mesh, EYES64, PerturbationParams(-0.04))
         assert "vertex 1" in str(exc.value)
+
+
+class TestTransformPoints:
+    def test_equals_mesh_transform(self):
+        mesh = _tetra_mesh()
+        out = transform_points(mesh.vertices, EYES64, PARAMS)
+        assert np.array_equal(out, transform_mesh(mesh, EYES64, PARAMS).vertices)
+
+    def test_uncorrectable_point_message(self):
+        points = np.array([[0.0, 0.0, 0.5], [0.3, 0.3, 0.05]])
+        with pytest.raises(DomainError) as exc:
+            transform_points(points, EYES64, PerturbationParams(-0.04))
+        assert str(exc.value) == "point 1 at (0.3, 0.3, 0.05) cannot be corrected"
+        mesh = MeshModel(vertices=points, faces=np.zeros((0, 3), dtype=np.int64))
+        with pytest.raises(DomainError) as exc:
+            transform_mesh(mesh, EYES64, PerturbationParams(-0.04))
+        assert str(exc.value) == "vertex 1 at (0.3, 0.3, 0.05) cannot be corrected"
 
 
 class TestPredictedCorrectionCurve:
