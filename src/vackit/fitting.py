@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,6 +52,16 @@ DEFAULT_TRAIN_FRACTION = 0.70
 
 class IdentifiabilityWarning(UserWarning):
     """A participant contributes too few distinct reach distances."""
+
+
+def _dict_row(header: list[str], row: list[str]) -> dict:
+    """row as csv.DictReader maps it: missing fields None, extras under None."""
+    out: dict = dict(zip(header, row))
+    if len(row) > len(header):
+        out[None] = row[len(header):]
+    for name in header[len(row):]:
+        out[name] = None
+    return out
 
 
 @dataclass(frozen=True)
@@ -110,36 +121,58 @@ class FitDataset:
         """Read from an outcomes CSV.
 
         Requires columns participant_id, condition, target_reach_m and
-        distance_error_m; when a valid column is present, invalid trials
-        are skipped.
+        distance_error_m; when a valid column is present, rows whose valid
+        field is neither empty nor 1 are skipped.
+
+        Fields are read by position, as csv.DictReader would map them: the
+        last column of a repeated name wins, a missing trailing field reads
+        None, and blank rows are skipped without counting toward the
+        reported line number.
         """
         path = Path(path)
-        rows: list[tuple[str, str, float, float]] = []
+        pids: list[str] = []
+        conds: list[str] = []
+        reach = array("d")
+        error = array("d")
         with path.open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            column = {name: i for i, name in enumerate(header)}
             needed = {"participant_id", "condition", "target_reach_m",
                       "distance_error_m"}
-            have = set(reader.fieldnames or [])
-            if not needed.issubset(have):
+            if not needed.issubset(column):
                 raise DataFormatError(
-                    f"missing columns {sorted(needed - have)}", str(path), 1
+                    f"missing columns {sorted(needed - set(column))}", str(path), 1
                 )
-            for line_no, row in enumerate(reader, start=2):
-                if row.get("valid") not in (None, "", "1"):
+            i_pid, i_cond, i_reach, i_err = (
+                column["participant_id"], column["condition"],
+                column["target_reach_m"], column["distance_error_m"])
+            i_valid = column.get("valid")
+            width = len(header)
+            line_no = 1
+            for row in reader:
+                if not row:
+                    continue
+                line_no += 1
+                fields = row if len(row) >= width else \
+                    row + [None] * (width - len(row))
+                if i_valid is not None and fields[i_valid] not in (None, "", "1"):
                     continue
                 try:
-                    rows.append((
-                        row["participant_id"], row["condition"],
-                        float(row["target_reach_m"]),
-                        float(row["distance_error_m"]),
-                    ))
+                    reach_m, error_m = float(fields[i_reach]), float(fields[i_err])
                 except (TypeError, ValueError):
                     raise DataFormatError(
-                        f"bad numeric fields in {row!r}", str(path), line_no
+                        f"bad numeric fields in {_dict_row(header, row)!r}",
+                        str(path), line_no,
                     ) from None
-        if not rows:
+                pids.append(fields[i_pid])
+                conds.append(fields[i_cond])
+                reach.append(reach_m)
+                error.append(error_m)
+        if not pids:
             raise DataFormatError("no usable rows", str(path))
-        return cls.from_rows(rows)
+        return cls(np.array(pids, dtype=object), np.array(conds, dtype=object),
+                   np.frombuffer(reach), np.frombuffer(error))
 
     def select_condition(self, condition: str) -> "FitDataset":
         mask = self.condition == condition

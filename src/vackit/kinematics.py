@@ -182,6 +182,19 @@ class EyePose:
         """Distance from the eye to an on-axis table target at depth reach."""
         return self.eye_distance_of(0.0, 0.0, reach)
 
+    def eye_distance_at(self, reach: float) -> float:
+        """eye_distance(reach) on a Python float, bit for bit.
+
+        The same expression as eye_distance_of; ``** 2`` is libm pow, as
+        for numpy scalars, and can differ from ``d * d`` in the last bit.
+        """
+        try:
+            return math.sqrt((0.0 - self.lateral_m) ** 2
+                             + (0.0 - self.above_m) ** 2
+                             + (reach + self.behind_m) ** 2)
+        except OverflowError:
+            return math.inf
+
     def to_dict(self) -> dict:
         return {"behind_m": self.behind_m, "above_m": self.above_m,
                 "lateral_m": self.lateral_m}
@@ -513,6 +526,15 @@ def _csv_field(value: str) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerow([value, ""])
     return buf.getvalue()[:-len(",\r\n")]
+
+
+def _csv_fields(values: list[str]) -> list[str]:
+    """_csv_field of each value, with one csv.writer call when none is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(values)
+    if buf.getvalue() == ",".join(values) + "\r\n":
+        return values
+    return [_csv_field(value) for value in values]
 
 
 def write_trajectories_csv(trajectories: list[Trajectory], path: str | Path) -> None:

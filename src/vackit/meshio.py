@@ -160,13 +160,15 @@ def read_points_csv(path: str | Path) -> np.ndarray:
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:3]] != ["x", "y", "z"]:
             raise DataFormatError("expected header x,y,z", str(path), 1)
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             try:
                 coords.extend((float(row[0]), float(row[1]), float(row[2])))
             except (ValueError, IndexError):
-                raise DataFormatError(f"bad point row {row!r}", str(path), line_no) from None
+                # line_num is the physical line the record ends on
+                raise DataFormatError(f"bad point row {row!r}", str(path),
+                                      reader.line_num) from None
     if not coords:
         raise DataFormatError("no points found", str(path))
     return np.frombuffer(coords, dtype=np.float64).reshape(-1, 3)

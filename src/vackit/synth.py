@@ -11,6 +11,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +21,16 @@ from .errors import DomainError
 from .geometry import EyeGeometry
 from .kinematics import (
     BLOCK_TRIALS,
+    OUTCOME_HEADER,
     AnalyzedTrial,
     EyePose,
     TargetSpec,
     Trajectory,
     TrialOutcome,
+    _csv_field,
+    _csv_fields,
+    _fmt,
     lowpass_block,
-    write_outcomes_csv,
     write_trajectories_csv,
 )
 from .perception import BETA_BOUND_RAD, PerturbationParams, predict_endpoint
@@ -122,8 +127,20 @@ class SimConfig:
             raise DomainError(f"|beta| must be below {BETA_BOUND_RAD} rad")
         if self.motor_noise_sd < 0 or self.trajectory_noise_sd < 0:
             raise DomainError("noise SDs must be >= 0")
-        if not self.reach_distances or any(r <= 0 for r in self.reach_distances):
-            raise DomainError("reach distances must be positive")
+        if not self.reach_distances or not all(
+                math.isfinite(r) and r > 0 for r in self.reach_distances):
+            raise DomainError("reach distances must be finite and positive")
+        labels: dict[str, float] = {}
+        for r in self.reach_distances:
+            # trial ids carry the reach as d{reach:.2f}; a shared label would
+            # give two trials one id and drop one target
+            label = f"{r:.2f}"
+            if label in labels:
+                raise DomainError(
+                    f"reach distances {labels[label]!r} and {r!r} share the "
+                    f"trial-id label d{label}; they must differ at two decimals"
+                )
+            labels[label] = r
         if self.repetitions < 1:
             raise DomainError("repetitions must be >= 1")
         if self.movement_duration <= 0:
@@ -214,11 +231,11 @@ def generate_participants(config: SimConfig) -> list[Participant]:
 
 
 def _endpoint_bias(config: SimConfig, participant: Participant,
-                   reach: float) -> float:
-    """Systematic depth bias of the reach endpoint for one trial."""
+                   d_target: float) -> float:
+    """Systematic depth bias of the endpoint of a reach whose target lies
+    d_target from the eye."""
     if config.feedback == FEEDBACK_FEEDFORWARD:
         return 0.0
-    d_target = float(config.eye_pose.eye_distance(reach))
     eyes = EyeGeometry(ipd=participant.ipd)
     params = PerturbationParams(beta_offset=config.beta)
     bias = predict_endpoint(d_target, params, eyes) - d_target
@@ -233,30 +250,38 @@ def generate_trials(config: SimConfig,
 
     The noise draw sequence depends only on the seed and the trial layout,
     not on condition or feedback, so runs differing only in those fields
-    are trial-for-trial paired.
+    are trial-for-trial paired.  Each participant's noise is drawn in one
+    call, in (reach, repetition) order, which gives the same values as one
+    draw per trial.
     """
     noise_sd = config.motor_noise_sd
     if config.feedback == FEEDBACK_FEEDFORWARD:
         noise_sd *= math.sqrt(config.feedforward_variance_factor)
+    pose = config.eye_pose
+    condition = config.condition
+    reps = config.repetitions
+    rep_labels = [f"r{rep:03d}" for rep in range(reps)]
     records = []
     for participant in participants:
         rng = _participant_rng(participant.trial_seed)
-        eyes = EyeGeometry(ipd=participant.ipd)
-        for reach in config.reach_distances:
-            bias = _endpoint_bias(config, participant, reach)
-            for rep in range(config.repetitions):
-                z_end = reach + bias + float(rng.normal(0.0, noise_sd))
-                d_target = float(config.eye_pose.eye_distance(reach))
-                d_hand = float(config.eye_pose.eye_distance(z_end))
-                tau_target = 2.0 * math.atan2(eyes.half_ipd, d_target)
-                tau_hand = 2.0 * math.atan2(eyes.half_ipd, d_hand)
+        noise = rng.normal(0.0, noise_sd,
+                           size=len(config.reach_distances) * reps).tolist()
+        pid, ipd = participant.participant_id, participant.ipd
+        half_ipd = EyeGeometry(ipd=ipd).half_ipd
+        for k, reach in enumerate(config.reach_distances):
+            d_target = pose.eye_distance_at(reach)
+            bias = _endpoint_bias(config, participant, d_target)
+            tau_target = 2.0 * math.atan2(half_ipd, d_target)
+            prefix = f"{pid}-{condition}-d{reach:.2f}-"
+            for label, eps in zip(rep_labels, noise[k * reps:(k + 1) * reps]):
+                z_end = reach + bias + eps
+                tau_hand = 2.0 * math.atan2(half_ipd, pose.eye_distance_at(z_end))
                 records.append(TrialRecord(
-                    trial_id=(f"{participant.participant_id}-{config.condition}"
-                              f"-d{reach:.2f}-r{rep:03d}"),
-                    participant_id=participant.participant_id,
-                    condition=config.condition,
+                    trial_id=prefix + label,
+                    participant_id=pid,
+                    condition=condition,
                     reach_m=reach,
-                    ipd_m=participant.ipd,
+                    ipd_m=ipd,
                     endpoint_z=z_end,
                     movement_distance=z_end,
                     distance_error=z_end - reach,
@@ -343,12 +368,98 @@ def write_participants_csv(participants: list[Participant],
                              repr(p.response_multiplier)])
 
 
+# Rows formatted per write.  A chunk's text is held twice (str, then its
+# UTF-8 encoding), so this keeps the writers' peak memory a small fraction
+# of the files they write.
+_CHUNK_ROWS = 1024
+
+# One outcomes.csv row of a ground-truth trial: always valid, no rejection
+# reason and no segment times.
+_OUTCOME_ROW = "%s,%s,%s,%s,1,,,,%r,%r,%r,%r\r\n"
+
+# A targets.json entry after its key, as json.dumps(indent=2,
+# sort_keys=True) writes it.
+_TARGET_BODY = (': {\n    "condition": %s,\n    "ipd_m": %s,\n'
+                '    "participant_id": %s,\n    "reach_m": %s\n  }')
+
+
+def _write_trial_outcomes_csv(trials: list[TrialRecord], path: Path) -> None:
+    """outcomes.csv of ground-truth trials, one chunk of rows per write.
+
+    The bytes equal write_outcomes_csv(trials_as_analyzed(trials), path).
+    """
+    quoted: dict[str, str] = {}
+    last_reach, reach_text = None, ""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(OUTCOME_HEADER) + "\r\n")
+        for start in range(0, len(trials), _CHUNK_ROWS):
+            block = trials[start:start + _CHUNK_ROWS]
+            values: list = []
+            for t, trial_id in zip(block, _csv_fields([t.trial_id for t in block])):
+                if t.reach_m is not last_reach:
+                    last_reach = t.reach_m
+                    reach_text = _fmt(last_reach) if math.isfinite(last_reach) else ""
+                pid, condition = t.participant_id, t.condition
+                if pid not in quoted:
+                    quoted[pid] = _csv_field(pid)
+                if condition not in quoted:
+                    quoted[condition] = _csv_field(condition)
+                values += (trial_id, quoted[pid], quoted[condition],
+                           reach_text, float(t.movement_distance),
+                           float(t.distance_error), float(t.endpoint_error),
+                           float(t.disparity_difference))
+            fh.write(_OUTCOME_ROW * len(block) % tuple(values))
+
+
+def _json_scalar(value) -> str:
+    """value as json.dumps writes it inside a container."""
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
+def _write_targets_json(trials: list[TrialRecord], path: Path) -> None:
+    """targets.json of the trials, one chunk of entries per write.
+
+    The bytes equal json.dumps(entries, indent=2, sort_keys=True) + "\n"
+    for the dict entries of trial id -> target fields.
+    """
+    ordered = sorted(trials, key=attrgetter("trial_id"))
+    # As in a dict, a repeated id keeps its last trial; the sort is stable.
+    ordered = [t for t, after in zip(ordered, ordered[1:] + [None])
+               if after is None or after.trial_id != t.trial_id]
+    last = None
+    body = ""
+    with path.open("w", encoding="utf-8") as fh:
+        if not ordered:
+            fh.write("{}\n")
+            return
+        fh.write("{\n")
+        for start in range(0, len(ordered), _CHUNK_ROWS):
+            entries = []
+            for t in ordered[start:start + _CHUNK_ROWS]:
+                # the trials of one (participant, reach) share their fields
+                if last is None or not (
+                        t.reach_m is last.reach_m and t.ipd_m is last.ipd_m
+                        and t.participant_id is last.participant_id
+                        and t.condition is last.condition):
+                    last = t
+                    body = _TARGET_BODY % (
+                        _json_scalar(t.condition), _json_scalar(t.ipd_m),
+                        _json_scalar(t.participant_id), _json_scalar(t.reach_m))
+                entries.append("  " + encode_basestring_ascii(t.trial_id) + body)
+            fh.write((",\n" if start else "") + ",\n".join(entries))
+        fh.write("\n}\n")
+
+
 def write_dataset(outdir: str | Path, config: SimConfig,
                   participants: list[Participant], trials: list[TrialRecord],
                   trajectories: list[Trajectory] | None = None) -> dict[str, str]:
     """Write the CSV family the analysis and fitting pipelines consume.
 
-    Returns a name -> path map of everything written.
+    outcomes.csv and targets.json are written in chunks of rows straight
+    from the trial records, so no whole-file string is built.  Returns a
+    name -> path map of everything written.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -359,21 +470,11 @@ def write_dataset(outdir: str | Path, config: SimConfig,
     written["participants"] = str(path)
 
     path = outdir / "outcomes.csv"
-    write_outcomes_csv(trials_as_analyzed(trials), path)
+    _write_trial_outcomes_csv(trials, path)
     written["outcomes"] = str(path)
 
     path = outdir / "targets.json"
-    entries = {
-        trial.trial_id: {
-            "reach_m": trial.reach_m,
-            "participant_id": trial.participant_id,
-            "condition": trial.condition,
-            "ipd_m": trial.ipd_m,
-        }
-        for trial in trials
-    }
-    path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _write_targets_json(trials, path)
     written["targets"] = str(path)
 
     if trajectories is not None:

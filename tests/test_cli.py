@@ -279,6 +279,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "n_participant" in err and err.startswith("vackit: error:")
 
+    @pytest.mark.parametrize("reaches, message", [
+        ("[0.25, NaN]", "reach distances must be finite and positive"),
+        ("[0.201, 0.204]", "reach distances 0.201 and 0.204 share the "
+                           "trial-id label d0.20; they must differ at two "
+                           "decimals"),
+    ])
+    def test_bad_reach_distances_exit_one(self, tmp_path, capsys, reaches,
+                                          message):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(f'{{"n_participants": 1, "reach_distances_m": {reaches}}}',
+                       encoding="utf-8")
+        outdir = tmp_path / "run"
+        code = main(["simulate", "--config", cfg.as_posix(),
+                     "--out", str(outdir)])
+        assert code == 1
+        assert capsys.readouterr().err == f"vackit: error: {message}\n"
+        assert not outdir.exists()
+
     def test_malformed_json_exits_two_with_location(self, tmp_path, capsys):
         cfg = tmp_path / "sim.json"
         cfg.write_text("{not json\n", encoding="utf-8")

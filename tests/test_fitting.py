@@ -139,6 +139,127 @@ class TestFromCsv:
         with pytest.raises(DataFormatError):
             FitDataset.from_csv(p)
 
+    # The pinned messages below are those of the csv.DictReader reader:
+    # a missing field reads None, extra fields sit under the key None, the
+    # last of a repeated header name wins, and blank rows are not counted.
+
+    def _error(self, path) -> tuple[str, int | None]:
+        with pytest.raises(DataFormatError) as info:
+            FitDataset.from_csv(path)
+        return str(info.value).replace(f" [{path}:{info.value.line}]", ""), \
+            info.value.line
+
+    def test_missing_columns_reported_on_line_one(self, tmp_path):
+        p = self._write(tmp_path / "m.csv", ["a,0.25"],
+                        header="trial_id,target_reach_m")
+        assert self._error(p) == (
+            "missing columns ['condition', 'distance_error_m', "
+            "'participant_id']", 1)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        assert self._error(empty)[1] == 1
+
+    def test_short_row_message_and_line(self, tmp_path):
+        p = self._write(tmp_path / "s.csv", ["a,p0,original,0.25,1,-0.02",
+                                             "b,p0,original,0.25"])
+        assert self._error(p) == (
+            "bad numeric fields in {'trial_id': 'b', 'participant_id': 'p0', "
+            "'condition': 'original', 'target_reach_m': '0.25', "
+            "'valid': None, 'distance_error_m': None}", 3)
+
+    def test_long_row_message_and_line(self, tmp_path):
+        p = self._write(tmp_path / "l.csv", ["a,p0,original,0.25,1,-0.02",
+                                             "b,p0,original,0.25,1,x,extra,9"])
+        assert self._error(p) == (
+            "bad numeric fields in {'trial_id': 'b', 'participant_id': 'p0', "
+            "'condition': 'original', 'target_reach_m': '0.25', "
+            "'valid': '1', 'distance_error_m': 'x', None: ['extra', '9']}", 3)
+
+    def test_long_row_with_good_fields_is_read(self, tmp_path):
+        p = self._write(tmp_path / "l.csv", ["a,p0,original,0.25,1,-0.02,extra"])
+        ds = FitDataset.from_csv(p)
+        assert ds.distance_error.tolist() == [-0.02]
+
+    def test_blank_lines_do_not_count(self, tmp_path):
+        p = self._write(tmp_path / "b.csv", ["", "a,p0,original,0.25,1,-0.02",
+                                             "", "", "b,p0,original,0.25,1,oops"])
+        assert self._error(p) == (
+            "bad numeric fields in {'trial_id': 'b', 'participant_id': 'p0', "
+            "'condition': 'original', 'target_reach_m': '0.25', "
+            "'valid': '1', 'distance_error_m': 'oops'}", 3)
+
+    def test_permuted_header(self, tmp_path):
+        header = ("distance_error_m,valid,condition,target_reach_m,"
+                  "participant_id,trial_id")
+        p = self._write(tmp_path / "p.csv", [
+            "-0.02,1,original,0.25,p0,a",
+            "-0.03,0,original,bad,p0,b",   # invalid: skipped unparsed
+            "-0.04,,original,0.30,p1,c",
+        ], header=header)
+        ds = FitDataset.from_csv(p)
+        assert ds.participant_id.tolist() == ["p0", "p1"]
+        assert ds.target_reach.tolist() == [0.25, 0.30]
+        assert ds.distance_error.tolist() == [-0.02, -0.04]
+        p = self._write(tmp_path / "q.csv", ["-0.02,1,original,0.25,p0,a",
+                                             "x,1,original,0.3,p0,c"],
+                        header=header)
+        assert self._error(p) == (
+            "bad numeric fields in {'distance_error_m': 'x', 'valid': '1', "
+            "'condition': 'original', 'target_reach_m': '0.3', "
+            "'participant_id': 'p0', 'trial_id': 'c'}", 3)
+
+    def test_missing_valid_column_keeps_every_row(self, tmp_path):
+        header = "trial_id,participant_id,condition,target_reach_m,distance_error_m"
+        p = self._write(tmp_path / "v.csv", ["a,p0,original,0.25,-0.02",
+                                             "b,p0,original,0.30,-0.03"],
+                        header=header)
+        assert FitDataset.from_csv(p).distance_error.tolist() == [-0.02, -0.03]
+        p = self._write(tmp_path / "w.csv", ["a,p0,original,0.25,-0.02",
+                                             "b,p0,original,0.25,nan?"],
+                        header=header)
+        assert self._error(p) == (
+            "bad numeric fields in {'trial_id': 'b', 'participant_id': 'p0', "
+            "'condition': 'original', 'target_reach_m': '0.25', "
+            "'distance_error_m': 'nan?'}", 3)
+
+    def test_valid_field_other_than_one_skips_the_row(self, tmp_path):
+        p = self._write(tmp_path / "v.csv", ["a,p0,original,0.25,1,-0.02",
+                                             "b,p0,original,0.25,true,bad",
+                                             "c,p0,original,0.25,0,bad",
+                                             "d,p0,original,0.30,,-0.03"])
+        assert FitDataset.from_csv(p).distance_error.tolist() == [-0.02, -0.03]
+
+    def test_quoted_field_with_comma(self, tmp_path):
+        p = self._write(tmp_path / "q.csv", ['a,"p0,x",original,0.25,1,-0.02'])
+        assert FitDataset.from_csv(p).participant_id.tolist() == ["p0,x"]
+        p = self._write(tmp_path / "r.csv", ['a,"p0,x",original,0.25,1,-0.02',
+                                             'b,"p,1",original,"0,25",1,-0.02'])
+        assert self._error(p) == (
+            "bad numeric fields in {'trial_id': 'b', 'participant_id': 'p,1', "
+            "'condition': 'original', 'target_reach_m': '0,25', "
+            "'valid': '1', 'distance_error_m': '-0.02'}", 3)
+
+    def test_repeated_header_name_last_wins(self, tmp_path):
+        header = ("trial_id,participant_id,condition,target_reach_m,valid,"
+                  "distance_error_m,distance_error_m")
+        p = self._write(tmp_path / "d.csv", ["a,p0,original,0.25,1,oops,-0.02"],
+                        header=header)
+        assert FitDataset.from_csv(p).distance_error.tolist() == [-0.02]
+        p = self._write(tmp_path / "e.csv", ["a,p0,original,0.25,1,oops,-0.02",
+                                             "b,p0,original,0.25,1,-0.02,bad"],
+                        header=header)
+        assert self._error(p) == (
+            "bad numeric fields in {'trial_id': 'b', 'participant_id': 'p0', "
+            "'condition': 'original', 'target_reach_m': '0.25', "
+            "'valid': '1', 'distance_error_m': 'bad'}", 3)
+        # a short row leaves the last copy unset, even when the first is set
+        p = self._write(tmp_path / "f.csv", ["a,p0,original,0.25,1,-0.02"],
+                        header=header)
+        assert self._error(p) == (
+            "bad numeric fields in {'trial_id': 'a', 'participant_id': 'p0', "
+            "'condition': 'original', 'target_reach_m': '0.25', "
+            "'valid': '1', 'distance_error_m': None}", 2)
+
 
 class TestSplitIndices:
     def test_every_cell_in_both_halves(self):

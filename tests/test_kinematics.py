@@ -428,6 +428,27 @@ class TestEyePose:
         pose = EyePose(behind_m=0.0, above_m=0.0)
         assert pose.eye_distance(0.4) == pytest.approx(0.4, rel=1e-15)
 
+    @settings(max_examples=300, deadline=None)
+    @given(reach=st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=True)),
+           behind=st.floats(-1.0, 1.0), above=st.floats(-1.0, 1.0),
+           lateral=st.floats(-1.0, 1.0))
+    def test_scalar_distance_is_bitwise_the_numpy_distance(
+            self, reach, behind, above, lateral):
+        pose = EyePose(behind_m=behind, above_m=above, lateral_m=lateral)
+        with np.errstate(over="ignore"):
+            expected = float(pose.eye_distance(reach))
+        got = pose.eye_distance_at(reach)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_scalar_distance_on_many_reaches(self):
+        # numpy squares a float64 scalar with pow but an array with x * x,
+        # so the scalar call, not the vectorized one, is the reference
+        reaches = np.random.default_rng(3).uniform(-0.5, 1.0, 20_000).tolist()
+        expected = [float(POSE.eye_distance(r)) for r in reaches]
+        got = [POSE.eye_distance_at(r) for r in reaches]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
 
 class TestAnalyzeTrials:
     def _batch(self):

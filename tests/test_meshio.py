@@ -196,6 +196,15 @@ class TestPointsCsv:
             read_points_csv(p)
         assert exc.value.line == 3
 
+    def test_bad_row_line_counts_physical_lines(self, tmp_path):
+        # a quoted newline makes the second record span two lines, and a
+        # blank line still counts: the bad row sits on line 5
+        p = _write(tmp_path / "row.csv", 'x,y,z\n"0\n",0,1\n\n0,oops,1\n')
+        with pytest.raises(DataFormatError) as exc:
+            read_points_csv(p)
+        assert exc.value.line == 5
+        assert str(exc.value) == f"bad point row ['0', 'oops', '1'] [{p}:5]"
+
     def test_empty_body_rejected(self, tmp_path):
         p = _write(tmp_path / "body.csv", "x,y,z\n")
         with pytest.raises(DataFormatError):

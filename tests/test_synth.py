@@ -20,10 +20,18 @@ for trial.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import butter, filtfilt
 
 from vackit.errors import DomainError
@@ -34,6 +42,7 @@ from vackit.kinematics import (
     EyePose,
     analyze_trials,
     read_trajectories_csv,
+    write_outcomes_csv,
 )
 from vackit.perception import PerturbationParams, predict_endpoint
 from vackit.synth import (
@@ -43,6 +52,8 @@ from vackit.synth import (
     FEEDBACK_ONLINE,
     RESPONSE_MULTIPLIERS,
     SimConfig,
+    TrialRecord,
+    _CHUNK_ROWS,
     generate_participants,
     generate_trajectories,
     generate_trials,
@@ -86,6 +97,27 @@ class TestSimConfigValidation:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(DomainError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("reach", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_reach(self, reach):
+        with pytest.raises(DomainError,
+                           match="reach distances must be finite and positive"):
+            SimConfig(reach_distances=(0.25, reach))
+
+    @pytest.mark.parametrize("reaches, label", [
+        ((0.201, 0.204), "0.20"),
+        ((0.25, 0.25), "0.25"),
+        ((0.3, 0.2, 0.296), "0.30"),
+    ])
+    def test_rejects_reaches_sharing_a_trial_id_label(self, reaches, label):
+        with pytest.raises(DomainError) as info:
+            SimConfig(reach_distances=reaches)
+        assert f"share the trial-id label d{label}" in str(info.value)
+
+    def test_distinct_labels_accepted(self):
+        config = _config(reach_distances=(0.2, 0.206, 0.224))
+        trials = generate_trials(config, generate_participants(config))
+        assert len({t.trial_id for t in trials}) == len(trials)
 
 
 class TestGenerateParticipants:
@@ -336,8 +368,6 @@ class TestWriteDataset:
         assert len(back) == len(trials)
 
     def test_targets_json_carries_per_trial_ipd(self, tmp_path):
-        import json
-
         config = _config()
         people = generate_participants(config)
         trials = generate_trials(config, people)
@@ -347,3 +377,201 @@ class TestWriteDataset:
         entry = targets[trials[0].trial_id]
         assert entry["ipd_m"] == trials[0].ipd_m
         assert entry["reach_m"] == trials[0].reach_m
+
+
+# Reference implementations: the per-trial generation loop and the
+# dataclass/json.dumps writers that generate_trials and write_dataset
+# replace.  The fast paths must match them bit for bit and byte for byte.
+
+def _reference_trials(config: SimConfig, participants) -> list[TrialRecord]:
+    noise_sd = config.motor_noise_sd
+    if config.feedback == FEEDBACK_FEEDFORWARD:
+        noise_sd *= math.sqrt(config.feedforward_variance_factor)
+    records = []
+    for participant in participants:
+        rng = np.random.Generator(np.random.Philox(participant.trial_seed))
+        eyes = EyeGeometry(ipd=participant.ipd)
+        for reach in config.reach_distances:
+            if config.feedback == FEEDBACK_FEEDFORWARD:
+                bias = 0.0
+            else:
+                d_target = float(config.eye_pose.eye_distance(reach))
+                bias = predict_endpoint(d_target, PerturbationParams(config.beta),
+                                        eyes) - d_target
+                if config.condition == CONDITION_TRANSFORMED:
+                    bias *= 1.0 - participant.response_multiplier
+            for rep in range(config.repetitions):
+                z_end = reach + bias + float(rng.normal(0.0, noise_sd))
+                d_target = float(config.eye_pose.eye_distance(reach))
+                d_hand = float(config.eye_pose.eye_distance(z_end))
+                tau_target = 2.0 * math.atan2(eyes.half_ipd, d_target)
+                tau_hand = 2.0 * math.atan2(eyes.half_ipd, d_hand)
+                records.append(TrialRecord(
+                    trial_id=(f"{participant.participant_id}-{config.condition}"
+                              f"-d{reach:.2f}-r{rep:03d}"),
+                    participant_id=participant.participant_id,
+                    condition=config.condition,
+                    reach_m=reach,
+                    ipd_m=participant.ipd,
+                    endpoint_z=z_end,
+                    movement_distance=z_end,
+                    distance_error=z_end - reach,
+                    endpoint_error=z_end - reach,
+                    disparity_difference=tau_target - tau_hand,
+                ))
+    return records
+
+
+def _reference_files(trials, outdir: Path) -> dict[str, bytes]:
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_outcomes_csv(trials_as_analyzed(trials), outdir / "outcomes.csv")
+    entries = {
+        trial.trial_id: {
+            "reach_m": trial.reach_m,
+            "participant_id": trial.participant_id,
+            "condition": trial.condition,
+            "ipd_m": trial.ipd_m,
+        }
+        for trial in trials
+    }
+    (outdir / "targets.json").write_text(
+        json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return {name: (outdir / name).read_bytes()
+            for name in ("outcomes.csv", "targets.json")}
+
+
+def _written_files(config, people, trials, outdir: Path) -> dict[str, bytes]:
+    write_dataset(outdir, config, people, trials)
+    return {name: (outdir / name).read_bytes()
+            for name in ("outcomes.csv", "targets.json")}
+
+
+def _bits(record: TrialRecord) -> tuple:
+    """Field values with floats as their IEEE bytes, so -0.0 and nan count."""
+    return tuple(struct.pack("<d", value) if isinstance(value, float) else value
+                 for value in dataclasses.astuple(record))
+
+
+def _assert_equivalent(config: SimConfig, workdir: Path) -> list[TrialRecord]:
+    people = generate_participants(config)
+    trials = generate_trials(config, people)
+    expected = _reference_trials(config, people)
+    assert [_bits(t) for t in trials] == [_bits(t) for t in expected]
+    assert _written_files(config, people, trials, workdir / "new") == \
+        _reference_files(expected, workdir / "old")
+    return trials
+
+
+class TestSimulateEquivalence:
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param({}, id="online"),
+        pytest.param({"feedback": FEEDBACK_FEEDFORWARD}, id="feedforward"),
+        pytest.param({"condition": CONDITION_TRANSFORMED, "n_participants": 12,
+                      "response_mixture": (0.5, 0.3, 0.2)},
+                     id="transformed-mixture"),
+        pytest.param({"n_participants": 101, "repetitions": 2,
+                      "reach_distances": (0.2, 0.3)}, id="101-participants"),
+        pytest.param({"reach_distances": (0.35, 0.2, 0.281, 0.31)},
+                     id="unsorted-reaches"),
+        pytest.param({"n_participants": 1, "repetitions": 1001,
+                      "reach_distances": (0.25,)}, id="1001-repetitions"),
+        pytest.param({"n_participants": 1, "repetitions": 1,
+                      "reach_distances": (0.3,)}, id="single-trial"),
+        pytest.param({"n_participants": 1, "repetitions": _CHUNK_ROWS + 1,
+                      "reach_distances": (0.25,)}, id="chunk-plus-one"),
+        pytest.param({"motor_noise_sd": 0.0}, id="noise-free"),
+        # hand eye distances overflow to inf, as numpy's do
+        pytest.param({"motor_noise_sd": 1e200}, id="overflowing-endpoints",
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ])
+    def test_matches_reference(self, tmp_path, kwargs):
+        config = _config(**{"motor_noise_sd": 0.005, **kwargs})
+        trials = _assert_equivalent(config, tmp_path)
+        assert len({t.trial_id for t in trials}) == len(trials)
+
+    def test_large_ids_sort_as_strings(self, tmp_path):
+        config = _config(n_participants=1, repetitions=1001,
+                         reach_distances=(0.25,))
+        trials = _assert_equivalent(config, tmp_path)
+        keys = list(json.loads((tmp_path / "new" / "targets.json").read_text()))
+        assert keys == sorted(t.trial_id for t in trials)
+        assert keys.index("p00-original-d0.25-r1000") == \
+            keys.index("p00-original-d0.25-r100") + 1
+
+    @pytest.mark.parametrize("count", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                       _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
+    def test_chunk_boundaries(self, tmp_path, count):
+        config = _config(n_participants=3, repetitions=_CHUNK_ROWS,
+                         reach_distances=(0.2,))
+        people = generate_participants(config)
+        trials = generate_trials(config, people)[:count]
+        assert len(trials) == count
+        assert _written_files(config, people, trials, tmp_path / "new") == \
+            _reference_files(trials, tmp_path / "old")
+        if count == 0:
+            assert (tmp_path / "new" / "targets.json").read_text() == "{}\n"
+
+    def test_hand_built_trials(self, tmp_path):
+        # ids that need quoting or escaping, a repeated id, non-finite and
+        # integer reaches, numpy floats and -0.0
+        config = _config()
+        people = generate_participants(config)
+        base = generate_trials(config, people)[:6]
+        trials = [
+            dataclasses.replace(base[0], trial_id='a,"b"\r\nc'),
+            dataclasses.replace(base[1], trial_id="café ☃",
+                                participant_id="p,1", condition='x"y'),
+            dataclasses.replace(base[2], trial_id="dup", reach_m=math.nan),
+            dataclasses.replace(base[3], trial_id="dup", reach_m=1),
+            dataclasses.replace(base[4], trial_id="", reach_m=math.inf,
+                                ipd_m=np.float64(0.061),
+                                distance_error=np.float64(-0.0)),
+            dataclasses.replace(base[5], trial_id=" lead", ipd_m=-math.inf,
+                                disparity_difference=-0.0),
+        ]
+        assert _written_files(config, people, trials, tmp_path / "new") == \
+            _reference_files(trials, tmp_path / "old")
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_participants=st.integers(1, 4),
+        repetitions=st.integers(1, 5),
+        reaches=st.lists(st.floats(0.1, 0.6), min_size=1, max_size=4,
+                         unique_by=lambda r: f"{r:.2f}"),
+        condition=st.sampled_from([CONDITION_ORIGINAL, CONDITION_TRANSFORMED]),
+        feedback=st.sampled_from([FEEDBACK_ONLINE, FEEDBACK_FEEDFORWARD]),
+        mixture=st.one_of(st.none(), st.tuples(
+            st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.1, 1.0))),
+        noise_mm=st.floats(0.0, 20.0),
+        beta_deg=st.floats(-0.5, 0.5),
+        behind=st.floats(0.1, 0.5),
+        seed=st.integers(0, 2**63),
+    )
+    def test_property_over_config_fields(self, n_participants, repetitions,
+                                         reaches, condition, feedback, mixture,
+                                         noise_mm, beta_deg, behind, seed):
+        config = SimConfig(
+            n_participants=n_participants, repetitions=repetitions,
+            reach_distances=tuple(reaches), condition=condition,
+            feedback=feedback, response_mixture=mixture,
+            motor_noise_sd=noise_mm / 1000.0, beta=math.radians(beta_deg),
+            eye_pose=EyePose(behind_m=behind), trajectory_noise_sd=0.0,
+            seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            _assert_equivalent(config, Path(tmp))
+
+    def test_write_memory_is_a_fraction_of_the_files(self, tmp_path):
+        config = _config(n_participants=500, repetitions=12,
+                         reach_distances=(0.20, 0.25, 0.30, 0.35))
+        people = generate_participants(config)
+        trials = generate_trials(config, people)
+        tracemalloc.start()
+        try:
+            written = write_dataset(tmp_path, config, people, trials)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest = max(Path(p).stat().st_size for p in written.values())
+        assert largest > 3_000_000
+        # the parent writers held every row and the whole JSON text: ~9x
+        assert peak < largest / 2
