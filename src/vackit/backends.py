@@ -1,144 +1,19 @@
-"""Numeric kernels with interchangeable numba and numpy implementations.
+"""Array kernels of the package's hot loops.
 
-The hot loops of the package (batch depth remapping of vertex arrays and
-the hysteresis scan used by movement segmentation) exist twice: a compiled
-numba version and a pure-numpy twin.  The active implementation is chosen
-by the environment variable VACKIT_BACKEND ("numba" or "numpy"); when the
-variable is unset, numba is used if it is importable and numpy otherwise.
-The twins agree to floating-point rounding: the compiled kernels are built
-without fastmath, so any difference comes from numpy's vectorized libm
-rounding the last bit differently than scalar libm (a few ULP at most).
-Integer results (failure indices, run starts) and the zero-offset copy
-path are identical exactly.
+Batch depth remapping of vertex arrays and the hysteresis scan used by
+movement segmentation, both in vectorized numpy.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
+from .geometry import shift_distances
+
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "available_backends",
-    "active_backend",
     "remap_points",
     "sustained_run_start",
 ]
-
-BACKEND_ENV_VAR = "VACKIT_BACKEND"
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:
-    numba = None
-    _HAVE_NUMBA = False
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
-
-def active_backend() -> str:
-    """Backend selected by VACKIT_BACKEND, defaulting to numba when present."""
-    choice = os.environ.get(BACKEND_ENV_VAR)
-    if choice is None:
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ValueError(
-            f"{BACKEND_ENV_VAR} must be 'numba' or 'numpy', got {choice!r}"
-        )
-    if choice == "numba" and not _HAVE_NUMBA:
-        raise ValueError(f"{BACKEND_ENV_VAR}=numba requested but numba is not installed")
-    return choice
-
-
-def _remap_points_numpy(xyz: np.ndarray, half_ipd: float,
-                        beta: float) -> tuple[np.ndarray, int]:
-    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-    d = np.sqrt(x * x + y * y + z * z)
-    tau = 2.0 * np.arctan2(half_ipd, d)
-    tilde = tau - beta
-    ok_angle = (z > 0.0) & (tilde > 0.0) & (tilde < math.pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_tilde = half_ipd / np.tan(tilde / 2.0)
-        radicand = d_tilde * d_tilde - x * x - y * y
-    ok = ok_angle & (radicand > 0.0)
-    if not ok.all():
-        return xyz.copy(), int(np.argmin(ok))
-    if beta == 0.0:
-        return xyz.copy(), -1
-    out = np.empty_like(xyz)
-    out[:, 0] = x
-    out[:, 1] = y
-    out[:, 2] = np.sqrt(radicand)
-    return out, -1
-
-
-def _sustained_run_start_numpy(flags: np.ndarray, min_run: int, start: int,
-                               accept_tail: bool) -> int:
-    n = len(flags)
-    if start >= n:
-        return -1
-    window = flags[start:]
-    if min_run <= len(window):
-        hits = np.lib.stride_tricks.sliding_window_view(window, min_run).all(axis=1)
-        idx = np.flatnonzero(hits)
-        if idx.size:
-            return start + int(idx[0])
-    if accept_tail and window[-1]:
-        tail_len = int(np.argmin(window[::-1])) if not window.all() else len(window)
-        return start + len(window) - tail_len
-    return -1
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _remap_points_numba(xyz, half_ipd, beta):  # pragma: no cover - numba
-        n = xyz.shape[0]
-        out = np.empty_like(xyz)
-        for i in range(n):
-            x, y, z = xyz[i, 0], xyz[i, 1], xyz[i, 2]
-            d = math.sqrt(x * x + y * y + z * z)
-            tau = 2.0 * math.atan2(half_ipd, d)
-            tilde = tau - beta
-            if z <= 0.0 or tilde <= 0.0 or tilde >= math.pi:
-                return xyz.copy(), i
-            d_tilde = half_ipd / math.tan(tilde / 2.0)
-            radicand = d_tilde * d_tilde - x * x - y * y
-            if radicand <= 0.0:
-                return xyz.copy(), i
-            if beta == 0.0:
-                out[i, 0] = x
-                out[i, 1] = y
-                out[i, 2] = z
-            else:
-                out[i, 0] = x
-                out[i, 1] = y
-                out[i, 2] = math.sqrt(radicand)
-        return out, -1
-
-    @numba.njit(cache=True, nogil=True)
-    def _sustained_run_start_numba(flags, min_run, start, accept_tail):  # pragma: no cover
-        n = len(flags)
-        run_start = -1
-        run_len = 0
-        for i in range(start, n):
-            if flags[i]:
-                if run_len == 0:
-                    run_start = i
-                run_len += 1
-                if run_len >= min_run:
-                    return run_start
-            else:
-                run_len = 0
-        if accept_tail and run_len > 0:
-            return run_start
-        return -1
 
 
 def remap_points(xyz: np.ndarray, half_ipd: float,
@@ -161,9 +36,22 @@ def remap_points(xyz: np.ndarray, half_ipd: float,
         radicand left its domain.
     """
     xyz = np.ascontiguousarray(xyz, dtype=np.float64)
-    if active_backend() == "numba":
-        return _remap_points_numba(xyz, float(half_ipd), float(beta))
-    return _remap_points_numpy(xyz, float(half_ipd), float(beta))
+    beta = float(beta)
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    d_tilde, ok = shift_distances(np.sqrt(x * x + y * y + z * z),
+                                  float(half_ipd), -beta)
+    with np.errstate(invalid="ignore"):
+        radicand = d_tilde * d_tilde - x * x - y * y
+    ok &= (z > 0.0) & (radicand > 0.0)
+    if not ok.all():
+        return xyz.copy(), int(np.argmin(ok))
+    if beta == 0.0:
+        return xyz.copy(), -1
+    out = np.empty_like(xyz)
+    out[:, 0] = x
+    out[:, 1] = y
+    out[:, 2] = np.sqrt(radicand)
+    return out, -1
 
 
 def sustained_run_start(flags: np.ndarray, min_run: int, start: int = 0,
@@ -185,6 +73,16 @@ def sustained_run_start(flags: np.ndarray, min_run: int, start: int = 0,
     flags = np.ascontiguousarray(flags, dtype=np.bool_)
     if min_run < 1:
         raise ValueError(f"min_run must be >= 1, got {min_run}")
-    if active_backend() == "numba":
-        return int(_sustained_run_start_numba(flags, min_run, start, accept_tail))
-    return _sustained_run_start_numpy(flags, min_run, start, accept_tail)
+    n = len(flags)
+    if start >= n:
+        return -1
+    window = flags[start:]
+    if min_run <= len(window):
+        hits = np.lib.stride_tricks.sliding_window_view(window, min_run).all(axis=1)
+        idx = np.flatnonzero(hits)
+        if idx.size:
+            return start + int(idx[0])
+    if accept_tail and window[-1]:
+        tail_len = int(np.argmin(window[::-1])) if not window.all() else len(window)
+        return start + len(window) - tail_len
+    return -1

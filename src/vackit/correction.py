@@ -15,7 +15,7 @@ import numpy as np
 
 from . import backends
 from .errors import DomainError
-from .geometry import EyeGeometry, ScenePoint
+from .geometry import EyeGeometry, ScenePoint, shift_distance
 from .perception import PerturbationParams, predict_endpoint
 
 __all__ = [
@@ -60,16 +60,6 @@ class MeshModel:
         object.__setattr__(self, "faces", faces.reshape(-1, 3))
 
 
-def _corrected_angle(tau: float, params: PerturbationParams,
-                     literal_half_angle: bool) -> float:
-    # Full-angle convention by default; the literal variant subtracts beta
-    # from the half angle and later omits the /2 in the tangent, which
-    # double-counts the offset and breaks the inverse property.
-    if literal_half_angle:
-        return tau / 2.0 - params.beta_offset
-    return tau - params.beta_offset
-
-
 def remap_depth(z_view: float, eyes: EyeGeometry, params: PerturbationParams,
                 literal_half_angle: bool = False) -> float:
     """Corrected display depth for an on-axis point at depth z_view.
@@ -84,49 +74,34 @@ def remap_depth(z_view: float, eyes: EyeGeometry, params: PerturbationParams,
         eyes: Viewing geometry.
         params: Offset parameters.
         literal_half_angle: Apply beta to the half angle and drop the /2 in
-            the tangent.  Provided for comparison only; this variant does
-            not satisfy the inverse property.
+            the tangent, which equals applying 2*beta to the full angle.
+            Provided for comparison only; this variant does not satisfy
+            the inverse property.
 
     Raises:
-        DomainError: If z_view <= 0 or the corrected angle underflows
-            (point too distant to correct).
+        DomainError: If z_view <= 0 or the corrected angle leaves (0, pi)
+            (a point too distant, or too near, to correct).
     """
     if z_view <= 0.0:
         raise DomainError(f"z_view must be positive, got {z_view!r}")
-    tau = 2.0 * math.atan2(eyes.half_ipd, z_view)
-    corrected = _corrected_angle(tau, params, literal_half_angle)
-    if corrected <= 0.0:
-        raise DomainError(
-            f"point too distant to correct: corrected angle {corrected!r} <= 0"
-        )
-    if literal_half_angle:
-        return eyes.half_ipd / math.tan(corrected)
-    return eyes.half_ipd / math.tan(corrected / 2.0)
+    # beta off the half angle is 2*beta off the full angle, bit for bit
+    shift = -2.0 * params.beta_offset if literal_half_angle else -params.beta_offset
+    return shift_distance(z_view, eyes.half_ipd, shift, "corrected angle")
 
 
 def transform_point(p: ScenePoint, eyes: EyeGeometry, params: PerturbationParams,
                     literal_half_angle: bool = False) -> ScenePoint:
     """Remap one point's depth, preserving its x and y coordinates.
 
-    The corrected cyclopean distance d_tilde is triangulated from the
-    point's subtended angle minus beta; the new depth is
+    The corrected cyclopean distance d_tilde is remap_depth of the
+    point's cyclopean distance; the new depth is
     sqrt(d_tilde^2 - x^2 - y^2).
 
     Raises:
         DomainError: If the corrected distance cannot keep the lateral
-            coordinates (radicand <= 0), or on angle underflow.
+            coordinates (radicand <= 0), or as remap_depth does.
     """
-    d = p.cyclopean_distance
-    tau = 2.0 * math.atan2(eyes.half_ipd, d)
-    corrected = _corrected_angle(tau, params, literal_half_angle)
-    if corrected <= 0.0:
-        raise DomainError(
-            f"point too distant to correct: corrected angle {corrected!r} <= 0"
-        )
-    if literal_half_angle:
-        d_tilde = eyes.half_ipd / math.tan(corrected)
-    else:
-        d_tilde = eyes.half_ipd / math.tan(corrected / 2.0)
+    d_tilde = remap_depth(p.cyclopean_distance, eyes, params, literal_half_angle)
     radicand = d_tilde * d_tilde - p.x * p.x - p.y * p.y
     if radicand <= 0.0:
         raise DomainError(
@@ -140,7 +115,7 @@ def transform_points(points: np.ndarray, eyes: EyeGeometry,
                      params: PerturbationParams, *, kind: str = "point") -> np.ndarray:
     """Remap an (N, 3) point array, row order preserved.
 
-    Point math runs through the batch kernel (numba or numpy backend).
+    Point math runs through the batch kernel backends.remap_points.
 
     Args:
         kind: Word naming a row in the error message ("point", "vertex").

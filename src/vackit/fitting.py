@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, DomainError
+from .geometry import angles_at
 from .kinematics import EyePose
 from .marquardt import ArrowheadJacobian, LMResult, levenberg_marquardt
 from .perception import fixated_distance_error
@@ -127,7 +128,8 @@ class FitDataset:
         Fields are read by position, as csv.DictReader would map them: the
         last column of a repeated name wins, a missing trailing field reads
         None, and blank rows are skipped without counting toward the
-        reported line number.
+        reported line number.  A row missing a required field is a
+        DataFormatError ("bad numeric fields" before "bad text fields").
         """
         path = Path(path)
         pids: list[str] = []
@@ -165,6 +167,11 @@ class FitDataset:
                         f"bad numeric fields in {_dict_row(header, row)!r}",
                         str(path), line_no,
                     ) from None
+                if fields[i_pid] is None or fields[i_cond] is None:
+                    raise DataFormatError(
+                        f"bad text fields in {_dict_row(header, row)!r}",
+                        str(path), line_no,
+                    )
                 pids.append(fields[i_pid])
                 conds.append(fields[i_cond])
                 reach.append(reach_m)
@@ -297,7 +304,7 @@ def _arrowhead(x: np.ndarray, spec: ModelSpec, pidx: np.ndarray,
     beta = float(x[0])
     ipd_rows = x[1 + pidx]
     d = eye_distance
-    tau = 2.0 * np.arctan2(ipd_rows / 2.0, d)
+    tau = angles_at(d, ipd_rows / 2.0)
     v = (tau + beta) / 2.0
     csc2 = 1.0 / np.sin(v) ** 2
     d_beta = -(ipd_rows / 4.0) * csc2

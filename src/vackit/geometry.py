@@ -33,6 +33,10 @@ __all__ = [
     "disparity",
     "disparity_from_vergence",
     "distance_from_angle",
+    "angle_at",
+    "shift_distance",
+    "angles_at",
+    "shift_distances",
     "cdot",
     "iovd",
 ]
@@ -170,7 +174,7 @@ def subtended_angle(point: ScenePoint, eyes: EyeGeometry) -> float:
     Returns:
         Subtended angle tau in radians, in (0, pi).
     """
-    return 2.0 * math.atan2(eyes.half_ipd, point.cyclopean_distance)
+    return angle_at(point.cyclopean_distance, eyes.half_ipd)
 
 
 def convergence_angle(point: ScenePoint, eyes: EyeGeometry) -> float:
@@ -243,9 +247,44 @@ def distance_from_angle(tau: float, eyes: EyeGeometry) -> float:
         DomainError: If tau is outside (0, pi); tau <= 0 would place the
             point at infinity or behind the viewer.
     """
-    if not (0.0 < tau < math.pi):
-        raise DomainError(f"subtended angle must be in (0, pi), got {tau!r}")
-    return eyes.half_ipd / math.tan(tau / 2.0)
+    # a point at infinity subtends exactly 0, so shifting it by tau
+    # triangulates tau
+    return shift_distance(math.inf, eyes.half_ipd, tau, "subtended angle")
+
+
+# The angle shift in a scalar (math) and an array (numpy) form: np.arctan2
+# and math.atan2 can differ in the last bit, so each caller keeps its form.
+
+def angle_at(distance: float, half_ipd: float) -> float:
+    """Angle 2*atan2(half_ipd, distance) subtended at a cyclopean distance."""
+    return 2.0 * math.atan2(half_ipd, distance)
+
+
+def shift_distance(distance: float, half_ipd: float, shift: float,
+                   name: str = "shifted angle") -> float:
+    """Distance whose subtended angle is that of `distance` plus `shift`.
+
+    Raises:
+        DomainError: If the shifted angle, called `name`, leaves (0, pi).
+    """
+    angle = angle_at(distance, half_ipd) + shift
+    if not (0.0 < angle < math.pi):
+        raise DomainError(f"{name} must be in (0, pi), got {angle!r}")
+    return half_ipd / math.tan(angle / 2.0)
+
+
+def angles_at(distance: np.ndarray, half_ipd: np.ndarray | float) -> np.ndarray:
+    """angle_at on arrays."""
+    return 2.0 * np.arctan2(half_ipd, distance)
+
+
+def shift_distances(distance: np.ndarray, half_ipd: np.ndarray | float,
+                    shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """shift_distance on arrays: (distances, ok), ok False where it raises."""
+    angle = angles_at(distance, half_ipd) + shift
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shifted = half_ipd / np.tan(angle / 2.0)
+    return shifted, (angle > 0.0) & (angle < math.pi)
 
 
 def _derivative(values: np.ndarray, sample_rate: float) -> np.ndarray:

@@ -15,14 +15,16 @@ import io
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 from scipy.signal import butter, filtfilt
 
 from . import backends
 from .errors import DataFormatError, DomainError
-from .geometry import EyeGeometry
+from .geometry import EyeGeometry, angle_at
 
 __all__ = [
     "Trajectory",
@@ -40,6 +42,7 @@ __all__ = [
     "analyze_trials",
     "read_trajectories_csv",
     "write_trajectories_csv",
+    "outcome_row",
     "write_outcomes_csv",
     "write_summary_csv",
 ]
@@ -355,8 +358,8 @@ def _measure(trial_id: str, target: TargetSpec, eyes: EyeGeometry,
     endpoint_error = float(z[i1]) - target.reach_m
     d_target = float(eye_pose.eye_distance_of(target.x_m, target.y_m, target.reach_m))
     d_hand = float(eye_pose.eye_distance_of(x[i1], y[i1], z[i1]))
-    tau_target = 2.0 * math.atan2(eyes.half_ipd, d_target)
-    tau_hand = 2.0 * math.atan2(eyes.half_ipd, d_hand)
+    tau_target = angle_at(d_target, eyes.half_ipd)
+    tau_hand = angle_at(d_hand, eyes.half_ipd)
     return TrialOutcome(
         trial_id=trial_id,
         valid=True,
@@ -567,31 +570,48 @@ OUTCOME_HEADER = [
 ]
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+def outcome_row(item: AnalyzedTrial) -> tuple:
+    """An analyzed trial as an outcomes.csv row for write_outcomes_csv."""
+    out, tgt, seg = item.outcome, item.target, item.outcome.segment
+    return (out.trial_id, tgt.participant_id, tgt.condition, tgt.reach_m,
+            out.valid, out.rejection_reason,
+            seg.onset_time if seg else None,
+            seg.termination_time if seg else None,
+            out.movement_distance, out.distance_error, out.endpoint_error,
+            out.disparity_difference)
 
 
-def write_outcomes_csv(analyzed: list[AnalyzedTrial], path: str | Path) -> None:
-    """Write one row per analyzed trial, ordered as given."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OUTCOME_HEADER)
-        for item in analyzed:
-            out, tgt = item.outcome, item.target
-            seg = out.segment
-            writer.writerow([
-                out.trial_id, tgt.participant_id, tgt.condition,
-                _fmt(tgt.reach_m if math.isfinite(tgt.reach_m) else None),
-                "1" if out.valid else "0",
-                out.rejection_reason or "",
-                _fmt(seg.onset_time if seg else None),
-                _fmt(seg.termination_time if seg else None),
-                _fmt(out.movement_distance),
-                _fmt(out.distance_error),
-                _fmt(out.endpoint_error),
-                _fmt(out.disparity_difference),
-            ])
+# Rows formatted per write.  A chunk's text is held twice (str, then its
+# UTF-8 encoding), so this keeps the writers' peak memory a small fraction
+# of the files they write.
+_CHUNK_ROWS = 1024
+
+
+def write_outcomes_csv(rows: Iterable[tuple], path: str | Path) -> None:
+    """Write outcomes.csv, one line per row, in the order given.
+
+    Each row holds the OUTCOME_HEADER fields in order: trial_id,
+    participant_id and condition (str), target_reach_m, valid (a truth
+    value), rejection_reason (str or None), then six floats or None;
+    outcome_row makes one from an AnalyzedTrial.  None, and a reach that is
+    not finite, are written empty, and floats with repr: the bytes equal
+    one csv.writer row per trial.  Rows are formatted a chunk at a time.
+    """
+    rows = iter(rows)
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(OUTCOME_HEADER) + "\r\n")
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            trial_id, pid, condition, reach, valid, reason, *measures = zip(*chunk)
+            fields = [
+                _csv_fields(list(trial_id)), _csv_fields(list(pid)),
+                _csv_fields(list(condition)),
+                [repr(float(r)) if math.isfinite(r) else "" for r in reach],
+                ["1" if v else "0" for v in valid],
+                _csv_fields([r or "" for r in reason]),
+                *(["" if v is None else repr(float(v)) for v in column]
+                  for column in measures),
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def write_summary_csv(analyzed: list[AnalyzedTrial], path: str | Path) -> None:

@@ -18,6 +18,8 @@ from .geometry import (
     ScenePoint,
     distance_from_angle,
     disparity_from_vergence,
+    shift_distance,
+    shift_distances,
     subtended_angle,
 )
 
@@ -146,9 +148,8 @@ def offset_as_fixation_shift(params: PerturbationParams,
         raise DomainError(
             f"fixation_distance must be positive, got {fixation_distance!r}"
         )
-    phi = 2.0 * math.atan2(eyes.half_ipd, fixation_distance)
-    effective = distance_from_angle(phi + params.beta_offset, eyes)
-    return fixation_distance - effective
+    return fixation_distance - shift_distance(
+        fixation_distance, eyes.half_ipd, params.beta_offset)
 
 
 def predict_endpoint(target_distance: float, params: PerturbationParams,
@@ -165,11 +166,8 @@ def predict_endpoint(target_distance: float, params: PerturbationParams,
     """
     if target_distance <= 0.0:
         raise DomainError(f"target_distance must be positive, got {target_distance!r}")
-    tau_t = 2.0 * math.atan2(eyes.half_ipd, target_distance)
-    matched = tau_t + params.beta_offset
-    if not (0.0 < matched < math.pi):
-        raise DomainError(f"matched angle must be in (0, pi), got {matched!r}")
-    return eyes.half_ipd / math.tan(matched / 2.0)
+    return shift_distance(target_distance, eyes.half_ipd, params.beta_offset,
+                          "matched angle")
 
 
 def fixated_distance_error(distance: np.ndarray | float, ipd: np.ndarray | float,
@@ -191,13 +189,10 @@ def fixated_distance_error(distance: np.ndarray | float, ipd: np.ndarray | float
         Error array (perceived minus true distance), +inf where invalid.
     """
     d = np.asarray(distance, dtype=float)
-    ipd_arr = np.asarray(ipd, dtype=float)
-    tau = 2.0 * np.arctan2(ipd_arr / 2.0, d)
-    half = (tau + beta) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        perceived = ipd_arr / 2.0 / np.tan(half)
+    perceived, ok = shift_distances(d, np.asarray(ipd, dtype=float) / 2.0, beta)
+    with np.errstate(invalid="ignore"):
         err = perceived - d
-    bad = ~((half > 0.0) & (half < math.pi / 2.0) & np.isfinite(err))
+    bad = ~(ok & np.isfinite(err))
     if np.any(bad):
         err = np.where(bad, np.inf, err)
     return err

@@ -18,19 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .geometry import EyeGeometry
+from .geometry import EyeGeometry, angle_at
 from .kinematics import (
     BLOCK_TRIALS,
-    OUTCOME_HEADER,
-    AnalyzedTrial,
+    _CHUNK_ROWS,
     EyePose,
-    TargetSpec,
     Trajectory,
-    TrialOutcome,
-    _csv_field,
-    _csv_fields,
-    _fmt,
     lowpass_block,
+    write_outcomes_csv,
     write_trajectories_csv,
 )
 from .perception import BETA_BOUND_RAD, PerturbationParams, predict_endpoint
@@ -42,7 +37,6 @@ __all__ = [
     "generate_participants",
     "generate_trials",
     "generate_trajectories",
-    "trials_as_analyzed",
     "write_participants_csv",
     "write_dataset",
 ]
@@ -271,11 +265,11 @@ def generate_trials(config: SimConfig,
         for k, reach in enumerate(config.reach_distances):
             d_target = pose.eye_distance_at(reach)
             bias = _endpoint_bias(config, participant, d_target)
-            tau_target = 2.0 * math.atan2(half_ipd, d_target)
+            tau_target = angle_at(d_target, half_ipd)
             prefix = f"{pid}-{condition}-d{reach:.2f}-"
             for label, eps in zip(rep_labels, noise[k * reps:(k + 1) * reps]):
                 z_end = reach + bias + eps
-                tau_hand = 2.0 * math.atan2(half_ipd, pose.eye_distance_at(z_end))
+                tau_hand = angle_at(pose.eye_distance_at(z_end), half_ipd)
                 records.append(TrialRecord(
                     trial_id=prefix + label,
                     participant_id=pid,
@@ -334,29 +328,6 @@ def generate_trajectories(config: SimConfig, trials: list[TrialRecord],
     return trajectories
 
 
-def trials_as_analyzed(trials: list[TrialRecord]) -> list[AnalyzedTrial]:
-    """Adapt ground-truth trials to the analyzed-trial CSV schema."""
-    out = []
-    for trial in trials:
-        target = TargetSpec(
-            trial_id=trial.trial_id,
-            reach_m=trial.reach_m,
-            participant_id=trial.participant_id,
-            condition=trial.condition,
-            ipd_m=trial.ipd_m,
-        )
-        outcome = TrialOutcome(
-            trial_id=trial.trial_id,
-            valid=True,
-            movement_distance=trial.movement_distance,
-            distance_error=trial.distance_error,
-            endpoint_error=trial.endpoint_error,
-            disparity_difference=trial.disparity_difference,
-        )
-        out.append(AnalyzedTrial(target=target, outcome=outcome))
-    return out
-
-
 def write_participants_csv(participants: list[Participant],
                            path: str | Path) -> None:
     path = Path(path)
@@ -368,47 +339,10 @@ def write_participants_csv(participants: list[Participant],
                              repr(p.response_multiplier)])
 
 
-# Rows formatted per write.  A chunk's text is held twice (str, then its
-# UTF-8 encoding), so this keeps the writers' peak memory a small fraction
-# of the files they write.
-_CHUNK_ROWS = 1024
-
-# One outcomes.csv row of a ground-truth trial: always valid, no rejection
-# reason and no segment times.
-_OUTCOME_ROW = "%s,%s,%s,%s,1,,,,%r,%r,%r,%r\r\n"
-
 # A targets.json entry after its key, as json.dumps(indent=2,
 # sort_keys=True) writes it.
 _TARGET_BODY = (': {\n    "condition": %s,\n    "ipd_m": %s,\n'
                 '    "participant_id": %s,\n    "reach_m": %s\n  }')
-
-
-def _write_trial_outcomes_csv(trials: list[TrialRecord], path: Path) -> None:
-    """outcomes.csv of ground-truth trials, one chunk of rows per write.
-
-    The bytes equal write_outcomes_csv(trials_as_analyzed(trials), path).
-    """
-    quoted: dict[str, str] = {}
-    last_reach, reach_text = None, ""
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(OUTCOME_HEADER) + "\r\n")
-        for start in range(0, len(trials), _CHUNK_ROWS):
-            block = trials[start:start + _CHUNK_ROWS]
-            values: list = []
-            for t, trial_id in zip(block, _csv_fields([t.trial_id for t in block])):
-                if t.reach_m is not last_reach:
-                    last_reach = t.reach_m
-                    reach_text = _fmt(last_reach) if math.isfinite(last_reach) else ""
-                pid, condition = t.participant_id, t.condition
-                if pid not in quoted:
-                    quoted[pid] = _csv_field(pid)
-                if condition not in quoted:
-                    quoted[condition] = _csv_field(condition)
-                values += (trial_id, quoted[pid], quoted[condition],
-                           reach_text, float(t.movement_distance),
-                           float(t.distance_error), float(t.endpoint_error),
-                           float(t.disparity_difference))
-            fh.write(_OUTCOME_ROW * len(block) % tuple(values))
 
 
 def _json_scalar(value) -> str:
@@ -470,7 +404,13 @@ def write_dataset(outdir: str | Path, config: SimConfig,
     written["participants"] = str(path)
 
     path = outdir / "outcomes.csv"
-    _write_trial_outcomes_csv(trials, path)
+    # a ground-truth trial is valid, with no rejection reason and no
+    # segment times
+    write_outcomes_csv(
+        ((t.trial_id, t.participant_id, t.condition, t.reach_m, True, None,
+          None, None, t.movement_distance, t.distance_error, t.endpoint_error,
+          t.disparity_difference) for t in trials),
+        path)
     written["outcomes"] = str(path)
 
     path = outdir / "targets.json"

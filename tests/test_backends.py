@@ -1,11 +1,10 @@
-"""Backend-pair tests.
+"""Array-kernel tests.
 
-The compiled and pure-numpy kernels must be drop-in replacements for
-each other: outputs equal to floating-point rounding (numpy's vectorized
-libm may round the last bit differently than scalar libm, so up to a few
-ULP), identical failure indices, identical run-scan semantics.  Each
-test that touches a kernel runs once per available backend by forcing
-the selection through the environment variable.
+remap_points must agree with the scalar transform_point to rounding
+(numpy's vectorized libm may round the last bit differently than scalar
+libm), report the first vertex it cannot correct, and copy the input
+bitwise at zero offset; sustained_run_start is pinned on hand-made flag
+arrays.
 """
 
 from __future__ import annotations
@@ -15,21 +14,16 @@ import math
 import numpy as np
 import pytest
 
-from vackit.backends import (
-    BACKEND_ENV_VAR,
-    active_backend,
-    available_backends,
-    remap_points,
-    sustained_run_start,
-)
+from vackit.backends import remap_points, sustained_run_start
 from vackit.correction import transform_point
 from vackit.geometry import EyeGeometry, ScenePoint
 from vackit.perception import PerturbationParams
 
 
-@pytest.fixture(params=available_backends())
-def backend(request, monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, request.param)
+# The kernels once had a compiled twin; the "numpy" id keeps the test
+# names that the suite's history records.
+@pytest.fixture(params=["numpy"])
+def backend(request):
     return request.param
 
 
@@ -40,25 +34,6 @@ def _random_cloud(n: int, seed: int) -> np.ndarray:
         rng.uniform(-0.3, 0.3, n),
         rng.uniform(0.2, 1.5, n),
     ])
-
-
-class TestBackendSelection:
-    def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
-
-    def test_env_var_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert active_backend() == "numpy"
-
-    def test_unset_uses_compiled_when_present(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        expected = "numba" if "numba" in available_backends() else "numpy"
-        assert active_backend() == expected
-
-    def test_invalid_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cuda")
-        with pytest.raises(ValueError):
-            active_backend()
 
 
 class TestRemapPoints:
@@ -98,51 +73,6 @@ class TestRemapPoints:
         xyz = np.array([[0.0, 0.0, 2.0]])
         _, bad = remap_points(xyz, 0.032, 0.04)
         assert bad == 0
-
-
-@pytest.mark.skipif(len(available_backends()) < 2,
-                    reason="only one backend installed")
-class TestBackendEquivalence:
-    def _both(self, monkeypatch, fn):
-        results = []
-        for name in available_backends():
-            monkeypatch.setenv(BACKEND_ENV_VAR, name)
-            results.append(fn())
-        return results
-
-    def test_remap_agrees_to_rounding(self, monkeypatch):
-        xyz = _random_cloud(512, seed=10)
-        outs = self._both(monkeypatch,
-                          lambda: remap_points(xyz, 0.0315, math.radians(0.5)))
-        (a, bad_a), (b, bad_b) = outs
-        assert bad_a == bad_b == -1
-        # lateral coordinates are untouched copies on both paths
-        assert np.array_equal(a[:, :2], b[:, :2])
-        np.testing.assert_allclose(a[:, 2], b[:, 2], rtol=5e-15)
-
-    def test_zero_offset_copy_identical(self, monkeypatch):
-        xyz = _random_cloud(128, seed=13)
-        outs = self._both(monkeypatch, lambda: remap_points(xyz, 0.032, 0.0))
-        assert np.array_equal(outs[0][0], outs[1][0])
-
-    def test_failure_index_identical(self, monkeypatch):
-        xyz = _random_cloud(64, seed=11)
-        xyz[17] = [0.25, 0.25, 0.03]
-        outs = self._both(monkeypatch,
-                          lambda: remap_points(xyz, 0.032, -0.045))
-        assert outs[0][1] == outs[1][1] == 17
-
-    def test_run_scan_identical_on_random_flags(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        for trial in range(200):
-            flags = rng.random(int(rng.integers(1, 40))) < 0.5
-            min_run = int(rng.integers(1, 8))
-            start = int(rng.integers(0, len(flags)))
-            tail = bool(rng.integers(0, 2))
-            got = self._both(
-                monkeypatch,
-                lambda: sustained_run_start(flags, min_run, start, tail))
-            assert got[0] == got[1], (trial, flags.tolist(), min_run, start, tail)
 
 
 class TestSustainedRunStart:

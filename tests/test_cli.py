@@ -109,6 +109,16 @@ class TestPredict:
         assert code == 1
         assert capsys.readouterr().err.startswith("vackit: error:")
 
+    def test_too_near_to_correct_exits_one(self, tmp_path, capsys):
+        # at 0.5 mm the corrected angle of a -2.2 deg offset passes pi; the
+        # remap used to return a negative depth and fail one step later
+        code = main(["predict", "--beta-deg", "-2.2", "--ipd-mm", "64",
+                     "--distances", "0.0005", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "vackit: error: corrected angle must be in (0, pi), got "
+            f"{2.0 * math.atan2(0.032, 0.0005) + math.radians(2.2)!r}\n")
+
 
 class TestTransform:
     def _mesh_file(self, path: Path) -> MeshModel:
@@ -191,6 +201,21 @@ class TestTransform:
         err = capsys.readouterr().err
         assert "cannot be corrected" in err
         assert "point 0" in err
+
+    @pytest.mark.parametrize("compat, message", [
+        ([], "point 1 at (0.0, 0.0, 0.0005) cannot be corrected"),
+        (["--compat-literal-half-angle"], "corrected angle must be in (0, pi)"),
+    ])
+    def test_too_near_point_exits_one(self, tmp_path, capsys, compat, message):
+        src = tmp_path / "points.csv"
+        write_points_csv(np.array([[0.0, 0.0, 0.45], [0.0, 0.0, 0.0005]]), src)
+        code = main(["transform", "--in", str(src),
+                     "--out", str(tmp_path / "out.csv"),
+                     "--beta-deg", str(math.degrees(-0.04)),
+                     "--ipd-mm", "64", *compat])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_missing_input_exits_two(self, tmp_path, capsys):
         code = main(["transform", "--in", str(tmp_path / "absent.obj"),
@@ -563,6 +588,18 @@ class TestFit:
                      "--out", str(tmp_path / "fits")])
         assert code == 2
         assert capsys.readouterr().err.startswith("vackit: data error:")
+
+    def test_row_without_text_fields_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "outcomes.csv"
+        bad.write_text("target_reach_m,distance_error_m,participant_id,"
+                       "condition\n0.30,-0.03,p0,original\n0.30,-0.03\n",
+                       encoding="utf-8")
+        code = main(["fit", "--input", str(bad),
+                     "--out", str(tmp_path / "fits")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vackit: data error: bad text fields in ")
+        assert f"[{bad}:3]" in err
 
     def test_bad_header_exits_two_with_line(self, tmp_path, capsys):
         bad = tmp_path / "outcomes.csv"

@@ -167,6 +167,16 @@ class TestFromCsv:
             "'condition': 'original', 'target_reach_m': '0.25', "
             "'valid': None, 'distance_error_m': None}", 3)
 
+    def test_row_missing_only_text_fields(self, tmp_path):
+        p = self._write(tmp_path / "t.csv", ["0.30,-0.03,p0,original",
+                                             "0.30,-0.03,p1"],
+                        header="target_reach_m,distance_error_m,"
+                               "participant_id,condition")
+        assert self._error(p) == (
+            "bad text fields in {'target_reach_m': '0.30', "
+            "'distance_error_m': '-0.03', 'participant_id': 'p1', "
+            "'condition': None}", 3)
+
     def test_long_row_message_and_line(self, tmp_path):
         p = self._write(tmp_path / "l.csv", ["a,p0,original,0.25,1,-0.02",
                                              "b,p0,original,0.25,1,x,extra,9"])

@@ -49,12 +49,15 @@ from vackit.kinematics import (
     detect_segment,
     differentiate,
     lowpass_filter,
+    outcome_row,
     read_trajectories_csv,
     trial_outcome,
     write_outcomes_csv,
     write_summary_csv,
     write_trajectories_csv,
 )
+
+from outcomes_reference import write_outcomes_csv_rowwise
 
 FS = 250.0
 EYES = EyeGeometry(ipd=0.063)
@@ -700,7 +703,7 @@ class TestOutcomeWriters:
 
     def test_outcomes_schema(self, tmp_path):
         path = tmp_path / "outcomes.csv"
-        write_outcomes_csv(self._analyzed(), path)
+        write_outcomes_csv(map(outcome_row, self._analyzed()), path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(kin.OUTCOME_HEADER)
         assert len(lines) == 3
@@ -710,6 +713,62 @@ class TestOutcomeWriters:
         assert rejected_row[4] == "0"
         assert rejected_row[5] == "missing data"
         assert rejected_row[8] == ""  # no measures on invalid trials
+
+    def _assert_bytes_match_rowwise(self, analyzed, tmp_path):
+        write_outcomes_csv(map(outcome_row, analyzed), tmp_path / "new.csv")
+        write_outcomes_csv_rowwise(analyzed, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+
+    def test_bytes_match_rowwise_writer(self, tmp_path):
+        valid, rejected = self._analyzed()
+        awkward = []
+        for k, text in enumerate(["a,b", 'say "hi"', "two\nlines", "cr\r",
+                                  "", " lead", "plain"]):
+            target = replace(valid.target, trial_id=f"{text}{k}",
+                             participant_id=text, condition=text[::-1],
+                             reach_m=[0.25, math.nan, math.inf, -math.inf,
+                                      -0.0, 1e-7, 3][k])
+            outcome = replace(valid.outcome if k % 2 else rejected.outcome,
+                              trial_id=f"{text}{k}",
+                              rejection_reason=None if k % 2 else text)
+            awkward.append(AnalyzedTrial(target=target, outcome=outcome))
+        for analyzed in ([], [valid], [valid, rejected], awkward):
+            self._assert_bytes_match_rowwise(analyzed, tmp_path)
+
+    def test_bytes_match_rowwise_writer_across_chunks(self, tmp_path):
+        valid, rejected = self._analyzed()
+        for count in (kin._CHUNK_ROWS, kin._CHUNK_ROWS + 1):
+            analyzed = [
+                AnalyzedTrial(target=replace(item.target, participant_id=f"p,{i}"),
+                              outcome=replace(item.outcome, trial_id=f"t{i}"))
+                for i, item in zip(range(count), [valid, rejected] * count)
+            ]
+            self._assert_bytes_match_rowwise(analyzed, tmp_path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.text(st.characters(blacklist_categories=("Cs",),
+                              blacklist_characters="\x00"), max_size=5),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.booleans(),
+        st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True)),
+    ), max_size=6))
+    def test_bytes_match_rowwise_writer_property(self, tmp_path_factory, rows):
+        analyzed = [
+            AnalyzedTrial(
+                target=TargetSpec(trial_id=text, reach_m=reach,
+                                  participant_id=text, condition=text * 2),
+                outcome=TrialOutcome(
+                    trial_id=text, valid=ok,
+                    rejection_reason=None if ok else text,
+                    segment=MovementSegment(0, 5, 0.0, 0.02) if ok else None,
+                    movement_distance=value, distance_error=value,
+                    endpoint_error=value, disparity_difference=value))
+            for text, reach, ok, value in rows
+        ]
+        self._assert_bytes_match_rowwise(analyzed,
+                                         tmp_path_factory.mktemp("rows"))
 
     def test_summary_covers_valid_trials_only(self, tmp_path):
         path = tmp_path / "summary.csv"

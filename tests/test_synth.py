@@ -42,7 +42,6 @@ from vackit.kinematics import (
     EyePose,
     analyze_trials,
     read_trajectories_csv,
-    write_outcomes_csv,
 )
 from vackit.perception import PerturbationParams, predict_endpoint
 from vackit.synth import (
@@ -57,9 +56,10 @@ from vackit.synth import (
     generate_participants,
     generate_trajectories,
     generate_trials,
-    trials_as_analyzed,
     write_dataset,
 )
+
+from outcomes_reference import trials_as_analyzed, write_outcomes_csv_rowwise
 
 BETA = math.radians(0.22)
 
@@ -424,7 +424,8 @@ def _reference_trials(config: SimConfig, participants) -> list[TrialRecord]:
 
 def _reference_files(trials, outdir: Path) -> dict[str, bytes]:
     outdir.mkdir(parents=True, exist_ok=True)
-    write_outcomes_csv(trials_as_analyzed(trials), outdir / "outcomes.csv")
+    write_outcomes_csv_rowwise(trials_as_analyzed(trials),
+                               outdir / "outcomes.csv")
     entries = {
         trial.trial_id: {
             "reach_m": trial.reach_m,
