@@ -373,11 +373,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     if suffix == ".obj":
         mesh = read_obj(in_path)
         if args.compat_literal_half_angle:
-            vertices = np.array([
-                _transform_vertex_literal(vertex, eyes, params)
-                for vertex in mesh.vertices
-            ])
-            mesh = replace(mesh, vertices=vertices)
+            mesh = replace(mesh, vertices=_transform_literal(
+                mesh.vertices, eyes, params, "vertex"))
         else:
             mesh = transform_mesh(mesh, eyes, params)
         write_obj(mesh, out_path)
@@ -385,9 +382,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     elif suffix == ".csv":
         points = read_points_csv(in_path)
         if args.compat_literal_half_angle:
-            out = np.array([
-                _transform_vertex_literal(row, eyes, params) for row in points
-            ])
+            out = _transform_literal(points, eyes, params, "point")
         else:
             out = transform_points(points, eyes, params)
         write_points_csv(out, out_path)
@@ -405,12 +400,25 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
-def _transform_vertex_literal(row: np.ndarray, eyes: EyeGeometry,
-                              params: PerturbationParams) -> tuple:
-    point = transform_point(ScenePoint(float(row[0]), float(row[1]),
-                                       float(row[2])),
-                            eyes, params, literal_half_angle=True)
-    return (point.x, point.y, point.z)
+def _transform_literal(points: np.ndarray, eyes: EyeGeometry,
+                       params: PerturbationParams, kind: str) -> np.ndarray:
+    """transform_point with literal_half_angle on every row.
+
+    Raises:
+        DomainError: Naming the kind, index and coordinates of the first
+            row that cannot be corrected, as transform_points does.
+    """
+    out = []
+    for i, (x, y, z) in enumerate(points):
+        try:
+            point = transform_point(ScenePoint(float(x), float(y), float(z)),
+                                    eyes, params, literal_half_angle=True)
+        except DomainError:
+            raise DomainError(
+                f"{kind} {i} at ({x}, {y}, {z}) cannot be corrected"
+            ) from None
+        out.append((point.x, point.y, point.z))
+    return np.array(out)
 
 
 def _parse_distances(text: str) -> list[float]:

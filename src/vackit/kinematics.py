@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from . import backends
 from .errors import DataFormatError, DomainError
@@ -52,9 +51,16 @@ DEFAULT_CUTOFF_HZ = 10.0
 DEFAULT_THRESHOLD = 0.050
 HYSTERESIS_S = 0.020
 MIN_SAMPLES = 25
-# trials filtered together by analyze_trials; peak memory grows with this,
-# not with the number of trials in the batch
-BLOCK_TRIALS = 64
+# trials filtered together by analyze_trials and synth.generate_trajectories;
+# the filter's Python loop steps once per sample over the whole block, so
+# small blocks pay for it.  Peak memory grows with this and with the trial
+# length (the filter holds three block-sized arrays: about 8 MB for 512
+# trials of 221 samples, about 300 MB for 512 of 8,001), not with the batch
+# size.
+BLOCK_TRIALS = 512
+# odd-extension length at each end of a filtered series: scipy filtfilt's
+# default, 3 * max(len(a), len(b)) for an order-2 filter
+_PADLEN = 9
 
 
 @dataclass(frozen=True)
@@ -232,34 +238,81 @@ class AnalyzedTrial:
 
 
 @lru_cache(maxsize=32)
-def _lowpass_design(sample_rate: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order Butterworth (b, a), designed once per rate and cutoff.
+def _lowpass_design(sample_rate: float,
+                    cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Second-order Butterworth (b, a) and its step-response state zi.
 
-    The cached arrays are shared by every caller, so they are read-only.
+    A step-for-step transcription of scipy.signal.butter(2, cutoff,
+    fs=sample_rate) (prewarp, analog poles, bilinear transform, zpk2tf) and
+    of scipy.signal.lfilter_zi, so every coefficient has the same bits.
+    Designed once per rate and cutoff; the cached arrays are shared by every
+    caller, so they are read-only.
     """
     nyquist = sample_rate / 2.0
     if not (0.0 < cutoff < nyquist):
         raise DomainError(
             f"cutoff must be in (0, {nyquist}) Hz, got {cutoff!r}"
         )
-    b, a = butter(2, cutoff, btype="low", fs=sample_rate)
-    b.flags.writeable = False
-    a.flags.writeable = False
-    return b, a
+    warped = 4.0 * float(np.tan(np.pi * (cutoff / nyquist) / 2.0))
+    poles = warped * -np.exp(1j * np.pi * np.array([-1.0, 1.0]) / 4)
+    gain = warped ** 2 * np.real(1.0 / np.prod(4.0 - poles))
+    b = gain * np.poly([-1.0, -1.0])
+    a = np.poly((4.0 + poles) / (4.0 - poles))
+    companion = np.array([[-a[1], -a[2]], [1.0, 0.0]])
+    zi = np.linalg.solve(np.eye(2) - companion.T, b[1:] - a[1:] * b[0])
+    for arr in (b, a, zi):
+        arr.flags.writeable = False
+    return b, a, zi
+
+
+def _lfilter_rows(b: np.ndarray, a: np.ndarray, zi: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """Direct-form-II-transposed filter down axis 0 of a time-major array.
+
+    The initial state is zi * x[0], and each step does scipy's C loop's
+    operations in its order, so every series comes out as
+    scipy.signal.lfilter(b, a, series, zi=zi * series[0]) does.
+    """
+    b0, b1, b2 = b.tolist()
+    a1, a2 = a[1:].tolist()
+    y = np.empty(x.shape)
+    z0, z1 = zi[0] * x[0], zi[1] * x[0]
+    xb, ya = np.empty_like(z0), np.empty_like(z0)
+    for xk, yk in zip(x, y):
+        # y = z0 + b0·x;  z0 = z1 + x·b1 − y·a1;  z1 = x·b2 − y·a2
+        np.add(z0, np.multiply(xk, b0, out=xb), out=yk)
+        np.add(z1, np.multiply(xk, b1, out=xb), out=z0)
+        z0 -= np.multiply(yk, a1, out=ya)
+        np.multiply(xk, b2, out=z1)
+        z1 -= np.multiply(yk, a2, out=ya)
+    return y
 
 
 def lowpass_block(samples: np.ndarray, sample_rate: float,
                   cutoff: float = DEFAULT_CUTOFF_HZ) -> np.ndarray:
     """Zero-phase low-pass of every series in a stack, along the last axis.
 
-    Each series comes out bit for bit as if it were filtered on its own,
-    so a (k, 3, n) block of k trials costs one call instead of 3k.
+    Bit for bit scipy.signal.filtfilt(b, a, samples, axis=-1) with the
+    order-2 Butterworth (b, a): an odd extension of 9 samples at each end,
+    a forward pass, a pass over the reversed output, padding stripped.  The
+    data run time-major, so each step is one row operation over every
+    series, and a (k, 3, n) block of k trials costs one loop instead of 3k.
 
     Raises:
         DomainError: If the cutoff is not inside (0, sample_rate/2).
+        ValueError: If the series have 9 samples or fewer.
     """
-    b, a = _lowpass_design(sample_rate, cutoff)
-    return filtfilt(b, a, samples, axis=-1)
+    b, a, zi = _lowpass_design(sample_rate, cutoff)
+    samples = np.asarray(samples, dtype=np.float64)
+    n = samples.shape[-1]
+    if n <= _PADLEN:
+        raise ValueError("The length of the input vector x must be greater "
+                         f"than padlen, which is {_PADLEN}.")
+    x = samples.reshape(-1, n).T
+    y = _lfilter_rows(b, a, zi, np.concatenate((
+        2 * x[:1] - x[_PADLEN:0:-1], x, 2 * x[-1:] - x[-2:-_PADLEN - 2:-1])))
+    y = _lfilter_rows(b, a, zi, y[::-1])[::-1]
+    return np.ascontiguousarray(y[_PADLEN:-_PADLEN].T).reshape(samples.shape)
 
 
 def _velocity(samples: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -374,19 +427,25 @@ def _measure(trial_id: str, target: TargetSpec, eyes: EyeGeometry,
 def _block_outcomes(trajectories: list[Trajectory], targets: list[TargetSpec],
                     eyes: list[EyeGeometry], eye_pose: EyePose, cutoff: float,
                     threshold: float) -> list[TrialOutcome]:
-    """Outcomes of trials that share one sample rate and one t grid.
+    """Outcomes of trials that share one sample rate and one length.
 
-    The trials are filtered as one (k, 3, n) stack and their depth
-    velocities taken with one gradient call; every trial's numbers equal
-    those of a batch of one.
+    The trials are filtered as one (k, 3, n) stack, which never reads t,
+    and the depth velocities of those that also share a t grid are taken
+    with one gradient call; every trial's numbers equal those of a batch
+    of one.
     """
     head = trajectories[0]
     filtered = lowpass_block(
         np.array([(traj.x, traj.y, traj.z) for traj in trajectories]),
         head.sample_rate, cutoff)
-    vz = _velocity(filtered[:, 2], head.t)
+    grids: dict[bytes, list[int]] = {}
+    for i, traj in enumerate(trajectories):
+        grids.setdefault(traj.t.tobytes(), []).append(i)
+    vz = np.empty(filtered[:, 2].shape)
+    for members in grids.values():
+        vz[members] = _velocity(filtered[members, 2], trajectories[members[0]].t)
     return [
-        _measure(traj.trial_id, target, trial_eyes, eye_pose, head.t,
+        _measure(traj.trial_id, target, trial_eyes, eye_pose, traj.t,
                  head.sample_rate, f, v, threshold)
         for traj, target, trial_eyes, f, v
         in zip(trajectories, targets, eyes, filtered, vz)
@@ -420,14 +479,14 @@ def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec
     Trials without a matching target are flagged invalid with reason
     "no target", and trials whose target sets an ipd_m outside (0, 0.1) m
     with reason "bad ipd", rather than aborting the batch.  Trials that
-    share a sample rate and a t grid are filtered in blocks of
-    BLOCK_TRIALS; the outcomes equal trial_outcome's for each trial on its
-    own.
+    share a sample rate and a length are filtered in blocks of
+    BLOCK_TRIALS, whatever their t grids; the outcomes equal
+    trial_outcome's for each trial on its own.
     """
     ordered = sorted(trajectories, key=lambda tr: tr.trial_id)
     results: list[AnalyzedTrial | None] = [None] * len(ordered)
     trial_eyes: list[EyeGeometry | None] = [None] * len(ordered)
-    groups: dict[tuple[float, bytes], list[int]] = {}
+    groups: dict[tuple[float, int], list[int]] = {}
     for i, traj in enumerate(ordered):
         target = targets.get(traj.trial_id)
         reason = None
@@ -442,7 +501,7 @@ def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec
             except DomainError:
                 reason = "bad ipd"
         if reason is None:
-            groups.setdefault((traj.sample_rate, traj.t.tobytes()), []).append(i)
+            groups.setdefault((traj.sample_rate, len(traj.t)), []).append(i)
         else:
             results[i] = AnalyzedTrial(
                 target=target,

@@ -204,7 +204,8 @@ class TestTransform:
 
     @pytest.mark.parametrize("compat, message", [
         ([], "point 1 at (0.0, 0.0, 0.0005) cannot be corrected"),
-        (["--compat-literal-half-angle"], "corrected angle must be in (0, pi)"),
+        (["--compat-literal-half-angle"],
+         "point 1 at (0.0, 0.0, 0.0005) cannot be corrected"),
     ])
     def test_too_near_point_exits_one(self, tmp_path, capsys, compat, message):
         src = tmp_path / "points.csv"
@@ -216,6 +217,38 @@ class TestTransform:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("compat", [[], ["--compat-literal-half-angle"]])
+    def test_too_near_vertex_exits_one(self, tmp_path, capsys, compat):
+        src = tmp_path / "scene.obj"
+        vertices = np.array([[0.0, 0.0, 0.45], [0.1, 0.0, 0.5],
+                             [0.0, 0.0, 0.0005]])
+        write_obj(MeshModel(vertices=vertices, faces=np.array([[0, 1, 2]])),
+                  src)
+        code = main(["transform", "--in", str(src),
+                     "--out", str(tmp_path / "out.obj"),
+                     "--beta-deg", str(math.degrees(-0.04)),
+                     "--ipd-mm", "64", *compat])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "vertex 2 at (0.0, 0.0, 0.0005) cannot be corrected" in err
+        assert "corrected angle" not in err
+        assert not (tmp_path / "out.obj").exists()
+
+    @pytest.mark.parametrize("compat", [[], ["--compat-literal-half-angle"]])
+    def test_first_bad_point_named(self, tmp_path, capsys, compat):
+        # behind the viewer and too near: the first one is reported
+        src = tmp_path / "points.csv"
+        write_points_csv(np.array([[0.0, 0.0, 0.45], [0.25, -0.5, -0.75],
+                                   [0.0, 0.0, 0.0005]]), src)
+        code = main(["transform", "--in", str(src),
+                     "--out", str(tmp_path / "out.csv"),
+                     "--beta-deg", str(math.degrees(-0.04)),
+                     "--ipd-mm", "64", *compat])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "vackit: error: point 1 at (0.25, -0.5, -0.75) cannot be "
+            "corrected\n")
 
     def test_missing_input_exits_two(self, tmp_path, capsys):
         code = main(["transform", "--in", str(tmp_path / "absent.obj"),

@@ -26,13 +26,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import butter, filtfilt
+from scipy.signal import butter, filtfilt, lfilter_zi
 
 import vackit.kinematics as kin
 from vackit.errors import DataFormatError, DomainError
@@ -233,6 +237,109 @@ class TestLowpassFilter:
             assert np.array_equal(getattr(out, axis),
                                   filtfilt(b, a, getattr(traj, axis)))
 
+
+
+def _bits(arr: np.ndarray) -> bytes:
+    return np.ascontiguousarray(arr, dtype=np.float64).tobytes()
+
+
+# sample rates and cutoffs (as a fraction of the Nyquist frequency) that the
+# numpy filter is held to scipy on, bit for bit
+ORACLE_RATES = (60.0, 90.0, 100.0, 120.0, 200.0, 240.0, 250.0, 500.0,
+                1000.0, 44100.0)
+ORACLE_FRACTIONS = (0.001, 0.01, 0.05, 0.08, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999)
+
+
+class TestLowpassOracle:
+    """The numpy Butterworth design and filtfilt against scipy.signal."""
+
+    def test_design_grid_matches_butter_and_lfilter_zi(self):
+        for rate in ORACLE_RATES:
+            for fraction in ORACLE_FRACTIONS:
+                cutoff = fraction * rate / 2.0
+                b, a, zi = kin._lowpass_design.__wrapped__(rate, cutoff)
+                want_b, want_a = butter(2, cutoff, btype="low", fs=rate)
+                assert _bits(b) == _bits(want_b), (rate, cutoff)
+                assert _bits(a) == _bits(want_a), (rate, cutoff)
+                assert _bits(zi) == _bits(lfilter_zi(want_b, want_a)), \
+                    (rate, cutoff)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rate=st.floats(1.0, 1e5), fraction=st.floats(1e-4, 0.9999))
+    def test_design_matches_butter_and_lfilter_zi(self, rate, fraction):
+        cutoff = fraction * rate / 2.0
+        b, a, zi = kin._lowpass_design.__wrapped__(rate, cutoff)
+        want_b, want_a = butter(2, cutoff, btype="low", fs=rate)
+        assert _bits(b) == _bits(want_b)
+        assert _bits(a) == _bits(want_a)
+        assert _bits(zi) == _bits(lfilter_zi(want_b, want_a))
+
+    def test_design_is_cached_read_only(self):
+        design = kin._lowpass_design(FS, 10.0)
+        assert kin._lowpass_design(FS, 10.0) is design
+        for arr in design:
+            assert not arr.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(10, 400), k=st.integers(0, 5),
+           layout=st.sampled_from(["block", "1-D", "strided", "transposed"]),
+           rate=st.sampled_from(ORACLE_RATES),
+           fraction=st.sampled_from(ORACLE_FRACTIONS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_matches_filtfilt(self, n, k, layout, rate, fraction, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-6, 3)
+        if layout == "1-D":
+            x = rng.normal(0.0, scale, n)
+        elif layout == "strided":
+            x = rng.normal(0.0, scale, (k, 3, 2 * n))[..., ::2]
+        elif layout == "transposed":
+            x = rng.normal(0.0, scale, (n, 3, k)).T
+        else:
+            x = rng.normal(0.0, scale, (k, 3, n))
+        cutoff = fraction * rate / 2.0
+        b, a = butter(2, cutoff, btype="low", fs=rate)
+        got = kin.lowpass_block(x, rate, cutoff)
+        want = filtfilt(b, a, x, axis=-1)
+        assert got.shape == want.shape == x.shape
+        assert _bits(got) == _bits(want)
+
+    def test_default_block_matches_filtfilt(self):
+        # one full block of the analysis' default shape and filter
+        x = np.random.default_rng(3).normal(0.0, 2e-4, (kin.BLOCK_TRIALS, 3, 221))
+        b, a = butter(2, 10.0, btype="low", fs=FS)
+        assert _bits(kin.lowpass_block(x, FS)) == \
+            _bits(filtfilt(b, a, x, axis=-1))
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (9,), (2, 3, 9), (4, 5)])
+    def test_short_input_raises_scipy_value_error(self, shape):
+        x = np.ones(shape)
+        b, a = butter(2, 10.0, btype="low", fs=FS)
+        with pytest.raises(ValueError) as want:
+            filtfilt(b, a, x, axis=-1)
+        with pytest.raises(ValueError) as got:
+            kin.lowpass_block(x, FS)
+        assert str(got.value) == str(want.value) == (
+            "The length of the input vector x must be greater than padlen, "
+            "which is 9.")
+
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, FS / 2, FS, math.nan,
+                                        math.inf])
+    def test_cutoff_outside_nyquist_raises_domain_error(self, cutoff):
+        message = rf"cutoff must be in \(0, {FS / 2}\) Hz, got {cutoff!r}"
+        with pytest.raises(DomainError, match=message):
+            kin.lowpass_block(np.ones((3, 50)), FS, cutoff)
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = Path(kin.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import vackit.cli, sys; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
 
 class TestDifferentiate:
     def test_linear_ramp_exact(self):
@@ -480,10 +587,12 @@ class TestAnalyzeTrials:
         assert not by_id["b"].valid
         assert by_id["b"].rejection_reason == "no target"
 
-    def test_batch_equals_per_trial_outcomes(self):
+    def test_batch_equals_per_trial_outcomes(self, monkeypatch):
         # mixed lengths, two sample rates, shifted t grids, slow and
         # false-start trials, trials without a target, and one group
-        # large enough to span more than one block
+        # large enough to span more than one block (shrunk to 64 trials
+        # to keep the batch small)
+        monkeypatch.setattr(kin, "BLOCK_TRIALS", 64)
         rng = np.random.default_rng(7)
         trajectories, targets = [], {}
         for i in range(2 * kin.BLOCK_TRIALS):
@@ -504,6 +613,13 @@ class TestAnalyzeTrials:
                 key = (traj.sample_rate, traj.t.tobytes())
                 groups[key] = groups.get(key, 0) + 1
         assert len(groups) > 3 and max(groups.values()) > kin.BLOCK_TRIALS
+        # shifted grids share a filter block with unshifted ones
+        grids_per_block: dict[tuple[float, int], set] = {}
+        for traj in trajectories:
+            if traj.trial_id in targets:
+                grids_per_block.setdefault(
+                    (traj.sample_rate, len(traj.t)), set()).add(traj.t.tobytes())
+        assert max(map(len, grids_per_block.values())) > 1
 
         analyzed = analyze_trials(trajectories[::-1], targets, EYES, POSE)
         assert [a.outcome.trial_id for a in analyzed] == \
@@ -519,6 +635,36 @@ class TestAnalyzeTrials:
             assert item.outcome == trial_outcome(traj, target, trial_eyes, POSE)
         reasons = {a.outcome.rejection_reason for a in analyzed}
         assert reasons == {None, "slow", "false start", "no target"}
+
+    def test_offset_grids_filter_in_one_block(self, monkeypatch):
+        # recorded trials each with their own timestamps but one rate and
+        # length are filtered together, since the filter never reads t
+        calls = []
+        lowpass_block = kin.lowpass_block
+
+        def counting_lowpass_block(samples, *args):
+            calls.append(len(samples))
+            return lowpass_block(samples, *args)
+
+        rng = np.random.default_rng(11)
+        trajectories = []
+        for i in range(20):
+            # an offset and a jitter of up to 0.4% of the period per sample
+            traj = _noisy_trajectory(0.25, 0.4, rng, trial_id=f"tr{i:02d}",
+                                     t0=0.0137 * i)
+            jitter = rng.uniform(-0.004, 0.004, len(traj.t)) / FS
+            trajectories.append(replace(traj, t=traj.t + jitter))
+        targets = {traj.trial_id: TargetSpec(trial_id=traj.trial_id,
+                                             reach_m=0.25)
+                   for traj in trajectories}
+        assert len({traj.t.tobytes() for traj in trajectories}) == 20
+        monkeypatch.setattr(kin, "lowpass_block", counting_lowpass_block)
+        analyzed = analyze_trials(trajectories, targets, EYES, POSE)
+        assert calls == [20]
+        for traj, item in zip(trajectories, analyzed):
+            assert item.outcome.valid
+            assert item.outcome == trial_outcome(traj, targets[traj.trial_id],
+                                                 EYES, POSE)
 
     @pytest.mark.parametrize("column,value", [("t", "inf"), ("x", "nan"),
                                               ("z", "-inf")])

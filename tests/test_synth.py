@@ -34,11 +34,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter, filtfilt
 
+import vackit.kinematics as kin
+import vackit.synth as synth
 from vackit.errors import DomainError
 from vackit.fitting import FitDataset
 from vackit.geometry import EyeGeometry
 from vackit.kinematics import (
-    BLOCK_TRIALS,
     EyePose,
     analyze_trials,
     read_trajectories_csv,
@@ -308,13 +309,17 @@ class TestGenerateTrajectories:
             assert np.array_equal(ta.z, tb.z)
         assert np.any(a[0].z[a[0].t <= 0.2] != 0.0)
 
-    def test_matches_per_trial_generation(self):
-        # reference: each trial's noise drawn and filtered on its own
+    def test_matches_per_trial_generation(self, monkeypatch):
+        # reference: each trial's noise drawn and filtered on its own; the
+        # blocks are shrunk so that 112 trials span more than one.  synth
+        # imports the name, so it is patched there too.
+        monkeypatch.setattr(kin, "BLOCK_TRIALS", 64)
+        monkeypatch.setattr(synth, "BLOCK_TRIALS", 64)
         config = _config(n_participants=4, repetitions=7,
                          trajectory_noise_sd=0.0002, motor_noise_sd=0.002)
         people = generate_participants(config)
         trials = generate_trials(config, people)
-        assert len(trials) > BLOCK_TRIALS
+        assert len(trials) > synth.BLOCK_TRIALS
         got = generate_trajectories(config, trials, people)
         rngs = {p.participant_id: np.random.Generator(
             np.random.Philox(p.trajectory_seed)) for p in people}
