@@ -35,8 +35,6 @@ from .correction import (
 )
 from .errors import DataFormatError, DomainError, FitError
 from .fitting import (
-    DEFAULT_BETA_BOUNDS,
-    DEFAULT_IPD_BOUNDS,
     VARIANTS,
     FitDataset,
     ModelSpec,
@@ -98,22 +96,81 @@ def _reject_unknown(data: dict, known: set[str], context: str) -> None:
         raise DomainError(f"unknown {context} field(s): {', '.join(unknown)}")
 
 
-def _eye_pose_from_dict(data: dict) -> EyePose:
-    _reject_unknown(data, {"behind_m", "above_m", "lateral_m"}, "eye_pose")
-    return EyePose(
-        behind_m=float(data.get("behind_m", 0.30)),
-        above_m=float(data.get("above_m", 0.35)),
-        lateral_m=float(data.get("lateral_m", 0.0)),
-    )
+def _convert(value, conv, context: str, key: str):
+    """conv(value), reporting a value of the wrong type or form as a
+    DomainError that names the field."""
+    try:
+        return conv(value)
+    except DomainError:  # a nested object's error already names its field
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad {context} field {key}: {exc}") from None
 
 
-_SIM_KEYS = {
-    "n_participants", "seed", "condition", "feedback", "ipd_distribution",
-    "repetitions", "ipd_low_mm", "ipd_high_mm", "ipd_mean_mm", "ipd_sd_mm",
-    "beta_deg", "motor_noise_sd_mm", "trajectory_noise_sd_mm",
-    "reach_distances_m", "movement_duration_s", "sample_rate_hz",
-    "rest_padding_s", "feedforward_variance_factor", "response_mixture",
-    "eye_pose", "write_trajectories",
+def _fields(data, table: dict, context: str) -> dict:
+    """A JSON object's fields as {attribute: converted value}, by a table of
+    key -> (attribute, converter); unknown keys are refused.
+
+    Raises:
+        TypeError: If data is not a JSON object.
+    """
+    if not isinstance(data, dict):
+        raise TypeError(f"expected a JSON object, got {data!r}")
+    _reject_unknown(data, set(table), context)
+    return {table[key][0]: _convert(value, table[key][1], context, key)
+            for key, value in data.items()}
+
+
+def _mm(value) -> float:
+    return float(value) / 1000.0
+
+
+def _floats(value) -> tuple[float, ...]:
+    return tuple(float(x) for x in value)
+
+
+def _pair(value) -> tuple[float, float]:
+    lo, hi = _floats(value)
+    return lo, hi
+
+
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
+_EYE_POSE_FIELDS = {key: (key, float)
+                    for key in ("behind_m", "above_m", "lateral_m")}
+
+
+def _eye_pose_from_dict(data) -> EyePose:
+    return EyePose(**_fields(data, _EYE_POSE_FIELDS, "eye_pose"))
+
+
+# simulate config key -> (SimConfig attribute, converter from surface units);
+# write_trajectories is the run's own switch, not a SimConfig field
+_SIM_FIELDS = {
+    "n_participants": ("n_participants", int),
+    "seed": ("seed", int),
+    "condition": ("condition", str),
+    "feedback": ("feedback", str),
+    "ipd_distribution": ("ipd_distribution", str),
+    "repetitions": ("repetitions", int),
+    "ipd_low_mm": ("ipd_low", _mm),
+    "ipd_high_mm": ("ipd_high", _mm),
+    "ipd_mean_mm": ("ipd_mean", _mm),
+    "ipd_sd_mm": ("ipd_sd", _mm),
+    "beta_deg": ("beta", lambda v: math.radians(float(v))),
+    "motor_noise_sd_mm": ("motor_noise_sd", _mm),
+    "trajectory_noise_sd_mm": ("trajectory_noise_sd", _mm),
+    "reach_distances_m": ("reach_distances", _floats),
+    "movement_duration_s": ("movement_duration", float),
+    "sample_rate_hz": ("sample_rate", float),
+    "rest_padding_s": ("rest_padding", float),
+    "feedforward_variance_factor": ("feedforward_variance_factor", float),
+    "response_mixture": ("response_mixture",
+                         lambda v: None if v is None else _floats(v)),
+    "eye_pose": ("eye_pose", _eye_pose_from_dict),
+    "write_trajectories": ("write_trajectories", bool),
 }
 
 
@@ -122,42 +179,11 @@ def _sim_config_from_dict(data: dict) -> tuple[SimConfig, bool]:
 
     Returns the config plus whether trajectories should be written.
     """
-    _reject_unknown(data, _SIM_KEYS, "simulate config")
+    kwargs = _fields(data, _SIM_FIELDS, "simulate config")
+    write_trajectories = kwargs.pop("write_trajectories", True)
     defaults = SimConfig()
-    kwargs: dict = {}
-
-    def take(key: str, attr: str, conv) -> None:
-        if key in data:
-            kwargs[attr] = conv(data[key])
-
-    take("n_participants", "n_participants", int)
-    take("seed", "seed", int)
-    take("condition", "condition", str)
-    take("feedback", "feedback", str)
-    take("ipd_distribution", "ipd_distribution", str)
-    take("repetitions", "repetitions", int)
-    take("ipd_low_mm", "ipd_low", lambda v: float(v) / 1000.0)
-    take("ipd_high_mm", "ipd_high", lambda v: float(v) / 1000.0)
-    take("ipd_mean_mm", "ipd_mean", lambda v: float(v) / 1000.0)
-    take("ipd_sd_mm", "ipd_sd", lambda v: float(v) / 1000.0)
-    take("beta_deg", "beta", lambda v: math.radians(float(v)))
-    take("motor_noise_sd_mm", "motor_noise_sd", lambda v: float(v) / 1000.0)
-    take("trajectory_noise_sd_mm", "trajectory_noise_sd",
-         lambda v: float(v) / 1000.0)
-    take("reach_distances_m", "reach_distances",
-         lambda v: tuple(float(x) for x in v))
-    take("movement_duration_s", "movement_duration", float)
-    take("sample_rate_hz", "sample_rate", float)
-    take("rest_padding_s", "rest_padding", float)
-    take("feedforward_variance_factor", "feedforward_variance_factor", float)
-    if "response_mixture" in data:
-        value = data["response_mixture"]
-        kwargs["response_mixture"] = None if value is None \
-            else tuple(float(x) for x in value)
-    if "eye_pose" in data:
-        kwargs["eye_pose"] = _eye_pose_from_dict(data["eye_pose"])
     config = replace(defaults, **kwargs) if kwargs else defaults
-    return config, bool(data.get("write_trajectories", True))
+    return config, write_trajectories
 
 
 def _default_config_path(explicit: str | None) -> str | None:
@@ -217,38 +243,36 @@ def _parse_axes(text: str) -> list[tuple[str, float]]:
     return axes
 
 
+_TARGET_FIELDS = {
+    "reach_m": ("reach_m", float),
+    "participant_id": ("participant_id", str),
+    "condition": ("condition", str),
+    "x_m": ("x_m", float),
+    "y_m": ("y_m", float),
+    "go_cue_time_s": ("go_cue_time_s", _optional_float),
+    "ipd_m": ("ipd_m", _optional_float),
+}
+
+
 def _targets_from_json(data: dict) -> dict[str, TargetSpec]:
-    known = {"reach_m", "participant_id", "condition", "x_m", "y_m",
-             "go_cue_time_s", "ipd_m"}
     targets = {}
     for trial_id, entry in data.items():
         if not isinstance(entry, dict) or "reach_m" not in entry:
             raise DomainError(f"target entry {trial_id!r} needs a reach_m field")
-        _reject_unknown(entry, known, f"target {trial_id!r}")
         targets[trial_id] = TargetSpec(
             trial_id=trial_id,
-            reach_m=float(entry["reach_m"]),
-            participant_id=str(entry.get("participant_id", "")),
-            condition=str(entry.get("condition", "")),
-            x_m=float(entry.get("x_m", 0.0)),
-            y_m=float(entry.get("y_m", 0.0)),
-            go_cue_time_s=(None if entry.get("go_cue_time_s") is None
-                           else float(entry["go_cue_time_s"])),
-            ipd_m=(None if entry.get("ipd_m") is None
-                   else float(entry["ipd_m"])),
-        )
+            **_fields(entry, _TARGET_FIELDS, f"target {trial_id!r}"))
     return targets
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    pose_data = _load_json(args.eye_pose)
-    _reject_unknown(pose_data, {"behind_m", "above_m", "lateral_m", "ipd_mm"},
-                    "eye-pose")
-    if "ipd_mm" not in pose_data:
+    pose_fields = _fields(_load_json(args.eye_pose),
+                          {**_EYE_POSE_FIELDS, "ipd_mm": ("ipd", _mm)},
+                          "eye-pose")
+    if "ipd" not in pose_fields:
         raise DomainError("eye-pose file needs an ipd_mm field")
-    eyes = EyeGeometry(ipd=float(pose_data["ipd_mm"]) / 1000.0)
-    pose = _eye_pose_from_dict(
-        {k: v for k, v in pose_data.items() if k != "ipd_mm"})
+    eyes = EyeGeometry(ipd=pose_fields.pop("ipd"))
+    pose = EyePose(**pose_fields)
     targets = _targets_from_json(_load_json(args.targets))
     trajectories, rejected = read_trajectories_csv(args.input)
     if args.axes != "x,y,z":
@@ -304,58 +328,48 @@ def _not_converged_note(results: dict, condition: str) -> str:
     return ""
 
 
+# fit config key -> (ModelSpec attribute, converter from surface units)
+_FIT_FIELDS = {
+    "ipd_bounds_mm": ("ipd_bounds", lambda v: tuple(x / 1000.0 for x in _pair(v))),
+    "beta_bounds_deg": ("beta_bounds",
+                        lambda v: tuple(math.radians(x) for x in _pair(v))),
+    "eye_pose": ("eye_pose", _eye_pose_from_dict),
+}
+
+
 def _cmd_fit(args: argparse.Namespace) -> int:
     config_path = _default_config_path(args.config)
     data = _load_json(config_path) if config_path else {}
-    _reject_unknown(data, {"ipd_bounds_mm", "beta_bounds_deg", "eye_pose"},
-                    "fit config")
-    ipd_bounds = DEFAULT_IPD_BOUNDS
-    if "ipd_bounds_mm" in data:
-        lo, hi = (float(v) for v in data["ipd_bounds_mm"])
-        ipd_bounds = (lo / 1000.0, hi / 1000.0)
-    beta_bounds = DEFAULT_BETA_BOUNDS
-    if "beta_bounds_deg" in data:
-        lo, hi = (float(v) for v in data["beta_bounds_deg"])
-        beta_bounds = (math.radians(lo), math.radians(hi))
-    eye_pose = _eye_pose_from_dict(data.get("eye_pose", {}))
+    model = _fields(data, _FIT_FIELDS, "fit config")
     dataset = FitDataset.from_csv(args.input)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
     if args.variant == "both":
         rows, results = compare_models_detailed(
-            dataset, eye_pose, ipd_bounds, beta_bounds,
-            train_fraction=args.split, split_seed=args.seed)
+            dataset, **model, train_fraction=args.split, split_seed=args.seed)
         write_comparison_csv(rows, outdir / "comparison.csv")
         outputs.append("comparison.csv")
-        for (condition, variant), result in sorted(results.items()):
-            name = f"fit_{condition}_{variant}.json"
-            write_fit_json(result, outdir / name)
-            outputs.append(name)
-        _warn_not_converged(results)
-        for row in rows:
-            if row.selected:
-                print(f"condition {row.condition}: selected {row.variant} "
-                      f"(test BIC {row.bic_test:.1f})"
-                      f"{_not_converged_note(results, row.condition)}")
+        summary = {row.condition: f"selected {row.variant} "
+                                  f"(test BIC {row.bic_test:.1f})"
+                   for row in rows if row.selected}
     else:
-        spec = ModelSpec(variant=args.variant, eye_pose=eye_pose,
-                         ipd_bounds=ipd_bounds, beta_bounds=beta_bounds)
-        results = {}
-        for condition in dataset.conditions:
-            subset = dataset.select_condition(condition)
-            result = fit_model(subset, spec, train_fraction=args.split,
-                               split_seed=args.seed)
-            results[(condition, args.variant)] = result
-            name = f"fit_{condition}_{args.variant}.json"
-            write_fit_json(result, outdir / name)
-            outputs.append(name)
-        _warn_not_converged(results)
-        for (condition, _), result in results.items():
-            print(f"condition {condition}: beta = "
-                  f"{math.degrees(result.beta):+.4f} deg "
-                  f"(test r2 {result.test.r2:.3f})"
-                  f"{_not_converged_note(results, condition)}")
+        spec = ModelSpec(variant=args.variant, **model)
+        results = {(condition, args.variant): fit_model(
+            dataset.select_condition(condition), spec,
+            train_fraction=args.split, split_seed=args.seed)
+            for condition in dataset.conditions}
+        summary = {condition: f"beta = {math.degrees(result.beta):+.4f} deg "
+                              f"(test r2 {result.test.r2:.3f})"
+                   for (condition, _), result in results.items()}
+    for (condition, variant), result in sorted(results.items()):
+        name = f"fit_{condition}_{variant}.json"
+        write_fit_json(result, outdir / name)
+        outputs.append(name)
+    _warn_not_converged(results)
+    for condition, text in summary.items():
+        print(f"condition {condition}: {text}"
+              f"{_not_converged_note(results, condition)}")
     _write_manifest(outdir / "manifest.json", "fit", {
         "input": args.input, "config_file": config_path, "config": data,
         "variant": args.variant, "split": args.split, "seed": args.seed,

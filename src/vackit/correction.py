@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backends
 from .errors import DomainError
-from .geometry import EyeGeometry, ScenePoint, shift_distance
+from .geometry import EyeGeometry, ScenePoint, shift_distance, shift_distances
 from .perception import PerturbationParams, predict_endpoint
 
 __all__ = [
@@ -115,22 +114,38 @@ def transform_points(points: np.ndarray, eyes: EyeGeometry,
                      params: PerturbationParams, *, kind: str = "point") -> np.ndarray:
     """Remap an (N, 3) point array, row order preserved.
 
-    Point math runs through the batch kernel backends.remap_points.
+    As transform_point on each row, vectorized: a row's cyclopean
+    distance is remapped and its depth re-solved keeping x and y.  A zero
+    offset copies the input bitwise (after the domain checks) so that a
+    no-op transform cannot drift by rounding.  The input is not modified.
 
     Args:
         kind: Word naming a row in the error message ("point", "vertex").
 
     Raises:
         DomainError: Naming the index and coordinates of the first point
-            that cannot be corrected.
+            that cannot be corrected: behind the viewer, a corrected angle
+            outside (0, pi), or a corrected distance that cannot keep the
+            lateral coordinates.
     """
-    out, first_bad = backends.remap_points(points, eyes.half_ipd,
-                                           params.beta_offset)
-    if first_bad >= 0:
-        x, y, z = points[first_bad]
-        raise DomainError(
-            f"{kind} {first_bad} at ({x}, {y}, {z}) cannot be corrected"
-        )
+    xyz = np.ascontiguousarray(points, dtype=np.float64)
+    beta = float(params.beta_offset)
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    d_tilde, ok = shift_distances(np.sqrt(x * x + y * y + z * z),
+                                  float(eyes.half_ipd), -beta)
+    with np.errstate(invalid="ignore"):
+        radicand = d_tilde * d_tilde - x * x - y * y
+    ok &= (z > 0.0) & (radicand > 0.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        x, y, z = points[i]
+        raise DomainError(f"{kind} {i} at ({x}, {y}, {z}) cannot be corrected")
+    if beta == 0.0:
+        return xyz.copy()
+    out = np.empty_like(xyz)
+    out[:, 0] = x
+    out[:, 1] = y
+    out[:, 2] = np.sqrt(radicand)
     return out
 
 

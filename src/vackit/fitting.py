@@ -188,6 +188,23 @@ class FitDataset:
         return FitDataset(self.participant_id[mask], self.condition[mask],
                           self.target_reach[mask], self.distance_error[mask])
 
+    def _groups(self) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
+        """How rows group into participants and (participant, reach) cells.
+
+        Returns the sorted participant ids, each row's index into them, and
+        the cells' row indices.  Cells are ordered by participant id then
+        reach, and each holds its rows in ascending order.
+        """
+        participants = self.participants
+        code_of = {pid: i for i, pid in enumerate(participants)}
+        codes = np.fromiter(map(code_of.__getitem__, self.participant_id.tolist()),
+                            dtype=np.int64, count=len(self))
+        order = np.lexsort((self.target_reach, codes))
+        code, reach = codes[order], self.target_reach[order]
+        starts = np.flatnonzero((code[1:] != code[:-1])
+                                | (reach[1:] != reach[:-1])) + 1
+        return participants, codes, np.split(order, starts)
+
     def split_indices(self, train_fraction: float = DEFAULT_TRAIN_FRACTION,
                       seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Train/test row indices, stratified by participant and distance.
@@ -199,22 +216,14 @@ class FitDataset:
         if not (0.0 < train_fraction < 1.0):
             raise DomainError(f"train fraction must be in (0, 1), got {train_fraction!r}")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        train: list[int] = []
-        test: list[int] = []
-        cells: dict[tuple[str, float], list[int]] = {}
-        for i in range(len(self)):
-            key = (self.participant_id[i], float(self.target_reach[i]))
-            cells.setdefault(key, []).append(i)
-        for key in sorted(cells):
-            idx = np.array(cells[key], dtype=np.int64)
-            rng.shuffle(idx)
-            n = len(idx)
+        train = np.zeros(len(self), dtype=bool)
+        for cell in self._groups()[2]:
+            rng.shuffle(cell)
+            n = len(cell)
             n_train = int(round(train_fraction * n))
             n_train = min(max(n_train, 1), n - 1) if n >= 2 else n
-            train.extend(idx[:n_train].tolist())
-            test.extend(idx[n_train:].tolist())
-        return (np.array(sorted(train), dtype=np.int64),
-                np.array(sorted(test), dtype=np.int64))
+            train[cell[:n_train]] = True
+        return np.flatnonzero(train), np.flatnonzero(~train)
 
     def take(self, indices: np.ndarray) -> "FitDataset":
         return FitDataset(self.participant_id[indices], self.condition[indices],
@@ -376,9 +385,7 @@ def fit(dataset: FitDataset, spec: ModelSpec,
     distance cannot separate the offset from that participant's
     interpupillary distance.
     """
-    participant_ids, pidx = np.unique(dataset.participant_id,
-                                      return_inverse=True)
-    participants = participant_ids.tolist()
+    participants, pidx, cells = dataset._groups()
     eye_distance = spec.eye_pose.eye_distance(dataset.target_reach)
 
     idx_train, idx_test = dataset.split_indices(train_fraction, split_seed)
@@ -386,9 +393,9 @@ def fit(dataset: FitDataset, spec: ModelSpec,
     pidx_train, pidx_test = pidx[idx_train], pidx[idx_test]
     d_train, d_test = eye_distance[idx_train], eye_distance[idx_test]
 
-    cells = np.unique(np.column_stack((pidx_train, train_ds.target_reach)),
-                      axis=0)
-    n_reaches = np.bincount(cells[:, 0].astype(np.int64),
+    # every cell keeps a training row, so the training rows hold each
+    # participant's cells, one per distinct reach
+    n_reaches = np.bincount(pidx[[cell[0] for cell in cells]],
                             minlength=len(participants))
     for p in np.flatnonzero(n_reaches < 2):
         warnings.warn(

@@ -21,7 +21,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import backends
 from .errors import DataFormatError, DomainError
 from .geometry import EyeGeometry, angle_at
 
@@ -348,18 +347,52 @@ def differentiate(traj: Trajectory) -> VelocitySeries:
                           sample_rate=traj.sample_rate)
 
 
+def _sustained_run_start(flags: np.ndarray, min_run: int, start: int = 0,
+                         accept_tail: bool = False) -> int:
+    """Index of the first run of True lasting at least min_run samples.
+
+    Args:
+        flags: Boolean array to scan.
+        min_run: Required run length in samples.
+        start: First index considered; runs are evaluated from here even if
+            the condition already held earlier.
+        accept_tail: Count a run truncated by the end of the array as
+            sustained (used for movement termination, where the recording
+            simply stops while the hand is at rest).
+
+    Returns:
+        Start index of the run, or -1 if none qualifies.
+    """
+    flags = np.ascontiguousarray(flags, dtype=np.bool_)
+    if min_run < 1:
+        raise ValueError(f"min_run must be >= 1, got {min_run}")
+    n = len(flags)
+    if start >= n:
+        return -1
+    window = flags[start:]
+    if min_run <= len(window):
+        hits = np.lib.stride_tricks.sliding_window_view(window, min_run).all(axis=1)
+        idx = np.flatnonzero(hits)
+        if idx.size:
+            return start + int(idx[0])
+    if accept_tail and window[-1]:
+        tail_len = int(np.argmin(window[::-1])) if not window.all() else len(window)
+        return start + len(window) - tail_len
+    return -1
+
+
 def _segment(vz: np.ndarray, t: np.ndarray, sample_rate: float,
              threshold: float) -> MovementSegment | None:
     min_run = max(1, math.ceil(HYSTERESIS_S * sample_rate))
-    onset = backends.sustained_run_start(vz > threshold, min_run, 0, accept_tail=False)
+    onset = _sustained_run_start(vz > threshold, min_run, 0, accept_tail=False)
     if onset < 0:
         return None
     # peak of the detected movement, not of the whole series: a brief
     # pre-onset glitch taller than the true peak must not drag the
     # termination scan before the onset
     peak = onset + int(np.argmax(vz[onset:]))
-    term = backends.sustained_run_start(vz < threshold, min_run, peak + 1,
-                                        accept_tail=True)
+    term = _sustained_run_start(vz < threshold, min_run, peak + 1,
+                                accept_tail=True)
     if term < 0:
         return None
     return MovementSegment(

@@ -32,13 +32,13 @@ import time
 
 import numpy as np
 
-from vackit import backends
 from vackit.correction import (
     MeshModel,
     predicted_correction_curve,
     remap_depth,
     transform_mesh,
     transform_point,
+    transform_points,
 )
 from vackit.fitting import (
     DEFAULT_BETA_BOUNDS,
@@ -98,7 +98,7 @@ def test_corrected_scene_recovers_true_distances():
 
     1000-point grid (lateral offsets to +-0.3 m, depths 0.2-1.5 m) crossed
     with four offsets and three interpupillary distances.  The remap runs
-    through the array kernel, the perception step through the fitting fast
+    through transform_points, the perception step through the fitting fast
     path, so the two sides of the identity share no code.
     """
     start = time.perf_counter()
@@ -112,9 +112,8 @@ def test_corrected_scene_recovers_true_distances():
         beta = math.radians(beta_deg)
         for ipd_mm in (58, 63, 68):
             ipd = ipd_mm / 1000.0
-            corrected, first_bad = backends.remap_points(points, ipd / 2,
-                                                         beta)
-            assert first_bad == -1
+            corrected = transform_points(points, EyeGeometry(ipd),
+                                         PerturbationParams(beta))
             d_corr = np.linalg.norm(corrected, axis=1)
             perceived = d_corr + fixated_distance_error(d_corr, ipd, beta)
             rel = float(np.max(np.abs(perceived - true_distance)
@@ -373,8 +372,7 @@ def test_zero_offset_identities_and_route_agreement():
     points = np.column_stack([rng.uniform(-0.3, 0.3, 200),
                               rng.uniform(-0.2, 0.2, 200),
                               rng.uniform(0.2, 1.5, 200)])
-    remapped, first_bad = backends.remap_points(points, eyes.half_ipd, 0.0)
-    if first_bad != -1 or not np.array_equal(remapped, points):
+    if not np.array_equal(transform_points(points, eyes, none), points):
         ok = False
     if abs(remap_depth(0.45, eyes, none) - 0.45) >= 1e-12:
         ok = False

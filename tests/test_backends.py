@@ -1,10 +1,10 @@
 """Array-kernel tests.
 
-remap_points must agree with the scalar transform_point to rounding
-(numpy's vectorized libm may round the last bit differently than scalar
-libm), report the first vertex it cannot correct, and copy the input
-bitwise at zero offset; sustained_run_start is pinned on hand-made flag
-arrays.
+correction.transform_points must agree with the scalar transform_point to
+rounding (numpy's vectorized libm may round the last bit differently than
+scalar libm), name the first vertex it cannot correct, leave its input
+untouched, and copy the input bitwise at zero offset;
+kinematics._sustained_run_start is pinned on hand-made flag arrays.
 """
 
 from __future__ import annotations
@@ -14,14 +14,32 @@ import math
 import numpy as np
 import pytest
 
-from vackit.backends import remap_points, sustained_run_start
-from vackit.correction import transform_point
+from vackit.correction import transform_point, transform_points
+from vackit.errors import DomainError
 from vackit.geometry import EyeGeometry, ScenePoint
+from vackit.kinematics import _sustained_run_start as sustained_run_start
 from vackit.perception import PerturbationParams
 
+EYES = EyeGeometry(ipd=0.064)
 
-# The kernels once had a compiled twin; the "numpy" id keeps the test
-# names that the suite's history records.
+
+def remap(xyz: np.ndarray, beta: float) -> np.ndarray:
+    return transform_points(xyz, EYES, PerturbationParams(beta))
+
+
+def first_bad(xyz: np.ndarray, beta: float) -> int:
+    """Index named by the error for the first row that cannot be corrected;
+    the input must come through untouched."""
+    before = xyz.copy()
+    with pytest.raises(DomainError, match=r"cannot be corrected") as info:
+        remap(xyz, beta)
+    assert xyz.tobytes() == before.tobytes()
+    return int(str(info.value).split()[1])
+
+
+# The kernels once had a compiled twin, and a module of their own; the
+# module name and the "numpy" id keep the test names that the suite's
+# history records.
 @pytest.fixture(params=["numpy"])
 def backend(request):
     return request.param
@@ -39,40 +57,39 @@ def _random_cloud(n: int, seed: int) -> np.ndarray:
 class TestRemapPoints:
     def test_matches_scalar_transform(self, backend):
         xyz = _random_cloud(64, seed=1)
+        before = xyz.copy()
         beta = math.radians(0.22)
-        out, bad = remap_points(xyz, 0.032, beta)
-        assert bad == -1
-        eyes = EyeGeometry(ipd=0.064)
+        out = remap(xyz, beta)
+        assert xyz.tobytes() == before.tobytes()
         params = PerturbationParams(beta)
         for src, dst in zip(xyz, out):
-            expected = transform_point(ScenePoint(*src), eyes, params)
+            expected = transform_point(ScenePoint(*src), EYES, params)
             assert dst[0] == src[0] and dst[1] == src[1]
             assert dst[2] == pytest.approx(expected.z, rel=1e-14)
 
     def test_zero_offset_bitwise_copy(self, backend):
         xyz = _random_cloud(64, seed=2)
-        out, bad = remap_points(xyz, 0.032, 0.0)
-        assert bad == -1
+        out = remap(xyz, 0.0)
         assert np.array_equal(out, xyz)
         assert out is not xyz
 
     def test_first_bad_vertex_reported(self, backend):
         xyz = _random_cloud(8, seed=3)
         xyz[5] = [0.3, 0.3, 0.05]  # radicand goes negative under -0.04 rad
-        out, bad = remap_points(xyz, 0.032, -0.04)
-        assert bad == 5
-        assert np.array_equal(out, xyz)
+        assert first_bad(xyz, -0.04) == 5
+        with pytest.raises(DomainError,
+                           match=r"^vertex 5 at \(0\.3, 0\.3, 0\.05\) "):
+            transform_points(xyz, EYES, PerturbationParams(-0.04),
+                             kind="vertex")
 
     def test_behind_viewer_rejected(self, backend):
         xyz = _random_cloud(4, seed=4)
         xyz[2, 2] = -0.4
-        _, bad = remap_points(xyz, 0.032, math.radians(0.22))
-        assert bad == 2
+        assert first_bad(xyz, math.radians(0.22)) == 2
 
     def test_too_distant_rejected(self, backend):
         xyz = np.array([[0.0, 0.0, 2.0]])
-        _, bad = remap_points(xyz, 0.032, 0.04)
-        assert bad == 0
+        assert first_bad(xyz, 0.04) == 0
 
 
 class TestSustainedRunStart:

@@ -21,11 +21,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vackit import __version__, backends, fitting
+from vackit import __version__, fitting
 from vackit.cli import main
-from vackit.correction import MeshModel
+from vackit.correction import MeshModel, transform_points
+from vackit.geometry import EyeGeometry
 from vackit.kinematics import read_trajectories_csv, write_trajectories_csv
 from vackit.meshio import read_obj, read_points_csv, write_obj, write_points_csv
+from vackit.perception import PerturbationParams
 
 PREDICT_ERR_045 = -0.011889582357491643
 
@@ -166,9 +168,8 @@ class TestTransform:
         write_points_csv(points, src)
         assert main(["transform", "--in", str(src), "--out", str(dst),
                      "--beta-deg", "0.22", "--ipd-mm", "63"]) == 0
-        expected, first_bad = backends.remap_points(
-            points, half_ipd=0.0315, beta=math.radians(0.22))
-        assert first_bad == -1
+        expected = transform_points(points, EyeGeometry(ipd=0.063),
+                                    PerturbationParams(math.radians(0.22)))
         np.testing.assert_array_equal(read_points_csv(dst), expected)
 
     def test_literal_half_angle_flag_changes_depths(self, tmp_path):
@@ -642,6 +643,49 @@ class TestFit:
         assert code == 2
         err = capsys.readouterr().err
         assert "outcomes.csv" in err
+
+
+class TestBadFieldValues:
+    """A value of the wrong type in a config, eye-pose or targets file
+    exits 1 with one error line naming the field, not a traceback."""
+
+    @pytest.mark.parametrize("source, payload, key", [
+        ("simulate", {"reach_distances_m": 0.3}, "reach_distances_m"),
+        ("simulate", {"eye_pose": 5}, "eye_pose"),
+        ("simulate", {"eye_pose": {"behind_m": "far"}}, "behind_m"),
+        ("simulate", {"n_participants": "abc"}, "n_participants"),
+        ("simulate", {"response_mixture": 0.5}, "response_mixture"),
+        ("fit", {"ipd_bounds_mm": 5}, "ipd_bounds_mm"),
+        ("fit", {"ipd_bounds_mm": [58]}, "ipd_bounds_mm"),
+        ("fit", {"beta_bounds_deg": ["low", 1]}, "beta_bounds_deg"),
+        ("fit", {"eye_pose": []}, "eye_pose"),
+        ("eye-pose", {"ipd_mm": "wide"}, "ipd_mm"),
+        ("eye-pose", {"ipd_mm": 63, "above_m": None}, "above_m"),
+        ("targets", {"t0": {"reach_m": "far"}}, "reach_m"),
+        ("targets", {"t0": {"reach_m": 0.3, "go_cue_time_s": [0]}},
+         "go_cue_time_s"),
+    ])
+    def test_exits_one_naming_the_field(self, tmp_path, capsys, source,
+                                        payload, key):
+        path = _write_json(tmp_path / "in.json", payload)
+        out = str(tmp_path / "out")
+        if source == "simulate":
+            argv = ["simulate", "--config", path, "--out", out]
+        elif source == "fit":
+            argv = ["fit", "--input", str(tmp_path / "outcomes.csv"),
+                    "--config", path, "--out", out]
+        else:
+            pose = path if source == "eye-pose" \
+                else _eye_pose_file(tmp_path / "pose.json")
+            targets = path if source == "targets" \
+                else _write_json(tmp_path / "targets.json", {})
+            argv = ["analyze", "--input", str(tmp_path / "trajectories.csv"),
+                    "--targets", targets, "--eye-pose", pose, "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vackit: error: bad ") and err.count("\n") == 1
+        assert f" field {key}: " in err
+        assert "Traceback" not in err
 
 
 class TestTopLevel:

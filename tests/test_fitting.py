@@ -20,12 +20,19 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vackit
 from vackit.errors import DataFormatError, DomainError
 from vackit.fitting import (
     COMPARISON_HEADER,
@@ -48,6 +55,8 @@ from vackit.fitting import (
 from vackit.kinematics import EyePose
 from vackit.marquardt import finite_difference_jacobian, levenberg_marquardt
 from vackit.perception import fixated_distance_error
+
+from split_reference import split_indices_rowwise
 
 BETA = math.radians(0.22)
 SIM_IPD_BOUNDS = (0.058, 0.068)
@@ -271,7 +280,40 @@ class TestFromCsv:
             "'valid': '1', 'distance_error_m': None}", 2)
 
 
+# ids whose sort order differs by case, digits and code point, and reaches
+# one ulp apart, so that cell order and cell boundaries are both exercised
+TRICKY_IDS = ("p1", "p10", "p2", "P1", "9", "10", "a", "B", "b", "", " p1",
+              "e", "\u00e9", "\u00df", "\u03a9", "z")
+TRICKY_REACHES = (0.3, 0.30000000000000004, 0.29999999999999993, 0.25, 0.5,
+                  5e-324, 1e300)
+
+
+@st.composite
+def _split_rows(draw):
+    """(participant, reach) rows in any order, in cells of 1 to 3 rows
+    (more where a cell is drawn twice)."""
+    cells = draw(st.lists(st.tuples(st.sampled_from(TRICKY_IDS),
+                                    st.sampled_from(TRICKY_REACHES),
+                                    st.integers(1, 3)),
+                          min_size=1, max_size=12))
+    return draw(st.permutations([(pid, reach) for pid, reach, n in cells
+                                 for _ in range(n)]))
+
+
 class TestSplitIndices:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_split_rows(),
+           fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2 ** 64))
+    def test_matches_rowwise_reference(self, rows, fraction, seed):
+        ds = FitDataset.from_rows([(pid, "original", reach, 0.0)
+                                   for pid, reach in rows])
+        got = ds.split_indices(fraction, seed)
+        want = split_indices_rowwise(ds, fraction, seed)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
     def test_every_cell_in_both_halves(self):
         ds, _ = _synthetic_dataset(n_participants=4, reps=4)
         train, test = ds.split_indices(0.7, seed=0)
@@ -410,6 +452,34 @@ class TestFit:
         ds = FitDataset.from_rows(rows)
         with pytest.warns(IdentifiabilityWarning, match="p0"):
             fit(ds, ModelSpec(ipd_bounds=SIM_IPD_BOUNDS))
+
+    def test_single_row_reaches_do_not_warn(self):
+        # one-row cells all go to training, so two of them separate p0
+        rows = [("p0", "original", 0.25, -0.02), ("p0", "original", 0.30, -0.03)]
+        rows += [("p1", "original", r, -0.02 - 0.01 * i)
+                 for i, r in enumerate(REACHES) for _ in range(8)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IdentifiabilityWarning)
+            fit(FitDataset.from_rows(rows), ModelSpec(ipd_bounds=SIM_IPD_BOUNDS))
+
+    def test_cli_fit_leaves_numpy_ma_unloaded(self, tmp_path):
+        ds, _ = _synthetic_dataset(n_participants=3, reps=4, noise_sd=0.002)
+        lines = ["participant_id,condition,target_reach_m,distance_error_m"]
+        lines += [f"{p},{c},{r!r},{e!r}" for p, c, r, e in zip(
+            ds.participant_id, ds.condition, ds.target_reach.tolist(),
+            ds.distance_error.tolist())]
+        outcomes = tmp_path / "outcomes.csv"
+        outcomes.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(vackit.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+        code = ("import sys; from vackit.cli import main; "
+                f"rc = main(['fit', '--input', {str(outcomes)!r}, "
+                f"'--out', {str(tmp_path / 'fit')!r}]); "
+                "print(rc, 'numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "0 False", out.stderr
 
     def test_diverse_dataset_does_not_warn(self):
         ds, _ = _synthetic_dataset(noise_sd=0.005, seed=8)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vackit import backends, fitting
+from vackit import fitting
 from vackit.correction import remap_depth, transform_point, transform_points
 from vackit.errors import DomainError
 from vackit.geometry import (
@@ -297,10 +297,15 @@ class TestWrapperPins:
            half_ipd=st.floats(0.0005, 0.0495), beta=betas)
     def test_remap_points(self, rows, half_ipd, beta):
         xyz = np.array(rows)
-        got, bad = backends.remap_points(xyz, half_ipd, beta)
+        before = xyz.tobytes()
         want, want_bad = old_remap_points(xyz, half_ipd, beta)
-        assert bad == want_bad
-        assert got.tobytes() == want.tobytes()
+        eyes, params = EyeGeometry(2.0 * half_ipd), PerturbationParams(beta)
+        if want_bad >= 0:
+            with pytest.raises(DomainError, match=rf"^point {want_bad} at "):
+                transform_points(xyz, eyes, params)
+        else:
+            assert transform_points(xyz, eyes, params).tobytes() == want.tobytes()
+        assert xyz.tobytes() == before
 
     @settings(max_examples=200, deadline=None)
     @given(d=st.lists(near_far, min_size=1, max_size=8), ipd=ipds,
