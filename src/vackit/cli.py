@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from .errors import DataFormatError, DomainError, FitError
 from .fitting import (
     VARIANTS,
     FitDataset,
+    IdentifiabilityWarning,
     ModelSpec,
     compare_models_detailed,
     fit as fit_model,
@@ -138,6 +140,19 @@ def _optional_float(value) -> float | None:
     return None if value is None else float(value)
 
 
+def _json_int(value) -> int:
+    """A JSON integer: no fraction to truncate, no true or false."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {json.dumps(value)}")
+    return value
+
+
 _EYE_POSE_FIELDS = {key: (key, float)
                     for key in ("behind_m", "above_m", "lateral_m")}
 
@@ -149,12 +164,12 @@ def _eye_pose_from_dict(data) -> EyePose:
 # simulate config key -> (SimConfig attribute, converter from surface units);
 # write_trajectories is the run's own switch, not a SimConfig field
 _SIM_FIELDS = {
-    "n_participants": ("n_participants", int),
-    "seed": ("seed", int),
+    "n_participants": ("n_participants", _json_int),
+    "seed": ("seed", _json_int),
     "condition": ("condition", str),
     "feedback": ("feedback", str),
     "ipd_distribution": ("ipd_distribution", str),
-    "repetitions": ("repetitions", int),
+    "repetitions": ("repetitions", _json_int),
     "ipd_low_mm": ("ipd_low", _mm),
     "ipd_high_mm": ("ipd_high", _mm),
     "ipd_mean_mm": ("ipd_mean", _mm),
@@ -170,7 +185,7 @@ _SIM_FIELDS = {
     "response_mixture": ("response_mixture",
                          lambda v: None if v is None else _floats(v)),
     "eye_pose": ("eye_pose", _eye_pose_from_dict),
-    "write_trajectories": ("write_trajectories", bool),
+    "write_trajectories": ("write_trajectories", _json_bool),
 }
 
 
@@ -319,6 +334,20 @@ def _warn_not_converged(results: dict) -> None:
                   f"{result.n_iter} iterations)", file=sys.stderr)
 
 
+def _identifiability_notes(condition: str, caught: list) -> list[str]:
+    """One stderr line per participant of a condition that a fit warned
+    about (both variants warn alike); other warnings are issued again."""
+    notes = []
+    for item in caught:
+        if issubclass(item.category, IdentifiabilityWarning):
+            notes.append(f"vackit: warning: condition {condition}: "
+                         f"{item.message}")
+        else:
+            warnings.warn_explicit(item.message, item.category,
+                                   item.filename, item.lineno)
+    return list(dict.fromkeys(notes))
+
+
 def _not_converged_note(results: dict, condition: str) -> str:
     """Suffix of a condition's stdout line when any of its fits did not
     converge."""
@@ -345,20 +374,31 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
+    rows: list = []
+    results: dict = {}
+    notes: list[str] = []
+    for condition in dataset.conditions:
+        subset = dataset.select_condition(condition)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", IdentifiabilityWarning)
+            if args.variant == "both":
+                condition_rows, fits = compare_models_detailed(
+                    subset, **model, train_fraction=args.split,
+                    split_seed=args.seed)
+                rows += condition_rows
+            else:
+                fits = {(condition, args.variant): fit_model(
+                    subset, ModelSpec(variant=args.variant, **model),
+                    train_fraction=args.split, split_seed=args.seed)}
+        results.update(fits)
+        notes += _identifiability_notes(condition, caught)
     if args.variant == "both":
-        rows, results = compare_models_detailed(
-            dataset, **model, train_fraction=args.split, split_seed=args.seed)
         write_comparison_csv(rows, outdir / "comparison.csv")
         outputs.append("comparison.csv")
         summary = {row.condition: f"selected {row.variant} "
                                   f"(test BIC {row.bic_test:.1f})"
                    for row in rows if row.selected}
     else:
-        spec = ModelSpec(variant=args.variant, **model)
-        results = {(condition, args.variant): fit_model(
-            dataset.select_condition(condition), spec,
-            train_fraction=args.split, split_seed=args.seed)
-            for condition in dataset.conditions}
         summary = {condition: f"beta = {math.degrees(result.beta):+.4f} deg "
                               f"(test r2 {result.test.r2:.3f})"
                    for (condition, _), result in results.items()}
@@ -366,6 +406,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         name = f"fit_{condition}_{variant}.json"
         write_fit_json(result, outdir / name)
         outputs.append(name)
+    for note in notes:
+        print(note, file=sys.stderr)
     _warn_not_converged(results)
     for condition, text in summary.items():
         print(f"condition {condition}: {text}"

@@ -185,6 +185,8 @@ class FitDataset:
         mask = self.condition == condition
         if not np.any(mask):
             raise DomainError(f"no rows for condition {condition!r}")
+        if mask.all():
+            return self  # one condition already: a copy would only double the rows
         return FitDataset(self.participant_id[mask], self.condition[mask],
                           self.target_reach[mask], self.distance_error[mask])
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DataFormatError, DomainError
 from .geometry import EyeGeometry, angle_at
+from .meshio import _read_columns
 
 __all__ = [
     "Trajectory",
@@ -566,6 +567,13 @@ def read_trajectories_csv(
     invalid outcomes (reason "missing data") instead of aborting the
     batch; malformed rows or non-increasing timestamps are file errors.
 
+    The numeric columns are parsed in C into one (4, rows) array, and each
+    trial's t, x, y and z are views into it, so memory is O(samples) in
+    float64 with no Python object per sample.  A file the column parser
+    cannot promise the row loop's result for (quoted ids, blank or
+    malformed rows, a trial's rows not contiguous, ...) is read row by row
+    instead, with the same trials, order and errors.
+
     Returns:
         (trajectories, rejected), each sorted by trial_id.
 
@@ -574,6 +582,40 @@ def read_trajectories_csv(
             timestamps that do not strictly increase within a trial.
     """
     path = Path(path)
+    runs: list[list] = []
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        columns = _read_columns(fh, ",".join(TRAJECTORY_HEADER), (1, 2, 3, 4),
+                                runs)
+    if columns is None:
+        trials = _read_trajectory_rows(path)
+    else:
+        ends = np.cumsum([count for _, count in runs]).tolist()
+        trials = ((trial_id, columns[:, end - count:end])
+                  for (trial_id, count), end in zip(runs, ends))
+    trajectories: list[Trajectory] = []
+    rejected: list[TrialOutcome] = []
+    for trial_id, (t, x, y, z) in trials:
+        dt = np.diff(t)
+        # a single sample or a non-finite timestamp leaves no period to
+        # check here; Trajectory rejects such a trial as missing data
+        well_timed = len(dt) > 0 and bool(np.isfinite(t).all())
+        if well_timed and np.any(dt <= 0):
+            raise DataFormatError(f"trial {trial_id}: timestamps must strictly "
+                                  f"increase", str(path))
+        rate = 1.0 / float(np.median(dt)) if well_timed else math.nan
+        try:
+            trajectories.append(Trajectory(trial_id=trial_id, sample_rate=rate,
+                                           t=t, x=x, y=y, z=z))
+        except DomainError:
+            rejected.append(TrialOutcome(trial_id=trial_id, valid=False,
+                                         rejection_reason="missing data"))
+    return (sorted(trajectories, key=lambda tr: tr.trial_id),
+            sorted(rejected, key=lambda out: out.trial_id))
+
+
+def _read_trajectory_rows(path: Path) -> Iterable[tuple[str, np.ndarray]]:
+    """Each trial's (trial_id, (4, n) samples), in first-appearance order,
+    by a csv.reader row loop with one float() per field."""
     groups: dict[str, list[tuple[float, float, float, float]]] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -592,28 +634,8 @@ def read_trajectories_csv(
             except (ValueError, IndexError):
                 raise DataFormatError(f"bad sample row {row!r}", str(path),
                                       line_no) from None
-    trajectories: list[Trajectory] = []
-    rejected: list[TrialOutcome] = []
-    for trial_id, samples in groups.items():
-        arr = np.asarray(samples, dtype=np.float64)
-        dt = np.diff(arr[:, 0])
-        # a single sample or a non-finite timestamp leaves no period to
-        # check here; Trajectory rejects such a trial as missing data
-        well_timed = len(dt) > 0 and bool(np.isfinite(arr[:, 0]).all())
-        if well_timed and np.any(dt <= 0):
-            raise DataFormatError(f"trial {trial_id}: timestamps must strictly "
-                                  f"increase", str(path))
-        rate = 1.0 / float(np.median(dt)) if well_timed else math.nan
-        try:
-            trajectories.append(Trajectory(
-                trial_id=trial_id, sample_rate=rate,
-                t=arr[:, 0], x=arr[:, 1], y=arr[:, 2], z=arr[:, 3],
-            ))
-        except DomainError:
-            rejected.append(TrialOutcome(trial_id=trial_id, valid=False,
-                                         rejection_reason="missing data"))
-    return (sorted(trajectories, key=lambda tr: tr.trial_id),
-            sorted(rejected, key=lambda out: out.trial_id))
+    return ((trial_id, np.asarray(samples, dtype=np.float64).T)
+            for trial_id, samples in groups.items())
 
 
 def _csv_field(value: str) -> str:

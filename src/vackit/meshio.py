@@ -1,16 +1,19 @@
 """Mesh and point-cloud file I/O: ASCII OBJ and xyz CSV.
 
-Readers stream the file line by line into flat ``array`` buffers and turn
-them into numpy arrays once; writers format ``_CHUNK_ROWS`` rows per
-``%`` operation.  Memory stays O(vertices + faces) in arrays, with no
-Python object per record.
+The OBJ reader collects records into flat ``array`` buffers and turns them
+into numpy arrays once.  The points reader, and the trajectory reader in
+``kinematics``, parse their numeric columns in C with ``np.loadtxt`` a
+bounded chunk of lines at a time (``_read_columns``), and rerun a
+``csv.reader`` row loop whenever that might not give the row loop's
+result.  Writers format ``_CHUNK_ROWS`` rows per ``%`` operation.  Memory
+stays O(vertices + faces) in arrays, with no Python object per record.
 """
 
 from __future__ import annotations
 
 import csv
 from array import array
-from itertools import islice
+from itertools import groupby, islice
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,69 @@ _CHUNK_ROWS = 4096
 
 # A UTF-8 byte-order mark, if present, is not part of the first record.
 _ENCODING = "utf-8-sig"
+
+# Size hint, in characters, of the lines _read_columns hands np.loadtxt at once.
+_COLUMN_CHUNK = 1 << 20
+# Characters that send _read_columns to the row loop: a quote (csv fields),
+# NUL (csv refuses it before Python 3.11), and the ASCII separators U+001C
+# to U+001F, which np.loadtxt strips from a number as space and float()
+# does not.
+_ROW_LOOP_ONLY = '"\0\x1c\x1d\x1e\x1f'
+
+
+def _read_columns(fh, header: str, usecols: tuple[int, ...], runs: list | None = None
+                  ) -> np.ndarray | None:
+    """The numeric columns of a plain CSV, parsed in C, or None.
+
+    fh is a text file opened with ``newline=""`` at its start.  Returns a
+    C-contiguous float64 array of shape (len(usecols), rows), one column
+    per row of the file after the header.  When runs is a list, each row's
+    first field (its id) is folded into it as [id, run length] pairs in
+    file order.
+
+    Returns None whenever the array might differ from what a csv.reader
+    loop with float() per field would give: a first line other than header
+    plus a line end, a character of _ROW_LOOP_ONLY, a lone CR, a line
+    longer than csv's field limit, a field np.loadtxt cannot parse,
+    undecodable bytes, or no rows; with runs, also a row without a comma
+    (a blank row included) or an id that comes back after another.  The
+    caller then reruns its row loop, which alone words errors and numbers
+    lines.
+    """
+    if fh.readline() not in (header + "\r\n", header + "\n"):
+        return None
+    limit = csv.field_size_limit()
+    chunks = []
+    seen = set()
+    try:
+        while lines := fh.readlines(_COLUMN_CHUNK):
+            text = "".join(lines)
+            if (any(c in text for c in _ROW_LOOP_ONLY)
+                    or text.count("\r") != text.count("\r\n")
+                    or max(map(len, lines)) > limit):
+                return None
+            if runs is not None:
+                ids = [line[:line.index(",")] for line in lines]
+                for key, group in groupby(ids):
+                    count = len(list(group))
+                    if runs and runs[-1][0] == key:
+                        runs[-1][1] += count
+                    elif key in seen:
+                        return None
+                    else:
+                        seen.add(key)
+                        runs.append([key, count])
+            elif not text.strip("\r\n"):
+                continue  # blank rows only, which the row loop skips too
+            chunks.append(np.loadtxt(lines, delimiter=",", usecols=usecols,
+                                     ndmin=2, comments=None, unpack=True))
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    n_rows = sum(chunk.shape[1] for chunk in chunks)
+    if not n_rows:
+        return None
+    return np.concatenate(chunks, axis=1,
+                          out=np.empty((len(usecols), n_rows)))
 
 
 def _face_ref(token: str) -> int:
@@ -152,8 +218,21 @@ def write_obj(mesh: MeshModel, path: str | Path) -> None:
 
 
 def read_points_csv(path: str | Path) -> np.ndarray:
-    """Read an (N, 3) point array from a CSV with header x,y,z (meters)."""
+    """Read an (N, 3) point array from a CSV with header x,y,z (meters).
+
+    The array is the transpose of (3, N) columns parsed in C; a file the
+    column parser cannot promise the row loop's result for (quoted fields,
+    a header spelled otherwise, a malformed row, ...) is read row by row
+    instead, with the same values and errors.
+    """
     path = Path(path)
+    with path.open("r", encoding=_ENCODING, newline="") as fh:
+        columns = _read_columns(fh, "x,y,z", (0, 1, 2))
+    return _read_point_rows(path) if columns is None else columns.T
+
+
+def _read_point_rows(path: Path) -> np.ndarray:
+    """read_points_csv by a csv.reader row loop, one float() per field."""
     coords = array("d")
     with path.open("r", encoding=_ENCODING, newline="") as fh:
         reader = csv.reader(fh)

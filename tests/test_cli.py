@@ -12,8 +12,10 @@ at 0.438110417642508 m, an error of -11.8896 mm.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -57,8 +59,6 @@ def _eye_pose_file(path: Path) -> str:
 
 
 def _read_csv_rows(path: Path) -> list[list[str]]:
-    import csv
-
     with path.open("r", encoding="utf-8", newline="") as fh:
         return [row for row in csv.reader(fh) if row]
 
@@ -592,6 +592,42 @@ class TestFit:
         assert (payload["converged"], payload["stop_reason"],
                 payload["n_iter"]) == (False, "max_iter", 1)
 
+    @pytest.mark.parametrize("variant", ["both", "with-offset"])
+    def test_identifiability_warning_is_one_line(self, outcomes, tmp_path,
+                                                 capsys, variant):
+        # p00 keeps one reach distance, so both variants warn about it
+        header, *rows = _read_csv_rows(outcomes)
+        pid, reach = header.index("participant_id"), header.index("target_reach_m")
+        kept = [row for row in rows
+                if row[pid] != "p00" or float(row[reach]) == 0.30]
+        single = tmp_path / "outcomes.csv"
+        with single.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([header] + kept)
+        code = main(["fit", "--input", str(single), "--variant", variant,
+                     "--config", self._fit_config(tmp_path / "fit.json"),
+                     "--out", str(tmp_path / "fits")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "vackit: warning: condition original: participant 'p00' has "
+            "fewer than two distinct reach distances in the training rows; "
+            "the offset and that participant's interpupillary distance are "
+            "not separable"]
+        assert "fitting.py" not in err
+
+    def test_other_warnings_pass_through(self, outcomes, tmp_path,
+                                         monkeypatch):
+        real_fit = fitting.fit
+
+        def noisy_fit(*args, **kwargs):
+            warnings.warn("solver note", RuntimeWarning)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "fit", noisy_fit)
+        with pytest.warns(RuntimeWarning, match="solver note"):
+            assert main(["fit", "--input", str(outcomes),
+                         "--out", str(tmp_path / "fits")]) == 0
+
     def test_config_via_environment(self, outcomes, tmp_path, monkeypatch):
         cfg = self._fit_config(tmp_path / "fit.json")
         monkeypatch.setenv("VACKIT_CONFIG", cfg)
@@ -664,6 +700,16 @@ class TestBadFieldValues:
         ("targets", {"t0": {"reach_m": "far"}}, "reach_m"),
         ("targets", {"t0": {"reach_m": 0.3, "go_cue_time_s": [0]}},
          "go_cue_time_s"),
+        # counts are JSON integers and switches JSON booleans: nothing is
+        # truncated or read by truthiness
+        ("simulate", {"n_participants": 2.9}, "n_participants"),
+        ("simulate", {"n_participants": True}, "n_participants"),
+        ("simulate", {"repetitions": True}, "repetitions"),
+        ("simulate", {"repetitions": 2.0}, "repetitions"),
+        ("simulate", {"seed": False}, "seed"),
+        ("simulate", {"seed": "7"}, "seed"),
+        ("simulate", {"write_trajectories": "false"}, "write_trajectories"),
+        ("simulate", {"write_trajectories": 0}, "write_trajectories"),
     ])
     def test_exits_one_naming_the_field(self, tmp_path, capsys, source,
                                         payload, key):

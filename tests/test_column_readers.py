@@ -1,0 +1,280 @@
+"""The columnar CSV readers against their row loops.
+
+``read_trajectories_csv`` and ``read_points_csv`` parse their numeric
+columns in C (``meshio._read_columns``) and rerun a ``csv.reader`` row loop
+whenever that might not give the loop's result.  Whatever the input, each
+reader must return exactly what its row loop alone returns: the same ids,
+order, sample rates, rejections and array bits, or the same error with
+the same message and line.  The fast path must also really run on the
+files the package writes.
+"""
+
+from __future__ import annotations
+
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import vackit.kinematics as kin
+import vackit.meshio as meshio
+from vackit.kinematics import read_trajectories_csv
+from vackit.meshio import read_points_csv, write_points_csv
+from vackit.synth import (
+    SimConfig,
+    generate_participants,
+    generate_trajectories,
+    generate_trials,
+    write_dataset,
+)
+
+PROPERTY_SETTINGS = settings(
+    max_examples=250, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# Float spellings where float() and a C parser could part ways: underscores,
+# padding, special values, overflow, hex, comment marks, non-ASCII digits
+# and spaces, control characters, an empty field.
+SPELLINGS = ["1_0", " 1.5 ", "nan", "-nan", "NaN", "-Infinity", "inf", "1e400",
+             "-1e400", "1e-400", "5e-324", "0x1p3", "#1", "\u0661", "\uff11.5",
+             "", " ", "-0.0", "+.5", "1.", ".", "1e", "\t2\x0c", "3\u2028",
+             "4\x85", "\u00a05", "6\x1c", "\x1d7", "8\x1e", "9\x1f", "1\x00",
+             "true", "1,5"]
+# Ids csv.writer writes as they are, and ids it quotes (comma, quote,
+# line break) or the fast path leaves to the row loop (NUL).
+PLAIN_IDS = ["a", "b", "p0-t1", "", " lead", "\u00fc"]
+IDS = ["a,b", 'say "hi"', "two\nlines", "c\r", "nul\x00"]
+CHUNKS = [1, 60, 1 << 20]      # characters per chunk: one line, a few, all
+
+
+def _field(text: str) -> str:
+    """text as csv.writer writes it: quoted only when it must be."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def _edited(draw, rows: list[list[str]], first: int) -> list[list[str]]:
+    """rows with a few edits: odd spellings, blank, short, long or quoted
+    rows, and swapped rows (interleaved ids, non-increasing timestamps)."""
+    rows = [list(row) for row in rows]
+    edits = draw(st.lists(st.sampled_from(
+        ["spelling", "spelling", "blank", "short", "extra", "quote", "swap"]),
+        max_size=2))
+    for edit in edits:
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        if len(rows[i]) <= first:
+            continue
+        k = draw(st.integers(first, len(rows[i]) - 1))
+        if edit == "spelling":
+            rows[i][k] = draw(st.sampled_from(SPELLINGS))
+        elif edit == "blank":
+            rows.insert(i, [])
+        elif edit == "short":
+            rows[i] = rows[i][:k]
+        elif edit == "extra":
+            rows[i] += draw(st.sampled_from([[""], ["9"], ["x", '"q,r"']]))
+        elif edit == "quote":
+            rows[i][k] = '"' + rows[i][k] + '"'
+        else:
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+def _rarely(draw) -> bool:
+    """True one time in five: each hazard alone would send most files to
+    the row loop, and the fast path needs examples too."""
+    return draw(st.sampled_from([False] * 4 + [True]))
+
+
+@st.composite
+def _csv_bytes(draw, header: str, headers: list[str], rows: list[list[str]]
+               ) -> bytes:
+    """The file's bytes: a header, the rows, LF or CRLF line ends and
+    rarely a lone CR, a BOM, an unterminated last line or an undecodable
+    byte."""
+    lines = [draw(st.sampled_from(headers)) if _rarely(draw) else header]
+    lines += [",".join(row) for row in rows]
+    endings = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+    if _rarely(draw):
+        i = draw(st.integers(0, len(lines) - 1))
+        endings[i] = draw(st.sampled_from(["\n", "\r\n", "\r", "\r\r\n"]))
+    if draw(st.booleans()):
+        endings[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if _rarely(draw):
+        text = "\ufeff" + text
+    data = text.encode("utf-8")
+    if _rarely(draw):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+@st.composite
+def trajectory_files(draw) -> bytes:
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        trial_id = _field(draw(st.sampled_from(IDS)) if _rarely(draw)
+                          else draw(st.sampled_from(PLAIN_IDS)))
+        n = draw(st.sampled_from([1, 2, kin.MIN_SAMPLES, kin.MIN_SAMPLES + 2]))
+        t0 = draw(st.sampled_from([0.0, 0.5, 1e3]))
+        rate = draw(st.sampled_from([250.0, 100.0]))
+        x = repr(draw(st.floats(-1.0, 1.0)))
+        rows += [[trial_id, repr(t0 + i / rate), x, "0.0", repr(1e-3 * i)]
+                 for i in range(n)]
+    return draw(_csv_bytes(
+        "trial_id,t,x,y,z",
+        ["trial_id, t,x,y,z", "trial_id,t,x,y,z,w", "id,t,x,y,z",
+         '"trial_id",t,x,y,z', "trial_id,t,x,y", ""],
+        draw(_edited(rows, 1))))
+
+
+@st.composite
+def points_files(draw) -> bytes:
+    rows = [[repr(draw(st.floats())) for _ in range(3)]
+            for _ in range(draw(st.integers(0, 6)))]
+    return draw(_csv_bytes(
+        "x,y,z", ["X, Y ,Z", "x,y,z,w", "x,y,z ", "x,y", "a,b,c", '"x",y,z', ""],
+        draw(_edited(rows, 0))))
+
+
+def _trajectory_result(path):
+    """read_trajectories_csv's result or error, compared bit for bit."""
+    try:
+        trajectories, rejected = read_trajectories_csv(path)
+    except Exception as exc:  # noqa: BLE001 - the error is the result
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return ([(tr.trial_id, tr.sample_rate.hex(),
+              *(getattr(tr, axis).tobytes() for axis in "txyz"))
+             for tr in trajectories], rejected)
+
+
+def _points_result(path):
+    try:
+        points = read_points_csv(path)
+    except Exception as exc:  # noqa: BLE001 - the error is the result
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return points.shape, points.dtype, np.ascontiguousarray(points).tobytes()
+
+
+def _row_loop_only(module):
+    """Patch the fast path away, leaving the reader's row loop."""
+    return mock.patch.object(module, "_read_columns", return_value=None)
+
+
+def _both(result, module, path, chunk=1 << 20):
+    """result(path) as the reader gives it, with chunk characters per
+    np.loadtxt call and any warning raised, and by the row loop alone."""
+    with mock.patch.object(meshio, "_COLUMN_CHUNK", chunk), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = result(path)
+    with _row_loop_only(module):
+        return got, result(path)
+
+
+class TestFastPathMatchesRowLoop:
+    @PROPERTY_SETTINGS
+    @given(data=trajectory_files(), chunk=st.sampled_from(CHUNKS))
+    def test_trajectories(self, tmp_path, data, chunk):
+        path = tmp_path / "trajectories.csv"
+        path.write_bytes(data)
+        got, want = _both(_trajectory_result, kin, path, chunk)
+        assert got == want
+
+    @PROPERTY_SETTINGS
+    @given(data=points_files(), chunk=st.sampled_from(CHUNKS))
+    def test_points(self, tmp_path, data, chunk):
+        path = tmp_path / "points.csv"
+        path.write_bytes(data)
+        got, want = _both(_points_result, meshio, path, chunk)
+        assert got == want
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_spellings(self, tmp_path, spelling):
+        """Each spelling in every numeric column of both files."""
+        rows = [["a", repr(i / 250.0), "0.0", "0.0", repr(i / 1e3)]
+                for i in range(kin.MIN_SAMPLES + 5)]
+        for k in range(1, 5):
+            rows[2 * k][k] = spelling
+        path = tmp_path / "trajectories.csv"
+        lines = ["trial_id,t,x,y,z"] + [",".join(row) for row in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+        got, want = _both(_trajectory_result, kin, path)
+        assert got == want
+        path = tmp_path / "points.csv"
+        path.write_text(f"x,y,z\n{spelling},0,1\n0,{spelling},1\n"
+                        f"0,0,{spelling}\n", encoding="utf-8", newline="")
+        got, want = _both(_points_result, meshio, path)
+        assert got == want
+
+    @pytest.mark.parametrize("text", [
+        "trial_id,t,x,y,z\na,0,0,0,0\nb,0,0,0,0\na,0.004,0,0,0\n",
+        'trial_id,t,x,y,z\n"a,b",0,0,0,0\n"a,b",0.004,0,0,0\n',
+        "trial_id,t,x,y,z\na,0,0,0,0\n\na,0.004,0,0,0\n",
+        "trial_id,t,x,y,z\na,0,0,0,0\na,0,0,0,0\n",
+        "trial_id,t,x,y,z\na,0,0,0,0\na,0.004,0,0\n",
+        "trial_id,t,x,y,z\n" + "a" * 140_000 + ",0,0,0,0\n",
+    ], ids=["interleaved", "quoted-comma", "blank-row", "non-increasing",
+            "short-row", "over-field-limit"])
+    def test_trajectory_examples(self, tmp_path, text):
+        """Files the fast path must leave to the row loop, errors included."""
+        path = tmp_path / "trajectories.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got, want = _both(_trajectory_result, kin, path)
+        assert got == want
+
+
+def _simulated(tmp_path):
+    config = SimConfig(n_participants=2, repetitions=2, seed=3)
+    participants = generate_participants(config)
+    trials = generate_trials(config, participants)
+    trajectories = generate_trajectories(config, trials, participants)
+    write_dataset(tmp_path, config, participants, trials, trajectories)
+    return tmp_path / "trajectories.csv"
+
+
+class TestFastPathRuns:
+    """A helper that always fell back would pass every comparison above;
+    these count the row loop's calls on files the package writes."""
+
+    @pytest.mark.parametrize("chunk", [4096, 1 << 20])
+    def test_simulate_output_takes_the_fast_path(self, tmp_path, monkeypatch,
+                                                 chunk):
+        path = _simulated(tmp_path)
+        with _row_loop_only(kin):
+            want = _trajectory_result(path)
+        calls = []
+        row_loop = kin._read_trajectory_rows
+        monkeypatch.setattr(kin, "_read_trajectory_rows",
+                            lambda p: calls.append(p) or row_loop(p))
+        monkeypatch.setattr(meshio, "_COLUMN_CHUNK", chunk)
+        assert _trajectory_result(path) == want
+        assert calls == []
+        # every trial's samples are views into one column array
+        trajectories, _ = read_trajectories_csv(path)
+        assert len(trajectories) == 2 * 4 * 2
+        columns = trajectories[0].t.base
+        assert columns is not None
+        assert all(getattr(tr, axis).base is columns
+                   for tr in trajectories for axis in "txyz")
+
+    def test_points_writer_output_takes_the_fast_path(self, tmp_path,
+                                                      monkeypatch):
+        points = np.random.default_rng(4).uniform(-1.0, 1.0, (500, 3))
+        write_points_csv(points, tmp_path / "points.csv")
+        calls = []
+        row_loop = meshio._read_point_rows
+        monkeypatch.setattr(meshio, "_read_point_rows",
+                            lambda p: calls.append(p) or row_loop(p))
+        got = read_points_csv(tmp_path / "points.csv")
+        assert calls == []
+        assert np.array_equal(got.view(np.int64), points.view(np.int64))

@@ -109,6 +109,7 @@ class TestFitDataset:
                                    ("p0", "transformed", 0.25, 0.001)])
         sub = ds.select_condition("transformed")
         assert len(sub) == 1
+        assert sub.select_condition("transformed") is sub
         with pytest.raises(DomainError):
             ds.select_condition("nope")
 
