@@ -25,17 +25,15 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .correction import (
     predicted_correction_curve,
     transform_mesh,
-    transform_point,
     transform_points,
 )
 from .errors import DataFormatError, DomainError, FitError
 from .fitting import (
+    DEFAULT_TRAIN_FRACTION,
     VARIANTS,
     FitDataset,
     IdentifiabilityWarning,
@@ -45,8 +43,10 @@ from .fitting import (
     write_comparison_csv,
     write_fit_json,
 )
-from .geometry import EyeGeometry, ScenePoint
+from .geometry import EyeGeometry
 from .kinematics import (
+    DEFAULT_CUTOFF_HZ,
+    DEFAULT_THRESHOLD,
     EyePose,
     TargetSpec,
     analyze_trials,
@@ -425,22 +425,16 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     params = PerturbationParams(beta_offset=math.radians(args.beta_deg))
     in_path = Path(args.input)
     out_path = Path(args.out)
+    literal = args.compat_literal_half_angle
     suffix = in_path.suffix.lower()
     if suffix == ".obj":
-        mesh = read_obj(in_path)
-        if args.compat_literal_half_angle:
-            mesh = replace(mesh, vertices=_transform_literal(
-                mesh.vertices, eyes, params, "vertex"))
-        else:
-            mesh = transform_mesh(mesh, eyes, params)
+        mesh = transform_mesh(read_obj(in_path), eyes, params,
+                              literal_half_angle=literal)
         write_obj(mesh, out_path)
         n = len(mesh.vertices)
     elif suffix == ".csv":
-        points = read_points_csv(in_path)
-        if args.compat_literal_half_angle:
-            out = _transform_literal(points, eyes, params, "point")
-        else:
-            out = transform_points(points, eyes, params)
+        out = transform_points(read_points_csv(in_path), eyes, params,
+                               literal_half_angle=literal)
         write_points_csv(out, out_path)
         n = len(out)
     else:
@@ -454,27 +448,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     }, [out_path.name])
     print(f"transformed {n} points -> {out_path}")
     return 0
-
-
-def _transform_literal(points: np.ndarray, eyes: EyeGeometry,
-                       params: PerturbationParams, kind: str) -> np.ndarray:
-    """transform_point with literal_half_angle on every row.
-
-    Raises:
-        DomainError: Naming the kind, index and coordinates of the first
-            row that cannot be corrected, as transform_points does.
-    """
-    out = []
-    for i, (x, y, z) in enumerate(points):
-        try:
-            point = transform_point(ScenePoint(float(x), float(y), float(z)),
-                                    eyes, params, literal_half_angle=True)
-        except DomainError:
-            raise DomainError(
-                f"{kind} {i} at ({x}, {y}, {z}) cannot be corrected"
-            ) from None
-        out.append((point.x, point.y, point.z))
-    return np.array(out)
 
 
 def _parse_distances(text: str) -> list[float]:
@@ -528,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True, help="per-trial target JSON")
     p.add_argument("--eye-pose", required=True,
                    help="eye pose + ipd_mm JSON")
-    p.add_argument("--cutoff-hz", type=float, default=10.0)
-    p.add_argument("--threshold-mmps", type=float, default=50.0)
+    p.add_argument("--cutoff-hz", type=float, default=DEFAULT_CUTOFF_HZ)
+    p.add_argument("--threshold-mmps", type=float,
+                   default=DEFAULT_THRESHOLD * 1000.0)
     p.add_argument("--axes", default="x,y,z",
                    help="axis map for foreign data, e.g. x,-z,y")
     p.add_argument("--out", required=True, help="output directory")
@@ -538,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit offset models to outcome data")
     p.add_argument("--input", required=True, help="outcomes CSV")
     p.add_argument("--variant", choices=(*VARIANTS, "both"), default="both")
-    p.add_argument("--split", type=float, default=0.7,
+    p.add_argument("--split", type=float, default=DEFAULT_TRAIN_FRACTION,
                    help="train fraction")
     p.add_argument("--seed", type=int, default=0, help="split seed")
     p.add_argument("--config",

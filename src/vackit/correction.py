@@ -59,6 +59,12 @@ class MeshModel:
         object.__setattr__(self, "faces", faces.reshape(-1, 3))
 
 
+def _angle_shift(params: PerturbationParams, literal_half_angle: bool) -> float:
+    """The shift the correction adds to a point's subtended angle."""
+    # beta off the half angle is 2*beta off the full angle, bit for bit
+    return -2.0 * params.beta_offset if literal_half_angle else -params.beta_offset
+
+
 def remap_depth(z_view: float, eyes: EyeGeometry, params: PerturbationParams,
                 literal_half_angle: bool = False) -> float:
     """Corrected display depth for an on-axis point at depth z_view.
@@ -83,9 +89,9 @@ def remap_depth(z_view: float, eyes: EyeGeometry, params: PerturbationParams,
     """
     if z_view <= 0.0:
         raise DomainError(f"z_view must be positive, got {z_view!r}")
-    # beta off the half angle is 2*beta off the full angle, bit for bit
-    shift = -2.0 * params.beta_offset if literal_half_angle else -params.beta_offset
-    return shift_distance(z_view, eyes.half_ipd, shift, "corrected angle")
+    return shift_distance(z_view, eyes.half_ipd,
+                          _angle_shift(params, literal_half_angle),
+                          "corrected angle")
 
 
 def transform_point(p: ScenePoint, eyes: EyeGeometry, params: PerturbationParams,
@@ -111,16 +117,20 @@ def transform_point(p: ScenePoint, eyes: EyeGeometry, params: PerturbationParams
 
 
 def transform_points(points: np.ndarray, eyes: EyeGeometry,
-                     params: PerturbationParams, *, kind: str = "point") -> np.ndarray:
+                     params: PerturbationParams, *, kind: str = "point",
+                     literal_half_angle: bool = False) -> np.ndarray:
     """Remap an (N, 3) point array, row order preserved.
 
     As transform_point on each row, vectorized: a row's cyclopean
-    distance is remapped and its depth re-solved keeping x and y.  A zero
-    offset copies the input bitwise (after the domain checks) so that a
-    no-op transform cannot drift by rounding.  The input is not modified.
+    distance is remapped and its depth re-solved keeping x and y; the
+    numpy and libm routes may differ in the last few bits.  A zero angle
+    shift copies the input bitwise (after the domain checks) so that a
+    no-op transform cannot drift by rounding, with or without
+    literal_half_angle.  The input is not modified.
 
     Args:
         kind: Word naming a row in the error message ("point", "vertex").
+        literal_half_angle: As for remap_depth; comparison only.
 
     Raises:
         DomainError: Naming the index and coordinates of the first point
@@ -129,10 +139,10 @@ def transform_points(points: np.ndarray, eyes: EyeGeometry,
             lateral coordinates.
     """
     xyz = np.ascontiguousarray(points, dtype=np.float64)
-    beta = float(params.beta_offset)
+    shift = float(_angle_shift(params, literal_half_angle))
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     d_tilde, ok = shift_distances(np.sqrt(x * x + y * y + z * z),
-                                  float(eyes.half_ipd), -beta)
+                                  float(eyes.half_ipd), shift)
     with np.errstate(invalid="ignore"):
         radicand = d_tilde * d_tilde - x * x - y * y
     ok &= (z > 0.0) & (radicand > 0.0)
@@ -140,7 +150,7 @@ def transform_points(points: np.ndarray, eyes: EyeGeometry,
         i = int(np.argmin(ok))
         x, y, z = points[i]
         raise DomainError(f"{kind} {i} at ({x}, {y}, {z}) cannot be corrected")
-    if beta == 0.0:
+    if shift == 0.0:
         return xyz.copy()
     out = np.empty_like(xyz)
     out[:, 0] = x
@@ -150,14 +160,16 @@ def transform_points(points: np.ndarray, eyes: EyeGeometry,
 
 
 def transform_mesh(mesh: MeshModel, eyes: EyeGeometry,
-                   params: PerturbationParams) -> MeshModel:
+                   params: PerturbationParams, *,
+                   literal_half_angle: bool = False) -> MeshModel:
     """Remap every vertex of a mesh; faces and ordering are preserved.
 
     Raises:
         DomainError: Naming the index and coordinates of the first vertex
             that cannot be corrected.
     """
-    out = transform_points(mesh.vertices, eyes, params, kind="vertex")
+    out = transform_points(mesh.vertices, eyes, params, kind="vertex",
+                           literal_half_angle=literal_half_angle)
     return MeshModel(vertices=out, faces=mesh.faces, provenance=mesh.provenance,
                      normal_lines=mesh.normal_lines)
 

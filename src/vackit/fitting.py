@@ -21,6 +21,7 @@ from .errors import DataFormatError, DomainError
 from .geometry import angles_at
 from .kinematics import EyePose
 from .marquardt import ArrowheadJacobian, LMResult, levenberg_marquardt
+from .meshio import _ENCODING
 from .perception import fixated_distance_error
 
 __all__ = [
@@ -136,7 +137,7 @@ class FitDataset:
         conds: list[str] = []
         reach = array("d")
         error = array("d")
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        with path.open("r", encoding=_ENCODING, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             column = {name: i for i, name in enumerate(header)}
@@ -352,15 +353,9 @@ def goodness_of_fit(observed: np.ndarray, predicted: np.ndarray,
     return GoodnessOfFit(n=n, rss=rss, r2=r2, bic=bic)
 
 
-def _initial_point(spec: ModelSpec, n_participants: int,
-                   x0: np.ndarray | None) -> np.ndarray:
+def _initial_point(spec: ModelSpec, n_participants: int) -> np.ndarray:
     n_params = n_participants if spec.variant == VARIANT_ZERO_OFFSET \
         else 1 + n_participants
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if len(x0) != n_params:
-            raise DomainError(f"x0 must have {n_params} entries, got {len(x0)}")
-        return x0.copy()
     init = np.full(n_params, DEFAULT_IPD_INIT, dtype=np.float64)
     if spec.variant == VARIANT_WITH_OFFSET:
         init[0] = 0.0
@@ -378,8 +373,8 @@ def _bounds(spec: ModelSpec, n_participants: int) -> tuple[np.ndarray, np.ndarra
 
 
 def fit(dataset: FitDataset, spec: ModelSpec,
-        train_fraction: float = DEFAULT_TRAIN_FRACTION, split_seed: int = 0,
-        x0: np.ndarray | None = None) -> FitResult:
+        train_fraction: float = DEFAULT_TRAIN_FRACTION,
+        split_seed: int = 0) -> FitResult:
     """Fit one model variant on the training split, score both splits.
 
     Emits an IdentifiabilityWarning when any participant contributes fewer
@@ -408,7 +403,7 @@ def fit(dataset: FitDataset, spec: ModelSpec,
             stacklevel=2,
         )
 
-    x_init = _initial_point(spec, len(participants), x0)
+    x_init = _initial_point(spec, len(participants))
     lower, upper = _bounds(spec, len(participants))
     lm: LMResult = levenberg_marquardt(
         lambda x: residuals(x, train_ds, spec, pidx_train, d_train),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataFormatError, DomainError
 from .geometry import EyeGeometry, angle_at
-from .meshio import _read_columns
+from .meshio import _ENCODING, _read_columns
 
 __all__ = [
     "Trajectory",
@@ -46,7 +46,6 @@ __all__ = [
     "write_summary_csv",
 ]
 
-DEFAULT_SAMPLE_RATE = 250.0
 DEFAULT_CUTOFF_HZ = 10.0
 DEFAULT_THRESHOLD = 0.050
 HYSTERESIS_S = 0.020
@@ -203,10 +202,6 @@ class EyePose:
                              + (reach + self.behind_m) ** 2)
         except OverflowError:
             return math.inf
-
-    def to_dict(self) -> dict:
-        return {"behind_m": self.behind_m, "above_m": self.above_m,
-                "lateral_m": self.lateral_m}
 
 
 @dataclass(frozen=True)
@@ -583,7 +578,7 @@ def read_trajectories_csv(
     """
     path = Path(path)
     runs: list[list] = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding=_ENCODING, newline="") as fh:
         columns = _read_columns(fh, ",".join(TRAJECTORY_HEADER), (1, 2, 3, 4),
                                 runs)
     if columns is None:
@@ -602,7 +597,7 @@ def read_trajectories_csv(
         if well_timed and np.any(dt <= 0):
             raise DataFormatError(f"trial {trial_id}: timestamps must strictly "
                                   f"increase", str(path))
-        rate = 1.0 / float(np.median(dt)) if well_timed else math.nan
+        rate = 1.0 / float(_median(dt)) if well_timed else math.nan
         try:
             trajectories.append(Trajectory(trial_id=trial_id, sample_rate=rate,
                                            t=t, x=x, y=y, z=z))
@@ -613,11 +608,25 @@ def read_trajectories_csv(
             sorted(rejected, key=lambda out: out.trial_id))
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-d array without nan, bit for bit.
+
+    np.median imports numpy.ma on its first call; np.partition does not.
+    np.median averages the middle elements with a sum that starts at 0.0,
+    so a -0.0 median comes back 0.0; the 0.0 terms here do the same.
+    """
+    half = len(values) // 2
+    if len(values) % 2:
+        return 0.0 + np.partition(values, half)[half]
+    low, high = np.partition(values, (half - 1, half))[half - 1:half + 1]
+    return (0.0 + low + high) / 2.0
+
+
 def _read_trajectory_rows(path: Path) -> Iterable[tuple[str, np.ndarray]]:
     """Each trial's (trial_id, (4, n) samples), in first-appearance order,
     by a csv.reader row loop with one float() per field."""
     groups: dict[str, list[tuple[float, float, float, float]]] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding=_ENCODING, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != TRAJECTORY_HEADER:

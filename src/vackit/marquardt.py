@@ -24,6 +24,9 @@ LAMBDA_MAX = 1e8
 LAMBDA_MIN = 1e-14
 FTOL = 1e-10
 XTOL = 1e-12
+# Central-difference step of finite_difference_jacobian, relative to |x_j|
+# (absolute below 1).
+FD_REL_STEP = 1e-7
 MAX_ITER = 200
 # Accepted steps are extended by repeated doubling while the residual keeps
 # improving; long flat valleys otherwise take hundreds of tiny steps.
@@ -121,17 +124,16 @@ def levenberg_marquardt(
     lower: np.ndarray,
     upper: np.ndarray,
     max_iter: int = MAX_ITER,
-    ftol: float = FTOL,
-    xtol: float = XTOL,
 ) -> LMResult:
     """Minimize sum(residual(x)**2) subject to lower <= x <= upper.
 
     Trial points are projected onto the box, the damping factor is scaled
     by diag(J'J) (unit scale where a diagonal entry vanishes), and rejected
-    steps raise the damping tenfold.  Stops when an accepted step reduces
-    the residual sum of squares by a relative factor below ftol, or when
-    the projected step is below xtol in the infinity norm.  jacobian
-    returns a dense array or an ArrowheadJacobian.
+    steps raise the damping tenfold.  Stops, converged, when an accepted
+    step reduces the residual sum of squares by a relative factor below
+    FTOL (1e-10), or when the projected step is below XTOL (1e-12) in the
+    infinity norm; both are module constants.  jacobian returns a dense
+    array or an ArrowheadJacobian.
 
     Raises:
         FitError: If the starting residual is not finite, or the damping
@@ -156,7 +158,7 @@ def levenberg_marquardt(
                 step = None
             if step is not None and np.all(np.isfinite(step)):
                 x_new = np.clip(x + step, lower, upper)
-                if np.max(np.abs(x_new - x)) < xtol:
+                if np.max(np.abs(x_new - x)) < XTOL:
                     converged = True
                     reason = "step_tolerance"
                     break
@@ -176,7 +178,7 @@ def levenberg_marquardt(
                     reduction = (rss - rss_new) / rss if rss > 0 else 0.0
                     x, r, rss = x_new, r_new, rss_new
                     lam = max(lam / 10.0, LAMBDA_MIN)
-                    if reduction < ftol:
+                    if reduction < FTOL:
                         converged = True
                         reason = "rss_tolerance"
                     break
@@ -195,14 +197,13 @@ def levenberg_marquardt(
 def finite_difference_jacobian(
     residual: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
-    rel_step: float = 1e-7,
 ) -> np.ndarray:
     """Central-difference Jacobian, for validating analytic derivatives."""
     x = np.asarray(x, dtype=np.float64)
     r0 = residual(x)
     J = np.empty((len(r0), len(x)), dtype=np.float64)
     for j in range(len(x)):
-        h = rel_step * max(abs(x[j]), 1.0)
+        h = FD_REL_STEP * max(abs(x[j]), 1.0)
         xp = x.copy()
         xm = x.copy()
         xp[j] += h

@@ -40,27 +40,20 @@ BETA_BOUND_RAD = 0.05
 
 @dataclass(frozen=True)
 class PerturbationParams:
-    """Vergence-offset model parameters.
+    """Vergence-offset model parameters: the offset alone.
 
     Args:
         beta_offset: Constant additive vergence offset in radians.  Must
             satisfy |beta| < 0.05 rad (about 2.9 degrees), a sanity bound
             well above any plausible display-induced offset.
-        accommodation_distance: Display focal distance in meters, used only
-            when expressing the offset as an equivalent fixation shift.
     """
 
     beta_offset: float
-    accommodation_distance: float | None = None
 
     def __post_init__(self) -> None:
         if not abs(self.beta_offset) < BETA_BOUND_RAD:
             raise DomainError(
                 f"|beta_offset| must be < {BETA_BOUND_RAD} rad, got {self.beta_offset!r}"
-            )
-        if self.accommodation_distance is not None and self.accommodation_distance <= 0:
-            raise DomainError(
-                f"accommodation_distance must be positive, got {self.accommodation_distance!r}"
             )
 
 

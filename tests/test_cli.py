@@ -15,6 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -32,6 +35,7 @@ from vackit.meshio import read_obj, read_points_csv, write_obj, write_points_csv
 from vackit.perception import PerturbationParams
 
 PREDICT_ERR_045 = -0.011889582357491643
+COMPAT_FLAGS = ([], ["--compat-literal-half-angle"])
 
 
 def _write_json(path: Path, payload: dict) -> str:
@@ -140,10 +144,23 @@ class TestTransform:
         src = tmp_path / "scene.obj"
         dst = tmp_path / "same.obj"
         self._mesh_file(src)
-        code = main(["transform", "--in", str(src), "--out", str(dst),
-                     "--beta-deg", "0", "--ipd-mm", "63"])
-        assert code == 0
-        assert dst.read_bytes() == src.read_bytes()
+        for compat in COMPAT_FLAGS:
+            code = main(["transform", "--in", str(src), "--out", str(dst),
+                         "--beta-deg", "0", "--ipd-mm", "63", *compat])
+            assert code == 0
+            assert dst.read_bytes() == src.read_bytes(), compat
+
+    def test_zero_offset_csv_round_trip_is_bitwise(self, tmp_path):
+        points = np.random.default_rng(12).uniform(
+            [-0.3, -0.3, 0.2], [0.3, 0.3, 1.5], (400, 3))
+        src = tmp_path / "points.csv"
+        dst = tmp_path / "same.csv"
+        write_points_csv(points, src)
+        for compat in COMPAT_FLAGS:
+            assert main(["transform", "--in", str(src), "--out", str(dst),
+                         "--beta-deg", "0", "--ipd-mm", "63", *compat]) == 0
+            assert dst.read_bytes() == src.read_bytes(), compat
+            assert read_points_csv(dst).tobytes() == points.tobytes()
 
     def test_obj_vertices_move_and_faces_survive(self, tmp_path, capsys):
         src = tmp_path / "scene.obj"
@@ -161,16 +178,21 @@ class TestTransform:
         assert "transformed 12 points" in capsys.readouterr().out
 
     def test_csv_matches_library_remap(self, tmp_path):
-        points = np.array([[0.0, 0.0, 0.45], [0.05, -0.02, 0.6],
-                           [-0.1, 0.08, 0.9]])
+        rng = np.random.default_rng(13)
+        points = np.vstack([[[0.0, 0.0, 0.45], [0.05, -0.02, 0.6],
+                             [-0.1, 0.08, 0.9]],
+                            rng.uniform([-0.3, -0.3, 0.2], [0.3, 0.3, 1.5],
+                                        (2000, 3))])
         src = tmp_path / "points.csv"
         dst = tmp_path / "out.csv"
         write_points_csv(points, src)
-        assert main(["transform", "--in", str(src), "--out", str(dst),
-                     "--beta-deg", "0.22", "--ipd-mm", "63"]) == 0
-        expected = transform_points(points, EyeGeometry(ipd=0.063),
-                                    PerturbationParams(math.radians(0.22)))
-        np.testing.assert_array_equal(read_points_csv(dst), expected)
+        for compat in COMPAT_FLAGS:
+            assert main(["transform", "--in", str(src), "--out", str(dst),
+                         "--beta-deg", "0.22", "--ipd-mm", "63", *compat]) == 0
+            expected = transform_points(points, EyeGeometry(ipd=0.063),
+                                        PerturbationParams(math.radians(0.22)),
+                                        literal_half_angle=bool(compat))
+            assert read_points_csv(dst).tobytes() == expected.tobytes(), compat
 
     def test_literal_half_angle_flag_changes_depths(self, tmp_path):
         points = np.array([[0.0, 0.0, 0.45], [0.02, 0.01, 0.7]])
@@ -406,6 +428,19 @@ class TestAnalyze:
         manifest = json.loads(
             (outdir / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["outputs"] == ["outcomes.csv", "summary.csv"]
+
+    def test_cli_analyze_leaves_numpy_ma_unloaded(self, simulated, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(fitting.__file__).resolve().parents[1]),
+            env.get("PYTHONPATH")]))
+        args = self._analyze_args(simulated, tmp_path, tmp_path / "analysis")
+        code = ("import sys; from vackit.cli import main; "
+                f"rc = main({args!r}); "
+                "print(rc, 'numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "0 False", out.stderr
 
     def test_axes_remap_recovers_foreign_layout(self, simulated, tmp_path):
         trajectories, rejected = read_trajectories_csv(

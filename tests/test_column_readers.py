@@ -267,6 +267,18 @@ class TestFastPathRuns:
         assert all(getattr(tr, axis).base is columns
                    for tr in trajectories for axis in "txyz")
 
+    def test_bom_simulate_output_takes_the_fast_path(self, tmp_path,
+                                                     monkeypatch):
+        path = _simulated(tmp_path)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        calls = []
+        row_loop = kin._read_trajectory_rows
+        monkeypatch.setattr(kin, "_read_trajectory_rows",
+                            lambda p: calls.append(p) or row_loop(p))
+        assert _trajectory_result(bom) == _trajectory_result(path)
+        assert calls == []
+
     def test_points_writer_output_takes_the_fast_path(self, tmp_path,
                                                       monkeypatch):
         points = np.random.default_rng(4).uniform(-1.0, 1.0, (500, 3))

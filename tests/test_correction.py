@@ -179,6 +179,16 @@ class TestTransformMesh:
         out = transform_mesh(mesh, EYES64, PerturbationParams(0.0))
         assert np.array_equal(out.vertices, mesh.vertices)
 
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_passes_literal_keyword_through(self, literal):
+        mesh = _tetra_mesh()
+        out = transform_mesh(mesh, EYES64, PARAMS, literal_half_angle=literal)
+        want = transform_points(mesh.vertices, EYES64, PARAMS,
+                                literal_half_angle=literal)
+        assert out.vertices.tobytes() == want.tobytes()
+        plain = transform_mesh(mesh, EYES64, PARAMS).vertices
+        assert np.array_equal(out.vertices, plain) is not literal
+
     def test_uncorrectable_vertex_is_indexed(self):
         vertices = np.array([[0.0, 0.0, 0.5], [0.3, 0.3, 0.05]])
         mesh = MeshModel(vertices=vertices,
@@ -204,6 +214,60 @@ class TestTransformPoints:
         with pytest.raises(DomainError) as exc:
             transform_mesh(mesh, EYES64, PerturbationParams(-0.04))
         assert str(exc.value) == "vertex 1 at (0.3, 0.3, 0.05) cannot be corrected"
+
+
+class TestTransformPointsLiteral:
+    """The literal half-angle variant runs through the array kernel."""
+
+    def test_agrees_with_rowwise_transform_point(self):
+        rng = np.random.default_rng(5)
+        points = np.column_stack([rng.uniform(-0.2, 0.2, 500),
+                                  rng.uniform(-0.2, 0.2, 500),
+                                  rng.uniform(0.3, 1.5, 500)])
+        for params in (PARAMS, PerturbationParams(-0.01)):
+            out = transform_points(points, EYES64, params,
+                                   literal_half_angle=True)
+            assert np.array_equal(out[:, :2], points[:, :2])
+            rowwise = np.array([transform_point(ScenePoint(*p), EYES64, params,
+                                                literal_half_angle=True).z
+                                for p in points])
+            # numpy's and libm's atan2/tan may differ in the last bits
+            assert np.all(np.abs(out[:, 2] - rowwise) <= 4 * np.spacing(rowwise))
+            assert not np.array_equal(
+                out, transform_points(points, EYES64, params))
+
+    def test_literal_doubles_the_shift(self):
+        points = np.array([[0.0, 0.0, 0.45], [0.1, -0.05, 0.7]])
+        doubled = PerturbationParams(2.0 * BETA)
+        assert transform_points(points, EYES64, PARAMS,
+                                literal_half_angle=True).tobytes() == \
+            transform_points(points, EYES64, doubled).tobytes()
+
+    def test_zero_offset_is_bitwise_identity(self):
+        points = np.random.default_rng(6).uniform(0.1, 0.9, (200, 3))
+        out = transform_points(points, EYES64, PerturbationParams(0.0),
+                               literal_half_angle=True)
+        assert out.tobytes() == points.tobytes()
+        assert out is not points
+
+    @pytest.mark.parametrize("bad", [
+        [0.0, 0.0, 0.0005],  # corrected angle past pi
+        [0.3, 0.3, 0.05],    # corrected distance cannot keep x and y
+    ])
+    def test_raises_on_the_same_first_bad_row(self, bad):
+        params = PerturbationParams(-0.02)
+        points = np.array([[0.0, 0.0, 0.45], [0.1, 0.0, 0.5], bad,
+                           [0.3, 0.3, 0.05]])
+        for p in points[:2]:
+            transform_point(ScenePoint(*p), EYES64, params,
+                            literal_half_angle=True)
+        with pytest.raises(DomainError):
+            transform_point(ScenePoint(*bad), EYES64, params,
+                            literal_half_angle=True)
+        x, y, z = bad
+        with pytest.raises(DomainError) as exc:
+            transform_points(points, EYES64, params, literal_half_angle=True)
+        assert str(exc.value) == f"point 2 at ({x}, {y}, {z}) cannot be corrected"
 
 
 class TestPredictedCorrectionCurve:

@@ -131,6 +131,20 @@ class TestFromCsv:
         assert len(ds) == 2
         np.testing.assert_allclose(ds.distance_error, [-0.021, -0.028])
 
+    def test_leading_bom_is_ignored(self, tmp_path):
+        # participant_id first, so a BOM kept in the header would hide it
+        header = "participant_id,condition,target_reach_m,valid,distance_error_m"
+        rows = ["p0,original,0.25,1,-0.021", "p1,transformed,0.30,,-0.028"]
+        plain = FitDataset.from_csv(self._write(tmp_path / "plain.csv", rows,
+                                                header=header))
+        bom = FitDataset.from_csv(self._write(tmp_path / "bom.csv", rows,
+                                              header="\ufeff" + header))
+        def columns(ds):
+            return (ds.participant_id.tolist(), ds.condition.tolist(),
+                    ds.target_reach.tobytes(), ds.distance_error.tobytes())
+        assert columns(bom) == columns(plain)
+        assert bom.participant_id.tolist() == ["p0", "p1"]
+
     def test_missing_column_is_format_error(self, tmp_path):
         p = self._write(tmp_path / "m.csv", ["a,p0,0.25,-0.021"],
                         header="trial_id,participant_id,target_reach_m,"

@@ -723,7 +723,30 @@ class TestAnalyzeTrials:
         assert abs(out_w.disparity_difference) > abs(out_n.disparity_difference)
 
 
+def _median_inputs():
+    """Float arrays without nan, often with repeated values and signed
+    zeros, which np.median and a partition may place differently; the
+    long ones are sample periods of a trial's length, rounded to repeat."""
+    pool = st.sampled_from([-0.0, 0.0, 0.004, 0.004000000000000001, 1.0,
+                            -np.inf, np.inf])
+    periods = st.builds(
+        lambda n, seed: np.round(
+            np.random.default_rng(seed).normal(0.004, 1e-6, n), 7),
+        st.integers(219, 222), st.integers(0, 2**32 - 1))
+    return st.one_of(
+        st.lists(st.floats(allow_nan=False), min_size=1, max_size=60),
+        st.lists(pool, min_size=1, max_size=60), periods)
+
+
 class TestTrajectoryCsv:
+    @settings(max_examples=500, deadline=None)
+    @given(values=_median_inputs())
+    def test_median_matches_numpy_bitwise(self, values):
+        values = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = kin._median(values), np.median(values)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_round_trip(self, tmp_path):
         traj = _minimum_jerk_trajectory(0.25, 0.4, trial_id="p0-a")
         path = tmp_path / "traj.csv"
