@@ -55,7 +55,6 @@ from .kinematics import (
     lowpass_filter,
     trial_outcome,
 )
-from .marquardt import LMResult, levenberg_marquardt
 from .meshio import read_obj, read_points_csv, write_obj, write_points_csv
 from .perception import (
     PerturbationParams,
@@ -87,7 +86,6 @@ __all__ = [
     "FitResult",
     "FixationState",
     "IdentifiabilityWarning",
-    "LMResult",
     "MeshModel",
     "ModelSpec",
     "MovementSegment",
@@ -116,7 +114,6 @@ __all__ = [
     "generate_trials",
     "goodness_of_fit",
     "iovd",
-    "levenberg_marquardt",
     "lowpass_filter",
     "offset_as_fixation_shift",
     "perceived_distance",

@@ -55,7 +55,7 @@ from .kinematics import (
     write_outcomes_csv,
     write_summary_csv,
 )
-from .meshio import read_obj, read_points_csv, write_obj, write_points_csv
+from .meshio import _ENCODING, read_obj, read_points_csv, write_obj, write_points_csv
 from .perception import PerturbationParams
 from .synth import (
     SimConfig,
@@ -80,7 +80,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(path: str | Path) -> dict:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding=_ENCODING)
     except OSError as exc:
         raise DataFormatError(str(exc), str(path)) from exc
     try:

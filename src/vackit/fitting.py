@@ -3,6 +3,12 @@
 Fits a vergence-offset model to per-trial distance errors: a single shared
 offset angle plus one interpupillary distance per participant, compared
 against a null variant with the offset pinned to zero.
+
+Each residual depends on the offset and on its own participant's distance
+only, so the with-offset fit is solved by one bounded Levenberg-Marquardt
+loop whose normal equations are an arrowhead: a Schur complement on the
+offset column forms each step in O(rows + participants).  The zero-offset
+variant predicts zero for every row and needs no solve.
 """
 
 from __future__ import annotations
@@ -14,13 +20,13 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .errors import DataFormatError, DomainError
+from .errors import DataFormatError, DomainError, FitError
 from .geometry import angles_at
 from .kinematics import EyePose
-from .marquardt import ArrowheadJacobian, LMResult, levenberg_marquardt
 from .meshio import _ENCODING
 from .perception import fixated_distance_error
 
@@ -32,7 +38,6 @@ __all__ = [
     "FitResult",
     "ComparisonRow",
     "residuals",
-    "jacobian",
     "goodness_of_fit",
     "fit",
     "compare_models",
@@ -50,6 +55,17 @@ DEFAULT_IPD_BOUNDS = (0.045, 0.080)
 DEFAULT_BETA_BOUNDS = (-0.05, 0.05)
 DEFAULT_IPD_INIT = 0.063
 DEFAULT_TRAIN_FRACTION = 0.70
+
+# Levenberg-Marquardt damping and stop rule
+LAMBDA_INIT = 1e-3
+LAMBDA_MAX = 1e8
+LAMBDA_MIN = 1e-14
+FTOL = 1e-10
+XTOL = 1e-12
+MAX_ITER = 200
+# Accepted steps are extended by repeated doubling while the residual keeps
+# improving; long flat valleys otherwise take hundreds of tiny steps.
+MAX_EXTEND = 1024
 
 
 class IdentifiabilityWarning(UserWarning):
@@ -282,37 +298,24 @@ class FitResult:
     stop_reason: str
 
 
-def _prediction(beta: float, ipd_rows: np.ndarray, distance_rows: np.ndarray,
-                variant: str) -> np.ndarray:
-    if variant == VARIANT_ZERO_OFFSET:
-        return np.zeros_like(distance_rows)
-    return fixated_distance_error(distance_rows, ipd_rows, beta)
+def residuals(x: np.ndarray, dataset: FitDataset, pidx: np.ndarray,
+              eye_distance: np.ndarray) -> np.ndarray:
+    """Predicted minus observed distance error of the with-offset model at
+    x = (beta, ipd_0, ..., ipd_{P-1}), one entry per row."""
+    return fixated_distance_error(eye_distance, x[1 + pidx], float(x[0])) \
+        - dataset.distance_error
 
 
-def residuals(x: np.ndarray, dataset: FitDataset, spec: ModelSpec,
-              pidx: np.ndarray, eye_distance: np.ndarray) -> np.ndarray:
-    """Predicted minus observed distance error, one entry per row."""
-    if spec.variant == VARIANT_ZERO_OFFSET:
-        beta, ipd_rows = 0.0, x[pidx]
-    else:
-        beta, ipd_rows = float(x[0]), x[1 + pidx]
-    return _prediction(beta, ipd_rows, eye_distance, spec.variant) - dataset.distance_error
-
-
-def _arrowhead(x: np.ndarray, spec: ModelSpec, pidx: np.ndarray,
-               eye_distance: np.ndarray) -> ArrowheadJacobian:
-    """The residual Jacobian as its two row vectors.
+def _derivatives(x: np.ndarray, pidx: np.ndarray,
+                 eye_distance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The residual Jacobian as its two row vectors (d_beta, d_ipd).
 
     Each row depends on beta and on its own participant's interpupillary
     distance only.  With pred = (i/2)/tan(v) - d, v = (angle(d, i) + beta)/2:
       d pred/d beta = -(i/4)/sin(v)^2
       d pred/d i    = cot(v)/2 - (i/4)/sin(v)^2 * d angle/d i
-    where d angle/d i = 1/(d*(1+u^2)) with u = i/(2d).  The zero-offset
-    variant has no beta column and predicts identically zero, so its
-    entries vanish.
+    where d angle/d i = 1/(d*(1+u^2)) with u = i/(2d).
     """
-    if spec.variant == VARIANT_ZERO_OFFSET:
-        return ArrowheadJacobian(None, np.zeros(len(pidx)), pidx, len(x))
     beta = float(x[0])
     ipd_rows = x[1 + pidx]
     d = eye_distance
@@ -323,14 +326,121 @@ def _arrowhead(x: np.ndarray, spec: ModelSpec, pidx: np.ndarray,
     u = ipd_rows / (2.0 * d)
     dtau_dipd = 1.0 / (d * (1.0 + u * u))
     d_ipd = 0.5 / np.tan(v) - (ipd_rows / 4.0) * csc2 * dtau_dipd
-    return ArrowheadJacobian(d_beta, d_ipd, pidx, len(x) - 1)
+    return d_beta, d_ipd
 
 
-def jacobian(x: np.ndarray, dataset: FitDataset, spec: ModelSpec,
-             pidx: np.ndarray, eye_distance: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of the residual vector, as a dense rows x len(x)
-    array; fit solves on the same derivatives without forming it."""
-    return _arrowhead(x, spec, pidx, eye_distance).dense()
+def _normal_equations(d_beta: np.ndarray, d_ipd: np.ndarray, pidx: np.ndarray,
+                      n_groups: int, r: np.ndarray):
+    """(diag(J'J), solve), where solve(damping) is the step of
+    (J'J + diag(damping)) step = -J'r.
+
+    Row i of J holds d_beta[i] in column 0 and d_ipd[i] in column
+    1 + pidx[i], so J'J is an arrowhead.  With g = J'r, a = d_beta.d_beta,
+    and w, c the per-participant sums of d_ipd^2 and d_beta*d_ipd, the
+    damped step is a Schur complement on the offset column: for
+    D = w + damping[1:],
+      step_0 = (-g_0 + sum(c*g_p/D)) / (a + damping_0 - sum(c^2/D)),
+      step_p = (-g_p - c*step_0) / D.
+    Both cost O(rows + n_groups); no dense matrix is formed.
+    """
+    w = np.bincount(pidx, d_ipd * d_ipd, n_groups)
+    g_groups = np.bincount(pidx, d_ipd * r, n_groups)
+    a = float(d_beta @ d_beta)
+    g0 = float(d_beta @ r)
+    c = np.bincount(pidx, d_beta * d_ipd, n_groups)
+
+    def solve(damping: np.ndarray) -> np.ndarray:
+        D = w + damping[1:]
+        c_over_d = c / D
+        # the Schur denominator is positive but can round to zero at the
+        # smallest damping; the loop rejects the non-finite step and raises
+        # the damping
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step0 = (-g0 + c_over_d @ g_groups) / (a + damping[0] - c_over_d @ c)
+        return np.concatenate(([step0], (-g_groups - c * step0) / D))
+
+    return np.concatenate(([a], w)), solve
+
+
+def _rss(r: np.ndarray) -> float:
+    if not np.all(np.isfinite(r)):
+        return float("inf")
+    return float(r @ r)
+
+
+def levenberg_marquardt(
+    residual: Callable[[np.ndarray], np.ndarray],
+    derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    pidx: np.ndarray,
+    x0: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    max_iter: int = MAX_ITER,
+) -> tuple[np.ndarray, int, bool, str]:
+    """Minimize sum(residual(x)**2) subject to lower <= x <= upper.
+
+    x = (beta, one value per group); derivatives(x) returns each row's
+    derivative by beta and by its group's value, and pidx each row's group.
+    Trial points are projected onto the box, the damping factor is scaled
+    by diag(J'J) (unit scale where a diagonal entry vanishes), and rejected
+    steps raise the damping tenfold.  Stops, converged, when an accepted
+    step reduces the residual sum of squares by a relative factor below
+    FTOL (1e-10), or when the projected step is below XTOL (1e-12) in the
+    infinity norm.  Returns (x, n_iter, converged, stop_reason).
+
+    Raises:
+        FitError: If the starting residual is not finite, or the damping
+            factor exceeds 1e8 without an acceptable step.
+    """
+    x = np.clip(np.asarray(x0, dtype=np.float64), lower, upper)
+    r = residual(x)
+    rss = _rss(r)
+    if not np.isfinite(rss):
+        raise FitError(f"residual is not finite at the starting point {x!r}")
+    lam = LAMBDA_INIT
+    n_iter = 0
+    converged = False
+    reason = "max_iter"
+    for n_iter in range(1, max_iter + 1):
+        diag, solve = _normal_equations(*derivatives(x), pidx, len(x) - 1, r)
+        scale = np.where(diag > 0, diag, 1.0)
+        while True:
+            step = solve(lam * scale)
+            if np.all(np.isfinite(step)):
+                x_new = np.clip(x + step, lower, upper)
+                if np.max(np.abs(x_new - x)) < XTOL:
+                    converged = True
+                    reason = "step_tolerance"
+                    break
+                r_new = residual(x_new)
+                rss_new = _rss(r_new)
+                if rss_new < rss:
+                    k = 1
+                    while k < MAX_EXTEND:
+                        x_ext = np.clip(x + (2 * k) * step, lower, upper)
+                        r_ext = residual(x_ext)
+                        rss_ext = _rss(r_ext)
+                        if rss_ext < rss_new:
+                            x_new, r_new, rss_new = x_ext, r_ext, rss_ext
+                            k *= 2
+                        else:
+                            break
+                    reduction = (rss - rss_new) / rss if rss > 0 else 0.0
+                    x, r, rss = x_new, r_new, rss_new
+                    lam = max(lam / 10.0, LAMBDA_MIN)
+                    if reduction < FTOL:
+                        converged = True
+                        reason = "rss_tolerance"
+                    break
+            lam *= 10.0
+            if lam > LAMBDA_MAX:
+                raise FitError(
+                    f"damping factor exceeded {LAMBDA_MAX:g} after {n_iter} "
+                    f"iterations (rss={rss:.6g})"
+                )
+        if converged:
+            break
+    return x, n_iter, converged, reason
 
 
 def goodness_of_fit(observed: np.ndarray, predicted: np.ndarray,
@@ -353,25 +463,6 @@ def goodness_of_fit(observed: np.ndarray, predicted: np.ndarray,
     return GoodnessOfFit(n=n, rss=rss, r2=r2, bic=bic)
 
 
-def _initial_point(spec: ModelSpec, n_participants: int) -> np.ndarray:
-    n_params = n_participants if spec.variant == VARIANT_ZERO_OFFSET \
-        else 1 + n_participants
-    init = np.full(n_params, DEFAULT_IPD_INIT, dtype=np.float64)
-    if spec.variant == VARIANT_WITH_OFFSET:
-        init[0] = 0.0
-    return init
-
-
-def _bounds(spec: ModelSpec, n_participants: int) -> tuple[np.ndarray, np.ndarray]:
-    ilo, ihi = spec.ipd_bounds
-    if spec.variant == VARIANT_ZERO_OFFSET:
-        return (np.full(n_participants, ilo), np.full(n_participants, ihi))
-    blo, bhi = spec.beta_bounds
-    lower = np.concatenate([[blo], np.full(n_participants, ilo)])
-    upper = np.concatenate([[bhi], np.full(n_participants, ihi)])
-    return lower, upper
-
-
 def fit(dataset: FitDataset, spec: ModelSpec,
         train_fraction: float = DEFAULT_TRAIN_FRACTION,
         split_seed: int = 0) -> FitResult:
@@ -383,12 +474,8 @@ def fit(dataset: FitDataset, spec: ModelSpec,
     interpupillary distance.
     """
     participants, pidx, cells = dataset._groups()
-    eye_distance = spec.eye_pose.eye_distance(dataset.target_reach)
-
     idx_train, idx_test = dataset.split_indices(train_fraction, split_seed)
     train_ds, test_ds = dataset.take(idx_train), dataset.take(idx_test)
-    pidx_train, pidx_test = pidx[idx_train], pidx[idx_test]
-    d_train, d_test = eye_distance[idx_train], eye_distance[idx_test]
 
     # every cell keeps a training row, so the training rows hold each
     # participant's cells, one per distinct reach
@@ -403,31 +490,40 @@ def fit(dataset: FitDataset, spec: ModelSpec,
             stacklevel=2,
         )
 
-    x_init = _initial_point(spec, len(participants))
-    lower, upper = _bounds(spec, len(participants))
-    lm: LMResult = levenberg_marquardt(
-        lambda x: residuals(x, train_ds, spec, pidx_train, d_train),
-        lambda x: _arrowhead(x, spec, pidx_train, d_train),
-        x_init, lower, upper,
-    )
-
+    n = len(participants)
     if spec.variant == VARIANT_ZERO_OFFSET:
-        beta, ipd_vec = 0.0, lm.x
+        # the model predicts zero for every row, so nothing is solved: the
+        # inert distances stay at their start value, clipped into the bounds
+        beta, k = 0.0, n
+        ipd_vec = np.clip(np.full(n, DEFAULT_IPD_INIT), *spec.ipd_bounds)
+        pred_train, pred_test = np.zeros(len(idx_train)), np.zeros(len(idx_test))
+        n_iter, converged, stop_reason = 0, True, "closed_form"
     else:
-        beta, ipd_vec = float(lm.x[0]), lm.x[1:]
-    ipd = dict(zip(participants, ipd_vec.tolist()))
-    k = len(lm.x)
-    pred_test = _prediction(beta, ipd_vec[pidx_test], d_test, spec.variant)
-    pred_train = _prediction(beta, ipd_vec[pidx_train], d_train, spec.variant)
+        eye_distance = spec.eye_pose.eye_distance(dataset.target_reach)
+        pidx_train, d_train = pidx[idx_train], eye_distance[idx_train]
+        x0 = np.full(1 + n, DEFAULT_IPD_INIT)
+        x0[0] = 0.0
+        lower = np.full(1 + n, spec.ipd_bounds[0])
+        upper = np.full(1 + n, spec.ipd_bounds[1])
+        lower[0], upper[0] = spec.beta_bounds
+        x, n_iter, converged, stop_reason = levenberg_marquardt(
+            lambda x: residuals(x, train_ds, pidx_train, d_train),
+            lambda x: _derivatives(x, pidx_train, d_train),
+            pidx_train, x0, lower, upper,
+        )
+        beta, ipd_vec, k = float(x[0]), x[1:], len(x)
+        pred_train = fixated_distance_error(d_train, ipd_vec[pidx_train], beta)
+        pred_test = fixated_distance_error(eye_distance[idx_test],
+                                           ipd_vec[pidx[idx_test]], beta)
     return FitResult(
         variant=spec.variant,
         beta=beta,
-        ipd=ipd,
+        ipd=dict(zip(participants, ipd_vec.tolist())),
         train=goodness_of_fit(train_ds.distance_error, pred_train, k),
         test=goodness_of_fit(test_ds.distance_error, pred_test, k),
-        n_iter=lm.n_iter,
-        converged=lm.converged,
-        stop_reason=lm.stop_reason,
+        n_iter=n_iter,
+        converged=converged,
+        stop_reason=stop_reason,
     )
 
 

@@ -47,7 +47,6 @@ from vackit.fitting import (
     ModelSpec,
     compare_models_detailed,
     fit,
-    jacobian,
     residuals,
 )
 from vackit.geometry import (
@@ -70,7 +69,6 @@ from vackit.kinematics import (
     differentiate,
     lowpass_filter,
 )
-from vackit.marquardt import finite_difference_jacobian, levenberg_marquardt
 from vackit.perception import (
     PerturbationParams,
     ViewingConfiguration,
@@ -79,6 +77,8 @@ from vackit.perception import (
     predict_endpoint,
 )
 from vackit.synth import SimConfig, generate_participants, generate_trials
+
+from lm_reference import dense_jacobian, finite_difference_jacobian
 
 BETA_DEG = 0.22
 POSE = EyePose()
@@ -427,47 +427,38 @@ def test_zero_offset_identities_and_route_agreement():
 def test_optimizer_matches_closed_form_and_differences():
     """The damped solver lands on the least-squares solution exactly.
 
-    A linear model has one global optimum with a closed form; the solver
-    must reach it from the origin and from a distant start.  The
+    A noise-free cohort has one global optimum, at the generating offset
+    and distances; the with-offset fit must recover each to 1e-10.  The
     finite-difference probe is validated against the analytic derivative
     of the endpoint-error model at an interior point.
     """
-    rng = np.random.default_rng(7)
-    design = rng.normal(size=(40, 4))
-    observed = rng.normal(size=40)
-    closed_form, *_ = np.linalg.lstsq(design, observed, rcond=None)
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        return design @ x - observed
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        return design
-
-    worst_gap = 0.0
-    for start in (np.zeros(4), np.full(4, 5.0), np.full(4, -5.0)):
-        result = levenberg_marquardt(residual, jac, start,
-                                     lower=np.full(4, -10.0),
-                                     upper=np.full(4, 10.0))
-        worst_gap = max(worst_gap,
-                        float(np.max(np.abs(result.x - closed_form))))
-    linear_ok = worst_gap < 1e-10
+    true_beta = math.radians(BETA_DEG)
+    true_ipds = {"p0": 0.0592, "p1": 0.0618, "p2": 0.0641, "p3": 0.0673}
+    rows = [(pid, "original", reach,
+             float(fixated_distance_error(float(POSE.eye_distance(reach)), ipd,
+                                          true_beta)))
+            for pid, ipd in true_ipds.items()
+            for reach in (0.20, 0.25, 0.30, 0.35) for _ in range(4)]
+    result = fit(FitDataset.from_rows(rows),
+                 ModelSpec(eye_pose=POSE, ipd_bounds=SIM_IPD_BOUNDS))
+    worst_gap = max([abs(result.beta - true_beta)]
+                    + [abs(result.ipd[p] - v) for p, v in true_ipds.items()])
+    fit_ok = result.converged and worst_gap < 1e-10
 
     rows = [(f"p{i}", "original", reach, 0.0)
             for i in range(3) for reach in (0.20, 0.25, 0.30)]
     dataset = FitDataset.from_rows(rows)
-    spec = ModelSpec(variant="with-offset", eye_pose=POSE,
-                     ipd_bounds=SIM_IPD_BOUNDS)
     pid_index = {pid: i for i, pid in enumerate(dataset.participants)}
     pidx = np.array([pid_index[p] for p in dataset.participant_id])
     d_eye = POSE.eye_distance(dataset.target_reach)
     x = np.concatenate([[math.radians(0.25)], [0.059, 0.064, 0.067]])
-    analytic = jacobian(x, dataset, spec, pidx, d_eye)
+    analytic = dense_jacobian(x, pidx, d_eye)
     probed = finite_difference_jacobian(
-        lambda v: residuals(v, dataset, spec, pidx, d_eye), x)
+        lambda v: residuals(v, dataset, pidx, d_eye), x)
     jac_gap = float(np.max(np.abs(analytic - probed)))
     jac_ok = jac_gap < 1e-5
 
-    ok = linear_ok and jac_ok
+    ok = fit_ok and jac_ok
     line = _report("optimizer matches closed form and finite differences",
                    ok, f"solution gap {worst_gap:.2e}, jacobian gap "
                        f"{jac_gap:.2e}")

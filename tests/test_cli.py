@@ -429,6 +429,30 @@ class TestAnalyze:
             (outdir / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["outputs"] == ["outcomes.csv", "summary.csv"]
 
+    def test_bom_prefixed_json_inputs(self, simulated, tmp_path):
+        # a leading UTF-8 byte-order mark on the simulate config, the
+        # targets and the eye pose changes nothing
+        def bom_copy(path: Path) -> str:
+            copy = tmp_path / f"bom_{path.name}"
+            copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            return str(copy)
+
+        bom_sim = tmp_path / "bom_sim"
+        assert main(["simulate", "--config", bom_copy(tmp_path / "sim.json"),
+                     "--out", str(bom_sim)]) == 0
+        assert (bom_sim / "outcomes.csv").read_bytes() == \
+            (simulated / "outcomes.csv").read_bytes()
+        plain = tmp_path / "plain"
+        assert main(self._analyze_args(simulated, tmp_path, plain)) == 0
+        bom = tmp_path / "bom"
+        assert main(["analyze",
+                     "--input", str(simulated / "trajectories.csv"),
+                     "--targets", bom_copy(simulated / "targets.json"),
+                     "--eye-pose", bom_copy(tmp_path / "pose.json"),
+                     "--out", str(bom)]) == 0
+        assert (bom / "outcomes.csv").read_bytes() == \
+            (plain / "outcomes.csv").read_bytes()
+
     def test_cli_analyze_leaves_numpy_ma_unloaded(self, simulated, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [
@@ -607,7 +631,7 @@ class TestFit:
     def test_unconverged_fit_flagged(self, outcomes, tmp_path, monkeypatch,
                                      capsys, variant):
         # one iteration cannot converge the with-offset fit; the
-        # zero-offset fit stops on its first step
+        # zero-offset fit has nothing to solve
         monkeypatch.setattr(fitting, "levenberg_marquardt",
                             partial(fitting.levenberg_marquardt, max_iter=1))
         outdir = tmp_path / "fits"

@@ -25,6 +25,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,15 +48,18 @@ from vackit.fitting import (
     fit,
     fit_result_to_dict,
     goodness_of_fit,
-    jacobian,
     residuals,
     write_comparison_csv,
     write_fit_json,
 )
 from vackit.kinematics import EyePose
-from vackit.marquardt import finite_difference_jacobian, levenberg_marquardt
 from vackit.perception import fixated_distance_error
 
+from lm_reference import (
+    dense_jacobian,
+    finite_difference_jacobian,
+    levenberg_marquardt,
+)
 from split_reference import split_indices_rowwise
 
 BETA = math.radians(0.22)
@@ -414,22 +418,25 @@ class TestResidualsAndJacobian:
 
     def test_analytic_jacobian_matches_finite_differences(self):
         ds, pidx, d_eye = self._setup()
-        spec = ModelSpec(ipd_bounds=SIM_IPD_BOUNDS)
         x = np.concatenate([[math.radians(0.3)], [0.060, 0.063, 0.066]])
-        analytic = jacobian(x, ds, spec, pidx, d_eye)
+        analytic = dense_jacobian(x, pidx, d_eye)
         fd = finite_difference_jacobian(
-            lambda v: residuals(v, ds, spec, pidx, d_eye), x)
+            lambda v: residuals(v, ds, pidx, d_eye), x)
         assert float(np.max(np.abs(analytic - fd))) < 1e-5
 
     def test_zero_offset_prediction_and_jacobian_vanish(self):
-        ds, pidx, d_eye = self._setup()
+        # zero prediction on every row: each split's RSS is its observed
+        # sum of squares, and with nothing to solve no iteration runs
+        ds, _, _ = self._setup()
         spec = ModelSpec(variant=VARIANT_ZERO_OFFSET,
                          ipd_bounds=SIM_IPD_BOUNDS)
-        x = np.array([0.060, 0.063, 0.066])
-        r = residuals(x, ds, spec, pidx, d_eye)
-        np.testing.assert_array_equal(r, -ds.distance_error)
-        np.testing.assert_array_equal(jacobian(x, ds, spec, pidx, d_eye),
-                                      np.zeros((len(ds), 3)))
+        result = fit(ds, spec)
+        train, test = ds.split_indices()
+        for gof, rows in ((result.train, train), (result.test, test)):
+            observed = ds.distance_error[rows]
+            assert gof.rss == float(observed @ observed)
+        assert (result.n_iter, result.converged, result.stop_reason) == \
+            (0, True, "closed_form")
 
 
 class TestFit:
@@ -456,9 +463,13 @@ class TestFit:
         result = fit(ds, spec)
         assert result.beta == 0.0
         assert result.converged
+        assert (result.n_iter, result.stop_reason) == (0, "closed_form")
         # nothing constrains the inert parameters, so they stay at the
-        # initial value
+        # initial value, clipped into the bounds
         assert all(v == pytest.approx(0.063) for v in result.ipd.values())
+        for bounds, start in (((0.065, 0.070), 0.065), ((0.050, 0.060), 0.060)):
+            clipped = fit(ds, replace(spec, ipd_bounds=bounds))
+            assert set(clipped.ipd.values()) == {start}
 
     def test_single_distance_participant_warns(self):
         rows = [("p0", "original", 0.25, -0.02)] * 6
@@ -504,7 +515,9 @@ class TestFit:
 
 
 def _reference_fit(ds: FitDataset, spec: ModelSpec, split_seed: int = 0):
-    """The fit run the plain way: LM on the dense public jacobian()."""
+    """The fit run the plain way: the dense reference LM on the dense
+    Jacobian; the zero-offset residual is minus the observed errors, with a
+    zero Jacobian."""
     participants = ds.participants
     pid_index = {pid: i for i, pid in enumerate(participants)}
     pidx = np.array([pid_index[p] for p in ds.participant_id])
@@ -518,17 +531,24 @@ def _reference_fit(ds: FitDataset, spec: ModelSpec, split_seed: int = 0):
     if first:
         x0[0] = 0.0
         lower[0], upper[0] = spec.beta_bounds
-    lm = levenberg_marquardt(
-        lambda x: residuals(x, train_ds, spec, pidx_train, d_train),
-        lambda x: jacobian(x, train_ds, spec, pidx_train, d_train),
-        x0, lower, upper)
+        lm = levenberg_marquardt(
+            lambda x: residuals(x, train_ds, pidx_train, d_train),
+            lambda x: dense_jacobian(x, pidx_train, d_train),
+            x0, lower, upper)
+    else:
+        lm = levenberg_marquardt(
+            lambda x: -train_ds.distance_error,
+            lambda x: np.zeros((len(train_ds), len(x))),
+            x0, lower, upper)
     beta = float(lm.x[0]) if first else 0.0
     return lm, beta, dict(zip(participants, lm.x[first:].tolist()))
 
 
 class TestStructuredFit:
     """fit solves on the arrowhead structure; the dense route is the
-    reference it must reproduce to rounding."""
+    reference it must reproduce to rounding.  The zero-offset variant is
+    not solved, and its inert distances are where the reference leaves
+    them."""
 
     @pytest.mark.parametrize("variant", [VARIANT_WITH_OFFSET,
                                          VARIANT_ZERO_OFFSET])
@@ -542,12 +562,18 @@ class TestStructuredFit:
         spec = ModelSpec(variant=variant, ipd_bounds=bounds)
         result = fit(ds, spec, split_seed=seed)
         lm, beta, ipd = _reference_fit(ds, spec, split_seed=seed)
+        assert result.ipd.keys() == ipd.keys()
+        if variant == VARIANT_ZERO_OFFSET:
+            assert (result.n_iter, result.converged, result.stop_reason) == \
+                (0, True, "closed_form")
+            assert lm.stop_reason == "step_tolerance"
+            assert (result.beta, result.ipd) == (0.0, ipd)
+            return
         assert (result.n_iter, result.converged, result.stop_reason) == \
             (lm.n_iter, lm.converged, lm.stop_reason)
         assert abs(result.beta - beta) < 1e-10
-        assert result.ipd.keys() == ipd.keys()
         assert max(abs(result.ipd[p] - ipd[p]) for p in ipd) < 1e-10
-        if bounds == (0.061, 0.065) and variant == VARIANT_WITH_OFFSET:
+        if bounds == (0.061, 0.065):
             assert sum(v in bounds for v in result.ipd.values()) >= 2
 
     def test_memory_is_linear_in_rows(self):
