@@ -24,7 +24,7 @@ from .fitting import (
     FitResult,
     IdentifiabilityWarning,
     ModelSpec,
-    compare_models,
+    compare_models_detailed,
     fit,
     goodness_of_fit,
 )
@@ -99,7 +99,7 @@ __all__ = [
     "VisualAnglePair",
     "analyze_trials",
     "cdot",
-    "compare_models",
+    "compare_models_detailed",
     "convergence_angle",
     "detect_segment",
     "differentiate",

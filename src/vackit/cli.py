@@ -105,7 +105,7 @@ def _convert(value, conv, context: str, key: str):
         return conv(value)
     except DomainError:  # a nested object's error already names its field
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"bad {context} field {key}: {exc}") from None
 
 
@@ -123,12 +123,19 @@ def _fields(data, table: dict, context: str) -> dict:
             for key, value in data.items()}
 
 
+def _json_float(value) -> float:
+    """A JSON number: no string to parse, no true or false."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _mm(value) -> float:
-    return float(value) / 1000.0
+    return _json_float(value) / 1000.0
 
 
 def _floats(value) -> tuple[float, ...]:
-    return tuple(float(x) for x in value)
+    return tuple(map(_json_float, value))
 
 
 def _pair(value) -> tuple[float, float]:
@@ -137,7 +144,7 @@ def _pair(value) -> tuple[float, float]:
 
 
 def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
+    return None if value is None else _json_float(value)
 
 
 def _json_int(value) -> int:
@@ -153,7 +160,7 @@ def _json_bool(value) -> bool:
     return value
 
 
-_EYE_POSE_FIELDS = {key: (key, float)
+_EYE_POSE_FIELDS = {key: (key, _json_float)
                     for key in ("behind_m", "above_m", "lateral_m")}
 
 
@@ -174,14 +181,14 @@ _SIM_FIELDS = {
     "ipd_high_mm": ("ipd_high", _mm),
     "ipd_mean_mm": ("ipd_mean", _mm),
     "ipd_sd_mm": ("ipd_sd", _mm),
-    "beta_deg": ("beta", lambda v: math.radians(float(v))),
+    "beta_deg": ("beta", lambda v: math.radians(_json_float(v))),
     "motor_noise_sd_mm": ("motor_noise_sd", _mm),
     "trajectory_noise_sd_mm": ("trajectory_noise_sd", _mm),
     "reach_distances_m": ("reach_distances", _floats),
-    "movement_duration_s": ("movement_duration", float),
-    "sample_rate_hz": ("sample_rate", float),
-    "rest_padding_s": ("rest_padding", float),
-    "feedforward_variance_factor": ("feedforward_variance_factor", float),
+    "movement_duration_s": ("movement_duration", _json_float),
+    "sample_rate_hz": ("sample_rate", _json_float),
+    "rest_padding_s": ("rest_padding", _json_float),
+    "feedforward_variance_factor": ("feedforward_variance_factor", _json_float),
     "response_mixture": ("response_mixture",
                          lambda v: None if v is None else _floats(v)),
     "eye_pose": ("eye_pose", _eye_pose_from_dict),
@@ -231,7 +238,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     trajectories = generate_trajectories(config, trials, participants) \
         if write_traj else None
     outdir = Path(args.out)
-    written = write_dataset(outdir, config, participants, trials, trajectories)
+    written = write_dataset(outdir, participants, trials, trajectories)
     resolved = dict(data)
     resolved["seed"] = config.seed
     _write_manifest(outdir / "manifest.json", "simulate", {
@@ -259,11 +266,11 @@ def _parse_axes(text: str) -> list[tuple[str, float]]:
 
 
 _TARGET_FIELDS = {
-    "reach_m": ("reach_m", float),
+    "reach_m": ("reach_m", _json_float),
     "participant_id": ("participant_id", str),
     "condition": ("condition", str),
-    "x_m": ("x_m", float),
-    "y_m": ("y_m", float),
+    "x_m": ("x_m", _json_float),
+    "y_m": ("y_m", _json_float),
     "go_cue_time_s": ("go_cue_time_s", _optional_float),
     "ipd_m": ("ipd_m", _optional_float),
 }
@@ -324,16 +331,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _warn_not_converged(results: dict) -> None:
-    """One stderr warning per fit, keyed (condition, variant), that did not
-    converge."""
-    for (condition, variant), result in sorted(results.items()):
-        if not result.converged:
-            print(f"vackit: warning: condition {condition}: {variant} fit did "
-                  f"not converge (stop_reason {result.stop_reason} after "
-                  f"{result.n_iter} iterations)", file=sys.stderr)
-
-
 def _identifiability_notes(condition: str, caught: list) -> list[str]:
     """One stderr line per participant of a condition that a fit warned
     about (both variants warn alike); other warnings are issued again."""
@@ -346,15 +343,6 @@ def _identifiability_notes(condition: str, caught: list) -> list[str]:
             warnings.warn_explicit(item.message, item.category,
                                    item.filename, item.lineno)
     return list(dict.fromkeys(notes))
-
-
-def _not_converged_note(results: dict, condition: str) -> str:
-    """Suffix of a condition's stdout line when any of its fits did not
-    converge."""
-    if any(not result.converged
-           for (cond, _), result in results.items() if cond == condition):
-        return " (not converged)"
-    return ""
 
 
 # fit config key -> (ModelSpec attribute, converter from surface units)
@@ -382,36 +370,43 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", IdentifiabilityWarning)
             if args.variant == "both":
-                condition_rows, fits = compare_models_detailed(
+                condition_rows = compare_models_detailed(
                     subset, **model, train_fraction=args.split,
                     split_seed=args.seed)
                 rows += condition_rows
+                fits = [row.result for row in condition_rows]
             else:
-                fits = {(condition, args.variant): fit_model(
+                fits = [fit_model(
                     subset, ModelSpec(variant=args.variant, **model),
-                    train_fraction=args.split, split_seed=args.seed)}
-        results.update(fits)
+                    train_fraction=args.split, split_seed=args.seed)]
+        results.update({(condition, result.variant): result
+                        for result in fits})
         notes += _identifiability_notes(condition, caught)
     if args.variant == "both":
         write_comparison_csv(rows, outdir / "comparison.csv")
         outputs.append("comparison.csv")
-        summary = {row.condition: f"selected {row.variant} "
-                                  f"(test BIC {row.bic_test:.1f})"
+        summary = {row.condition: f"selected {row.result.variant} "
+                                  f"(test BIC {row.result.test.bic:.1f})"
                    for row in rows if row.selected}
     else:
         summary = {condition: f"beta = {math.degrees(result.beta):+.4f} deg "
                               f"(test r2 {result.test.r2:.3f})"
                    for (condition, _), result in results.items()}
+    for note in notes:
+        print(note, file=sys.stderr)
+    unconverged = set()
     for (condition, variant), result in sorted(results.items()):
         name = f"fit_{condition}_{variant}.json"
         write_fit_json(result, outdir / name)
         outputs.append(name)
-    for note in notes:
-        print(note, file=sys.stderr)
-    _warn_not_converged(results)
+        if not result.converged:
+            unconverged.add(condition)
+            print(f"vackit: warning: condition {condition}: {variant} fit did "
+                  f"not converge (stop_reason {result.stop_reason} after "
+                  f"{result.n_iter} iterations)", file=sys.stderr)
     for condition, text in summary.items():
         print(f"condition {condition}: {text}"
-              f"{_not_converged_note(results, condition)}")
+              f"{' (not converged)' if condition in unconverged else ''}")
     _write_manifest(outdir / "manifest.json", "fit", {
         "input": args.input, "config_file": config_path, "config": data,
         "variant": args.variant, "split": args.split, "seed": args.seed,

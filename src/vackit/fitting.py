@@ -40,7 +40,6 @@ __all__ = [
     "residuals",
     "goodness_of_fit",
     "fit",
-    "compare_models",
     "compare_models_detailed",
     "write_comparison_csv",
     "fit_result_to_dict",
@@ -244,10 +243,6 @@ class FitDataset:
             train[cell[:n_train]] = True
         return np.flatnonzero(train), np.flatnonzero(~train)
 
-    def take(self, indices: np.ndarray) -> "FitDataset":
-        return FitDataset(self.participant_id[indices], self.condition[indices],
-                          self.target_reach[indices], self.distance_error[indices])
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -286,11 +281,16 @@ class GoodnessOfFit:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameters and split-wise fit quality."""
+    """Fitted parameters and split-wise fit quality.
+
+    k counts the parameters each split's BIC charges: one distance per
+    participant, plus the offset in the with-offset variant.
+    """
 
     variant: str
     beta: float
     ipd: dict[str, float]
+    k: int
     train: GoodnessOfFit
     test: GoodnessOfFit
     n_iter: int
@@ -298,12 +298,12 @@ class FitResult:
     stop_reason: str
 
 
-def residuals(x: np.ndarray, dataset: FitDataset, pidx: np.ndarray,
+def residuals(x: np.ndarray, observed: np.ndarray, pidx: np.ndarray,
               eye_distance: np.ndarray) -> np.ndarray:
     """Predicted minus observed distance error of the with-offset model at
     x = (beta, ipd_0, ..., ipd_{P-1}), one entry per row."""
     return fixated_distance_error(eye_distance, x[1 + pidx], float(x[0])) \
-        - dataset.distance_error
+        - observed
 
 
 def _derivatives(x: np.ndarray, pidx: np.ndarray,
@@ -375,7 +375,6 @@ def levenberg_marquardt(
     x0: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    max_iter: int = MAX_ITER,
 ) -> tuple[np.ndarray, int, bool, str]:
     """Minimize sum(residual(x)**2) subject to lower <= x <= upper.
 
@@ -386,7 +385,8 @@ def levenberg_marquardt(
     steps raise the damping tenfold.  Stops, converged, when an accepted
     step reduces the residual sum of squares by a relative factor below
     FTOL (1e-10), or when the projected step is below XTOL (1e-12) in the
-    infinity norm.  Returns (x, n_iter, converged, stop_reason).
+    infinity norm, and otherwise after MAX_ITER iterations.  Returns
+    (x, n_iter, converged, stop_reason).
 
     Raises:
         FitError: If the starting residual is not finite, or the damping
@@ -401,7 +401,7 @@ def levenberg_marquardt(
     n_iter = 0
     converged = False
     reason = "max_iter"
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         diag, solve = _normal_equations(*derivatives(x), pidx, len(x) - 1, r)
         scale = np.where(diag > 0, diag, 1.0)
         while True:
@@ -475,7 +475,8 @@ def fit(dataset: FitDataset, spec: ModelSpec,
     """
     participants, pidx, cells = dataset._groups()
     idx_train, idx_test = dataset.split_indices(train_fraction, split_seed)
-    train_ds, test_ds = dataset.take(idx_train), dataset.take(idx_test)
+    obs_train = dataset.distance_error[idx_train]
+    obs_test = dataset.distance_error[idx_test]
 
     # every cell keeps a training row, so the training rows hold each
     # participant's cells, one per distinct reach
@@ -507,7 +508,7 @@ def fit(dataset: FitDataset, spec: ModelSpec,
         upper = np.full(1 + n, spec.ipd_bounds[1])
         lower[0], upper[0] = spec.beta_bounds
         x, n_iter, converged, stop_reason = levenberg_marquardt(
-            lambda x: residuals(x, train_ds, pidx_train, d_train),
+            lambda x: residuals(x, obs_train, pidx_train, d_train),
             lambda x: _derivatives(x, pidx_train, d_train),
             pidx_train, x0, lower, upper,
         )
@@ -519,8 +520,9 @@ def fit(dataset: FitDataset, spec: ModelSpec,
         variant=spec.variant,
         beta=beta,
         ipd=dict(zip(participants, ipd_vec.tolist())),
-        train=goodness_of_fit(train_ds.distance_error, pred_train, k),
-        test=goodness_of_fit(test_ds.distance_error, pred_test, k),
+        k=k,
+        train=goodness_of_fit(obs_train, pred_train, k),
+        test=goodness_of_fit(obs_test, pred_test, k),
         n_iter=n_iter,
         converged=converged,
         stop_reason=stop_reason,
@@ -529,18 +531,10 @@ def fit(dataset: FitDataset, spec: ModelSpec,
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One model variant's scores within one condition."""
+    """One model variant's fit within one condition."""
 
     condition: str
-    variant: str
-    k: int
-    rss_train: float
-    rss_test: float
-    r2_train: float
-    r2_test: float
-    bic_train: float
-    bic_test: float
-    beta: float
+    result: FitResult
     selected: bool
 
 
@@ -550,47 +544,26 @@ def compare_models_detailed(
     beta_bounds: tuple[float, float] = DEFAULT_BETA_BOUNDS,
     train_fraction: float = DEFAULT_TRAIN_FRACTION,
     split_seed: int = 0,
-) -> tuple[list[ComparisonRow], dict[tuple[str, str], FitResult]]:
-    """As compare_models, additionally returning every underlying FitResult
-    keyed by (condition, variant)."""
+) -> list[ComparisonRow]:
+    """Fit both variants per condition, one row each, and select in each
+    condition the converged variant with the lower test BIC.
+
+    The zero-offset variant is closed form and always converged, so every
+    condition selects one variant; a with-offset fit that did not converge
+    is never selected.
+    """
     eye_pose = eye_pose or EyePose()
     rows: list[ComparisonRow] = []
-    all_results: dict[tuple[str, str], FitResult] = {}
     for condition in dataset.conditions:
         subset = dataset.select_condition(condition)
-        results: dict[str, FitResult] = {}
-        for variant in VARIANTS:
-            spec = ModelSpec(variant=variant, eye_pose=eye_pose,
-                             ipd_bounds=ipd_bounds, beta_bounds=beta_bounds)
-            results[variant] = fit(subset, spec, train_fraction, split_seed)
-            all_results[(condition, variant)] = results[variant]
-        best = min(VARIANTS, key=lambda v: results[v].test.bic)
-        for variant in VARIANTS:
-            res = results[variant]
-            rows.append(ComparisonRow(
-                condition=condition,
-                variant=variant,
-                k=(1 if variant == VARIANT_WITH_OFFSET else 0) + len(res.ipd),
-                rss_train=res.train.rss,
-                rss_test=res.test.rss,
-                r2_train=res.train.r2,
-                r2_test=res.test.r2,
-                bic_train=res.train.bic,
-                bic_test=res.test.bic,
-                beta=res.beta,
-                selected=(variant == best),
-            ))
-    return rows, all_results
-
-
-def compare_models(dataset: FitDataset, eye_pose: EyePose | None = None,
-                   ipd_bounds: tuple[float, float] = DEFAULT_IPD_BOUNDS,
-                   beta_bounds: tuple[float, float] = DEFAULT_BETA_BOUNDS,
-                   train_fraction: float = DEFAULT_TRAIN_FRACTION,
-                   split_seed: int = 0) -> list[ComparisonRow]:
-    """Fit both variants per condition; select the lower test BIC in each."""
-    rows, _ = compare_models_detailed(dataset, eye_pose, ipd_bounds,
-                                      beta_bounds, train_fraction, split_seed)
+        results = [fit(subset, ModelSpec(variant=variant, eye_pose=eye_pose,
+                                         ipd_bounds=ipd_bounds,
+                                         beta_bounds=beta_bounds),
+                       train_fraction, split_seed)
+                   for variant in VARIANTS]
+        best = min((res for res in results if res.converged),
+                   key=lambda res: res.test.bic)
+        rows += [ComparisonRow(condition, res, res is best) for res in results]
     return rows
 
 
@@ -606,12 +579,13 @@ def write_comparison_csv(rows: list[ComparisonRow], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(COMPARISON_HEADER)
         for row in rows:
+            res = row.result
             writer.writerow([
-                row.condition, row.variant, str(row.k),
-                repr(row.rss_train), repr(row.rss_test),
-                repr(row.r2_train), repr(row.r2_test),
-                repr(row.bic_train), repr(row.bic_test),
-                repr(math.degrees(row.beta)),
+                row.condition, res.variant, str(res.k),
+                repr(res.train.rss), repr(res.test.rss),
+                repr(res.train.r2), repr(res.test.r2),
+                repr(res.train.bic), repr(res.test.bic),
+                repr(math.degrees(res.beta)),
                 "1" if row.selected else "0",
             ])
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
@@ -179,6 +179,12 @@ class EyePose:
     above_m: float = 0.35
     lateral_m: float = 0.0
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise DomainError(f"eye pose {f.name} must be finite, got {value!r}")
+
     def eye_distance_of(self, x: float | np.ndarray, y: float | np.ndarray,
                         z: float | np.ndarray) -> float | np.ndarray:
         """Distance from the cyclopean eye to a world point."""
@@ -210,8 +216,9 @@ class TargetSpec:
 
     ipd_m, when set, overrides the batch-level eye geometry for this
     trial's disparity measure; use it when participants' interpupillary
-    distances differ.  analyze_trials rejects a trial whose ipd_m lies
-    outside (0, 0.1) m as "bad ipd".
+    distances differ.  analyze_trials rejects a trial as "bad target" when
+    reach_m is not finite and positive or x_m, y_m or a set go_cue_time_s
+    is not finite, and as "bad ipd" when ipd_m lies outside (0, 0.1) m.
     """
 
     trial_id: str
@@ -506,8 +513,10 @@ def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec
     """Analyze a batch of trials, ordered by trial_id.
 
     Trials without a matching target are flagged invalid with reason
-    "no target", and trials whose target sets an ipd_m outside (0, 0.1) m
-    with reason "bad ipd", rather than aborting the batch.  Trials that
+    "no target", trials whose target has a reach that is not finite and
+    positive or a non-finite x_m, y_m or go_cue_time_s with reason "bad
+    target", and trials whose target sets an ipd_m outside (0, 0.1) m with
+    reason "bad ipd", rather than aborting the batch.  Trials that
     share a sample rate and a length are filtered in blocks of
     BLOCK_TRIALS, whatever their t grids; the outcomes equal
     trial_outcome's for each trial on its own.
@@ -522,6 +531,11 @@ def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec
         if target is None:
             target = TargetSpec(trial_id=traj.trial_id, reach_m=float("nan"))
             reason = "no target"
+        elif not (0.0 < target.reach_m < math.inf
+                  and math.isfinite(target.x_m) and math.isfinite(target.y_m)
+                  and (target.go_cue_time_s is None
+                       or math.isfinite(target.go_cue_time_s))):
+            reason = "bad target"
         elif target.ipd_m is None:
             trial_eyes[i] = eyes
         else:

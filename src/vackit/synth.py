@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
@@ -104,6 +104,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value!r}")
         if self.n_participants < 1:
             raise DomainError("n_participants must be >= 1")
         if self.ipd_distribution not in ("uniform", "normal"):
@@ -147,11 +151,12 @@ class SimConfig:
             raise DomainError("feedforward_variance_factor must be positive")
         if self.response_mixture is not None:
             weights = self.response_mixture
-            if len(weights) != len(RESPONSE_MULTIPLIERS) or any(w < 0 for w in weights) \
+            if len(weights) != len(RESPONSE_MULTIPLIERS) \
+                    or not all(0.0 <= w < math.inf for w in weights) \
                     or sum(weights) <= 0:
                 raise DomainError(
                     f"response_mixture needs {len(RESPONSE_MULTIPLIERS)} "
-                    f"non-negative weights with positive sum"
+                    f"finite non-negative weights with positive sum"
                 )
         if self.rest_padding < 0.2:
             raise DomainError("rest_padding must be >= 0.2 s")
@@ -386,8 +391,8 @@ def _write_targets_json(trials: list[TrialRecord], path: Path) -> None:
         fh.write("\n}\n")
 
 
-def write_dataset(outdir: str | Path, config: SimConfig,
-                  participants: list[Participant], trials: list[TrialRecord],
+def write_dataset(outdir: str | Path, participants: list[Participant],
+                  trials: list[TrialRecord],
                   trajectories: list[Trajectory] | None = None) -> dict[str, str]:
     """Write the CSV family the analysis and fitting pipelines consume.
 

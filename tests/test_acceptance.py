@@ -247,10 +247,10 @@ def test_variant_selection_tracks_guidance_mode():
     def winner(seed: int, beta_deg: float, feedback: str) -> str:
         dataset, _ = _simulated_dataset(seed, beta_deg, feedback,
                                         n_participants=12, repetitions=24)
-        rows, _ = compare_models_detailed(
+        rows = compare_models_detailed(
             dataset, POSE, SIM_IPD_BOUNDS, DEFAULT_BETA_BOUNDS,
             train_fraction=0.70, split_seed=seed)
-        return next(row.variant for row in rows if row.selected)
+        return next(row.result.variant for row in rows if row.selected)
 
     online = sum(winner(seed, BETA_DEG, "online") == "with-offset"
                  for seed in range(20))
@@ -454,7 +454,7 @@ def test_optimizer_matches_closed_form_and_differences():
     x = np.concatenate([[math.radians(0.25)], [0.059, 0.064, 0.067]])
     analytic = dense_jacobian(x, pidx, d_eye)
     probed = finite_difference_jacobian(
-        lambda v: residuals(v, dataset, pidx, d_eye), x)
+        lambda v: residuals(v, dataset.distance_error, pidx, d_eye), x)
     jac_gap = float(np.max(np.abs(analytic - probed)))
     jac_ok = jac_gap < 1e-5
 

@@ -20,7 +20,6 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -515,6 +514,31 @@ class TestAnalyze:
         assert rows[bad][4:6] == ["0", "bad ipd"]
         assert sum(row[4] == "1" for row in rows.values()) == len(rows) - 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("reach_m", math.nan), ("reach_m", -0.25), ("x_m", math.inf),
+        ("go_cue_time_s", math.nan)])
+    def test_bad_target_rejected_and_fit_runs(self, tmp_path, field, value):
+        # enough repetitions that the fit keeps more test rows than
+        # parameters without the rejected trial
+        simdir = tmp_path / "sim"
+        cfg = _sim_config(tmp_path / "sim.json", repetitions=6)
+        assert main(["simulate", "--config", cfg, "--out", str(simdir)]) == 0
+        targets = json.loads(
+            (simdir / "targets.json").read_text(encoding="utf-8"))
+        bad = sorted(targets)[0]
+        targets[bad][field] = value
+        edited = tmp_path / "targets.json"
+        _write_json(edited, targets)
+        outdir = tmp_path / "analysis"
+        args = self._analyze_args(simdir, tmp_path, outdir)
+        args[args.index("--targets") + 1] = str(edited)
+        assert main(args) == 0
+        rows = {r[0]: r for r in _read_csv_rows(outdir / "outcomes.csv")[1:]}
+        assert rows[bad][4:6] == ["0", "bad target"]
+        assert sum(row[4] == "1" for row in rows.values()) == len(rows) - 1
+        assert main(["fit", "--input", str(outdir / "outcomes.csv"),
+                     "--out", str(tmp_path / "fits")]) == 0
+
     def test_single_sample_trial_is_missing_data(self, simulated, tmp_path):
         with (simulated / "trajectories.csv").open(
                 "a", encoding="utf-8", newline="") as fh:
@@ -632,8 +656,7 @@ class TestFit:
                                      capsys, variant):
         # one iteration cannot converge the with-offset fit; the
         # zero-offset fit has nothing to solve
-        monkeypatch.setattr(fitting, "levenberg_marquardt",
-                            partial(fitting.levenberg_marquardt, max_iter=1))
+        monkeypatch.setattr(fitting, "MAX_ITER", 1)
         outdir = tmp_path / "fits"
         code = main(["fit", "--input", str(outcomes), "--variant", variant,
                      "--config", self._fit_config(tmp_path / "fit.json"),
@@ -650,6 +673,22 @@ class TestFit:
                              .read_text(encoding="utf-8"))
         assert (payload["converged"], payload["stop_reason"],
                 payload["n_iter"]) == (False, "max_iter", 1)
+
+    def test_unconverged_fit_is_never_selected(self, outcomes, tmp_path,
+                                               monkeypatch):
+        # after one iteration the with-offset fit has the lower test BIC,
+        # but only a converged fit may be selected
+        monkeypatch.setattr(fitting, "MAX_ITER", 1)
+        outdir = tmp_path / "fits"
+        assert main(["fit", "--input", str(outcomes),
+                     "--config", self._fit_config(tmp_path / "fit.json"),
+                     "--out", str(outdir)]) == 0
+        payload = json.loads((outdir / "fit_original_with-offset.json")
+                             .read_text(encoding="utf-8"))
+        assert payload["converged"] is False
+        _, *rows = _read_csv_rows(outdir / "comparison.csv")
+        selected = {row[1]: row[-1] for row in rows}
+        assert selected == {"with-offset": "0", "zero-offset": "1"}
 
     @pytest.mark.parametrize("variant", ["both", "with-offset"])
     def test_identifiability_warning_is_one_line(self, outcomes, tmp_path,
@@ -769,28 +808,68 @@ class TestBadFieldValues:
         ("simulate", {"seed": "7"}, "seed"),
         ("simulate", {"write_trajectories": "false"}, "write_trajectories"),
         ("simulate", {"write_trajectories": 0}, "write_trajectories"),
+        # floats are JSON numbers: no string is parsed, no boolean read as
+        # 0 or 1
+        ("simulate", {"beta_deg": True}, "beta_deg"),
+        ("simulate", {"ipd_low_mm": "58"}, "ipd_low_mm"),
+        ("simulate", {"sample_rate_hz": "250"}, "sample_rate_hz"),
+        ("simulate", {"reach_distances_m": [0.2, "0.3"]}, "reach_distances_m"),
+        ("simulate", {"response_mixture": [1, 0, True]}, "response_mixture"),
+        ("simulate", {"eye_pose": {"lateral_m": "0"}}, "lateral_m"),
+        ("fit", {"ipd_bounds_mm": [58, "68"]}, "ipd_bounds_mm"),
+        ("fit", {"beta_bounds_deg": [-1, True]}, "beta_bounds_deg"),
+        ("eye-pose", {"ipd_mm": "63"}, "ipd_mm"),
+        ("eye-pose", {"ipd_mm": 63, "behind_m": False}, "behind_m"),
+        ("targets", {"t0": {"reach_m": "0.3"}}, "reach_m"),
+        ("targets", {"t0": {"reach_m": 0.3, "x_m": True}}, "x_m"),
+        ("targets", {"t0": {"reach_m": 0.3, "ipd_m": "0.063"}}, "ipd_m"),
+        ("simulate", {"motor_noise_sd_mm": 10 ** 400}, "motor_noise_sd_mm"),
     ])
     def test_exits_one_naming_the_field(self, tmp_path, capsys, source,
                                         payload, key):
-        path = _write_json(tmp_path / "in.json", payload)
-        out = str(tmp_path / "out")
-        if source == "simulate":
-            argv = ["simulate", "--config", path, "--out", out]
-        elif source == "fit":
-            argv = ["fit", "--input", str(tmp_path / "outcomes.csv"),
-                    "--config", path, "--out", out]
-        else:
-            pose = path if source == "eye-pose" \
-                else _eye_pose_file(tmp_path / "pose.json")
-            targets = path if source == "targets" \
-                else _write_json(tmp_path / "targets.json", {})
-            argv = ["analyze", "--input", str(tmp_path / "trajectories.csv"),
-                    "--targets", targets, "--eye-pose", pose, "--out", out]
-        assert main(argv) == 1
+        assert main(self._argv(tmp_path, source, payload)) == 1
         err = capsys.readouterr().err
         assert err.startswith("vackit: error: bad ") and err.count("\n") == 1
         assert f" field {key}: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source, payload, name", [
+        ("simulate", {"motor_noise_sd_mm": math.nan}, "motor_noise_sd"),
+        ("simulate", {"sample_rate_hz": math.inf}, "sample_rate"),
+        ("simulate", {"rest_padding_s": math.nan}, "rest_padding"),
+        ("simulate", {"beta_deg": -math.inf}, "beta"),
+        ("simulate", {"response_mixture": [math.nan, 1, 1]},
+         "response_mixture"),
+        ("simulate", {"eye_pose": {"behind_m": math.nan}}, "behind_m"),
+        ("fit", {"eye_pose": {"above_m": math.inf}}, "above_m"),
+        ("eye-pose", {"ipd_mm": 63, "behind_m": math.nan}, "behind_m"),
+    ])
+    def test_non_finite_exits_one_naming_the_field(self, tmp_path, capsys,
+                                                   source, payload, name):
+        # Python's json reads NaN and Infinity; a config or eye pose
+        # refuses them
+        assert main(self._argv(tmp_path, source, payload)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vackit: error: ") and err.count("\n") == 1
+        assert name in err and "finite" in err
+
+    @staticmethod
+    def _argv(tmp_path: Path, source: str, payload: dict) -> list[str]:
+        """A command reading payload as its simulate config, fit config,
+        eye pose or targets; the other inputs do not exist."""
+        path = _write_json(tmp_path / "in.json", payload)
+        out = str(tmp_path / "out")
+        if source == "simulate":
+            return ["simulate", "--config", path, "--out", out]
+        if source == "fit":
+            return ["fit", "--input", str(tmp_path / "outcomes.csv"),
+                    "--config", path, "--out", out]
+        pose = path if source == "eye-pose" \
+            else _eye_pose_file(tmp_path / "pose.json")
+        targets = path if source == "targets" \
+            else _write_json(tmp_path / "targets.json", {})
+        return ["analyze", "--input", str(tmp_path / "trajectories.csv"),
+                "--targets", targets, "--eye-pose", pose, "--out", out]
 
 
 class TestTopLevel:

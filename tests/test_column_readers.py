@@ -238,7 +238,7 @@ def _simulated(tmp_path):
     participants = generate_participants(config)
     trials = generate_trials(config, participants)
     trajectories = generate_trajectories(config, trials, participants)
-    write_dataset(tmp_path, config, participants, trials, trajectories)
+    write_dataset(tmp_path, participants, trials, trajectories)
     return tmp_path / "trajectories.csv"
 
 

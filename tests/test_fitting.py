@@ -43,7 +43,6 @@ from vackit.fitting import (
     ModelSpec,
     VARIANT_WITH_OFFSET,
     VARIANT_ZERO_OFFSET,
-    compare_models,
     compare_models_detailed,
     fit,
     fit_result_to_dict,
@@ -339,9 +338,8 @@ class TestSplitIndices:
         assert len(train) + len(test) == len(ds)
         assert len(np.intersect1d(train, test)) == 0
         for idx, name in ((train, "train"), (test, "test")):
-            part = ds.take(idx)
-            cells = set(zip(part.participant_id.tolist(),
-                            part.target_reach.tolist()))
+            cells = set(zip(ds.participant_id[idx].tolist(),
+                            ds.target_reach[idx].tolist()))
             assert len(cells) == 4 * len(REACHES), name
 
     def test_fraction_respected_per_cell(self):
@@ -421,7 +419,7 @@ class TestResidualsAndJacobian:
         x = np.concatenate([[math.radians(0.3)], [0.060, 0.063, 0.066]])
         analytic = dense_jacobian(x, pidx, d_eye)
         fd = finite_difference_jacobian(
-            lambda v: residuals(v, ds, pidx, d_eye), x)
+            lambda v: residuals(v, ds.distance_error, pidx, d_eye), x)
         assert float(np.max(np.abs(analytic - fd))) < 1e-5
 
     def test_zero_offset_prediction_and_jacobian_vanish(self):
@@ -523,7 +521,8 @@ def _reference_fit(ds: FitDataset, spec: ModelSpec, split_seed: int = 0):
     pidx = np.array([pid_index[p] for p in ds.participant_id])
     d_eye = spec.eye_pose.eye_distance(ds.target_reach)
     train, _ = ds.split_indices(seed=split_seed)
-    train_ds, pidx_train, d_train = ds.take(train), pidx[train], d_eye[train]
+    obs_train, pidx_train, d_train = \
+        ds.distance_error[train], pidx[train], d_eye[train]
     first = int(spec.variant == VARIANT_WITH_OFFSET)
     x0 = np.full(first + len(participants), 0.063)
     lower = np.full_like(x0, spec.ipd_bounds[0])
@@ -532,13 +531,13 @@ def _reference_fit(ds: FitDataset, spec: ModelSpec, split_seed: int = 0):
         x0[0] = 0.0
         lower[0], upper[0] = spec.beta_bounds
         lm = levenberg_marquardt(
-            lambda x: residuals(x, train_ds, pidx_train, d_train),
+            lambda x: residuals(x, obs_train, pidx_train, d_train),
             lambda x: dense_jacobian(x, pidx_train, d_train),
             x0, lower, upper)
     else:
         lm = levenberg_marquardt(
-            lambda x: -train_ds.distance_error,
-            lambda x: np.zeros((len(train_ds), len(x))),
+            lambda x: -obs_train,
+            lambda x: np.zeros((len(obs_train), len(x))),
             x0, lower, upper)
     beta = float(lm.x[0]) if first else 0.0
     return lm, beta, dict(zip(participants, lm.x[first:].tolist()))
@@ -608,8 +607,9 @@ class TestModelComparison:
     def test_biased_condition_selects_with_offset(self):
         ds, _ = _synthetic_dataset(n_participants=8, reps=12,
                                    noise_sd=0.005, seed=21)
-        rows = compare_models(ds, ipd_bounds=SIM_IPD_BOUNDS, split_seed=1)
-        selected = {r.variant: r.selected for r in rows}
+        rows = compare_models_detailed(ds, ipd_bounds=SIM_IPD_BOUNDS,
+                                       split_seed=1)
+        selected = {r.result.variant: r.selected for r in rows}
         assert selected[VARIANT_WITH_OFFSET]
         assert not selected[VARIANT_ZERO_OFFSET]
 
@@ -617,24 +617,23 @@ class TestModelComparison:
         ds, _ = _synthetic_dataset(n_participants=8, reps=12, beta=0.0,
                                    noise_sd=0.005, seed=22,
                                    condition="feedforward")
-        rows = compare_models(ds, ipd_bounds=SIM_IPD_BOUNDS, split_seed=1)
-        selected = {r.variant: r.selected for r in rows}
+        rows = compare_models_detailed(ds, ipd_bounds=SIM_IPD_BOUNDS,
+                                       split_seed=1)
+        selected = {r.result.variant: r.selected for r in rows}
         assert selected[VARIANT_ZERO_OFFSET]
         assert not selected[VARIANT_WITH_OFFSET]
 
     def test_variants_differ_by_one_parameter(self):
         ds, _ = _synthetic_dataset(noise_sd=0.005, seed=23)
-        rows = compare_models(ds, ipd_bounds=SIM_IPD_BOUNDS)
-        k = {r.variant: r.k for r in rows}
+        rows = compare_models_detailed(ds, ipd_bounds=SIM_IPD_BOUNDS)
+        k = {r.result.variant: r.result.k for r in rows}
         assert k[VARIANT_WITH_OFFSET] - k[VARIANT_ZERO_OFFSET] == 1
 
     def test_detailed_returns_every_fit(self):
         ds, _ = _synthetic_dataset(noise_sd=0.005, seed=24)
-        rows, results = compare_models_detailed(ds,
-                                                ipd_bounds=SIM_IPD_BOUNDS)
-        assert set(results) == {("original", VARIANT_WITH_OFFSET),
-                                ("original", VARIANT_ZERO_OFFSET)}
-        assert len(rows) == 2
+        rows = compare_models_detailed(ds, ipd_bounds=SIM_IPD_BOUNDS)
+        assert [(r.condition, r.result.variant) for r in rows] == [
+            ("original", VARIANT_WITH_OFFSET), ("original", VARIANT_ZERO_OFFSET)]
 
     def test_conditions_fit_independently(self):
         a, _ = _synthetic_dataset(n_participants=4, reps=6, noise_sd=0.005,
@@ -648,7 +647,7 @@ class TestModelComparison:
             np.concatenate([a.target_reach, b.target_reach]),
             np.concatenate([a.distance_error, b.distance_error]),
         )
-        rows = compare_models(merged, ipd_bounds=SIM_IPD_BOUNDS)
+        rows = compare_models_detailed(merged, ipd_bounds=SIM_IPD_BOUNDS)
         assert {r.condition for r in rows} == {"original", "feedforward"}
         assert len(rows) == 4
 
@@ -656,7 +655,7 @@ class TestModelComparison:
 class TestWriters:
     def test_comparison_csv_schema(self, tmp_path):
         ds, _ = _synthetic_dataset(noise_sd=0.005, seed=30)
-        rows = compare_models(ds, ipd_bounds=SIM_IPD_BOUNDS)
+        rows = compare_models_detailed(ds, ipd_bounds=SIM_IPD_BOUNDS)
         path = tmp_path / "comparison.csv"
         write_comparison_csv(rows, path)
         lines = path.read_text().splitlines()

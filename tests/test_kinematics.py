@@ -538,6 +538,12 @@ class TestEyePose:
         pose = EyePose(behind_m=0.0, above_m=0.0)
         assert pose.eye_distance(0.4) == pytest.approx(0.4, rel=1e-15)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["behind_m", "above_m", "lateral_m"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(DomainError, match=f"^eye pose {name} must be finite"):
+            EyePose(**{name: value})
+
     @settings(max_examples=300, deadline=None)
     @given(reach=st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=True)),
            behind=st.floats(-1.0, 1.0), above=st.floats(-1.0, 1.0),
@@ -709,6 +715,28 @@ class TestAnalyzeTrials:
         assert by_id["tr05"].target == targets["tr05"]
         assert by_id["tr05"].outcome == TrialOutcome(
             trial_id="tr05", valid=False, rejection_reason="bad ipd")
+        assert [item for item in after if item.outcome.trial_id != "tr05"] == \
+            [item for item in before if item.outcome.trial_id != "tr05"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("reach_m", math.nan), ("reach_m", math.inf), ("reach_m", 0.0),
+        ("reach_m", -0.25), ("x_m", math.nan), ("y_m", -math.inf),
+        ("go_cue_time_s", math.nan), ("go_cue_time_s", math.inf)])
+    def test_bad_target_trial_leaves_block_untouched(self, field, value):
+        rng = np.random.default_rng(4)
+        trajectories = [_noisy_trajectory(0.25, 0.4, rng, trial_id=f"tr{i:02d}")
+                        for i in range(12)]
+        targets = {tr.trial_id: TargetSpec(trial_id=tr.trial_id, reach_m=0.25,
+                                           go_cue_time_s=0.0)
+                   for tr in trajectories}
+        before = analyze_trials(trajectories, targets, EYES, POSE)
+        targets["tr05"] = replace(targets["tr05"], **{field: value})
+
+        after = analyze_trials(trajectories, targets, EYES, POSE)
+        by_id = {item.outcome.trial_id: item for item in after}
+        assert by_id["tr05"].target == targets["tr05"]
+        assert by_id["tr05"].outcome == TrialOutcome(
+            trial_id="tr05", valid=False, rejection_reason="bad target")
         assert [item for item in after if item.outcome.trial_id != "tr05"] == \
             [item for item in before if item.outcome.trial_id != "tr05"]
 

@@ -94,10 +94,21 @@ class TestSimConfigValidation:
         {"response_mixture": (-1.0, 1.0, 1.0)},
         {"rest_padding": 0.1},
         {"sample_rate": 0.0},
+        {"response_mixture": (math.nan, 1.0, 1.0)},
+        {"response_mixture": (math.inf, 0.0, 0.0)},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(DomainError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "ipd_low", "ipd_high", "ipd_mean", "ipd_sd", "beta", "motor_noise_sd",
+        "movement_duration", "feedforward_variance_factor",
+        "trajectory_noise_sd", "sample_rate", "rest_padding"])
+    def test_rejects_non_finite_float(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            SimConfig(**{name: value})
 
     @pytest.mark.parametrize("reach", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_reach(self, reach):
@@ -361,8 +372,7 @@ class TestWriteDataset:
         people = generate_participants(config)
         trials = generate_trials(config, people)
         trajectories = generate_trajectories(config, trials, people)
-        written = write_dataset(tmp_path, config, people, trials,
-                                trajectories)
+        written = write_dataset(tmp_path, people, trials, trajectories)
         assert set(written) == {"participants", "outcomes", "targets",
                                 "trajectories"}
         ds = FitDataset.from_csv(written["outcomes"])
@@ -376,7 +386,7 @@ class TestWriteDataset:
         config = _config()
         people = generate_participants(config)
         trials = generate_trials(config, people)
-        written = write_dataset(tmp_path, config, people, trials)
+        written = write_dataset(tmp_path, people, trials)
         targets = json.loads((tmp_path / "targets.json").read_text())
         assert set(targets) == {t.trial_id for t in trials}
         entry = targets[trials[0].trial_id]
@@ -446,8 +456,8 @@ def _reference_files(trials, outdir: Path) -> dict[str, bytes]:
             for name in ("outcomes.csv", "targets.json")}
 
 
-def _written_files(config, people, trials, outdir: Path) -> dict[str, bytes]:
-    write_dataset(outdir, config, people, trials)
+def _written_files(people, trials, outdir: Path) -> dict[str, bytes]:
+    write_dataset(outdir, people, trials)
     return {name: (outdir / name).read_bytes()
             for name in ("outcomes.csv", "targets.json")}
 
@@ -463,7 +473,7 @@ def _assert_equivalent(config: SimConfig, workdir: Path) -> list[TrialRecord]:
     trials = generate_trials(config, people)
     expected = _reference_trials(config, people)
     assert [_bits(t) for t in trials] == [_bits(t) for t in expected]
-    assert _written_files(config, people, trials, workdir / "new") == \
+    assert _written_files(people, trials, workdir / "new") == \
         _reference_files(expected, workdir / "old")
     return trials
 
@@ -512,7 +522,7 @@ class TestSimulateEquivalence:
         people = generate_participants(config)
         trials = generate_trials(config, people)[:count]
         assert len(trials) == count
-        assert _written_files(config, people, trials, tmp_path / "new") == \
+        assert _written_files(people, trials, tmp_path / "new") == \
             _reference_files(trials, tmp_path / "old")
         if count == 0:
             assert (tmp_path / "new" / "targets.json").read_text() == "{}\n"
@@ -535,7 +545,7 @@ class TestSimulateEquivalence:
             dataclasses.replace(base[5], trial_id=" lead", ipd_m=-math.inf,
                                 disparity_difference=-0.0),
         ]
-        assert _written_files(config, people, trials, tmp_path / "new") == \
+        assert _written_files(people, trials, tmp_path / "new") == \
             _reference_files(trials, tmp_path / "old")
 
     @settings(max_examples=25, deadline=None)
@@ -573,7 +583,7 @@ class TestSimulateEquivalence:
         trials = generate_trials(config, people)
         tracemalloc.start()
         try:
-            written = write_dataset(tmp_path, config, people, trials)
+            written = write_dataset(tmp_path, people, trials)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
