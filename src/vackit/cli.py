@@ -50,7 +50,7 @@ from .kinematics import (
     EyePose,
     TargetSpec,
     analyze_trials,
-    outcome_row,
+    outcome_columns,
     read_trajectories_csv,
     write_outcomes_csv,
     write_summary_csv,
@@ -319,7 +319,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     analyzed.sort(key=lambda item: item.outcome.trial_id)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_outcomes_csv(map(outcome_row, analyzed), outdir / "outcomes.csv")
+    write_outcomes_csv(outcome_columns(analyzed), outdir / "outcomes.csv")
     write_summary_csv(analyzed, outdir / "summary.csv")
     _write_manifest(outdir / "manifest.json", "analyze", {
         "input": args.input, "targets": args.targets, "eye_pose": args.eye_pose,

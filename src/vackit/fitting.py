@@ -19,6 +19,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Callable
 
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import DataFormatError, DomainError, FitError
 from .geometry import angles_at
 from .kinematics import EyePose
-from .meshio import _ENCODING
+from .meshio import _ENCODING, _ROW_LOOP_ONLY, _plain_lines
 from .perception import fixated_distance_error
 
 __all__ = [
@@ -81,17 +82,204 @@ def _dict_row(header: list[str], row: list[str]) -> dict:
     return out
 
 
+# The required outcomes columns, in the order the readers return them.
+_OUTCOME_COLUMNS = ("participant_id", "condition", "target_reach_m",
+                    "distance_error_m")
+# Characters np.loadtxt keeps of a text field _read_outcome_columns parses;
+# one that fills them may have been cut short.
+_FIELD_CHARS = 16
+# The rows _read_outcome_columns parses: the required columns, then valid.
+# The reach, which repeats, is kept as text and parsed once per run.  The
+# three text fields come first, so the last character of each sits at a
+# fixed 4-byte slot of a row.
+_TEXT_FIELDS = _OUTCOME_COLUMNS[:3]
+_OUTCOME_FIELDS = (
+    [(name, f"U{_FIELD_CHARS}") for name in _TEXT_FIELDS]
+    # a valid field other than "1" or "" stays neither when cut to 2
+    + [("distance_error_m", np.float64), ("valid", "U2")])
+_LAST_CHARS = [(k + 1) * _FIELD_CHARS - 1 for k in range(len(_TEXT_FIELDS))]
+
+
+def _read_outcome_rows(path: Path) -> tuple:
+    """FitDataset.from_csv's columns by a csv.reader row loop, one float()
+    per field; the participant codes are left to FitDataset."""
+    pids: list[str] = []
+    conds: list[str] = []
+    reach = array("d")
+    error = array("d")
+    with path.open("r", encoding=_ENCODING, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        column = {name: i for i, name in enumerate(header)}
+        if not set(_OUTCOME_COLUMNS).issubset(column):
+            raise DataFormatError(
+                f"missing columns {sorted(set(_OUTCOME_COLUMNS) - set(column))}",
+                str(path), 1)
+        i_pid, i_cond, i_reach, i_err = map(column.__getitem__, _OUTCOME_COLUMNS)
+        i_valid = column.get("valid")
+        width = len(header)
+        line_no = 1
+        for row in reader:
+            if not row:
+                continue
+            line_no += 1
+            fields = row if len(row) >= width else \
+                row + [None] * (width - len(row))
+            if i_valid is not None and fields[i_valid] not in (None, "", "1"):
+                continue
+            try:
+                reach_m, error_m = float(fields[i_reach]), float(fields[i_err])
+            except (TypeError, ValueError):
+                raise DataFormatError(
+                    f"bad numeric fields in {_dict_row(header, row)!r}",
+                    str(path), line_no,
+                ) from None
+            if not (math.isfinite(reach_m) and reach_m > 0):
+                raise DataFormatError(
+                    f"target_reach_m must be finite and positive in "
+                    f"{_dict_row(header, row)!r}", str(path), line_no)
+            if not math.isfinite(error_m):
+                raise DataFormatError(
+                    f"distance_error_m must be finite in "
+                    f"{_dict_row(header, row)!r}", str(path), line_no)
+            if fields[i_pid] is None or fields[i_cond] is None:
+                raise DataFormatError(
+                    f"bad text fields in {_dict_row(header, row)!r}",
+                    str(path), line_no,
+                )
+            pids.append(fields[i_pid])
+            conds.append(fields[i_cond])
+            reach.append(reach_m)
+            error.append(error_m)
+    if not pids:
+        raise DataFormatError("no usable rows", str(path))
+    return (np.array(pids, dtype=object), np.array(conds, dtype=object),
+            np.frombuffer(reach), np.frombuffer(error))
+
+
+def _runs(values: np.ndarray) -> tuple[list, np.ndarray]:
+    """The first value of each run of equal values, and the run lengths."""
+    starts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    return (values[np.concatenate(([0], starts))].tolist(),
+            np.diff(np.concatenate(([0], starts, [len(values)]))))
+
+
+def _parse_outcome_lines(lines: list[str], usecols: tuple[int, ...]) -> np.ndarray:
+    """The rows of outcomes lines the valid field keeps, as the first
+    len(usecols) of _OUTCOME_FIELDS; usecols ends with the valid column
+    when the file has one.
+
+    Raises:
+        ValueError: If np.loadtxt cannot parse a kept row.
+    """
+    with_valid = len(usecols) == len(_OUTCOME_FIELDS)
+    dtype = np.dtype(_OUTCOME_FIELDS[:len(usecols)])
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", usecols=usecols,
+                          comments=None, ndmin=1)
+    except ValueError:
+        if not with_valid:
+            raise
+        # a rejected row may leave its numbers empty: drop the rejected
+        # rows, and the blank ones np.loadtxt skips, before the numbers are
+        # parsed
+        lines = [line for line in lines if line not in ("", "\r")]
+        valid = np.loadtxt(lines, dtype="U2", delimiter=",", usecols=usecols[4],
+                           comments=None, ndmin=1)
+        if len(valid) != len(lines):
+            raise ValueError("a row was skipped")
+        lines = list(compress(lines, (valid == "1") | (valid == "")))
+        if not lines:
+            return np.empty(0, dtype)
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", usecols=usecols,
+                          comments=None, ndmin=1)
+    if with_valid:
+        keep = (rows["valid"] == "1") | (rows["valid"] == "")
+        if not keep.all():
+            rows = rows[keep]
+    return rows
+
+
+def _read_outcome_columns(fh) -> tuple | None:
+    """FitDataset.from_csv's columns and participant codes, parsed in C,
+    or None.
+
+    fh is the outcomes file opened in binary mode at its start.  The
+    needed fields of each chunk of lines are parsed by np.loadtxt, after
+    the rows the valid field rejects are dropped.  The participant id,
+    condition and reach are read as text and taken once per run of rows
+    that share all three, so a file grouped by participant and reach costs
+    no Python object per row; the reach is parsed with float(), the
+    distance error in C.
+
+    Returns None whenever the columns might differ from the row loop's: a
+    header or a chunk with a character _plain_lines refuses, a missing
+    column, a kept row np.loadtxt cannot parse (a missing field included),
+    a text field of _FIELD_CHARS characters or more, a reach float()
+    refuses, a number that FitDataset would refuse, undecodable bytes, or
+    no kept rows.  The caller then reruns the row loop, which alone words
+    errors and numbers lines.
+    """
+    heads: list[tuple[str, str, str]] = []  # _TEXT_FIELDS, once per run
+    lengths, error = [], []
+    try:
+        first = fh.readline().decode(_ENCODING)
+        line_end = "\r\n" if first.endswith("\r\n") else "\n"
+        header = first[:-len(line_end)]
+        if (not first.endswith(line_end) or "\r" in header
+                or any(c in header for c in _ROW_LOOP_ONLY)
+                or len(header) > csv.field_size_limit()):
+            return None
+        column = {name: i for i, name in enumerate(header.split(","))}
+        if not set(_OUTCOME_COLUMNS).issubset(column):
+            return None
+        usecols = tuple(map(column.__getitem__, _OUTCOME_COLUMNS))
+        if "valid" in column:
+            usecols += (column["valid"],)
+        for lines in _plain_lines(fh):
+            rows = _parse_outcome_lines(lines, usecols)
+            if not len(rows):
+                continue
+            if rows.view(np.uint32).reshape(len(rows), -1)[:, _LAST_CHARS].any():
+                return None
+            first_values, counts = _runs(rows[list(_TEXT_FIELDS)])
+            heads += first_values
+            lengths.append(counts)
+            error.append(rows["distance_error_m"])
+        if not error:
+            return None
+        pids, conditions, reaches = zip(*heads)
+        counts = np.concatenate(lengths)
+        reach_m = np.repeat(np.array(list(map(float, reaches))), counts)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    error_m = np.concatenate(error)
+    if not (np.isfinite(reach_m).all() and (reach_m > 0).all()
+            and np.isfinite(error_m).all()):
+        return None
+    ids = sorted(set(pids))
+    code_of = {pid: i for i, pid in enumerate(ids)}
+    codes = np.repeat(np.array([code_of[pid] for pid in pids], dtype=np.int64),
+                      counts)
+    return (np.array(ids, dtype=object)[codes],
+            np.repeat(np.array(conditions, dtype=object), counts),
+            reach_m, error_m, codes)
+
+
 @dataclass(frozen=True)
 class FitDataset:
     """Per-trial distance errors keyed by participant and condition.
 
     All rows share a unit convention: reach distances and errors in meters.
+    participant_code holds each row's index into the sorted participant
+    ids; it is worked out from participant_id when not given.
     """
 
     participant_id: np.ndarray
     condition: np.ndarray
     target_reach: np.ndarray
     distance_error: np.ndarray
+    participant_code: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.participant_id)
@@ -112,13 +300,20 @@ class FitDataset:
             raise DomainError("target reach distances must be finite and positive")
         if not np.all(np.isfinite(self.distance_error)):
             raise DomainError("distance errors must be finite")
+        if self.participant_code is None:
+            ids = self.participant_id.tolist()
+            code_of = {pid: i for i, pid in enumerate(sorted(set(ids)))}
+            object.__setattr__(self, "participant_code", np.fromiter(
+                map(code_of.__getitem__, ids), dtype=np.int64, count=n))
 
     def __len__(self) -> int:
         return len(self.participant_id)
 
     @property
     def participants(self) -> list[str]:
-        return sorted(set(self.participant_id.tolist()))
+        ids = np.empty(int(self.participant_code.max()) + 1, dtype=object)
+        ids[self.participant_code] = self.participant_id
+        return ids.tolist()
 
     @property
     def conditions(self) -> list[str]:
@@ -145,57 +340,21 @@ class FitDataset:
         last column of a repeated name wins, a missing trailing field reads
         None, and blank rows are skipped without counting toward the
         reported line number.  A row missing a required field is a
-        DataFormatError ("bad numeric fields" before "bad text fields").
+        DataFormatError ("bad numeric fields" before "bad text fields"),
+        and so is a kept row whose reach is not finite and positive or
+        whose distance error is not finite.
+
+        The fields are parsed in C a bounded chunk of lines at a time, and
+        each row's index into the sorted participant ids comes with them.
+        A file that parse cannot promise the row loop's result for (quoted
+        fields, an id, condition or reach of 16 characters or more, a
+        malformed row, a non-finite value, ...) is read row by row instead,
+        with the same columns, codes and errors.
         """
         path = Path(path)
-        pids: list[str] = []
-        conds: list[str] = []
-        reach = array("d")
-        error = array("d")
-        with path.open("r", encoding=_ENCODING, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            column = {name: i for i, name in enumerate(header)}
-            needed = {"participant_id", "condition", "target_reach_m",
-                      "distance_error_m"}
-            if not needed.issubset(column):
-                raise DataFormatError(
-                    f"missing columns {sorted(needed - set(column))}", str(path), 1
-                )
-            i_pid, i_cond, i_reach, i_err = (
-                column["participant_id"], column["condition"],
-                column["target_reach_m"], column["distance_error_m"])
-            i_valid = column.get("valid")
-            width = len(header)
-            line_no = 1
-            for row in reader:
-                if not row:
-                    continue
-                line_no += 1
-                fields = row if len(row) >= width else \
-                    row + [None] * (width - len(row))
-                if i_valid is not None and fields[i_valid] not in (None, "", "1"):
-                    continue
-                try:
-                    reach_m, error_m = float(fields[i_reach]), float(fields[i_err])
-                except (TypeError, ValueError):
-                    raise DataFormatError(
-                        f"bad numeric fields in {_dict_row(header, row)!r}",
-                        str(path), line_no,
-                    ) from None
-                if fields[i_pid] is None or fields[i_cond] is None:
-                    raise DataFormatError(
-                        f"bad text fields in {_dict_row(header, row)!r}",
-                        str(path), line_no,
-                    )
-                pids.append(fields[i_pid])
-                conds.append(fields[i_cond])
-                reach.append(reach_m)
-                error.append(error_m)
-        if not pids:
-            raise DataFormatError("no usable rows", str(path))
-        return cls(np.array(pids, dtype=object), np.array(conds, dtype=object),
-                   np.frombuffer(reach), np.frombuffer(error))
+        with path.open("rb") as fh:
+            columns = _read_outcome_columns(fh)
+        return cls(*(_read_outcome_rows(path) if columns is None else columns))
 
     def select_condition(self, condition: str) -> "FitDataset":
         mask = self.condition == condition
@@ -203,8 +362,13 @@ class FitDataset:
             raise DomainError(f"no rows for condition {condition!r}")
         if mask.all():
             return self  # one condition already: a copy would only double the rows
+        code = self.participant_code[mask]
+        # renumber the participants left, keeping their order
+        present = np.zeros(int(self.participant_code.max()) + 1, dtype=np.int64)
+        present[code] = 1
         return FitDataset(self.participant_id[mask], self.condition[mask],
-                          self.target_reach[mask], self.distance_error[mask])
+                          self.target_reach[mask], self.distance_error[mask],
+                          (np.cumsum(present) - 1)[code])
 
     def _groups(self) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
         """How rows group into participants and (participant, reach) cells.
@@ -213,15 +377,12 @@ class FitDataset:
         the cells' row indices.  Cells are ordered by participant id then
         reach, and each holds its rows in ascending order.
         """
-        participants = self.participants
-        code_of = {pid: i for i, pid in enumerate(participants)}
-        codes = np.fromiter(map(code_of.__getitem__, self.participant_id.tolist()),
-                            dtype=np.int64, count=len(self))
+        codes = self.participant_code
         order = np.lexsort((self.target_reach, codes))
         code, reach = codes[order], self.target_reach[order]
         starts = np.flatnonzero((code[1:] != code[:-1])
                                 | (reach[1:] != reach[:-1])) + 1
-        return participants, codes, np.split(order, starts)
+        return self.participants, codes, np.split(order, starts)
 
     def split_indices(self, train_fraction: float = DEFAULT_TRAIN_FRACTION,
                       seed: int = 0) -> tuple[np.ndarray, np.ndarray]:

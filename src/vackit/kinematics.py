@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "read_trajectories_csv",
     "write_trajectories_csv",
     "outcome_row",
+    "outcome_columns",
     "write_outcomes_csv",
     "write_summary_csv",
 ]
@@ -592,7 +593,7 @@ def read_trajectories_csv(
     """
     path = Path(path)
     runs: list[list] = []
-    with path.open("r", encoding=_ENCODING, newline="") as fh:
+    with path.open("rb") as fh:
         columns = _read_columns(fh, ",".join(TRAJECTORY_HEADER), (1, 2, 3, 4),
                                 runs)
     if columns is None:
@@ -668,13 +669,17 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[:-len(",\r\n")]
 
 
+# csv.writer quotes a field of a row of several exactly when it holds one
+# of these characters.
+_CSV_QUOTED = (",", '"', "\r", "\n")
+
+
 def _csv_fields(values: list[str]) -> list[str]:
-    """_csv_field of each value, with one csv.writer call when none is quoted."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow(values)
-    if buf.getvalue() == ",".join(values) + "\r\n":
-        return values
-    return [_csv_field(value) for value in values]
+    """_csv_field of each value; values itself when none needs quoting."""
+    text = "".join(values)
+    if any(c in text for c in _CSV_QUOTED):
+        return [_csv_field(value) for value in values]
+    return values
 
 
 def write_trajectories_csv(trajectories: list[Trajectory], path: str | Path) -> None:
@@ -708,7 +713,7 @@ OUTCOME_HEADER = [
 
 
 def outcome_row(item: AnalyzedTrial) -> tuple:
-    """An analyzed trial as an outcomes.csv row for write_outcomes_csv."""
+    """An analyzed trial as an outcomes.csv row."""
     out, tgt, seg = item.outcome, item.target, item.outcome.segment
     return (out.trial_id, tgt.participant_id, tgt.condition, tgt.reach_m,
             out.valid, out.rejection_reason,
@@ -718,36 +723,66 @@ def outcome_row(item: AnalyzedTrial) -> tuple:
             out.disparity_difference)
 
 
+def outcome_columns(analyzed: Iterable[AnalyzedTrial]) -> Iterator[tuple]:
+    """Analyzed trials as write_outcomes_csv chunks of _CHUNK_ROWS rows."""
+    rows = map(outcome_row, analyzed)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield tuple(zip(*chunk))
+
+
 # Rows formatted per write.  A chunk's text is held twice (str, then its
 # UTF-8 encoding), so this keeps the writers' peak memory a small fraction
 # of the files they write.
 _CHUNK_ROWS = 1024
 
 
-def write_outcomes_csv(rows: Iterable[tuple], path: str | Path) -> None:
-    """Write outcomes.csv, one line per row, in the order given.
+def _float_fields(column) -> list[str]:
+    """A column of floats or None as outcomes.csv fields: None empty."""
+    if isinstance(column, np.ndarray):
+        return list(map(repr, column.tolist()))
+    return ["" if v is None else repr(float(v)) for v in column]
 
-    Each row holds the OUTCOME_HEADER fields in order: trial_id,
-    participant_id and condition (str), target_reach_m, valid (a truth
-    value), rejection_reason (str or None), then six floats or None;
-    outcome_row makes one from an AnalyzedTrial.  None, and a reach that is
-    not finite, are written empty, and floats with repr: the bytes equal
-    one csv.writer row per trial.  Rows are formatted a chunk at a time.
+
+def _reach_fields(column) -> list[str]:
+    """A column of reaches as outcomes.csv fields: one not finite empty."""
+    if isinstance(column, np.ndarray):
+        # a chunk of trials repeats a few reaches: format each bit pattern
+        # once, so -0.0 and 0.0 keep their own text
+        bits, index = np.unique(column.view(np.int64), return_inverse=True)
+        texts = [repr(r) if math.isfinite(r) else ""
+                 for r in bits.view(np.float64).tolist()]
+        return [texts[i] for i in index.tolist()]
+    return [repr(float(r)) if math.isfinite(r) else "" for r in column]
+
+
+def write_outcomes_csv(chunks: Iterable[Sequence], path: str | Path) -> None:
+    """Write outcomes.csv from chunks of columns, rows in the order given.
+
+    Each chunk holds the OUTCOME_HEADER columns in order, all of one
+    length above zero: trial_id, participant_id and condition (str),
+    target_reach_m, valid (truth values), rejection_reason (str or None),
+    then six columns of floats or None; the reach and float columns may be
+    float64 arrays.  outcome_columns makes the chunks of analyzed trials.
+    None, and a reach that is not finite, are written empty, and floats
+    with repr: the bytes equal one csv.writer row per trial.  Each chunk
+    is formatted as one string; an array's distinct reaches are formatted
+    once each, and a measure column that is the same object as the one
+    before it once.
     """
-    rows = iter(rows)
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(OUTCOME_HEADER) + "\r\n")
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            trial_id, pid, condition, reach, valid, reason, *measures = zip(*chunk)
+        for trial_id, pid, condition, reach, valid, reason, *measures in chunks:
             fields = [
                 _csv_fields(list(trial_id)), _csv_fields(list(pid)),
-                _csv_fields(list(condition)),
-                [repr(float(r)) if math.isfinite(r) else "" for r in reach],
+                _csv_fields(list(condition)), _reach_fields(reach),
                 ["1" if v else "0" for v in valid],
                 _csv_fields([r or "" for r in reason]),
-                *(["" if v is None else repr(float(v)) for v in column]
-                  for column in measures),
             ]
+            previous = formatted = None
+            for column in measures:
+                if column is not previous:
+                    formatted, previous = _float_fields(column), column
+                fields.append(formatted)
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 

@@ -12,9 +12,11 @@ stays O(vertices + faces) in arrays, with no Python object per record.
 from __future__ import annotations
 
 import csv
+import re
 from array import array
 from itertools import groupby, islice
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -29,46 +31,63 @@ _CHUNK_ROWS = 4096
 # A UTF-8 byte-order mark, if present, is not part of the first record.
 _ENCODING = "utf-8-sig"
 
-# Size hint, in characters, of the lines _read_columns hands np.loadtxt at once.
+# Size hint, in bytes, of the lines _plain_lines hands on at once.
 _COLUMN_CHUNK = 1 << 20
 # Characters that send _read_columns to the row loop: a quote (csv fields),
 # NUL (csv refuses it before Python 3.11), and the ASCII separators U+001C
 # to U+001F, which np.loadtxt strips from a number as space and float()
 # does not.
 _ROW_LOOP_ONLY = '"\0\x1c\x1d\x1e\x1f'
+# A CR not followed by LF, which a csv.reader takes for a line end.
+_LONE_CR = re.compile("\r(?!\n)")
+
+
+def _plain_lines(fh) -> Iterator[list[str]]:
+    """The lines left in a binary file, decoded, a bounded chunk at a time.
+
+    Each line comes without its "\\n", and a chunk of blank lines only is
+    skipped.  Raises ValueError on undecodable bytes, and on a chunk a
+    csv.reader might not split at commas and line ends alone: one holding
+    a character of _ROW_LOOP_ONLY, a lone CR, or a line longer than csv's
+    field limit.
+    """
+    limit = csv.field_size_limit()
+    while text := (fh.read(_COLUMN_CHUNK) + fh.readline()).decode("utf-8"):
+        if any(c in text for c in _ROW_LOOP_ONLY) or _LONE_CR.search(text):
+            raise ValueError("needs the row loop")
+        if not text.strip("\r\n"):
+            continue
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        if len(text) > limit and max(map(len, lines)) > limit:
+            raise ValueError("needs the row loop")
+        yield lines
 
 
 def _read_columns(fh, header: str, usecols: tuple[int, ...], runs: list | None = None
                   ) -> np.ndarray | None:
     """The numeric columns of a plain CSV, parsed in C, or None.
 
-    fh is a text file opened with ``newline=""`` at its start.  Returns a
-    C-contiguous float64 array of shape (len(usecols), rows), one column
-    per row of the file after the header.  When runs is a list, each row's
-    first field (its id) is folded into it as [id, run length] pairs in
-    file order.
+    fh is a binary file at its start.  Returns a C-contiguous float64
+    array of shape (len(usecols), rows), one column per row of the file
+    after the header.  When runs is a list, each row's first field (its id)
+    is folded into it as [id, run length] pairs in file order.
 
     Returns None whenever the array might differ from what a csv.reader
     loop with float() per field would give: a first line other than header
-    plus a line end, a character of _ROW_LOOP_ONLY, a lone CR, a line
-    longer than csv's field limit, a field np.loadtxt cannot parse,
-    undecodable bytes, or no rows; with runs, also a row without a comma
-    (a blank row included) or an id that comes back after another.  The
-    caller then reruns its row loop, which alone words errors and numbers
-    lines.
+    plus a line end, a chunk _plain_lines refuses, a field np.loadtxt
+    cannot parse, undecodable bytes, or no rows; with runs, also a row
+    without a comma (a blank row included) or an id that comes back after
+    another.  The caller then reruns its row loop, which alone words
+    errors and numbers lines.
     """
-    if fh.readline() not in (header + "\r\n", header + "\n"):
-        return None
-    limit = csv.field_size_limit()
     chunks = []
     seen = set()
     try:
-        while lines := fh.readlines(_COLUMN_CHUNK):
-            text = "".join(lines)
-            if (any(c in text for c in _ROW_LOOP_ONLY)
-                    or text.count("\r") != text.count("\r\n")
-                    or max(map(len, lines)) > limit):
-                return None
+        if fh.readline().decode(_ENCODING) not in (header + "\r\n", header + "\n"):
+            return None
+        for lines in _plain_lines(fh):
             if runs is not None:
                 ids = [line[:line.index(",")] for line in lines]
                 for key, group in groupby(ids):
@@ -80,8 +99,6 @@ def _read_columns(fh, header: str, usecols: tuple[int, ...], runs: list | None =
                     else:
                         seen.add(key)
                         runs.append([key, count])
-            elif not text.strip("\r\n"):
-                continue  # blank rows only, which the row loop skips too
             chunks.append(np.loadtxt(lines, delimiter=",", usecols=usecols,
                                      ndmin=2, comments=None, unpack=True))
     except ValueError:  # UnicodeDecodeError included
@@ -226,7 +243,7 @@ def read_points_csv(path: str | Path) -> np.ndarray:
     instead, with the same values and errors.
     """
     path = Path(path)
-    with path.open("r", encoding=_ENCODING, newline="") as fh:
+    with path.open("rb") as fh:
         columns = _read_columns(fh, "x,y,z", (0, 1, 2))
     return _read_point_rows(path) if columns is None else columns.T
 

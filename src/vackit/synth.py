@@ -10,10 +10,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .perception import BETA_BOUND_RAD, PerturbationParams, predict_endpoint
 __all__ = [
     "SimConfig",
     "Participant",
-    "TrialRecord",
+    "TrialTable",
     "generate_participants",
     "generate_trials",
     "generate_trajectories",
@@ -180,19 +182,31 @@ class Participant:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """Ground truth for one trial: the noisy endpoint and exact measures."""
+class TrialTable:
+    """Ground truth of every trial, one column per field.
 
-    trial_id: str
-    participant_id: str
-    condition: str
-    reach_m: float
-    ipd_m: float
-    endpoint_z: float
-    movement_distance: float
-    distance_error: float
-    endpoint_error: float
-    disparity_difference: float
+    Row i is trial trial_id[i] of participant participant_id[i] under
+    condition[i]: a target reach_m[i] deep, the participant's ipd_m[i], the
+    noisy hand endpoint endpoint_z[i], and the exact hand-minus-target
+    disparity_difference[i].  The endpoint is also the movement distance,
+    and distance_error is the endpoint error as well.
+    """
+
+    trial_id: list[str]
+    participant_id: list[str]
+    condition: list[str]
+    reach_m: np.ndarray
+    ipd_m: np.ndarray
+    endpoint_z: np.ndarray
+    disparity_difference: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.trial_id)
+
+    @property
+    def distance_error(self) -> np.ndarray:
+        """Endpoint minus target depth, per trial."""
+        return self.endpoint_z - self.reach_m
 
 
 def _participant_rng(seed_seq: np.random.SeedSequence) -> np.random.Generator:
@@ -244,57 +258,68 @@ def _endpoint_bias(config: SimConfig, participant: Participant,
 
 
 def generate_trials(config: SimConfig,
-                    participants: list[Participant]) -> list[TrialRecord]:
+                    participants: list[Participant]) -> TrialTable:
     """Ground-truth trial table: biased endpoints plus Gaussian motor noise.
 
     The noise draw sequence depends only on the seed and the trial layout,
     not on condition or feedback, so runs differing only in those fields
     are trial-for-trial paired.  Each participant's noise is drawn in one
     call, in (reach, repetition) order, which gives the same values as one
-    draw per trial.
+    draw per trial.  Each disparity is worked out per trial in scalar math,
+    as geometry.angle_at keeps it.
     """
     noise_sd = config.motor_noise_sd
     if config.feedback == FEEDBACK_FEEDFORWARD:
         noise_sd *= math.sqrt(config.feedforward_variance_factor)
     pose = config.eye_pose
     condition = config.condition
+    reaches = config.reach_distances
     reps = config.repetitions
+    per_participant = len(reaches) * reps
     rep_labels = [f"r{rep:03d}" for rep in range(reps)]
-    records = []
-    for participant in participants:
+    endpoint_z = np.empty(len(participants) * per_participant)
+    disparity = np.empty_like(endpoint_z)
+    trial_ids: list[str] = []
+    pids: list[str] = []
+    for i, participant in enumerate(participants):
         rng = _participant_rng(participant.trial_seed)
-        noise = rng.normal(0.0, noise_sd,
-                           size=len(config.reach_distances) * reps).tolist()
-        pid, ipd = participant.participant_id, participant.ipd
-        half_ipd = EyeGeometry(ipd=ipd).half_ipd
-        for k, reach in enumerate(config.reach_distances):
+        noise = rng.normal(0.0, noise_sd, size=per_participant)
+        pid = participant.participant_id
+        half_ipd = EyeGeometry(ipd=participant.ipd).half_ipd
+        biased, tau_target = [], []
+        for reach in reaches:
             d_target = pose.eye_distance_at(reach)
-            bias = _endpoint_bias(config, participant, d_target)
-            tau_target = angle_at(d_target, half_ipd)
+            biased.append(reach + _endpoint_bias(config, participant, d_target))
+            tau_target.append(angle_at(d_target, half_ipd))
             prefix = f"{pid}-{condition}-d{reach:.2f}-"
-            for label, eps in zip(rep_labels, noise[k * reps:(k + 1) * reps]):
-                z_end = reach + bias + eps
-                tau_hand = angle_at(pose.eye_distance_at(z_end), half_ipd)
-                records.append(TrialRecord(
-                    trial_id=prefix + label,
-                    participant_id=pid,
-                    condition=condition,
-                    reach_m=reach,
-                    ipd_m=ipd,
-                    endpoint_z=z_end,
-                    movement_distance=z_end,
-                    distance_error=z_end - reach,
-                    endpoint_error=z_end - reach,
-                    disparity_difference=tau_target - tau_hand,
-                ))
-    return records
+            trial_ids += [prefix + label for label in rep_labels]
+        rows = slice(i * per_participant, (i + 1) * per_participant)
+        # (reach + bias) + eps, the sum a float loop forms, rounded alike
+        z_end = np.repeat(biased, reps) + noise
+        endpoint_z[rows] = z_end
+        disparity[rows] = [
+            tau - angle_at(pose.eye_distance_at(z), half_ipd)
+            for tau, z in zip(np.repeat(tau_target, reps).tolist(),
+                              z_end.tolist())
+        ]
+        pids += [pid] * per_participant
+    return TrialTable(
+        trial_id=trial_ids,
+        participant_id=pids,
+        condition=[condition] * len(pids),
+        reach_m=np.tile(np.repeat(np.asarray(reaches, dtype=np.float64), reps),
+                        len(participants)),
+        ipd_m=np.repeat([p.ipd for p in participants], per_participant),
+        endpoint_z=endpoint_z,
+        disparity_difference=disparity,
+    )
 
 
 def _minimum_jerk(u: np.ndarray) -> np.ndarray:
     return 10.0 * u**3 - 15.0 * u**4 + 6.0 * u**5
 
 
-def generate_trajectories(config: SimConfig, trials: list[TrialRecord],
+def generate_trajectories(config: SimConfig, trials: TrialTable,
                           participants: list[Participant]) -> list[Trajectory]:
     """Sampled minimum-jerk depth trajectories for every trial.
 
@@ -313,22 +338,21 @@ def generate_trajectories(config: SimConfig, trials: list[TrialRecord],
             for p in participants}
     trajectories = []
     for start in range(0, len(trials), BLOCK_TRIALS):
-        block = trials[start:start + BLOCK_TRIALS]
-        samples = np.zeros((len(block), 3, n))
-        samples[:, 2] = np.outer([trial.endpoint_z for trial in block], profile)
+        block = slice(start, start + BLOCK_TRIALS)
+        ids = trials.trial_id[block]
+        samples = np.zeros((len(ids), 3, n))
+        samples[:, 2] = np.outer(trials.endpoint_z[block], profile)
         if config.trajectory_noise_sd > 0:
             # drawn trial by trial, in trial order, from each participant's
             # own stream; only the filtering is shared by the block
             noise = np.array([
-                rngs[trial.participant_id].normal(
-                    0.0, config.trajectory_noise_sd, size=(3, n))
-                for trial in block
+                rngs[pid].normal(0.0, config.trajectory_noise_sd, size=(3, n))
+                for pid in trials.participant_id[block]
             ])
             samples += lowpass_block(noise, fs, 10.0)
         trajectories.extend(
-            Trajectory(trial_id=trial.trial_id, sample_rate=fs, t=t,
-                       x=x, y=y, z=z)
-            for trial, (x, y, z) in zip(block, samples)
+            Trajectory(trial_id=trial_id, sample_rate=fs, t=t, x=x, y=y, z=z)
+            for trial_id, (x, y, z) in zip(ids, samples)
         )
     return trajectories
 
@@ -352,53 +376,66 @@ _TARGET_BODY = (': {\n    "condition": %s,\n    "ipd_m": %s,\n'
 
 def _json_scalar(value) -> str:
     """value as json.dumps writes it inside a container."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
     if type(value) is float and math.isfinite(value):
         return repr(value)
     return json.dumps(value)
 
 
-def _write_targets_json(trials: list[TrialRecord], path: Path) -> None:
+def _write_targets_json(trials: TrialTable, path: Path) -> None:
     """targets.json of the trials, one chunk of entries per write.
 
     The bytes equal json.dumps(entries, indent=2, sort_keys=True) + "\n"
     for the dict entries of trial id -> target fields.
     """
-    ordered = sorted(trials, key=attrgetter("trial_id"))
-    # As in a dict, a repeated id keeps its last trial; the sort is stable.
-    ordered = [t for t, after in zip(ordered, ordered[1:] + [None])
-               if after is None or after.trial_id != t.trial_id]
-    last = None
-    body = ""
+    ids = trials.trial_id
+    if not all(map(str.__lt__, ids, islice(ids, 1, None))):
+        # simulate's ids come sorted; otherwise sort the rows by id, and as
+        # in a dict a repeated id keeps its last trial (the sort is stable)
+        by_id = sorted(range(len(ids)), key=ids.__getitem__)
+        rows = [i for i, after in zip(by_id, by_id[1:] + [None])
+                if after is None or ids[after] != ids[i]]
+        trials = TrialTable(*(
+            [column[i] for i in rows] if isinstance(column, list) else column[rows]
+            for column in (getattr(trials, f.name) for f in fields(TrialTable))))
+        ids = trials.trial_id
     with path.open("w", encoding="utf-8") as fh:
-        if not ordered:
+        if not ids:
             fh.write("{}\n")
             return
         fh.write("{\n")
-        for start in range(0, len(ordered), _CHUNK_ROWS):
-            entries = []
-            for t in ordered[start:start + _CHUNK_ROWS]:
-                # the trials of one (participant, reach) share their fields
-                if last is None or not (
-                        t.reach_m is last.reach_m and t.ipd_m is last.ipd_m
-                        and t.participant_id is last.participant_id
-                        and t.condition is last.condition):
-                    last = t
-                    body = _TARGET_BODY % (
-                        _json_scalar(t.condition), _json_scalar(t.ipd_m),
-                        _json_scalar(t.participant_id), _json_scalar(t.reach_m))
-                entries.append("  " + encode_basestring_ascii(t.trial_id) + body)
-            fh.write((",\n" if start else "") + ",\n".join(entries))
+        for start in range(0, len(ids), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            # the trials of one (participant, reach) share their fields, so
+            # each run of equal fields is formatted once; the floats' bits
+            # tell -0.0 from 0.0
+            conds, pids = trials.condition[rows], trials.participant_id[rows]
+            reach, ipd = trials.reach_m[rows], trials.ipd_m[rows]
+            n = len(conds)
+            same = (np.fromiter(map(operator.eq, conds[1:], conds), bool, n - 1)
+                    & np.fromiter(map(operator.eq, pids[1:], pids), bool, n - 1)
+                    & (reach.view(np.int64)[1:] == reach.view(np.int64)[:-1])
+                    & (ipd.view(np.int64)[1:] == ipd.view(np.int64)[:-1]))
+            starts = [0, *(np.flatnonzero(~same) + 1).tolist(), n]
+            bodies = []
+            for a, b in zip(starts, starts[1:]):
+                bodies += [_TARGET_BODY % (
+                    _json_scalar(conds[a]), _json_scalar(float(ipd[a])),
+                    _json_scalar(pids[a]), _json_scalar(float(reach[a])))] * (b - a)
+            fh.write((",\n  " if start else "  ") + ",\n  ".join(
+                map(str.__add__, map(encode_basestring_ascii, ids[rows]), bodies)))
         fh.write("\n}\n")
 
 
 def write_dataset(outdir: str | Path, participants: list[Participant],
-                  trials: list[TrialRecord],
+                  trials: TrialTable,
                   trajectories: list[Trajectory] | None = None) -> dict[str, str]:
     """Write the CSV family the analysis and fitting pipelines consume.
 
     outcomes.csv and targets.json are written in chunks of rows straight
-    from the trial records, so no whole-file string is built.  Returns a
-    name -> path map of everything written.
+    from the trial table's columns, so no whole-file string is built.
+    Returns a name -> path map of everything written.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -409,13 +446,7 @@ def write_dataset(outdir: str | Path, participants: list[Participant],
     written["participants"] = str(path)
 
     path = outdir / "outcomes.csv"
-    # a ground-truth trial is valid, with no rejection reason and no
-    # segment times
-    write_outcomes_csv(
-        ((t.trial_id, t.participant_id, t.condition, t.reach_m, True, None,
-          None, None, t.movement_distance, t.distance_error, t.endpoint_error,
-          t.disparity_difference) for t in trials),
-        path)
+    write_outcomes_csv(_outcome_chunks(trials), path)
     written["outcomes"] = str(path)
 
     path = outdir / "targets.json"
@@ -427,3 +458,21 @@ def write_dataset(outdir: str | Path, participants: list[Participant],
         write_trajectories_csv(trajectories, path)
         written["trajectories"] = str(path)
     return written
+
+
+def _outcome_chunks(trials: TrialTable) -> Iterator[tuple]:
+    """The trials as write_outcomes_csv chunks of _CHUNK_ROWS rows.
+
+    A ground-truth trial is valid, with no rejection reason and no segment
+    times; its movement distance is its endpoint, and its distance and
+    endpoint errors are one column.
+    """
+    for start in range(0, len(trials), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        endpoint = trials.endpoint_z[rows]
+        error = endpoint - trials.reach_m[rows]
+        empty = [None] * len(endpoint)
+        yield (trials.trial_id[rows], trials.participant_id[rows],
+               trials.condition[rows], trials.reach_m[rows],
+               [True] * len(endpoint), empty, empty, empty,
+               endpoint, error, error, trials.disparity_difference[rows])

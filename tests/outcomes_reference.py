@@ -44,7 +44,8 @@ def write_outcomes_csv_rowwise(analyzed: list[AnalyzedTrial],
 
 
 def trials_as_analyzed(trials) -> list[AnalyzedTrial]:
-    """Adapt ground-truth synth.TrialRecords to analyzed trials."""
+    """Adapt ground-truth trial records (one object per trial, every field
+    an attribute) to analyzed trials."""
     out = []
     for trial in trials:
         target = TargetSpec(

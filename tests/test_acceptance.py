@@ -172,7 +172,7 @@ def _table_plane_disparity_differences() -> list[float]:
                        beta=math.radians(BETA_DEG), motor_noise_sd=0.0,
                        seed=0)
     trials = generate_trials(config, generate_participants(config))
-    return [math.degrees(t.disparity_difference) for t in trials]
+    return [math.degrees(d) for d in trials.disparity_difference.tolist()]
 
 
 def _simulated_dataset(seed: int, beta_deg: float, feedback: str,
@@ -185,8 +185,8 @@ def _simulated_dataset(seed: int, beta_deg: float, feedback: str,
                        seed=seed)
     participants = generate_participants(config)
     trials = generate_trials(config, participants)
-    rows = [(t.participant_id, t.condition, t.reach_m, t.distance_error)
-            for t in trials]
+    rows = list(zip(trials.participant_id, trials.condition,
+                    trials.reach_m.tolist(), trials.distance_error.tolist()))
     return FitDataset.from_rows(rows), participants
 
 
@@ -391,10 +391,11 @@ def test_zero_offset_identities_and_route_agreement():
     # simulation: noise-free trials carry no error at all
     config = SimConfig(n_participants=3, repetitions=2, beta=0.0,
                        motor_noise_sd=0.0, seed=3)
-    for trial in generate_trials(config, generate_participants(config)):
-        if max(abs(trial.distance_error), abs(trial.endpoint_error),
-               abs(trial.disparity_difference)) >= 1e-12:
-            ok = False
+    trials = generate_trials(config, generate_participants(config))
+    # the distance error is the endpoint error too
+    if max(np.abs(trials.distance_error).max(),
+           np.abs(trials.disparity_difference).max()) >= 1e-12:
+        ok = False
 
     # the two disparity-rate definitions are the same linear functional
     left = np.cumsum(rng.normal(0.0, 1e-3, 400)) + 0.12

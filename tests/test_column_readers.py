@@ -1,16 +1,18 @@
 """The columnar CSV readers against their row loops.
 
 ``read_trajectories_csv`` and ``read_points_csv`` parse their numeric
-columns in C (``meshio._read_columns``) and rerun a ``csv.reader`` row loop
-whenever that might not give the loop's result.  Whatever the input, each
-reader must return exactly what its row loop alone returns: the same ids,
-order, sample rates, rejections and array bits, or the same error with
-the same message and line.  The fast path must also really run on the
-files the package writes.
+columns in C (``meshio._read_columns``), and ``FitDataset.from_csv`` its
+outcomes columns (``fitting._read_outcome_columns``); each reruns a
+``csv.reader`` row loop whenever that might not give the loop's result.
+Whatever the input, each reader must return exactly what its row loop
+alone returns: the same ids, order, sample rates, rejections, participant
+codes and array bits, or the same error with the same message and line.
+The fast path must also really run on the files the package writes.
 """
 
 from __future__ import annotations
 
+import json
 import warnings
 from unittest import mock
 
@@ -19,9 +21,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import vackit.fitting as fitting
 import vackit.kinematics as kin
 import vackit.meshio as meshio
-from vackit.kinematics import read_trajectories_csv
+from vackit.cli import main
+from vackit.fitting import FitDataset
+from vackit.kinematics import OUTCOME_HEADER, read_trajectories_csv
 from vackit.meshio import read_points_csv, write_points_csv
 from vackit.synth import (
     SimConfig,
@@ -47,7 +52,7 @@ SPELLINGS = ["1_0", " 1.5 ", "nan", "-nan", "NaN", "-Infinity", "inf", "1e400",
 # line break) or the fast path leaves to the row loop (NUL).
 PLAIN_IDS = ["a", "b", "p0-t1", "", " lead", "\u00fc"]
 IDS = ["a,b", 'say "hi"', "two\nlines", "c\r", "nul\x00"]
-CHUNKS = [1, 60, 1 << 20]      # characters per chunk: one line, a few, all
+CHUNKS = [1, 60, 1 << 20]      # bytes per chunk: one line, a few, all
 
 
 def _field(text: str) -> str:
@@ -146,6 +151,79 @@ def points_files(draw) -> bytes:
         draw(_edited(rows, 0))))
 
 
+# Participant ids, conditions and reaches: plain, padded or non-ASCII, and
+# (rarely drawn) long enough that the column parse leaves the file to the
+# row loop.
+OUTCOME_IDS = ["p0", "p1", "p10", " p2", "\u00fcp"]
+CONDITIONS = ["original", "transformed"]
+REACHES = ["0.2", "0.25", " 0.3", "1e-3"]
+LONG = {"pid": "p" * 16, "condition": "c" * 16, "reach": "0.30000000000000004"}
+VALID = ["1", "1", "1", "", "0", "true", " 1", "10"]
+
+
+@st.composite
+def outcome_files(draw) -> bytes:
+    """Outcomes files: every id under each condition, as a concatenated
+    cohort repeats them; rejected rows with empty numbers; other valid
+    values; odd spellings, blank, short, long, quoted or swapped rows; and
+    rarely a reordered or repeated header column."""
+    pids = draw(st.lists(st.sampled_from(OUTCOME_IDS), min_size=1, max_size=3,
+                         unique=True))
+    conditions = draw(st.lists(st.sampled_from(CONDITIONS), min_size=1,
+                               max_size=2, unique=True))
+    reaches = list(REACHES)
+    if _rarely(draw):
+        pids[0], conditions[0], reaches[0] = draw(st.sampled_from([
+            (LONG["pid"], conditions[0], reaches[0]),
+            (pids[0], LONG["condition"], reaches[0]),
+            (pids[0], conditions[0], LONG["reach"])]))
+    rows = []
+    for condition in conditions:
+        for pid in pids:
+            if _rarely(draw):
+                pid = _field(draw(st.sampled_from(IDS)))
+            for reach in draw(st.lists(st.sampled_from(reaches), min_size=1,
+                                       max_size=2)):
+                for rep in range(draw(st.integers(1, 3))):
+                    valid = draw(st.sampled_from(VALID))
+                    if valid in ("1", ""):
+                        error = repr(draw(st.floats(-0.05, 0.05)))
+                        measures = [error, error, error, error]
+                        reason = ""
+                    else:
+                        measures, reason = ["", "", "", ""], "slow"
+                    rows.append([f"{pid}-{condition}-{reach}-{rep}", pid,
+                                 condition, reach, valid, reason, "", "",
+                                 *measures])
+    header = list(OUTCOME_HEADER)
+    if _rarely(draw):
+        order = draw(st.permutations(range(len(header))))
+        header = [header[k] for k in order]
+        rows = [[row[k] for k in order] for row in rows]
+    if _rarely(draw):
+        # a second distance_error_m column: the last one wins
+        header.append("distance_error_m")
+        rows = [row + [draw(st.sampled_from(["-0.01", "", "x"]))]
+                for row in rows]
+    return draw(_csv_bytes(
+        ",".join(header),
+        ["participant_id,condition,target_reach_m,valid",
+         ",".join(OUTCOME_HEADER).replace("valid", "valid ")],
+        draw(_edited(rows, 1))))
+
+
+def _outcomes_result(path):
+    """FitDataset.from_csv's columns and codes, or its error."""
+    try:
+        ds = FitDataset.from_csv(path)
+    except Exception as exc:  # noqa: BLE001 - the error is the result
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (ds.participant_id.tolist(), ds.condition.tolist(),
+            ds.target_reach.tobytes(), ds.distance_error.tobytes(),
+            ds.participant_code.dtype, ds.participant_code.tolist(),
+            ds.participants)
+
+
 def _trajectory_result(path):
     """read_trajectories_csv's result or error, compared bit for bit."""
     try:
@@ -167,11 +245,12 @@ def _points_result(path):
 
 def _row_loop_only(module):
     """Patch the fast path away, leaving the reader's row loop."""
-    return mock.patch.object(module, "_read_columns", return_value=None)
+    name = "_read_outcome_columns" if module is fitting else "_read_columns"
+    return mock.patch.object(module, name, return_value=None)
 
 
 def _both(result, module, path, chunk=1 << 20):
-    """result(path) as the reader gives it, with chunk characters per
+    """result(path) as the reader gives it, with chunk bytes per
     np.loadtxt call and any warning raised, and by the row loop alone."""
     with mock.patch.object(meshio, "_COLUMN_CHUNK", chunk), \
             warnings.catch_warnings():
@@ -198,9 +277,17 @@ class TestFastPathMatchesRowLoop:
         got, want = _both(_points_result, meshio, path, chunk)
         assert got == want
 
+    @PROPERTY_SETTINGS
+    @given(data=outcome_files(), chunk=st.sampled_from(CHUNKS))
+    def test_outcomes(self, tmp_path, data, chunk):
+        path = tmp_path / "outcomes.csv"
+        path.write_bytes(data)
+        got, want = _both(_outcomes_result, fitting, path, chunk)
+        assert got == want
+
     @pytest.mark.parametrize("spelling", SPELLINGS)
     def test_spellings(self, tmp_path, spelling):
-        """Each spelling in every numeric column of both files."""
+        """Each spelling in every numeric column of the three files."""
         rows = [["a", repr(i / 250.0), "0.0", "0.0", repr(i / 1e3)]
                 for i in range(kin.MIN_SAMPLES + 5)]
         for k in range(1, 5):
@@ -214,6 +301,14 @@ class TestFastPathMatchesRowLoop:
         path.write_text(f"x,y,z\n{spelling},0,1\n0,{spelling},1\n"
                         f"0,0,{spelling}\n", encoding="utf-8", newline="")
         got, want = _both(_points_result, meshio, path)
+        assert got == want
+        path = tmp_path / "outcomes.csv"
+        path.write_text("participant_id,condition,target_reach_m,valid,"
+                        f"distance_error_m\np0,a,0.25,1,-0.01\n"
+                        f"p0,a,{spelling},1,-0.01\np0,a,0.3,1,{spelling}\n"
+                        f"p0,a,{spelling},0,{spelling}\n",
+                        encoding="utf-8", newline="")
+        got, want = _both(_outcomes_result, fitting, path)
         assert got == want
 
     @pytest.mark.parametrize("text", [
@@ -231,6 +326,23 @@ class TestFastPathMatchesRowLoop:
         path.write_text(text, encoding="utf-8", newline="")
         got, want = _both(_trajectory_result, kin, path)
         assert got == want
+
+
+def _simulated_outcomes(tmp_path):
+    """A two-condition cohort as the benchmark joins it: one header, then
+    the original and the transformed outcomes, every id in both."""
+    parts = []
+    for condition in ("original", "transformed"):
+        config = SimConfig(n_participants=12, repetitions=3, seed=3,
+                           condition=condition)
+        participants = generate_participants(config)
+        write_dataset(tmp_path / condition, participants,
+                      generate_trials(config, participants))
+        text = (tmp_path / condition / "outcomes.csv").read_text(encoding="utf-8")
+        parts.append(text if not parts else text.split("\n", 1)[1])
+    path = tmp_path / "cohort.csv"
+    path.write_text("".join(parts), encoding="utf-8", newline="")
+    return path
 
 
 def _simulated(tmp_path):
@@ -290,3 +402,56 @@ class TestFastPathRuns:
         got = read_points_csv(tmp_path / "points.csv")
         assert calls == []
         assert np.array_equal(got.view(np.int64), points.view(np.int64))
+
+    def _count_outcome_rows(self, monkeypatch) -> list:
+        calls = []
+        row_loop = fitting._read_outcome_rows
+        monkeypatch.setattr(fitting, "_read_outcome_rows",
+                            lambda p: calls.append(p) or row_loop(p))
+        return calls
+
+    @pytest.mark.parametrize("chunk", [4096, 1 << 20])
+    def test_simulated_cohort_takes_the_fast_path(self, tmp_path, monkeypatch,
+                                                  chunk):
+        path = _simulated_outcomes(tmp_path)
+        with _row_loop_only(fitting):
+            want = _outcomes_result(path)
+        calls = self._count_outcome_rows(monkeypatch)
+        monkeypatch.setattr(meshio, "_COLUMN_CHUNK", chunk)
+        got = _outcomes_result(path)
+        assert got == want
+        assert calls == []
+        assert got[1].count("original") == got[1].count("transformed") == 144
+        assert main(["fit", "--input", str(path), "--out",
+                     str(tmp_path / "fit")]) == 0
+        assert calls == []
+
+    def test_analyzed_outcomes_take_the_fast_path(self, tmp_path, monkeypatch):
+        """analyze writes rejected rows with empty numbers; they are dropped
+        before the numbers are parsed, so the file is not left to the row
+        loop."""
+        simdir = tmp_path / "sim"
+        config = tmp_path / "sim.json"
+        config.write_text('{"n_participants": 3, "repetitions": 2, "seed": 5}',
+                          encoding="utf-8")
+        assert main(["simulate", "--config", str(config), "--out",
+                     str(simdir)]) == 0
+        targets = json.loads((simdir / "targets.json").read_text())
+        for trial_id in list(targets)[::5]:
+            targets[trial_id]["reach_m"] = -1.0
+        (simdir / "targets.json").write_text(json.dumps(targets))
+        pose = tmp_path / "pose.json"
+        pose.write_text('{"ipd_mm": 63}', encoding="utf-8")
+        assert main(["analyze", "--input", str(simdir / "trajectories.csv"),
+                     "--targets", str(simdir / "targets.json"),
+                     "--eye-pose", str(pose), "--out",
+                     str(tmp_path / "analysis")]) == 0
+        path = tmp_path / "analysis" / "outcomes.csv"
+        assert ",0,bad target,,,,,," in path.read_text(encoding="utf-8")
+        with _row_loop_only(fitting):
+            want = _outcomes_result(path)
+        calls = self._count_outcome_rows(monkeypatch)
+        assert _outcomes_result(path) == want
+        assert main(["fit", "--input", str(path), "--out",
+                     str(tmp_path / "fit")]) == 0
+        assert calls == []

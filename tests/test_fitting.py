@@ -276,6 +276,34 @@ class TestFromCsv:
             "'condition': 'original', 'target_reach_m': '0,25', "
             "'valid': '1', 'distance_error_m': '-0.02'}", 3)
 
+    @pytest.mark.parametrize("quoted", [False, True],
+                             ids=["column-parse", "row-loop"])
+    @pytest.mark.parametrize("reach, error, message", [
+        ("0.25", "nan", "distance_error_m must be finite"),
+        ("0.25", "-inf", "distance_error_m must be finite"),
+        ("-0.4", "-0.02", "target_reach_m must be finite and positive"),
+        ("0", "-0.02", "target_reach_m must be finite and positive"),
+        ("inf", "-0.02", "target_reach_m must be finite and positive"),
+    ])
+    def test_non_finite_kept_row_is_format_error(self, tmp_path, quoted,
+                                                 reach, error, message):
+        # a kept row names itself, the file and the line, whichever reader
+        # runs; a rejected row with the same values is skipped
+        pid = '"p0"' if quoted else "p0"
+        p = self._write(tmp_path / "n.csv", [
+            f"a,{pid},original,0.25,1,-0.02",
+            f"b,{pid},original,{reach},0,{error}",
+            "",
+            f"c,{pid},original,{reach},1,{error}",
+        ])
+        assert self._error(p) == (
+            f"{message} in {{'trial_id': 'c', 'participant_id': 'p0', "
+            f"'condition': 'original', 'target_reach_m': '{reach}', "
+            f"'valid': '1', 'distance_error_m': '{error}'}}", 4)
+        with pytest.raises(DataFormatError) as info:
+            FitDataset.from_csv(p)
+        assert info.value.path == str(p)
+
     def test_repeated_header_name_last_wins(self, tmp_path):
         header = ("trial_id,participant_id,condition,target_reach_m,valid,"
                   "distance_error_m,distance_error_m")

@@ -53,7 +53,7 @@ from vackit.kinematics import (
     detect_segment,
     differentiate,
     lowpass_filter,
-    outcome_row,
+    outcome_columns,
     read_trajectories_csv,
     trial_outcome,
     write_outcomes_csv,
@@ -900,7 +900,7 @@ class TestOutcomeWriters:
 
     def test_outcomes_schema(self, tmp_path):
         path = tmp_path / "outcomes.csv"
-        write_outcomes_csv(map(outcome_row, self._analyzed()), path)
+        write_outcomes_csv(outcome_columns(self._analyzed()), path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(kin.OUTCOME_HEADER)
         assert len(lines) == 3
@@ -912,7 +912,7 @@ class TestOutcomeWriters:
         assert rejected_row[8] == ""  # no measures on invalid trials
 
     def _assert_bytes_match_rowwise(self, analyzed, tmp_path):
-        write_outcomes_csv(map(outcome_row, analyzed), tmp_path / "new.csv")
+        write_outcomes_csv(outcome_columns(analyzed), tmp_path / "new.csv")
         write_outcomes_csv_rowwise(analyzed, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == \
             (tmp_path / "old.csv").read_bytes()

@@ -52,7 +52,7 @@ from vackit.synth import (
     FEEDBACK_ONLINE,
     RESPONSE_MULTIPLIERS,
     SimConfig,
-    TrialRecord,
+    TrialTable,
     _CHUNK_ROWS,
     generate_participants,
     generate_trajectories,
@@ -129,7 +129,7 @@ class TestSimConfigValidation:
     def test_distinct_labels_accepted(self):
         config = _config(reach_distances=(0.2, 0.206, 0.224))
         trials = generate_trials(config, generate_participants(config))
-        assert len({t.trial_id for t in trials}) == len(trials)
+        assert len(set(trials.trial_id)) == len(trials)
 
 
 class TestGenerateParticipants:
@@ -188,19 +188,19 @@ class TestGenerateTrials:
         config = _config()
         trials = generate_trials(config, generate_participants(config))
         assert len(trials) == 3 * 3 * 4
-        assert len({t.trial_id for t in trials}) == len(trials)
-        assert trials[0].trial_id == "p00-original-d0.20-r000"
+        assert len(set(trials.trial_id)) == len(trials)
+        assert trials.trial_id[0] == "p00-original-d0.20-r000"
 
     def test_deterministic(self):
         config = _config(motor_noise_sd=0.005)
         a = generate_trials(config, generate_participants(config))
         b = generate_trials(config, generate_participants(config))
-        assert [t.endpoint_z for t in a] == [t.endpoint_z for t in b]
+        assert a.endpoint_z.tobytes() == b.endpoint_z.tobytes()
 
     def test_noise_free_error_is_the_model_bias(self):
         config = _config(motor_noise_sd=0.0)
         people = generate_participants(config)
-        trials = generate_trials(config, people)
+        trials = _rows(generate_trials(config, people))
         by_pid = {p.participant_id: p for p in people}
         for trial in trials:
             participant = by_pid[trial.participant_id]
@@ -217,7 +217,7 @@ class TestGenerateTrials:
                         0.35: -0.19152175724603902}
         config = _config(motor_noise_sd=0.0, ipd_low=0.063, ipd_high=0.063,
                          reach_distances=tuple(expected_deg), repetitions=1)
-        trials = generate_trials(config, generate_participants(config))
+        trials = _rows(generate_trials(config, generate_participants(config)))
         for trial in trials:
             assert math.degrees(trial.disparity_difference) == pytest.approx(
                 expected_deg[trial.reach_m], abs=1e-12)
@@ -225,8 +225,8 @@ class TestGenerateTrials:
     def test_transformed_with_full_response_is_unbiased(self):
         config = _config(motor_noise_sd=0.0, condition=CONDITION_TRANSFORMED)
         trials = generate_trials(config, generate_participants(config))
-        assert all(t.distance_error == 0.0 for t in trials)
-        assert all(t.disparity_difference == 0.0 for t in trials)
+        assert np.all(trials.distance_error == 0.0)
+        assert np.all(trials.disparity_difference == 0.0)
 
     def test_partial_response_scales_bias(self):
         base = _config(motor_noise_sd=0.0)
@@ -236,15 +236,15 @@ class TestGenerateTrials:
             _config(motor_noise_sd=0.0, condition=CONDITION_TRANSFORMED),
             [p.__class__(p.participant_id, p.ipd, -0.5, p.trial_seed,
                          p.trajectory_seed) for p in people])
-        for o, h in zip(original, half):
-            assert h.distance_error == pytest.approx(1.5 * o.distance_error,
-                                                     rel=1e-12)
+        for o, h in zip(original.distance_error, half.distance_error):
+            assert h == pytest.approx(1.5 * o, rel=1e-12)
 
     def test_conditions_share_the_noise_stream(self):
         people = generate_participants(_config())
-        on = generate_trials(_config(motor_noise_sd=0.005), people)
-        tr = generate_trials(_config(motor_noise_sd=0.005,
-                                     condition=CONDITION_TRANSFORMED), people)
+        on = _rows(generate_trials(_config(motor_noise_sd=0.005), people))
+        tr = _rows(generate_trials(_config(motor_noise_sd=0.005,
+                                           condition=CONDITION_TRANSFORMED),
+                                   people))
         noise_on = [t.endpoint_z for t in on]
         noise_tr = [t.endpoint_z for t in tr]
         by_pid = {p.participant_id: p for p in people}
@@ -259,10 +259,10 @@ class TestGenerateTrials:
 
     def test_feedforward_is_unbiased_with_scaled_noise(self):
         people = generate_participants(_config())
-        online = generate_trials(_config(motor_noise_sd=0.005), people)
-        feedforward = generate_trials(
+        online = _rows(generate_trials(_config(motor_noise_sd=0.005), people))
+        feedforward = _rows(generate_trials(
             _config(motor_noise_sd=0.005, feedback=FEEDBACK_FEEDFORWARD),
-            people)
+            people))
         by_pid = {p.participant_id: p for p in people}
         root = math.sqrt(1.5)
         for on, ff in zip(online, feedforward):
@@ -280,11 +280,11 @@ class TestGenerateTrials:
         config = _config(n_participants=10, repetitions=40,
                          motor_noise_sd=0.005)
         people = generate_participants(config)
-        online = generate_trials(config, people)
+        online = _rows(generate_trials(config, people))
         feedforward = generate_trials(
             _config(n_participants=10, repetitions=40, motor_noise_sd=0.005,
                     feedback=FEEDBACK_FEEDFORWARD), people)
-        var_ff = np.var([t.distance_error for t in feedforward])
+        var_ff = np.var(feedforward.distance_error)
         # remove the per-(participant, reach) bias before pooling
         errs = {}
         for t in online:
@@ -303,10 +303,10 @@ class TestGenerateTrajectories:
         trajectories = generate_trajectories(config, trials, people)
         assert len(trajectories) == len(trials)
         n_expected = int(round((2 * 0.24 + 0.4) * 250.0)) + 1
-        for traj, trial in zip(trajectories, trials):
+        for traj, endpoint_z in zip(trajectories, trials.endpoint_z):
             assert len(traj) == n_expected
             assert traj.z[0] == 0.0
-            assert traj.z[-1] == trial.endpoint_z
+            assert traj.z[-1] == endpoint_z
             rest = traj.t <= 0.24
             np.testing.assert_array_equal(traj.z[rest][:-1], 0.0)
 
@@ -335,7 +335,7 @@ class TestGenerateTrajectories:
         rngs = {p.participant_id: np.random.Generator(
             np.random.Philox(p.trajectory_seed)) for p in people}
         b, a = butter(2, 10.0, btype="low", fs=config.sample_rate)
-        for traj, trial in zip(got, trials):
+        for traj, trial in zip(got, _rows(trials)):
             u = np.clip((traj.t - config.rest_padding)
                         / config.movement_duration, 0.0, 1.0)
             z = trial.endpoint_z * (10.0 * u**3 - 15.0 * u**4 + 6.0 * u**5)
@@ -354,10 +354,10 @@ class TestGenerateTrajectories:
         trials = generate_trials(config, people)
         trajectories = generate_trajectories(config, trials, people)
         targets = {a.target.trial_id: a.target
-                   for a in trials_as_analyzed(trials)}
+                   for a in trials_as_analyzed(_rows(trials))}
         analyzed = analyze_trials(trajectories, targets,
                                   EyeGeometry(ipd=0.063), config.eye_pose)
-        by_id = {t.trial_id: t for t in trials}
+        by_id = {t.trial_id: t for t in _rows(trials)}
         assert all(a.outcome.valid for a in analyzed)
         for a in analyzed:
             truth = by_id[a.outcome.trial_id]
@@ -377,7 +377,7 @@ class TestWriteDataset:
                                 "trajectories"}
         ds = FitDataset.from_csv(written["outcomes"])
         assert len(ds) == len(trials)
-        assert ds.participants == sorted({t.participant_id for t in trials})
+        assert ds.participants == sorted(set(trials.participant_id))
         back, rejected = read_trajectories_csv(written["trajectories"])
         assert rejected == []
         assert len(back) == len(trials)
@@ -388,17 +388,57 @@ class TestWriteDataset:
         trials = generate_trials(config, people)
         written = write_dataset(tmp_path, people, trials)
         targets = json.loads((tmp_path / "targets.json").read_text())
-        assert set(targets) == {t.trial_id for t in trials}
-        entry = targets[trials[0].trial_id]
-        assert entry["ipd_m"] == trials[0].ipd_m
-        assert entry["reach_m"] == trials[0].reach_m
+        assert set(targets) == set(trials.trial_id)
+        entry = targets[trials.trial_id[0]]
+        assert entry["ipd_m"] == trials.ipd_m[0]
+        assert entry["reach_m"] == trials.reach_m[0]
 
 
 # Reference implementations: the per-trial generation loop and the
 # dataclass/json.dumps writers that generate_trials and write_dataset
 # replace.  The fast paths must match them bit for bit and byte for byte.
 
-def _reference_trials(config: SimConfig, participants) -> list[TrialRecord]:
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    """One trial as the per-trial loop made it: every field stored."""
+
+    trial_id: str
+    participant_id: str
+    condition: str
+    reach_m: float
+    ipd_m: float
+    endpoint_z: float
+    movement_distance: float
+    distance_error: float
+    endpoint_error: float
+    disparity_difference: float
+
+
+def _rows(table: TrialTable) -> list[_Record]:
+    """The table's trials as records of Python values."""
+    endpoint = table.endpoint_z.tolist()
+    error = [z - reach for z, reach in zip(endpoint, table.reach_m.tolist())]
+    return [_Record(*fields) for fields in zip(
+        table.trial_id, table.participant_id, table.condition,
+        table.reach_m.tolist(), table.ipd_m.tolist(), endpoint, endpoint,
+        error, error, table.disparity_difference.tolist())]
+
+
+def _table(records: list[_Record]) -> TrialTable:
+    """A trial table of records whose movement distance is their endpoint
+    and whose errors are endpoint minus reach."""
+    def floats(name):
+        return np.array([getattr(r, name) for r in records], dtype=np.float64)
+    return TrialTable(
+        trial_id=[r.trial_id for r in records],
+        participant_id=[r.participant_id for r in records],
+        condition=[r.condition for r in records],
+        reach_m=floats("reach_m"), ipd_m=floats("ipd_m"),
+        endpoint_z=floats("endpoint_z"),
+        disparity_difference=floats("disparity_difference"))
+
+
+def _reference_trials(config: SimConfig, participants) -> list[_Record]:
     noise_sd = config.motor_noise_sd
     if config.feedback == FEEDBACK_FEEDFORWARD:
         noise_sd *= math.sqrt(config.feedforward_variance_factor)
@@ -421,7 +461,7 @@ def _reference_trials(config: SimConfig, participants) -> list[TrialRecord]:
                 d_hand = float(config.eye_pose.eye_distance(z_end))
                 tau_target = 2.0 * math.atan2(eyes.half_ipd, d_target)
                 tau_hand = 2.0 * math.atan2(eyes.half_ipd, d_hand)
-                records.append(TrialRecord(
+                records.append(_Record(
                     trial_id=(f"{participant.participant_id}-{config.condition}"
                               f"-d{reach:.2f}-r{rep:03d}"),
                     participant_id=participant.participant_id,
@@ -437,7 +477,7 @@ def _reference_trials(config: SimConfig, participants) -> list[TrialRecord]:
     return records
 
 
-def _reference_files(trials, outdir: Path) -> dict[str, bytes]:
+def _reference_files(trials: list[_Record], outdir: Path) -> dict[str, bytes]:
     outdir.mkdir(parents=True, exist_ok=True)
     write_outcomes_csv_rowwise(trials_as_analyzed(trials),
                                outdir / "outcomes.csv")
@@ -456,23 +496,40 @@ def _reference_files(trials, outdir: Path) -> dict[str, bytes]:
             for name in ("outcomes.csv", "targets.json")}
 
 
-def _written_files(people, trials, outdir: Path) -> dict[str, bytes]:
+def _written_files(people, trials: TrialTable, outdir: Path) -> dict[str, bytes]:
     write_dataset(outdir, people, trials)
     return {name: (outdir / name).read_bytes()
             for name in ("outcomes.csv", "targets.json")}
 
 
-def _bits(record: TrialRecord) -> tuple:
-    """Field values with floats as their IEEE bytes, so -0.0 and nan count."""
+def _bits(values) -> tuple:
+    """The values with floats as their IEEE bytes, so -0.0 and nan count."""
     return tuple(struct.pack("<d", value) if isinstance(value, float) else value
-                 for value in dataclasses.astuple(record))
+                 for value in values)
 
 
-def _assert_equivalent(config: SimConfig, workdir: Path) -> list[TrialRecord]:
+def _assert_equivalent(config: SimConfig, workdir: Path) -> TrialTable:
+    """generate_trials against the per-trial loop, column by column and bit
+    for bit, and write_dataset against the reference writers."""
     people = generate_participants(config)
     trials = generate_trials(config, people)
     expected = _reference_trials(config, people)
-    assert [_bits(t) for t in trials] == [_bits(t) for t in expected]
+    for name in ("trial_id", "participant_id", "condition"):
+        column = getattr(trials, name)
+        assert type(column) is list
+        assert column == [getattr(r, name) for r in expected], name
+    for name, stored in [("reach_m", "reach_m"), ("ipd_m", "ipd_m"),
+                         ("endpoint_z", "endpoint_z"),
+                         ("endpoint_z", "movement_distance"),
+                         ("distance_error", "distance_error"),
+                         ("distance_error", "endpoint_error"),
+                         ("disparity_difference", "disparity_difference")]:
+        column = getattr(trials, name)
+        assert column.dtype == np.float64 and column.shape == (len(expected),)
+        assert _bits(column.tolist()) == \
+            _bits(getattr(r, stored) for r in expected), stored
+    assert [_bits(dataclasses.astuple(r)) for r in _rows(trials)] == \
+        [_bits(dataclasses.astuple(r)) for r in expected]
     assert _written_files(people, trials, workdir / "new") == \
         _reference_files(expected, workdir / "old")
     return trials
@@ -503,14 +560,14 @@ class TestSimulateEquivalence:
     def test_matches_reference(self, tmp_path, kwargs):
         config = _config(**{"motor_noise_sd": 0.005, **kwargs})
         trials = _assert_equivalent(config, tmp_path)
-        assert len({t.trial_id for t in trials}) == len(trials)
+        assert len(set(trials.trial_id)) == len(trials)
 
     def test_large_ids_sort_as_strings(self, tmp_path):
         config = _config(n_participants=1, repetitions=1001,
                          reach_distances=(0.25,))
         trials = _assert_equivalent(config, tmp_path)
         keys = list(json.loads((tmp_path / "new" / "targets.json").read_text()))
-        assert keys == sorted(t.trial_id for t in trials)
+        assert keys == sorted(trials.trial_id)
         assert keys.index("p00-original-d0.25-r1000") == \
             keys.index("p00-original-d0.25-r100") + 1
 
@@ -520,32 +577,37 @@ class TestSimulateEquivalence:
         config = _config(n_participants=3, repetitions=_CHUNK_ROWS,
                          reach_distances=(0.2,))
         people = generate_participants(config)
-        trials = generate_trials(config, people)[:count]
+        trials = _rows(generate_trials(config, people))[:count]
         assert len(trials) == count
-        assert _written_files(people, trials, tmp_path / "new") == \
+        assert _written_files(people, _table(trials), tmp_path / "new") == \
             _reference_files(trials, tmp_path / "old")
         if count == 0:
             assert (tmp_path / "new" / "targets.json").read_text() == "{}\n"
 
     def test_hand_built_trials(self, tmp_path):
         # ids that need quoting or escaping, a repeated id, non-finite and
-        # integer reaches, numpy floats and -0.0
+        # whole-number reaches, -0.0 and 0.0 in one field, and a -0.0 error
         config = _config()
         people = generate_participants(config)
-        base = generate_trials(config, people)[:6]
-        trials = [
+        base = _rows(generate_trials(config, people))[:7]
+        table = _table([
             dataclasses.replace(base[0], trial_id='a,"b"\r\nc'),
             dataclasses.replace(base[1], trial_id="café ☃",
                                 participant_id="p,1", condition='x"y'),
             dataclasses.replace(base[2], trial_id="dup", reach_m=math.nan),
-            dataclasses.replace(base[3], trial_id="dup", reach_m=1),
+            dataclasses.replace(base[3], trial_id="dup", reach_m=1.0),
             dataclasses.replace(base[4], trial_id="", reach_m=math.inf,
-                                ipd_m=np.float64(0.061),
-                                distance_error=np.float64(-0.0)),
+                                ipd_m=0.061),
             dataclasses.replace(base[5], trial_id=" lead", ipd_m=-math.inf,
-                                disparity_difference=-0.0),
-        ]
-        assert _written_files(people, trials, tmp_path / "new") == \
+                                disparity_difference=-0.0, reach_m=0.0,
+                                endpoint_z=-0.0),
+            dataclasses.replace(base[6], trial_id=" lead~", ipd_m=-math.inf,
+                                disparity_difference=-0.0, reach_m=-0.0,
+                                endpoint_z=-0.0),
+        ])
+        trials = _rows(table)
+        assert math.copysign(1.0, trials[5].distance_error) == -1.0
+        assert _written_files(people, table, tmp_path / "new") == \
             _reference_files(trials, tmp_path / "old")
 
     @settings(max_examples=25, deadline=None)
@@ -575,6 +637,27 @@ class TestSimulateEquivalence:
             seed=seed)
         with tempfile.TemporaryDirectory() as tmp:
             _assert_equivalent(config, Path(tmp))
+
+    def test_table_memory_is_a_fraction_of_records(self):
+        # the table holds a trial in an id string, three list slots and four
+        # float64s (about 130 bytes here); a record of the per-trial loop
+        # also held an instance, its dict and three more floats (about 340)
+        config = _config(n_participants=100, repetitions=12,
+                         reach_distances=(0.20, 0.25, 0.30, 0.35))
+        people = generate_participants(config)
+
+        def held(make) -> float:
+            tracemalloc.start()
+            try:
+                made = make()
+                size, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return size / len(made)
+
+        per_trial = held(lambda: generate_trials(config, people))
+        per_record = held(lambda: _reference_trials(config, people))
+        assert per_trial < per_record / 2
 
     def test_write_memory_is_a_fraction_of_the_files(self, tmp_path):
         config = _config(n_participants=500, repetitions=12,
