@@ -1,17 +1,19 @@
 """Mesh and point-cloud file I/O: ASCII OBJ and xyz CSV.
 
-The OBJ reader collects records into flat ``array`` buffers and turns them
-into numpy arrays once.  The points reader, and the trajectory reader in
-``kinematics``, parse their numeric columns in C with ``np.loadtxt`` a
-bounded chunk of lines at a time (``_read_columns``), and rerun a
-``csv.reader`` row loop whenever that might not give the row loop's
-result.  Writers format ``_CHUNK_ROWS`` rows per ``%`` operation.  Memory
-stays O(vertices + faces) in arrays, with no Python object per record.
+The OBJ reader parses its ``v`` and ``f`` records in C with ``np.loadtxt``
+a bounded chunk of lines at a time (``_read_obj_columns``), and reruns a
+loop over the lines whenever that might not give the loop's mesh or
+error.  The points reader, and the trajectory reader in ``kinematics``,
+parse their numeric columns the same way (``_read_columns``), and rerun a
+``csv.reader`` row loop likewise.  Writers format ``_CHUNK_ROWS`` rows per
+``%`` operation.  Memory stays O(vertices + faces) in arrays, with no
+Python object per record.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import re
 from array import array
 from itertools import groupby, islice
@@ -31,7 +33,8 @@ _CHUNK_ROWS = 4096
 # A UTF-8 byte-order mark, if present, is not part of the first record.
 _ENCODING = "utf-8-sig"
 
-# Size hint, in bytes, of the lines _plain_lines hands on at once.
+# Size hint, in bytes, of the lines _plain_lines and _read_obj_columns
+# parse at once.
 _COLUMN_CHUNK = 1 << 20
 # Characters that send _read_columns to the row loop: a quote (csv fields),
 # NUL (csv refuses it before Python 3.11), and the ASCII separators U+001C
@@ -142,8 +145,14 @@ def read_obj(path: str | Path) -> MeshModel:
     """Read an ASCII OBJ mesh.
 
     Vertex positions and faces are parsed; polygonal faces are fan
-    triangulated in file order.  Normal records are kept verbatim so they
-    can be written back out, but nothing updates them.
+    triangulated in file order.  A negative face reference counts back from
+    the vertices defined before its face.  Normal records are kept verbatim
+    so they can be written back out, but nothing updates them.
+
+    The ``v`` and ``f`` records are parsed in C (``_read_obj_columns``); a
+    file that parse cannot promise the line loop's result for (tabs, lone
+    CRs, non-ASCII bytes, a malformed record, a bad reference, ...) is read
+    line by line instead, with the same mesh and errors.
 
     Errors are raised in this order: a malformed vertex or a face with
     fewer than 3 vertices (first in the file), then a file without
@@ -154,9 +163,159 @@ def read_obj(path: str | Path) -> MeshModel:
             line number.
     """
     path = Path(path)
+    with path.open("rb") as fh:
+        records = _read_obj_columns(fh)
+    mesh = None if records is None else _obj_mesh(path, *records)
+    return mesh if mesh is not None else _obj_mesh(path, *_read_obj_lines(path))
+
+
+# Bytes _read_obj_columns parses: printable ASCII and "\n" (a CR before it
+# is dropped).  Any other byte (a tab, another control character, a lone
+# CR, DEL, non-ASCII) sends the file to the line loop, which splits at any
+# Unicode whitespace.
+_OBJ_PLAIN = bytes(range(0x20, 0x7f)) + b"\n"
+_V, _F, _N, _SLASH, _SPACE, _LF = b"vfn/ \n"
+# Bytes of face lines, once each token is cut at its first "/", that the
+# column parse reads: int() takes no others, and the np.loadtxt of NumPy 1.x
+# parses an int64 through a float ("1.0", "1.5e1") with only a warning.
+_FACE_PLAIN = b"f0123456789+- \n"
+
+
+def _read_obj_columns(fh) -> tuple | None:
+    """read_obj's records, parsed in C a bounded chunk of lines at a time.
+
+    fh is a binary file at its start.  Returns the vertices as an (N, 3)
+    float64 array, and the faces' raw references (concatenated), vertex
+    counts, vertices defined before each face, and the ``vn`` lines; or
+    None whenever the line loop might read the file otherwise or fail on
+    it: a byte outside _OBJ_PLAIN, a line that starts with a space, a bare
+    ``v`` or ``f``, a face with fewer than 3 vertices, a face byte outside
+    _FACE_PLAIN, a field np.loadtxt cannot parse (an empty one, from two
+    spaces in a row, included), or no vertices.  The caller then reruns the
+    loop, which alone words errors and numbers lines.
+
+    Each chunk's ``v`` lines go to one np.loadtxt call, and its ``f``
+    lines to one call per vertex count (its spaces) after each token is
+    cut at its first "/"; other lines are skipped, ``vn`` ones kept.
+    """
+    coords, refs, counts, face_nv, normal_lines = [], [], [], [], []
+    n_vertices = 0
+    data = fh.read(_COLUMN_CHUNK) + fh.readline()
+    data = data.removeprefix(b"\xef\xbb\xbf")
+    while data:
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n")
+        if not data.endswith(b"\n"):
+            data += b"\n"
+        if data.translate(None, _OBJ_PLAIN) or data[0] == _SPACE or b"\n " in data:
+            return None
+        text = np.frombuffer(data, dtype=np.uint8)
+        ends = np.flatnonzero(text == _LF) + 1     # each line's "\n" included
+        starts = np.concatenate(([0], ends[:-1]))
+        tag = text[starts]
+        after = text[np.minimum(starts + 1, len(text) - 1)]
+        if (((tag == _V) | (tag == _F)) & (after == _LF)).any():
+            return None
+        is_vertex = (tag == _V) & (after == _SPACE)
+        faces = np.flatnonzero((tag == _F) & (after == _SPACE))
+        try:
+            if is_vertex.any():
+                coords.append(np.loadtxt(
+                    io.BytesIO(_joined(data, starts, ends, is_vertex)),
+                    delimiter=" ", usecols=(1, 2, 3), ndmin=2, comments=None,
+                    encoding="ascii"))
+            if len(faces):
+                spaces = np.flatnonzero(text == _SPACE)
+                n_refs = (np.searchsorted(spaces, ends[faces])
+                          - np.searchsorted(spaces, starts[faces]))
+                if n_refs.min() < 3:
+                    return None
+                refs.append(_face_refs(data, starts, ends, faces, n_refs))
+                counts.append(n_refs)
+                face_nv.append(n_vertices + np.cumsum(is_vertex)[faces])
+        except ValueError:
+            return None
+        third = text[np.minimum(starts + 2, len(text) - 1)]
+        is_normal = (tag == _V) & (after == _N) & ((third == _SPACE) | (third == _LF))
+        normal_lines += [data[a:b].decode("ascii").strip() for a, b in
+                         zip(starts[is_normal].tolist(), ends[is_normal].tolist())]
+        n_vertices += int(np.count_nonzero(is_vertex))
+        data = fh.read(_COLUMN_CHUNK) + fh.readline()
+    if not coords:
+        return None
+    return (np.concatenate(coords),
+            *(np.concatenate(column) if column else np.zeros(0, dtype=np.int64)
+              for column in (refs, counts, face_nv)),
+            normal_lines)
+
+
+def _joined(data: bytes, starts: np.ndarray, ends: np.ndarray,
+            take: np.ndarray) -> bytes:
+    """The lines data[starts[i]:ends[i]] where take[i] is true, joined.
+
+    Each run of taken lines is one slice.
+    """
+    edges = np.flatnonzero(np.diff(take, prepend=False, append=False))
+    return b"".join([data[a:b] for a, b in zip(starts[edges[::2]].tolist(),
+                                                ends[edges[1::2] - 1].tolist())])
+
+
+def _face_refs(data: bytes, starts: np.ndarray, ends: np.ndarray,
+               faces: np.ndarray, n_refs: np.ndarray) -> np.ndarray:
+    """The vertex references of a chunk's face lines, concatenated in order.
+
+    data is the chunk, starts and ends bound its lines, faces are the
+    indices of its face lines and n_refs their vertex counts.  Faces with
+    the same count are parsed in one np.loadtxt call.
+    Raises ValueError on a byte outside _FACE_PLAIN, or a reference
+    np.loadtxt cannot parse as int64.
+    """
+    out = np.empty(int(n_refs.sum()), dtype=np.int64)
+    first = np.cumsum(n_refs) - n_refs
+    for n in np.unique(n_refs).tolist():
+        same = n_refs == n
+        take = np.zeros(len(starts), dtype=bool)
+        take[faces[same]] = True
+        group = _cut_at_slash(_joined(data, starts, ends, take))
+        if group.translate(None, _FACE_PLAIN):
+            raise ValueError("needs the line loop")
+        out[(first[same][:, None] + np.arange(n)).ravel()] = np.loadtxt(
+            io.BytesIO(group), dtype=np.int64, delimiter=" ",
+            usecols=range(1, n + 1), ndmin=2, comments=None,
+            encoding="ascii").ravel()
+    return out
+
+
+def _cut_at_slash(data: bytes) -> bytes:
+    """Lines of space-separated tokens, each token cut at its first "/".
+
+    This is ``t.partition("/")[0]`` per token: v/vt/vn, v//vn and v/vt
+    become v.
+    """
+    if b"/" not in data:
+        return data
+    text = np.frombuffer(data, dtype=np.uint8)
+    is_slash = text == _SLASH
+    # int32 counts are exact below 2**31 bytes, and half the work of int64
+    slashes = np.cumsum(is_slash, dtype=np.int32 if len(text) < 1 << 31 else np.int64)
+    # the slash count at the last space or line end at or before each byte
+    # (no other byte at or below a space reaches here)
+    at_break = np.where(text <= _SPACE, slashes, 0)
+    np.maximum.accumulate(at_break, out=at_break)
+    return text[slashes == at_break].tobytes()
+
+
+def _read_obj_lines(path: Path) -> tuple:
+    """read_obj's records by a loop over the lines, one split() per line.
+
+    Returns what _read_obj_columns returns, and each face's line number.
+    Raises DataFormatError on a malformed vertex, a face with fewer than 3
+    vertices, or no vertices.
+    """
     coords = array("d")        # x, y, z per vertex
     refs = array("q")          # raw face vertex references, faces concatenated
     counts = array("q")        # vertices per face
+    face_nv = array("q")       # vertices defined before each face
     face_lines = array("q")    # line number per face
     normal_lines: list[str] = []
     with path.open("r", encoding=_ENCODING) as fh:
@@ -183,34 +342,54 @@ def read_obj(path: str | Path) -> MeshModel:
                     del refs[start:]
                     refs.extend([_face_ref(t) for t in parts[1:]])
                 counts.append(len(parts) - 1)
+                face_nv.append(len(coords) // 3)
                 face_lines.append(line_no)
             elif tag == "vn":
                 normal_lines.append(raw.strip())
     if not coords:
         raise DataFormatError("no vertices found", str(path))
-    n_vertices = len(coords) // 3
-    refs_np = np.frombuffer(refs, dtype=np.int64)
-    # Negative references count back from the last vertex; others are 1-based.
-    index = np.where(refs_np < 0, refs_np + n_vertices, refs_np - 1)
-    bad = (index < 0) | (index >= n_vertices)
-    counts_np = np.frombuffer(counts, dtype=np.int64)
-    face_start = np.cumsum(counts_np) - counts_np
+    return (np.frombuffer(coords, dtype=np.float64).reshape(-1, 3),
+            *(np.frombuffer(column, dtype=np.int64)
+              for column in (refs, counts, face_nv)),
+            normal_lines, face_lines)
+
+
+def _obj_mesh(path: Path, vertices: np.ndarray, refs: np.ndarray,
+              counts: np.ndarray, face_nv: np.ndarray, normal_lines: list[str],
+              face_lines: array | None = None) -> MeshModel | None:
+    """The mesh of read_obj's records: references resolved, faces fanned.
+
+    A reference out of range raises its DataFormatError when face_lines
+    numbers the faces, and returns None when it does not (the column
+    parse, which leaves the error to the line loop).
+    """
+    face_start = np.cumsum(counts) - counts
+    # References are 1-based, and negative ones count back from the vertices
+    # defined before their face.
+    index = refs - 1
+    back = np.flatnonzero(refs < 0)
+    if len(back):
+        index[back] = refs[back] + face_nv[np.searchsorted(face_start, back,
+                                                           side="right") - 1]
+    bad = (index < 0) | (index >= len(vertices))
     if bad.any():
+        if face_lines is None:
+            return None
         pos = int(bad.argmax())
         face = int(np.searchsorted(face_start, pos, side="right")) - 1
         raise _face_ref_error(path, face_lines[face], pos - int(face_start[face]))
     # Fan triangulation: face (i0, i1, ..., in) gives (i0, ik, ik+1), k = 1..n-1.
-    n_tri = counts_np - 2
-    tri_start = np.repeat(face_start, n_tri)
-    k = np.arange(int(n_tri.sum())) - np.repeat(np.cumsum(n_tri) - n_tri, n_tri)
-    faces = np.stack([index[tri_start], index[tri_start + k + 1],
-                      index[tri_start + k + 2]], axis=1)
-    return MeshModel(
-        vertices=np.frombuffer(coords, dtype=np.float64).reshape(-1, 3),
-        faces=faces,
-        provenance=str(path),
-        normal_lines=tuple(normal_lines),
-    )
+    # Over all faces in order, the ik are every reference but each face's
+    # first and last, and the ik+1 every one but its first two.
+    faces = np.empty((int(counts.sum()) - 2 * len(counts), 3), dtype=np.int64)
+    faces[:, 0] = np.repeat(index[face_start], counts - 2)
+    take = np.ones(len(index), dtype=bool)
+    take[face_start] = take[face_start + counts - 1] = False
+    faces[:, 1] = index[take]
+    take[face_start + counts - 1], take[face_start + 1] = True, False
+    faces[:, 2] = index[take]
+    return MeshModel(vertices=vertices, faces=faces, provenance=str(path),
+                     normal_lines=tuple(normal_lines))
 
 
 def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:

@@ -390,27 +390,33 @@ def _write_targets_json(trials: TrialTable, path: Path) -> None:
     for the dict entries of trial id -> target fields.
     """
     ids = trials.trial_id
+    order = None
     if not all(map(str.__lt__, ids, islice(ids, 1, None))):
-        # simulate's ids come sorted; otherwise sort the rows by id, and as
-        # in a dict a repeated id keeps its last trial (the sort is stable)
+        # simulate's ids come sorted; otherwise write the rows in id order,
+        # and as in a dict a repeated id keeps its last trial (the sort is
+        # stable)
         by_id = sorted(range(len(ids)), key=ids.__getitem__)
-        rows = [i for i, after in zip(by_id, by_id[1:] + [None])
-                if after is None or ids[after] != ids[i]]
-        trials = TrialTable(*(
-            [column[i] for i in rows] if isinstance(column, list) else column[rows]
-            for column in (getattr(trials, f.name) for f in fields(TrialTable))))
-        ids = trials.trial_id
+        order = [i for i, after in zip(by_id, islice(by_id, 1, None))
+                 if ids[after] != ids[i]] + by_id[-1:]
+        del by_id
     with path.open("w", encoding="utf-8") as fh:
         if not ids:
             fh.write("{}\n")
             return
         fh.write("{\n")
-        for start in range(0, len(ids), _CHUNK_ROWS):
+        for start in range(0, len(ids if order is None else order), _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
+            if order is None:
+                chunk_ids, conds = ids[rows], trials.condition[rows]
+                pids = trials.participant_id[rows]
+            else:
+                rows = order[rows]
+                chunk_ids, conds, pids = (
+                    list(map(column.__getitem__, rows))
+                    for column in (ids, trials.condition, trials.participant_id))
             # the trials of one (participant, reach) share their fields, so
             # each run of equal fields is formatted once; the floats' bits
             # tell -0.0 from 0.0
-            conds, pids = trials.condition[rows], trials.participant_id[rows]
             reach, ipd = trials.reach_m[rows], trials.ipd_m[rows]
             n = len(conds)
             same = (np.fromiter(map(operator.eq, conds[1:], conds), bool, n - 1)
@@ -424,7 +430,7 @@ def _write_targets_json(trials: TrialTable, path: Path) -> None:
                     _json_scalar(conds[a]), _json_scalar(float(ipd[a])),
                     _json_scalar(pids[a]), _json_scalar(float(reach[a])))] * (b - a)
             fh.write((",\n  " if start else "  ") + ",\n  ".join(
-                map(str.__add__, map(encode_basestring_ascii, ids[rows]), bodies)))
+                map(str.__add__, map(encode_basestring_ascii, chunk_ids), bodies)))
         fh.write("\n}\n")
 
 

@@ -1,13 +1,16 @@
-"""The columnar CSV readers against their row loops.
+"""The columnar readers against their row loops.
 
 ``read_trajectories_csv`` and ``read_points_csv`` parse their numeric
 columns in C (``meshio._read_columns``), and ``FitDataset.from_csv`` its
 outcomes columns (``fitting._read_outcome_columns``); each reruns a
 ``csv.reader`` row loop whenever that might not give the loop's result.
+``read_obj`` parses its ``v`` and ``f`` records in C
+(``meshio._read_obj_columns``) and reruns its line loop likewise.
 Whatever the input, each reader must return exactly what its row loop
 alone returns: the same ids, order, sample rates, rejections, participant
-codes and array bits, or the same error with the same message and line.
-The fast path must also really run on the files the package writes.
+codes, faces, normal lines and array bits, or the same error with the
+same message and line.  The fast path must also really run on the files
+the package writes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import vackit.meshio as meshio
 from vackit.cli import main
 from vackit.fitting import FitDataset
 from vackit.kinematics import OUTCOME_HEADER, read_trajectories_csv
-from vackit.meshio import read_points_csv, write_points_csv
+from vackit.correction import MeshModel
+from vackit.meshio import read_obj, read_points_csv, write_obj, write_points_csv
 from vackit.synth import (
     SimConfig,
     generate_participants,
@@ -212,6 +216,106 @@ def outcome_files(draw) -> bytes:
         draw(_edited(rows, 1))))
 
 
+# Face tokens int() and a C parser could read apart: a sign, an
+# underscore, a non-ASCII digit, a float, a ref beyond int64, an empty
+# vertex part, a comment mark.
+FACE_SPELLINGS = ["+5", "1_0", "\u0663", "1" * 23, "-" + "9" * 22, "1.0", "0",
+                  "-0", "/2", "", "#1", "0x1", "2\u2028", "3\x85"]
+OTHER_LINES = ["vt 0.5 0.5", "g part", "o object", "usemtl skin", "# note",
+               "vn 0 0 1", "vn 0.0 -1.0 0.0 ", "", "s off", "vnx 1", "vn"]
+# Line hazards: tabs and other whitespace splitting alone accepts, double,
+# leading and trailing spaces, and line breaks str.splitlines() knows but
+# the file iterator does not.
+LINE_HAZARDS = ["\t", "  ", "\x0b", "\x0c", "\x1c", "\u2028", "\x85",
+                "\u00a0"]
+
+
+@st.composite
+def _obj_line(draw, kind: str, n_vertices: int) -> str:
+    """One well-formed v, f or other line, given the vertices before it."""
+    if kind == "v":
+        n_fields = draw(st.sampled_from([3, 3, 3, 4, 6]))
+        return "v " + " ".join(repr(draw(st.floats())) for _ in range(n_fields))
+    if kind == "f" and n_vertices:
+        tokens = []
+        for _ in range(draw(st.sampled_from([3, 4, 5]))):
+            ref = draw(st.integers(1, n_vertices))
+            if draw(st.booleans()):
+                ref -= n_vertices + 1   # the same vertex, counted back
+            style = draw(st.sampled_from(["{}", "{}/1", "{}//1", "{}/1/1"]))
+            tokens.append(style.format(ref))
+        return "f " + " ".join(tokens)
+    return draw(st.sampled_from(OTHER_LINES))
+
+
+def _edit_obj_line(draw, line: str, n_vertices: int) -> str:
+    """line with one fault or hazard the fast path must leave to the loop,
+    or read as the loop does."""
+    edit = draw(st.sampled_from(["spelling", "spelling", "bare", "short",
+                                 "range", "lead", "trail", "hazard"]))
+    tag, _, rest = line.partition(" ")
+    fields = rest.split(" ")
+    if edit == "spelling" and tag in ("v", "f") and rest:
+        k = draw(st.integers(0, min(len(fields), 3) - 1))
+        fields[k] = draw(st.sampled_from(SPELLINGS if tag == "v" else FACE_SPELLINGS))
+    elif edit == "bare":
+        return draw(st.sampled_from(["v", "f"]))
+    elif edit == "short" and tag == "f":
+        fields = fields[:2]
+    elif edit == "range" and tag == "f":
+        fields[0] = str(draw(st.sampled_from([n_vertices + 1, -n_vertices - 1])))
+    elif edit == "lead":
+        return " " + line
+    elif edit == "trail":
+        return line + " "
+    elif edit == "hazard":
+        return line.replace(" ", draw(st.sampled_from(LINE_HAZARDS)), 1)
+    return " ".join([tag, *fields]) if rest else line
+
+
+@st.composite
+def obj_files(draw) -> bytes:
+    """OBJ files: interleaved v, f and other lines, faces of 3 to 5
+    vertices in each token form, with positive and negative references;
+    a few faults or hazards (a spelling, a bare tag, a 2-vertex face, an
+    out-of-range reference, odd whitespace); LF or CRLF line ends and
+    rarely a lone CR, a BOM or an undecodable byte."""
+    kinds = draw(st.lists(st.sampled_from(["v", "v", "v", "f", "f", "other"]),
+                          max_size=30))
+    lines, before, n_vertices = [], [], 0
+    for kind in kinds:
+        lines.append(draw(_obj_line(kind, n_vertices)))
+        before.append(n_vertices)
+        n_vertices += kind == "v"
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if lines else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = _edit_obj_line(draw, lines[i], before[i])
+    endings = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+    if lines and _rarely(draw):
+        i = draw(st.integers(0, len(lines) - 1))
+        endings[i] = draw(st.sampled_from(["\n", "\r\n", "\r", "\r\r\n"]))
+    if lines and draw(st.booleans()):
+        endings[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if _rarely(draw):
+        text = "\ufeff" + text
+    data = text.encode("utf-8")
+    if _rarely(draw):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+def _obj_result(path):
+    """read_obj's mesh or error, vertices compared bit for bit."""
+    try:
+        mesh = read_obj(path)
+    except Exception as exc:  # noqa: BLE001 - the error is the result
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (mesh.vertices.shape, mesh.vertices.tobytes(), mesh.faces.dtype,
+            mesh.faces.tolist(), mesh.normal_lines)
+
+
 def _outcomes_result(path):
     """FitDataset.from_csv's columns and codes, or its error."""
     try:
@@ -243,10 +347,15 @@ def _points_result(path):
     return points.shape, points.dtype, np.ascontiguousarray(points).tobytes()
 
 
+# Each module's fast paths, which return None to leave a file to the loop.
+FAST_PATHS = {kin: ["_read_columns"], fitting: ["_read_outcome_columns"],
+              meshio: ["_read_columns", "_read_obj_columns"]}
+
+
 def _row_loop_only(module):
-    """Patch the fast path away, leaving the reader's row loop."""
-    name = "_read_outcome_columns" if module is fitting else "_read_columns"
-    return mock.patch.object(module, name, return_value=None)
+    """Patch the fast paths away, leaving the readers' row loops."""
+    return mock.patch.multiple(module, **{
+        name: mock.Mock(return_value=None) for name in FAST_PATHS[module]})
 
 
 def _both(result, module, path, chunk=1 << 20):
@@ -283,6 +392,14 @@ class TestFastPathMatchesRowLoop:
         path = tmp_path / "outcomes.csv"
         path.write_bytes(data)
         got, want = _both(_outcomes_result, fitting, path, chunk)
+        assert got == want
+
+    @PROPERTY_SETTINGS
+    @given(data=obj_files(), chunk=st.sampled_from(CHUNKS))
+    def test_obj(self, tmp_path, data, chunk):
+        path = tmp_path / "mesh.obj"
+        path.write_bytes(data)
+        got, want = _both(_obj_result, meshio, path, chunk)
         assert got == want
 
     @pytest.mark.parametrize("spelling", SPELLINGS)
@@ -325,6 +442,26 @@ class TestFastPathMatchesRowLoop:
         path = tmp_path / "trajectories.csv"
         path.write_text(text, encoding="utf-8", newline="")
         got, want = _both(_trajectory_result, kin, path)
+        assert got == want
+
+    @pytest.mark.parametrize("text", [
+        "v 0 0 1\nv 1 0 1\nf 1 2\n",
+        "v 0 0 1\nv 1 0 1\nv 0 1 1\nf 1 2 3\nv\n",
+        "v 0 0 1\nv 1 0 1\nv 0 1 1\nf\n",
+        "v 0 0 1\n v 1 0 1\nv 0 1 1\nf 1 2 3\n",
+        "v 0 0 1\nv\t1 0 1\nv 0 1 1\nf 1 2 3\n",
+        "v 0 0 1\rv 1 0 1\nv 0 1 1\nf 1 2 3\n",
+        "v 0 0 1\nv 1 0 1\nv 0 1 1\nf 1 2 " + "3" * 23 + "\n",
+        "v 0 0 1\nv 1 0 1\nv 0 1 1\nf 1\x852 3\n",
+        "v 0 0 1\nv 1 0 1\nv 0 1 1\nf 1 2 3 \n",
+        "v 0 0 1\nv 1 0 1\nv 0 1 1\nf -1 -2 -4\nv 1 1 1\n",
+    ], ids=["two-vertex-face", "bare-v", "bare-f", "leading-space", "tab",
+            "lone-cr", "long-ref", "nel", "trailing-space", "early-negative"])
+    def test_obj_examples(self, tmp_path, text):
+        """Files the fast path must leave to the line loop, errors included."""
+        path = tmp_path / "mesh.obj"
+        path.write_text(text, encoding="utf-8", newline="")
+        got, want = _both(_obj_result, meshio, path)
         assert got == want
 
 
@@ -402,6 +539,77 @@ class TestFastPathRuns:
         got = read_points_csv(tmp_path / "points.csv")
         assert calls == []
         assert np.array_equal(got.view(np.int64), points.view(np.int64))
+
+    def _count_obj_lines(self, monkeypatch) -> list:
+        calls = []
+        line_loop = meshio._read_obj_lines
+        monkeypatch.setattr(meshio, "_read_obj_lines",
+                            lambda p: calls.append(p) or line_loop(p))
+        return calls
+
+    def test_obj_writer_output_takes_the_fast_path(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        mesh = MeshModel(vertices=rng.uniform(-1.0, 1.0, (500, 3)),
+                         faces=rng.integers(0, 500, (900, 3)), provenance="mem",
+                         normal_lines=("vn 0.0 0.0 -1.0",))
+        write_obj(mesh, tmp_path / "mesh.obj")
+        calls = self._count_obj_lines(monkeypatch)
+        got = read_obj(tmp_path / "mesh.obj")
+        assert calls == []
+        assert np.array_equal(got.vertices.view(np.int64),
+                              mesh.vertices.view(np.int64))
+        np.testing.assert_array_equal(got.faces, mesh.faces)
+        assert got.normal_lines == mesh.normal_lines
+
+    @pytest.mark.parametrize("form", ["lf", "crlf", "bom", "objects",
+                                      "token-forms"])
+    @pytest.mark.parametrize("chunk", [4096, 1 << 20])
+    def test_quad_grid_takes_the_fast_path(self, tmp_path, monkeypatch, form,
+                                           chunk):
+        """A quad grid as the benchmark writes it (a comment, the vertices,
+        one normal, faces "f a//1 b//1 c//1 d//1"), with CRLF line ends, a
+        BOM, as one object per row of quads with negative references, or
+        with faces in the v, v/vt and v/vt/vn token forms as well."""
+        grid = 40
+        rng = np.random.default_rng(7)
+        vertices = [f"v {x!r} {y!r} {z!r}" for x, y, z in
+                    rng.uniform(0.1, 1.0, (grid * grid, 3)).tolist()]
+        styles = (["{}", "{}/1", "{}//1", "{}/1/1", "{}//1"]
+                  if form == "token-forms" else ["{}//1"])
+
+        def quad(a: int) -> str:
+            refs = [a, a + 1, a + grid + 1, a + grid]
+            return "f " + " ".join(styles[(a + k) % len(styles)].format(ref)
+                                   for k, ref in enumerate(refs))
+
+        if form == "objects":
+            # one object per row of quads: the row's second line of vertices,
+            # then its quads, counted back from the last vertex
+            lines = ["# grid", *vertices[:grid], "vn 0.0 0.0 -1.0"]
+            for r in range(1, grid):
+                lines += vertices[r * grid:(r + 1) * grid]
+                lines += [quad(c - 2 * grid) for c in range(grid - 1)]
+        else:
+            lines = ["# grid", *vertices, "vn 0.0 0.0 -1.0"]
+            lines += [quad(r * grid + c + 1)
+                      for r in range(grid - 1) for c in range(grid - 1)]
+        text = "\n".join(lines) + "\n"
+        if form == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif form == "bom":
+            text = "\ufeff" + text
+        path = tmp_path / "grid.obj"
+        path.write_text(text, encoding="utf-8", newline="")
+        with _row_loop_only(meshio):
+            want = _obj_result(path)
+        calls = self._count_obj_lines(monkeypatch)
+        monkeypatch.setattr(meshio, "_COLUMN_CHUNK", chunk)
+        got = _obj_result(path)
+        assert got == want
+        assert calls == []
+        first = [r * grid + c for r in range(grid - 1) for c in range(grid - 1)]
+        assert got[3] == [face for a in first for face in
+                          ([a, a + 1, a + grid + 1], [a, a + grid + 1, a + grid])]
 
     def _count_outcome_rows(self, monkeypatch) -> list:
         calls = []

@@ -58,10 +58,14 @@ def reference_write_points_csv(points: np.ndarray, path) -> None:
             writer.writerow([repr(float(x)), repr(float(y)), repr(float(z))])
 
 
-def reference_fan(faces: list[list[int]], n_vertices: int) -> list[list[int]]:
-    """Per-face fan triangulation of 1-based or negative OBJ references."""
+def reference_fan(faces: list[list[int]], n_before: list[int]) -> list[list[int]]:
+    """Per-face fan triangulation of 1-based or negative OBJ references.
+
+    n_before[i] is the number of vertices defined before face i, which a
+    negative reference counts back from.
+    """
     out = []
-    for refs in faces:
+    for refs, n_vertices in zip(faces, n_before):
         idx = [r + n_vertices if r < 0 else r - 1 for r in refs]
         out.extend([idx[0], idx[k], idx[k + 1]] for k in range(1, len(idx) - 1))
     return out
@@ -111,6 +115,30 @@ f -3 -2 -1
 """)
         mesh = read_obj(p)
         np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+
+    def test_negative_indices_count_from_vertices_before_the_face(self, tmp_path):
+        p = _write(tmp_path / "objects.obj", """\
+v 0 0 1
+v 1 0 1
+v 0 1 1
+f -3 -2 -1
+v 5 0 1
+v 6 0 1
+v 5 1 1
+f -3 -2 -1
+""")
+        mesh = read_obj(p)
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2], [3, 4, 5]])
+
+    def test_negative_index_before_its_vertices_is_out_of_range(self, tmp_path):
+        # -4 counts back past the 3 vertices before line 4, though the file
+        # defines 6 in all
+        p = _write(tmp_path / "early.obj", "v 0 0 1\nv 1 0 1\nv 0 1 1\n"
+                   "f -4//1 -2//1 -1//1\nv 5 0 1\nv 6 0 1\nv 5 1 1\n")
+        with pytest.raises(DataFormatError) as exc:
+            read_obj(p)
+        assert str(exc.value) == f"face index '-4//1' out of range [{p}:4]"
+        assert exc.value.line == 4
 
     def test_slash_references_ignored(self, tmp_path):
         p = _write(tmp_path / "slash.obj", """\
@@ -318,7 +346,8 @@ class TestObjProperties:
             lines.append("f " + " ".join(tokens))
         p = _write(tmp_path / "fan.obj", "\n".join(lines) + "\n")
         mesh = read_obj(p)
-        expected = np.array(reference_fan(refs_per_face, n_vertices),
+        expected = np.array(reference_fan(refs_per_face,
+                                          [n_vertices] * len(refs_per_face)),
                             dtype=np.int64).reshape(-1, 3)
         np.testing.assert_array_equal(mesh.faces, expected)
 
