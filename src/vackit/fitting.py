@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DataFormatError, DomainError, FitError
 from .geometry import angles_at
 from .kinematics import EyePose
-from .meshio import _ENCODING, _ROW_LOOP_ONLY, _plain_lines
+from .meshio import _ENCODING, _ROW_LOOP_ONLY, _csv_records, _plain_lines
 from .perception import fixated_distance_error
 
 __all__ = [
@@ -89,72 +89,67 @@ _OUTCOME_COLUMNS = ("participant_id", "condition", "target_reach_m",
 # one that fills them may have been cut short.
 _FIELD_CHARS = 16
 # The rows _read_outcome_columns parses: the required columns, then valid.
-# The reach, which repeats, is kept as text and parsed once per run.  The
-# three text fields come first, so the last character of each sits at a
+# The two text fields come first, so the last character of each sits at a
 # fixed 4-byte slot of a row.
-_TEXT_FIELDS = _OUTCOME_COLUMNS[:3]
+_TEXT_FIELDS = _OUTCOME_COLUMNS[:2]
 _OUTCOME_FIELDS = (
     [(name, f"U{_FIELD_CHARS}") for name in _TEXT_FIELDS]
+    + [(name, np.float64) for name in _OUTCOME_COLUMNS[2:]]
     # a valid field other than "1" or "" stays neither when cut to 2
-    + [("distance_error_m", np.float64), ("valid", "U2")])
+    + [("valid", "U2")])
 _LAST_CHARS = [(k + 1) * _FIELD_CHARS - 1 for k in range(len(_TEXT_FIELDS))]
 
 
 def _read_outcome_rows(path: Path) -> tuple:
     """FitDataset.from_csv's columns by a csv.reader row loop, one float()
-    per field; the participant codes are left to FitDataset."""
+    per field."""
     pids: list[str] = []
     conds: list[str] = []
     reach = array("d")
     error = array("d")
-    with path.open("r", encoding=_ENCODING, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        column = {name: i for i, name in enumerate(header)}
-        if not set(_OUTCOME_COLUMNS).issubset(column):
+    records = _csv_records(path)
+    header = next(records)
+    column = {name: i for i, name in enumerate(header)}
+    if not set(_OUTCOME_COLUMNS).issubset(column):
+        raise DataFormatError(
+            f"missing columns {sorted(set(_OUTCOME_COLUMNS) - set(column))}",
+            str(path), 1)
+    i_pid, i_cond, i_reach, i_err = map(column.__getitem__, _OUTCOME_COLUMNS)
+    i_valid = column.get("valid")
+    width = len(header)
+    # numbered as a csv.DictReader loop numbered them: blank rows not counted
+    for line_no, (_, row) in enumerate(records, start=2):
+        fields = row if len(row) >= width else \
+            row + [None] * (width - len(row))
+        if i_valid is not None and fields[i_valid] not in (None, "", "1"):
+            continue
+        try:
+            reach_m, error_m = float(fields[i_reach]), float(fields[i_err])
+        except (TypeError, ValueError):
             raise DataFormatError(
-                f"missing columns {sorted(set(_OUTCOME_COLUMNS) - set(column))}",
-                str(path), 1)
-        i_pid, i_cond, i_reach, i_err = map(column.__getitem__, _OUTCOME_COLUMNS)
-        i_valid = column.get("valid")
-        width = len(header)
-        line_no = 1
-        for row in reader:
-            if not row:
-                continue
-            line_no += 1
-            fields = row if len(row) >= width else \
-                row + [None] * (width - len(row))
-            if i_valid is not None and fields[i_valid] not in (None, "", "1"):
-                continue
-            try:
-                reach_m, error_m = float(fields[i_reach]), float(fields[i_err])
-            except (TypeError, ValueError):
-                raise DataFormatError(
-                    f"bad numeric fields in {_dict_row(header, row)!r}",
-                    str(path), line_no,
-                ) from None
-            if not (math.isfinite(reach_m) and reach_m > 0):
-                raise DataFormatError(
-                    f"target_reach_m must be finite and positive in "
-                    f"{_dict_row(header, row)!r}", str(path), line_no)
-            if not math.isfinite(error_m):
-                raise DataFormatError(
-                    f"distance_error_m must be finite in "
-                    f"{_dict_row(header, row)!r}", str(path), line_no)
-            if fields[i_pid] is None or fields[i_cond] is None:
-                raise DataFormatError(
-                    f"bad text fields in {_dict_row(header, row)!r}",
-                    str(path), line_no,
-                )
-            pids.append(fields[i_pid])
-            conds.append(fields[i_cond])
-            reach.append(reach_m)
-            error.append(error_m)
+                f"bad numeric fields in {_dict_row(header, row)!r}",
+                str(path), line_no,
+            ) from None
+        if not (math.isfinite(reach_m) and reach_m > 0):
+            raise DataFormatError(
+                f"target_reach_m must be finite and positive in "
+                f"{_dict_row(header, row)!r}", str(path), line_no)
+        if not math.isfinite(error_m):
+            raise DataFormatError(
+                f"distance_error_m must be finite in "
+                f"{_dict_row(header, row)!r}", str(path), line_no)
+        if fields[i_pid] is None or fields[i_cond] is None:
+            raise DataFormatError(
+                f"bad text fields in {_dict_row(header, row)!r}",
+                str(path), line_no,
+            )
+        pids.append(fields[i_pid])
+        conds.append(fields[i_cond])
+        reach.append(reach_m)
+        error.append(error_m)
     if not pids:
         raise DataFormatError("no usable rows", str(path))
-    return (np.array(pids, dtype=object), np.array(conds, dtype=object),
-            np.frombuffer(reach), np.frombuffer(error))
+    return pids, conds, np.frombuffer(reach), np.frombuffer(error)
 
 
 def _runs(values: np.ndarray) -> tuple[list, np.ndarray]:
@@ -201,27 +196,25 @@ def _parse_outcome_lines(lines: list[str], usecols: tuple[int, ...]) -> np.ndarr
 
 
 def _read_outcome_columns(fh) -> tuple | None:
-    """FitDataset.from_csv's columns and participant codes, parsed in C,
-    or None.
+    """FitDataset.from_csv's columns, parsed in C, or None.
 
     fh is the outcomes file opened in binary mode at its start.  The
     needed fields of each chunk of lines are parsed by np.loadtxt, after
-    the rows the valid field rejects are dropped.  The participant id,
-    condition and reach are read as text and taken once per run of rows
-    that share all three, so a file grouped by participant and reach costs
-    no Python object per row; the reach is parsed with float(), the
-    distance error in C.
+    the rows the valid field rejects are dropped: the reach and the
+    distance error as float64, the participant id and condition as text,
+    taken once per run of rows that share both, so a file grouped by
+    participant costs no Python object per row.
 
     Returns None whenever the columns might differ from the row loop's: a
     header or a chunk with a character _plain_lines refuses, a missing
     column, a kept row np.loadtxt cannot parse (a missing field included),
-    a text field of _FIELD_CHARS characters or more, a reach float()
-    refuses, a number that FitDataset would refuse, undecodable bytes, or
-    no kept rows.  The caller then reruns the row loop, which alone words
-    errors and numbers lines.
+    an id or condition of _FIELD_CHARS characters or more, a number that
+    FitDataset would refuse, undecodable bytes, or no kept rows.  The
+    caller then reruns the row loop, which alone words errors and numbers
+    lines.
     """
-    heads: list[tuple[str, str, str]] = []  # _TEXT_FIELDS, once per run
-    lengths, error = [], []
+    heads: list[tuple[str, str]] = []  # _TEXT_FIELDS, once per run
+    lengths, reach, error = [], [], []
     try:
         first = fh.readline().decode(_ENCODING)
         line_end = "\r\n" if first.endswith("\r\n") else "\n"
@@ -245,25 +238,21 @@ def _read_outcome_columns(fh) -> tuple | None:
             first_values, counts = _runs(rows[list(_TEXT_FIELDS)])
             heads += first_values
             lengths.append(counts)
+            reach.append(rows["target_reach_m"])
             error.append(rows["distance_error_m"])
-        if not error:
-            return None
-        pids, conditions, reaches = zip(*heads)
-        counts = np.concatenate(lengths)
-        reach_m = np.repeat(np.array(list(map(float, reaches))), counts)
     except ValueError:  # UnicodeDecodeError included
         return None
-    error_m = np.concatenate(error)
+    if not error:
+        return None
+    reach_m, error_m = np.concatenate(reach), np.concatenate(error)
     if not (np.isfinite(reach_m).all() and (reach_m > 0).all()
             and np.isfinite(error_m).all()):
         return None
-    ids = sorted(set(pids))
-    code_of = {pid: i for i, pid in enumerate(ids)}
-    codes = np.repeat(np.array([code_of[pid] for pid in pids], dtype=np.int64),
-                      counts)
-    return (np.array(ids, dtype=object)[codes],
+    counts = np.concatenate(lengths)
+    pids, conditions = zip(*heads)
+    return (np.repeat(np.array(pids, dtype=object), counts),
             np.repeat(np.array(conditions, dtype=object), counts),
-            reach_m, error_m, codes)
+            reach_m, error_m)
 
 
 @dataclass(frozen=True)
@@ -271,49 +260,41 @@ class FitDataset:
     """Per-trial distance errors keyed by participant and condition.
 
     All rows share a unit convention: reach distances and errors in meters.
-    participant_code holds each row's index into the sorted participant
-    ids; it is worked out from participant_id when not given.
+    participants (the sorted participant ids) and participant_code (each
+    row's index into them) are worked out from participant_id, one lookup
+    per run of equal ids, so they always match it.
     """
 
     participant_id: np.ndarray
     condition: np.ndarray
     target_reach: np.ndarray
     distance_error: np.ndarray
-    participant_code: np.ndarray | None = field(default=None, repr=False)
+    participants: list[str] = field(init=False, repr=False)
+    participant_code: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.participant_id)
         if n == 0:
             raise DomainError("dataset is empty")
-        for name in ("condition", "target_reach", "distance_error"):
+        for name, dtype in (("participant_id", object), ("condition", object),
+                            ("target_reach", np.float64),
+                            ("distance_error", np.float64)):
             if len(getattr(self, name)) != n:
                 raise DomainError("dataset columns differ in length")
-        object.__setattr__(self, "participant_id",
-                           np.asarray(self.participant_id, dtype=object))
-        object.__setattr__(self, "condition",
-                           np.asarray(self.condition, dtype=object))
-        object.__setattr__(self, "target_reach",
-                           np.asarray(self.target_reach, dtype=np.float64))
-        object.__setattr__(self, "distance_error",
-                           np.asarray(self.distance_error, dtype=np.float64))
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if not np.all(np.isfinite(self.target_reach)) or np.any(self.target_reach <= 0):
             raise DomainError("target reach distances must be finite and positive")
         if not np.all(np.isfinite(self.distance_error)):
             raise DomainError("distance errors must be finite")
-        if self.participant_code is None:
-            ids = self.participant_id.tolist()
-            code_of = {pid: i for i, pid in enumerate(sorted(set(ids)))}
-            object.__setattr__(self, "participant_code", np.fromiter(
-                map(code_of.__getitem__, ids), dtype=np.int64, count=n))
+        heads, counts = _runs(self.participant_id)
+        participants = sorted(set(heads))
+        code_of = {pid: i for i, pid in enumerate(participants)}
+        object.__setattr__(self, "participants", participants)
+        object.__setattr__(self, "participant_code", np.repeat(
+            np.array([code_of[pid] for pid in heads], dtype=np.int64), counts))
 
     def __len__(self) -> int:
         return len(self.participant_id)
-
-    @property
-    def participants(self) -> list[str]:
-        ids = np.empty(int(self.participant_code.max()) + 1, dtype=object)
-        ids[self.participant_code] = self.participant_id
-        return ids.tolist()
 
     @property
     def conditions(self) -> list[str]:
@@ -344,12 +325,11 @@ class FitDataset:
         and so is a kept row whose reach is not finite and positive or
         whose distance error is not finite.
 
-        The fields are parsed in C a bounded chunk of lines at a time, and
-        each row's index into the sorted participant ids comes with them.
-        A file that parse cannot promise the row loop's result for (quoted
-        fields, an id, condition or reach of 16 characters or more, a
-        malformed row, a non-finite value, ...) is read row by row instead,
-        with the same columns, codes and errors.
+        The fields are parsed in C a bounded chunk of lines at a time.  A
+        file that parse cannot promise the row loop's result for (quoted
+        fields, an id or condition of 16 characters or more, a malformed
+        row, a non-finite value, ...) is read row by row instead, with the
+        same columns and errors.
         """
         path = Path(path)
         with path.open("rb") as fh:
@@ -362,27 +342,20 @@ class FitDataset:
             raise DomainError(f"no rows for condition {condition!r}")
         if mask.all():
             return self  # one condition already: a copy would only double the rows
-        code = self.participant_code[mask]
-        # renumber the participants left, keeping their order
-        present = np.zeros(int(self.participant_code.max()) + 1, dtype=np.int64)
-        present[code] = 1
         return FitDataset(self.participant_id[mask], self.condition[mask],
-                          self.target_reach[mask], self.distance_error[mask],
-                          (np.cumsum(present) - 1)[code])
+                          self.target_reach[mask], self.distance_error[mask])
 
-    def _groups(self) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
-        """How rows group into participants and (participant, reach) cells.
+    def _groups(self) -> list[np.ndarray]:
+        """The row indices of each (participant, reach) cell.
 
-        Returns the sorted participant ids, each row's index into them, and
-        the cells' row indices.  Cells are ordered by participant id then
-        reach, and each holds its rows in ascending order.
+        Cells are ordered by participant id then reach, and each holds its
+        rows in ascending order.
         """
-        codes = self.participant_code
-        order = np.lexsort((self.target_reach, codes))
-        code, reach = codes[order], self.target_reach[order]
+        order = np.lexsort((self.target_reach, self.participant_code))
+        code, reach = self.participant_code[order], self.target_reach[order]
         starts = np.flatnonzero((code[1:] != code[:-1])
                                 | (reach[1:] != reach[:-1])) + 1
-        return self.participants, codes, np.split(order, starts)
+        return np.split(order, starts)
 
     def split_indices(self, train_fraction: float = DEFAULT_TRAIN_FRACTION,
                       seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -390,13 +363,15 @@ class FitDataset:
 
         Each (participant, reach) cell is shuffled and split at the train
         fraction so both halves cover every cell; cells with one row go to
-        the training half.
+        the training half.  The seed must be a non-negative integer.
         """
         if not (0.0 < train_fraction < 1.0):
             raise DomainError(f"train fraction must be in (0, 1), got {train_fraction!r}")
+        if seed < 0:
+            raise DomainError(f"split seed must be >= 0, got {seed!r}")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         train = np.zeros(len(self), dtype=bool)
-        for cell in self._groups()[2]:
+        for cell in self._groups():
             rng.shuffle(cell)
             n = len(cell)
             n_train = int(round(train_fraction * n))
@@ -634,7 +609,8 @@ def fit(dataset: FitDataset, spec: ModelSpec,
     distance cannot separate the offset from that participant's
     interpupillary distance.
     """
-    participants, pidx, cells = dataset._groups()
+    participants, pidx = dataset.participants, dataset.participant_code
+    cells = dataset._groups()
     idx_train, idx_test = dataset.split_indices(train_fraction, split_seed)
     obs_train = dataset.distance_error[idx_train]
     obs_test = dataset.distance_error[idx_test]

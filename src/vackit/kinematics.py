@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataFormatError, DomainError
 from .geometry import EyeGeometry, angle_at
-from .meshio import _ENCODING, _read_columns
+from .meshio import _csv_records, _read_columns
 
 __all__ = [
     "Trajectory",
@@ -355,6 +355,9 @@ def _sustained_run_start(flags: np.ndarray, min_run: int, start: int = 0,
                          accept_tail: bool = False) -> int:
     """Index of the first run of True lasting at least min_run samples.
 
+    The runs of True in flags[start:] are [begin, end) pairs taken in one
+    O(n) pass from the edges of one np.diff.
+
     Args:
         flags: Boolean array to scan.
         min_run: Required run length in samples.
@@ -367,22 +370,20 @@ def _sustained_run_start(flags: np.ndarray, min_run: int, start: int = 0,
     Returns:
         Start index of the run, or -1 if none qualifies.
     """
-    flags = np.ascontiguousarray(flags, dtype=np.bool_)
     if min_run < 1:
         raise ValueError(f"min_run must be >= 1, got {min_run}")
-    n = len(flags)
-    if start >= n:
-        return -1
-    window = flags[start:]
-    if min_run <= len(window):
-        hits = np.lib.stride_tricks.sliding_window_view(window, min_run).all(axis=1)
-        idx = np.flatnonzero(hits)
-        if idx.size:
-            return start + int(idx[0])
-    if accept_tail and window[-1]:
-        tail_len = int(np.argmin(window[::-1])) if not window.all() else len(window)
-        return start + len(window) - tail_len
-    return -1
+    window = np.asarray(flags, dtype=np.bool_)[start:]
+    edges = np.flatnonzero(np.diff(window, prepend=False, append=False))
+    begin, end = edges[::2], edges[1::2]
+    found = np.flatnonzero((end - begin >= min_run)
+                           | (accept_tail & (end == len(window))))
+    return start + int(begin[found[0]]) if len(found) else -1
+
+
+def _check_threshold(threshold: float) -> None:
+    """Refuse a speed threshold that would label every trial wrongly."""
+    if not 0.0 <= threshold < math.inf:
+        raise DomainError(f"threshold must be finite and >= 0 m/s, got {threshold!r}")
 
 
 def _segment(vz: np.ndarray, t: np.ndarray, sample_rate: float,
@@ -419,13 +420,14 @@ def detect_segment(velocity: VelocitySeries,
 
     Args:
         velocity: Output of differentiate.
-        threshold: Depth speed threshold in m/s; 0 degenerates to the first
-            positive-velocity sample.
+        threshold: Depth speed threshold in m/s, finite and >= 0; 0
+            degenerates to the first positive-velocity sample.
 
     Returns:
         The detected segment, or None when no sustained crossing exists
         (slow-movement rejection).
     """
+    _check_threshold(threshold)
     return _segment(velocity.depth, velocity.t, velocity.sample_rate, threshold)
 
 
@@ -502,7 +504,10 @@ def trial_outcome(traj: Trajectory, target: TargetSpec, eyes: EyeGeometry,
         target's at the endpoint, equal to the target's subtended angle
         minus the hand's in the eye frame; negative when the hand stops
         short of the target.
+
+    The threshold, in m/s, must be finite and >= 0.
     """
+    _check_threshold(threshold)
     return _block_outcomes([traj], [target], [eyes], eye_pose, cutoff,
                            threshold)[0]
 
@@ -520,8 +525,10 @@ def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec
     reason "bad ipd", rather than aborting the batch.  Trials that
     share a sample rate and a length are filtered in blocks of
     BLOCK_TRIALS, whatever their t grids; the outcomes equal
-    trial_outcome's for each trial on its own.
+    trial_outcome's for each trial on its own.  A threshold that is not
+    finite, or is negative, is a DomainError before any trial is filtered.
     """
+    _check_threshold(threshold)
     ordered = sorted(trajectories, key=lambda tr: tr.trial_id)
     results: list[AnalyzedTrial | None] = [None] * len(ordered)
     trial_eyes: list[EyeGeometry | None] = [None] * len(ordered)
@@ -641,23 +648,19 @@ def _read_trajectory_rows(path: Path) -> Iterable[tuple[str, np.ndarray]]:
     """Each trial's (trial_id, (4, n) samples), in first-appearance order,
     by a csv.reader row loop with one float() per field."""
     groups: dict[str, list[tuple[float, float, float, float]]] = {}
-    with path.open("r", encoding=_ENCODING, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != TRAJECTORY_HEADER:
-            raise DataFormatError(
-                f"expected header {','.join(TRAJECTORY_HEADER)}", str(path), 1
+    records = _csv_records(path)
+    if [h.strip() for h in next(records)] != TRAJECTORY_HEADER:
+        raise DataFormatError(
+            f"expected header {','.join(TRAJECTORY_HEADER)}", str(path), 1
+        )
+    for line_no, row in records:
+        try:
+            groups.setdefault(row[0], []).append(
+                (float(row[1]), float(row[2]), float(row[3]), float(row[4]))
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                groups.setdefault(row[0], []).append(
-                    (float(row[1]), float(row[2]), float(row[3]), float(row[4]))
-                )
-            except (ValueError, IndexError):
-                raise DataFormatError(f"bad sample row {row!r}", str(path),
-                                      line_no) from None
+        except (ValueError, IndexError):
+            raise DataFormatError(f"bad sample row {row!r}", str(path),
+                                  line_no) from None
     return ((trial_id, np.asarray(samples, dtype=np.float64).T)
             for trial_id, samples in groups.items())
 

@@ -4,10 +4,10 @@ The OBJ reader parses its ``v`` and ``f`` records in C with ``np.loadtxt``
 a bounded chunk of lines at a time (``_read_obj_columns``), and reruns a
 loop over the lines whenever that might not give the loop's mesh or
 error.  The points reader, and the trajectory reader in ``kinematics``,
-parse their numeric columns the same way (``_read_columns``), and rerun a
-``csv.reader`` row loop likewise.  Writers format ``_CHUNK_ROWS`` rows per
-``%`` operation.  Memory stays O(vertices + faces) in arrays, with no
-Python object per record.
+parse their numeric columns the same way (``_read_columns``); they and the
+outcomes reader in ``fitting`` rerun a loop over ``_csv_records`` likewise.
+Writers format ``_CHUNK_ROWS`` rows per ``%`` operation.  Memory stays
+O(vertices + faces) in arrays, with no Python object per record.
 """
 
 from __future__ import annotations
@@ -66,6 +66,18 @@ def _plain_lines(fh) -> Iterator[list[str]]:
         if len(text) > limit and max(map(len, lines)) > limit:
             raise ValueError("needs the row loop")
         yield lines
+
+
+def _csv_records(path: Path) -> Iterator:
+    """A CSV file's header row ([] for an empty file), then (line, row) for
+    each non-blank row, line being the physical line the row ends on, so
+    blank lines and quoted newlines count."""
+    with path.open("r", encoding=_ENCODING, newline="") as fh:
+        reader = csv.reader(fh)
+        yield next(reader, [])
+        for row in reader:
+            if row:
+                yield reader.line_num, row
 
 
 def _read_columns(fh, header: str, usecols: tuple[int, ...], runs: list | None = None
@@ -430,20 +442,15 @@ def read_points_csv(path: str | Path) -> np.ndarray:
 def _read_point_rows(path: Path) -> np.ndarray:
     """read_points_csv by a csv.reader row loop, one float() per field."""
     coords = array("d")
-    with path.open("r", encoding=_ENCODING, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != ["x", "y", "z"]:
-            raise DataFormatError("expected header x,y,z", str(path), 1)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                coords.extend((float(row[0]), float(row[1]), float(row[2])))
-            except (ValueError, IndexError):
-                # line_num is the physical line the record ends on
-                raise DataFormatError(f"bad point row {row!r}", str(path),
-                                      reader.line_num) from None
+    records = _csv_records(path)
+    if [h.strip().lower() for h in next(records)[:3]] != ["x", "y", "z"]:
+        raise DataFormatError("expected header x,y,z", str(path), 1)
+    for line_no, row in records:
+        try:
+            coords.extend((float(row[0]), float(row[1]), float(row[2])))
+        except (ValueError, IndexError):
+            raise DataFormatError(f"bad point row {row!r}", str(path),
+                                  line_no) from None
     if not coords:
         raise DataFormatError("no points found", str(path))
     return np.frombuffer(coords, dtype=np.float64).reshape(-1, 3)

@@ -52,6 +52,7 @@ FEEDBACKS = (FEEDBACK_ONLINE, FEEDBACK_FEEDFORWARD)
 
 RESPONSE_MULTIPLIERS = (1.0, 0.0, -0.5)
 PHYSICAL_IPD_BOUNDS = (0.045, 0.080)
+_NOISE_CUTOFF_HZ = 10.0
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,8 @@ class SimConfig:
     Attributes:
         n_participants: Cohort size.
         ipd_distribution: "uniform" over [ipd_low, ipd_high] or "normal"
-            with ipd_mean/ipd_sd clipped to [ipd_low, ipd_high].
+            with ipd_mean/ipd_sd (ipd_sd >= 0) clipped to [ipd_low,
+            ipd_high].
         beta: True vergence offset in radians.
         motor_noise_sd: SD of Gaussian endpoint noise along the reach
             axis, in meters.
@@ -81,7 +83,8 @@ class SimConfig:
             sampled trajectories, low-pass filtered at generation.
         rest_padding: Still time before movement onset and after the end,
             in seconds; at least 0.2 so onset detection has a clean floor.
-        seed: 64-bit root seed; every output is a pure function of it.
+        seed: Non-negative 64-bit root seed; every output is a pure
+            function of it.
     """
 
     n_participants: int = 20
@@ -127,6 +130,8 @@ class SimConfig:
             raise DomainError(f"|beta| must be below {BETA_BOUND_RAD} rad")
         if self.motor_noise_sd < 0 or self.trajectory_noise_sd < 0:
             raise DomainError("noise SDs must be >= 0")
+        if self.ipd_sd < 0:
+            raise DomainError(f"ipd_sd must be >= 0, got {self.ipd_sd!r}")
         if not self.reach_distances or not all(
                 math.isfinite(r) and r > 0 for r in self.reach_distances):
             raise DomainError("reach distances must be finite and positive")
@@ -164,6 +169,8 @@ class SimConfig:
             raise DomainError("rest_padding must be >= 0.2 s")
         if self.sample_rate <= 0:
             raise DomainError("sample_rate must be positive")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -326,9 +333,14 @@ def generate_trajectories(config: SimConfig, trials: TrialTable,
     Each trial rests at the home position for the configured padding,
     moves to its endpoint along the depth axis with a minimum-jerk
     profile, then holds; optional white positional noise is low-pass
-    filtered here so it cannot alias into the velocity analysis.
+    filtered here at 10 Hz so it cannot alias into the velocity analysis,
+    which needs a sample rate above 20 Hz (a DomainError otherwise).
     """
     fs = config.sample_rate
+    if config.trajectory_noise_sd > 0 and not fs > 2 * _NOISE_CUTOFF_HZ:
+        raise DomainError(
+            f"sample_rate must exceed {2 * _NOISE_CUTOFF_HZ} Hz to filter "
+            f"trajectory noise at {_NOISE_CUTOFF_HZ} Hz, got {fs!r}")
     duration = config.rest_padding + config.movement_duration + config.rest_padding
     n = int(round(duration * fs)) + 1
     t = np.arange(n) / fs
@@ -349,7 +361,7 @@ def generate_trajectories(config: SimConfig, trials: TrialTable,
                 rngs[pid].normal(0.0, config.trajectory_noise_sd, size=(3, n))
                 for pid in trials.participant_id[block]
             ])
-            samples += lowpass_block(noise, fs, 10.0)
+            samples += lowpass_block(noise, fs, _NOISE_CUTOFF_HZ)
         trajectories.extend(
             Trajectory(trial_id=trial_id, sample_rate=fs, t=t, x=x, y=y, z=z)
             for trial_id, (x, y, z) in zip(ids, samples)

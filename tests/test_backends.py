@@ -4,7 +4,8 @@ correction.transform_points must agree with the scalar transform_point to
 rounding (numpy's vectorized libm may round the last bit differently than
 scalar libm), name the first vertex it cannot correct, leave its input
 untouched, and copy the input bitwise at zero offset;
-kinematics._sustained_run_start is pinned on hand-made flag arrays.
+kinematics._sustained_run_start is pinned on hand-made flag arrays, and
+must equal the sliding-window scan it replaced on any flags.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from run_start_reference import sustained_run_start_windows
 from vackit.correction import transform_point, transform_points
 from vackit.errors import DomainError
 from vackit.geometry import EyeGeometry, ScenePoint
@@ -131,3 +135,13 @@ class TestSustainedRunStart:
     def test_min_run_validated(self, backend):
         with pytest.raises(ValueError):
             sustained_run_start(np.ones(3, dtype=bool), 0)
+
+    @given(flags=st.lists(st.booleans(), max_size=60),
+           start=st.integers(0, 70), min_run=st.integers(1, 8),
+           accept_tail=st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_sliding_window_scan(self, flags, start, min_run,
+                                        accept_tail):
+        flags = np.array(flags, dtype=bool)
+        assert sustained_run_start(flags, min_run, start, accept_tail) == \
+            sustained_run_start_windows(flags, min_run, start, accept_tail)

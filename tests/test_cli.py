@@ -853,6 +853,49 @@ class TestBadFieldValues:
         assert err.startswith("vackit: error: ") and err.count("\n") == 1
         assert name in err and "finite" in err
 
+    @pytest.fixture(scope="class")
+    def analyzed(self, tmp_path_factory) -> Path:
+        """A small simulated run and its analysis."""
+        tmp = tmp_path_factory.mktemp("run")
+        assert main(["simulate", "--config", _sim_config(tmp / "sim.json"),
+                     "--out", str(tmp / "sim")]) == 0
+        assert main(["analyze", "--input", str(tmp / "sim" / "trajectories.csv"),
+                     "--targets", str(tmp / "sim" / "targets.json"),
+                     "--eye-pose", _eye_pose_file(tmp / "pose.json"),
+                     "--out", str(tmp / "analysis")]) == 0
+        return tmp
+
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", {"ipd_distribution": "normal", "ipd_sd_mm": -1}], "ipd_sd"),
+        (["simulate", {"seed": -3}], "seed"),
+        (["simulate", {}, "--seed", "-2"], "seed"),
+        # noise is filtered at 10 Hz, which a 10 Hz sample rate cannot carry
+        (["simulate", {"sample_rate_hz": 10}], "sample_rate"),
+        (["fit", "--seed", "-1"], "seed"),
+        # these used to label every trial slow and exit 0
+        (["analyze", "--threshold-mmps", "nan"], "threshold"),
+        (["analyze", "--threshold-mmps", "inf"], "threshold"),
+        (["analyze", "--threshold-mmps", "-50"], "threshold"),
+    ], ids=["ipd_sd", "config-seed", "seed-flag", "sample_rate", "split-seed",
+            "threshold-nan", "threshold-inf", "threshold-negative"])
+    def test_out_of_range_exits_one_naming_the_field(self, tmp_path, capsys,
+                                                     analyzed, argv, name):
+        command, *rest = argv
+        if command == "simulate":
+            config, *rest = rest
+            rest = ["--config", _write_json(tmp_path / "sim.json", config), *rest]
+        elif command == "fit":
+            rest += ["--input", str(analyzed / "analysis" / "outcomes.csv")]
+        else:
+            rest += ["--input", str(analyzed / "sim" / "trajectories.csv"),
+                     "--targets", str(analyzed / "sim" / "targets.json"),
+                     "--eye-pose", str(analyzed / "pose.json")]
+        assert main([command, *rest, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vackit: error: ") and err.count("\n") == 1
+        assert f"{name} must" in err
+        assert "Traceback" not in err
+
     @staticmethod
     def _argv(tmp_path: Path, source: str, payload: dict) -> list[str]:
         """A command reading payload as its simulate config, fit config,

@@ -634,6 +634,26 @@ class TestFastPathRuns:
                      str(tmp_path / "fit")]) == 0
         assert calls == []
 
+    def test_long_reach_outcomes_take_the_fast_path(self, tmp_path,
+                                                    monkeypatch):
+        """The reach is parsed as a number, so its text may be of any
+        length; 0.1 + 0.2 is written 0.30000000000000004."""
+        reaches = [0.1 + 0.2, 0.25, 1 / 3, 0.2 + 1e-15]
+        rows = [f"t{i},p{i % 3},original,{reach!r},1,{i / 1000 - 0.01!r}"
+                for i, reach in enumerate(reaches * 6)]
+        path = tmp_path / "outcomes.csv"
+        path.write_text("\n".join(["trial_id,participant_id,condition,"
+                                   "target_reach_m,valid,distance_error_m",
+                                   *rows]) + "\n", encoding="utf-8")
+        assert max(len(repr(reach)) for reach in reaches) >= fitting._FIELD_CHARS
+        with _row_loop_only(fitting):
+            want = _outcomes_result(path)
+        calls = self._count_outcome_rows(monkeypatch)
+        got = _outcomes_result(path)
+        assert got == want
+        assert calls == []
+        assert np.frombuffer(got[2]).tolist() == reaches * 6
+
     def test_analyzed_outcomes_take_the_fast_path(self, tmp_path, monkeypatch):
         """analyze writes rejected rows with empty numbers; they are dropped
         before the numbers are parsed, so the file is not left to the row

@@ -116,6 +116,35 @@ class TestFitDataset:
         with pytest.raises(DomainError):
             ds.select_condition("nope")
 
+    def test_participant_codes_are_not_an_argument(self):
+        """Codes handed in could merge participants; they are always
+        worked out from the ids."""
+        with pytest.raises(TypeError, match="participant_code"):
+            FitDataset(np.array(["p0", "p1"], dtype=object),
+                       np.array(["a", "a"], dtype=object), np.array([0.2, 0.3]),
+                       np.zeros(2), participant_code=np.zeros(2, np.int64))
+
+    @pytest.mark.parametrize("ids", [
+        ["p2", "p0", "p2", "p1", "p0", "p0", "p2", "p10", "p1"],
+        ["b", "a", "b", "a", "b", "a"],
+        ["z"],
+    ], ids=["interleaved", "alternating", "one-row"])
+    def test_codes_index_the_sorted_ids(self, ids):
+        n = len(ids)
+        ds = FitDataset(np.array(ids, dtype=object), np.full(n, "a", dtype=object),
+                        np.full(n, 0.25), np.zeros(n))
+        assert ds.participants == sorted(set(ids))
+        assert ds.participant_code.dtype == np.int64
+        assert [ds.participants[c] for c in ds.participant_code] == ids
+
+    def test_selected_condition_renumbers_its_participants(self):
+        ds = FitDataset.from_rows([("p1", "x", 0.25, 0.0), ("p0", "y", 0.25, 0.0),
+                                   ("p2", "x", 0.30, 0.0), ("p1", "y", 0.30, 0.0),
+                                   ("p2", "x", 0.25, 0.0)])
+        sub = ds.select_condition("x")
+        assert sub.participants == ["p1", "p2"]
+        assert sub.participant_code.tolist() == [0, 1, 1]
+
 
 class TestFromCsv:
     def _write(self, path, rows, header=None):

@@ -425,6 +425,30 @@ class TestDetectSegment:
             assert abs(again.onset_index - 0) <= 1
             assert abs(again.termination_index - (i1 - i0)) <= 1
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.05])
+    def test_bad_threshold_refused_by_every_entry(self, threshold,
+                                                  monkeypatch):
+        """A threshold that is not finite, or is negative, would label every
+        trial slow; each entry point refuses it before filtering."""
+        traj = _minimum_jerk_trajectory(0.25, 0.4)
+        monkeypatch.setattr(kin, "lowpass_block", None)  # never reached
+        target = TargetSpec(trial_id=traj.trial_id, reach_m=0.25)
+        calls = [
+            lambda: detect_segment(differentiate(traj), threshold=threshold),
+            lambda: trial_outcome(traj, target, EYES, POSE, threshold=threshold),
+            lambda: analyze_trials([traj], {traj.trial_id: target}, EYES, POSE,
+                                   threshold=threshold),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="threshold must be finite"):
+                call()
+
+    def test_zero_threshold_is_legal(self):
+        traj = _minimum_jerk_trajectory(0.25, 0.4)
+        seg = detect_segment(differentiate(lowpass_filter(traj, 10.0)),
+                             threshold=0.0)
+        assert seg is not None
+
 
 class TestTrialOutcome:
     def test_distance_recovery_within_one_millimeter(self):
@@ -834,6 +858,18 @@ class TestTrajectoryCsv:
         with pytest.raises(DataFormatError) as exc:
             read_trajectories_csv(path)
         assert exc.value.line == 3
+
+    def test_bad_row_line_counts_physical_lines(self, tmp_path):
+        # a quoted newline makes the first record span lines 2 and 3, so the
+        # bad row ends on line 4
+        path = tmp_path / "tq.csv"
+        path.write_text('trial_id,t,x,y,z\n"a\nb",0.0,0,0,0\nq,zz,0,0,0\n',
+                        encoding="utf-8", newline="")
+        with pytest.raises(DataFormatError) as exc:
+            read_trajectories_csv(path)
+        assert exc.value.line == 4
+        assert str(exc.value) == \
+            f"bad sample row ['q', 'zz', '0', '0', '0'] [{path}:4]"
 
     def test_non_increasing_time_is_file_error(self, tmp_path):
         path = tmp_path / "time.csv"
