@@ -451,8 +451,9 @@ def _parse_distances(text: str) -> list[float]:
     except ValueError:
         raise DomainError(f"--distances must be comma-separated meters, got "
                           f"{text!r}") from None
-    if not values or any(v <= 0 for v in values):
-        raise DomainError(f"--distances must be positive meters, got {text!r}")
+    if not values or not all(0 < v < math.inf for v in values):
+        raise DomainError(f"--distances must be positive finite meters, got "
+                          f"{text!r}")
     return values
 
 

@@ -26,4 +26,4 @@ class DataFormatError(ValueError):
 
 
 class FitError(RuntimeError):
-    """Nonlinear least-squares optimization failed hard (damping blow-up)."""
+    """The least-squares fit could not start: its residual is not finite."""

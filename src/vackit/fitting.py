@@ -521,12 +521,13 @@ def levenberg_marquardt(
     steps raise the damping tenfold.  Stops, converged, when an accepted
     step reduces the residual sum of squares by a relative factor below
     FTOL (1e-10), or when the projected step is below XTOL (1e-12) in the
-    infinity norm, and otherwise after MAX_ITER iterations.  Returns
-    (x, n_iter, converged, stop_reason).
+    infinity norm.  Otherwise it stops, not converged, on "damping_limit"
+    when the damping factor passes LAMBDA_MAX (1e8) without an acceptable
+    step, keeping the last accepted x, or on "max_iter" after MAX_ITER
+    iterations.  Returns (x, n_iter, converged, stop_reason).
 
     Raises:
-        FitError: If the starting residual is not finite, or the damping
-            factor exceeds 1e8 without an acceptable step.
+        FitError: If the starting residual is not finite.
     """
     x = np.clip(np.asarray(x0, dtype=np.float64), lower, upper)
     r = residual(x)
@@ -570,10 +571,7 @@ def levenberg_marquardt(
                     break
             lam *= 10.0
             if lam > LAMBDA_MAX:
-                raise FitError(
-                    f"damping factor exceeded {LAMBDA_MAX:g} after {n_iter} "
-                    f"iterations (rss={rss:.6g})"
-                )
+                return x, n_iter, False, "damping_limit"
         if converged:
             break
     return x, n_iter, converged, reason

@@ -351,33 +351,31 @@ def differentiate(traj: Trajectory) -> VelocitySeries:
                           sample_rate=traj.sample_rate)
 
 
-def _sustained_run_start(flags: np.ndarray, min_run: int, start: int = 0,
-                         accept_tail: bool = False) -> int:
-    """Index of the first run of True lasting at least min_run samples.
+def _run_starts(flags: np.ndarray, min_run: int, start: np.ndarray,
+                accept_tail: bool) -> np.ndarray:
+    """Per row of a (k, n) flag block, where its first sustained run begins.
 
-    The runs of True in flags[start:] are [begin, end) pairs taken in one
-    O(n) pass from the edges of one np.diff.
-
-    Args:
-        flags: Boolean array to scan.
-        min_run: Required run length in samples.
-        start: First index considered; runs are evaluated from here even if
-            the condition already held earlier.
-        accept_tail: Count a run truncated by the end of the array as
-            sustained (used for movement termination, where the recording
-            simply stops while the hand is at rest).
+    Columns before start[row] count as False, so a run already in progress
+    at start[row] is counted from there.  The runs of True of every row are
+    [begin, end) pairs, taken from the edges of the row-padded block by one
+    np.nonzero; each row takes its first run at least min_run long, or with
+    accept_tail its first that reaches the end of the row (movement
+    termination: the recording stops while the hand is at rest).
 
     Returns:
-        Start index of the run, or -1 if none qualifies.
+        One start index per row, -1 where no run qualifies.
     """
-    if min_run < 1:
-        raise ValueError(f"min_run must be >= 1, got {min_run}")
-    window = np.asarray(flags, dtype=np.bool_)[start:]
-    edges = np.flatnonzero(np.diff(window, prepend=False, append=False))
-    begin, end = edges[::2], edges[1::2]
-    found = np.flatnonzero((end - begin >= min_run)
-                           | (accept_tail & (end == len(window))))
-    return start + int(begin[found[0]]) if len(found) else -1
+    k, n = flags.shape
+    padded = np.zeros((k, n + 2), dtype=np.bool_)
+    padded[:, 1:-1] = flags & (np.arange(n) >= start[:, None])
+    # every padded row begins and ends False, so its edges pair up
+    rows, edges = np.nonzero(padded[:, 1:] != padded[:, :-1])
+    row, begin, end = rows[::2], edges[::2], edges[1::2]
+    found = (end - begin >= min_run) | (accept_tail & (end == n))
+    hit, first = np.unique(row[found], return_index=True)
+    out = np.full(k, -1, dtype=np.intp)
+    out[hit] = begin[found][first]
+    return out
 
 
 def _check_threshold(threshold: float) -> None:
@@ -386,26 +384,24 @@ def _check_threshold(threshold: float) -> None:
         raise DomainError(f"threshold must be finite and >= 0 m/s, got {threshold!r}")
 
 
-def _segment(vz: np.ndarray, t: np.ndarray, sample_rate: float,
-             threshold: float) -> MovementSegment | None:
+def _segments(vz: np.ndarray, t: Sequence[np.ndarray], sample_rate: float,
+              threshold: float) -> list[MovementSegment | None]:
+    """The movement segment of each row of a (k, n) depth-velocity block,
+    t holding each row's timestamps; None where a row has none."""
+    k, n = vz.shape
     min_run = max(1, math.ceil(HYSTERESIS_S * sample_rate))
-    onset = _sustained_run_start(vz > threshold, min_run, 0, accept_tail=False)
-    if onset < 0:
-        return None
+    onset = _run_starts(vz > threshold, min_run, np.zeros(k, dtype=np.intp),
+                        accept_tail=False)
     # peak of the detected movement, not of the whole series: a brief
     # pre-onset glitch taller than the true peak must not drag the
-    # termination scan before the onset
-    peak = onset + int(np.argmax(vz[onset:]))
-    term = _sustained_run_start(vz < threshold, min_run, peak + 1,
-                                accept_tail=True)
-    if term < 0:
-        return None
-    return MovementSegment(
-        onset_index=onset,
-        termination_index=term,
-        onset_time=float(t[onset]),
-        termination_time=float(t[term]),
-    )
+    # termination scan before the onset.  Series without samples have no
+    # onset, and nothing to take an argmax of.
+    peak = np.argmax(np.where(np.arange(n) >= onset[:, None], vz, -np.inf),
+                     axis=1) if n else onset
+    term = _run_starts(vz < threshold, min_run, peak + 1, accept_tail=True)
+    return [MovementSegment(i0, i1, float(times[i0]), float(times[i1]))
+            if i0 >= 0 and i1 >= 0 else None
+            for i0, i1, times in zip(onset.tolist(), term.tolist(), t)]
 
 
 def detect_segment(velocity: VelocitySeries,
@@ -416,7 +412,9 @@ def detect_segment(velocity: VelocitySeries,
     and stays above it for at least 20 ms; termination is the first sample
     after the peak where it drops below the threshold and stays below for
     20 ms (a run cut off by the end of the recording counts as sustained,
-    since recordings stop with the hand at rest).
+    since recordings stop with the hand at rest); the peak is the fastest
+    sample at or after the onset.  analyze_trials runs the same scan on
+    whole blocks.
 
     Args:
         velocity: Output of differentiate.
@@ -425,18 +423,18 @@ def detect_segment(velocity: VelocitySeries,
 
     Returns:
         The detected segment, or None when no sustained crossing exists
-        (slow-movement rejection).
+        (slow-movement rejection), the series is empty, or its peak is its
+        last sample.
     """
     _check_threshold(threshold)
-    return _segment(velocity.depth, velocity.t, velocity.sample_rate, threshold)
+    return _segments(velocity.depth[None], [velocity.t], velocity.sample_rate,
+                     threshold)[0]
 
 
 def _measure(trial_id: str, target: TargetSpec, eyes: EyeGeometry,
-             eye_pose: EyePose, t: np.ndarray, sample_rate: float,
-             filtered: np.ndarray, vz: np.ndarray,
-             threshold: float) -> TrialOutcome:
-    """Segment and measure one trial from its filtered (3, n) samples."""
-    segment = _segment(vz, t, sample_rate, threshold)
+             eye_pose: EyePose, segment: MovementSegment | None,
+             filtered: np.ndarray) -> TrialOutcome:
+    """Measure one trial from its segment and filtered (3, n) samples."""
     if segment is None:
         return TrialOutcome(trial_id=trial_id, valid=False,
                             rejection_reason="slow")
@@ -469,9 +467,9 @@ def _block_outcomes(trajectories: list[Trajectory], targets: list[TargetSpec],
     """Outcomes of trials that share one sample rate and one length.
 
     The trials are filtered as one (k, 3, n) stack, which never reads t,
-    and the depth velocities of those that also share a t grid are taken
-    with one gradient call; every trial's numbers equal those of a batch
-    of one.
+    the depth velocities of those that also share a t grid are taken with
+    one gradient call, and the velocities are segmented as one block;
+    every trial's numbers equal those of a batch of one.
     """
     head = trajectories[0]
     filtered = lowpass_block(
@@ -483,11 +481,12 @@ def _block_outcomes(trajectories: list[Trajectory], targets: list[TargetSpec],
     vz = np.empty(filtered[:, 2].shape)
     for members in grids.values():
         vz[members] = _velocity(filtered[members, 2], trajectories[members[0]].t)
+    segments = _segments(vz, [traj.t for traj in trajectories],
+                         head.sample_rate, threshold)
     return [
-        _measure(traj.trial_id, target, trial_eyes, eye_pose, traj.t,
-                 head.sample_rate, f, v, threshold)
-        for traj, target, trial_eyes, f, v
-        in zip(trajectories, targets, eyes, filtered, vz)
+        _measure(traj.trial_id, target, trial_eyes, eye_pose, segment, f)
+        for traj, target, trial_eyes, segment, f
+        in zip(trajectories, targets, eyes, segments, filtered)
     ]
 
 

@@ -104,10 +104,8 @@ def levenberg_marquardt(
                     break
             lam *= 10.0
             if lam > LAMBDA_MAX:
-                raise FitError(
-                    f"damping factor exceeded {LAMBDA_MAX:g} after {n_iter} "
-                    f"iterations (rss={rss:.6g})"
-                )
+                return LMResult(x=x, rss=rss, n_iter=n_iter, converged=False,
+                                stop_reason="damping_limit")
         if converged:
             break
     return LMResult(x=x, rss=rss, n_iter=n_iter, converged=converged,

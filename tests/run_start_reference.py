@@ -1,9 +1,10 @@
 """Reference sustained-run scan for the run-start tests.
 
-kinematics._sustained_run_start takes each run of True as a [begin, end)
-pair in one pass; this is the sliding-window scan it replaced, which tests
-every min_run-long window and then, separately, the run at the tail.  Its
-index must match this one's exactly.
+kinematics._run_starts takes the runs of True of every row of a block as
+[begin, end) pairs in one pass; this is the one-series sliding-window scan
+it replaced, which tests every min_run-long window and then, separately,
+the run at the tail.  Its index for each row must match this one's
+exactly.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ correction.transform_points must agree with the scalar transform_point to
 rounding (numpy's vectorized libm may round the last bit differently than
 scalar libm), name the first vertex it cannot correct, leave its input
 untouched, and copy the input bitwise at zero offset;
-kinematics._sustained_run_start is pinned on hand-made flag arrays, and
-must equal the sliding-window scan it replaced on any flags.
+kinematics._run_starts, the block run scan, is pinned on hand-made flag
+arrays as blocks of one row, and must equal the sliding-window scan row by
+row on any block; kinematics._segments must segment every row of a block as
+the per-series scan does.
 """
 
 from __future__ import annotations
@@ -16,15 +18,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from run_start_reference import sustained_run_start_windows
 from vackit.correction import transform_point, transform_points
 from vackit.errors import DomainError
 from vackit.geometry import EyeGeometry, ScenePoint
-from vackit.kinematics import _sustained_run_start as sustained_run_start
+from vackit.kinematics import (
+    HYSTERESIS_S,
+    VelocitySeries,
+    _run_starts,
+    _segments,
+    detect_segment,
+)
 from vackit.perception import PerturbationParams
 
 EYES = EyeGeometry(ipd=0.064)
+
+
+def sustained_run_start(flags: np.ndarray, min_run: int, start: int = 0,
+                        accept_tail: bool = False) -> int:
+    """_run_starts on a block of one row."""
+    return int(_run_starts(flags[None], min_run, np.array([start]),
+                           accept_tail)[0])
 
 
 def remap(xyz: np.ndarray, beta: float) -> np.ndarray:
@@ -132,16 +148,67 @@ class TestSustainedRunStart:
         flags = np.ones(3, dtype=bool)
         assert sustained_run_start(flags, 1, start=3) == -1
 
-    def test_min_run_validated(self, backend):
-        with pytest.raises(ValueError):
-            sustained_run_start(np.ones(3, dtype=bool), 0)
-
-    @given(flags=st.lists(st.booleans(), max_size=60),
-           start=st.integers(0, 70), min_run=st.integers(1, 8),
-           accept_tail=st.booleans())
+    @given(data=st.data(), k=st.integers(1, 6), n=st.integers(0, 60),
+           min_run=st.integers(1, 8), accept_tail=st.booleans())
     @settings(max_examples=500, deadline=None)
-    def test_equals_sliding_window_scan(self, flags, start, min_run,
+    def test_equals_sliding_window_scan(self, data, k, n, min_run,
                                         accept_tail):
-        flags = np.array(flags, dtype=bool)
-        assert sustained_run_start(flags, min_run, start, accept_tail) == \
-            sustained_run_start_windows(flags, min_run, start, accept_tail)
+        flags = data.draw(arrays(np.bool_, (k, n)))
+        start = np.array(data.draw(st.lists(st.integers(0, 70), min_size=k,
+                                            max_size=k)))
+        got = _run_starts(flags, min_run, start, accept_tail)
+        assert got.tolist() == [
+            sustained_run_start_windows(row, min_run, int(first), accept_tail)
+            for row, first in zip(flags, start)]
+
+
+def segment_one(vz: np.ndarray, t: np.ndarray, sample_rate: float,
+                threshold: float):
+    """(onset, termination, onset time, termination time) of one series by
+    the sliding-window scan, or None: the per-series segmentation that
+    _segments does for a whole block."""
+    min_run = max(1, math.ceil(HYSTERESIS_S * sample_rate))
+    onset = sustained_run_start_windows(vz > threshold, min_run)
+    if onset < 0:
+        return None
+    peak = onset + int(np.argmax(vz[onset:]))
+    term = sustained_run_start_windows(vz < threshold, min_run, peak + 1,
+                                       accept_tail=True)
+    if term < 0:
+        return None
+    return onset, term, float(t[onset]), float(t[term])
+
+
+def _series(vz) -> VelocitySeries:
+    vz = np.asarray(vz, dtype=np.float64)
+    zeros = np.zeros_like(vz)
+    return VelocitySeries(t=np.arange(len(vz)) / 250.0, vx=zeros, vy=zeros,
+                          vz=vz, sample_rate=250.0)
+
+
+class TestSegments:
+    # speeds on a coarse grid, so that ties for the peak and samples equal
+    # to the threshold are common
+    @given(data=st.data(), k=st.integers(1, 5), n=st.integers(0, 40),
+           threshold=st.sampled_from([0.0, 0.05, 0.1]),
+           sample_rate=st.sampled_from([50.0, 100.0, 250.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_block_equals_per_series_scan(self, data, k, n, threshold,
+                                          sample_rate):
+        vz = data.draw(arrays(np.float64, (k, n),
+                              elements=st.sampled_from([-0.05, 0.0, 0.05,
+                                                        0.1, 0.2])))
+        t = [np.arange(n) / sample_rate + row for row in range(k)]
+        got = [None if seg is None else
+               (seg.onset_index, seg.termination_index, seg.onset_time,
+                seg.termination_time)
+               for seg in _segments(vz, t, sample_rate, threshold)]
+        assert got == [segment_one(row, times, sample_rate, threshold)
+                       for row, times in zip(vz, t)]
+
+    def test_empty_series_has_no_segment(self):
+        assert detect_segment(_series([])) is None
+
+    def test_peak_on_last_sample_has_no_segment(self):
+        # the termination scan starts after the peak, past the last sample
+        assert detect_segment(_series(np.linspace(0.0, 1.0, 40))) is None

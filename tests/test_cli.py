@@ -107,12 +107,17 @@ class TestPredict:
         assert manifest["outputs"] == ["pred.csv"]
         assert manifest["config"]["ipd_mm"] == 64.0
 
-    @pytest.mark.parametrize("bad", ["0.45,-0.5", "abc", "", "0"])
+    # nan and inf must be refused before the angle checks, whose messages
+    # do not name --distances
+    @pytest.mark.parametrize("bad", ["0.45,-0.5", "abc", "", "0", "nan",
+                                     "0.45,inf"])
     def test_bad_distances_exit_one(self, tmp_path, capsys, bad):
         code = main(["predict", "--beta-deg", "0.22", "--ipd-mm", "63",
                      "--distances", bad, "--out", str(tmp_path / "x.csv")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("vackit: error:")
+        err = capsys.readouterr().err
+        assert err.startswith("vackit: error: --distances ")
+        assert len(err.splitlines()) == 1
 
     def test_too_near_to_correct_exits_one(self, tmp_path, capsys):
         # at 0.5 mm the corrected angle of a -2.2 deg offset passes pi; the
@@ -673,6 +678,32 @@ class TestFit:
                              .read_text(encoding="utf-8"))
         assert (payload["converged"], payload["stop_reason"],
                 payload["n_iter"]) == (False, "max_iter", 1)
+
+    def test_stalled_fit_keeps_the_closed_form_result(self, tmp_path,
+                                                      capsys):
+        # at beta = 0 the model predicts 0 for any distance, so on this
+        # corrected cohort no damping makes a step acceptable; the stalled
+        # fit must still leave the closed-form fit to select
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", _write_json(
+            tmp_path / "sim.json",
+            {"n_participants": 250, "repetitions": 12, "seed": 4,
+             "condition": "transformed", "write_trajectories": False}),
+            "--out", str(sim)]) == 0
+        outdir = tmp_path / "fits"
+        capsys.readouterr()
+        assert main(["fit", "--input", str(sim / "outcomes.csv"),
+                     "--out", str(outdir)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "vackit: warning: condition transformed: with-offset fit did not "
+            "converge (stop_reason damping_limit after 1 iterations)"]
+        payload = json.loads((outdir / "fit_transformed_with-offset.json")
+                             .read_text(encoding="utf-8"))
+        assert (payload["converged"], payload["stop_reason"]) == \
+            (False, "damping_limit")
+        _, *rows = _read_csv_rows(outdir / "comparison.csv")
+        assert {row[1]: row[-1] for row in rows} == \
+            {"with-offset": "0", "zero-offset": "1"}
 
     def test_unconverged_fit_is_never_selected(self, outcomes, tmp_path,
                                                monkeypatch):

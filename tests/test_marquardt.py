@@ -176,16 +176,23 @@ class TestStoppingTaxonomy:
                 pidx=np.zeros(1, dtype=np.int64),
                 x0=np.zeros(2), **_box(2, 1.0))
 
-    def test_damping_blowup_raises(self):
+    def test_damping_blowup_stops_unconverged(self):
         # a deliberately wrong derivative sends every proposal uphill, so
-        # no damping level ever yields an acceptable step
-        with pytest.raises(FitError) as exc:
-            levenberg_marquardt(
-                residual=lambda x: np.array([abs(x[0]) + 1.0]),
-                derivatives=lambda x: (np.ones(1), np.zeros(1)),
-                pidx=np.zeros(1, dtype=np.int64),
-                x0=np.zeros(2), **_box(2))
-        assert "damping" in str(exc.value)
+        # no damping level ever yields an acceptable step: the loop stops
+        # at the last accepted point, here the start, as the dense
+        # reference does
+        problem = dict(residual=lambda x: np.array([abs(x[0]) + 1.0]),
+                       x0=np.zeros(2), **_box(2))
+        x, n_iter, converged, reason = levenberg_marquardt(
+            derivatives=lambda x: (np.ones(1), np.zeros(1)),
+            pidx=np.zeros(1, dtype=np.int64), **problem)
+        assert (n_iter, converged, reason) == (1, False, "damping_limit")
+        assert x.tolist() == [0.0, 0.0]
+        dense = lm_reference.levenberg_marquardt(
+            jacobian=lambda x: np.array([[1.0, 0.0]]), **problem)
+        assert (dense.n_iter, dense.converged, dense.stop_reason) == \
+            (n_iter, converged, reason)
+        assert dense.x.tolist() == x.tolist()
 
 
 class TestFiniteDifferenceJacobian:
