@@ -35,6 +35,7 @@ from .errors import DataFormatError, DomainError, FitError
 from .fitting import (
     DEFAULT_TRAIN_FRACTION,
     VARIANTS,
+    ComparisonRow,
     FitDataset,
     IdentifiabilityWarning,
     ModelSpec,
@@ -333,7 +334,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _identifiability_notes(condition: str, caught: list) -> list[str]:
     """One stderr line per participant of a condition that a fit warned
-    about (both variants warn alike); other warnings are issued again."""
+    about (both variants warn alike), for the caller to print as soon as
+    the condition's fits finish; other warnings are issued again."""
     notes = []
     for item in caught:
         if issubclass(item.category, IdentifiabilityWarning):
@@ -362,51 +364,43 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
-    rows: list = []
-    results: dict = {}
-    notes: list[str] = []
+    # in (condition, variant) order; a single variant's fit is the one its
+    # condition reports, so it is marked selected
+    rows: list[ComparisonRow] = []
     for condition in dataset.conditions:
         subset = dataset.select_condition(condition)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", IdentifiabilityWarning)
             if args.variant == "both":
-                condition_rows = compare_models_detailed(
+                rows += compare_models_detailed(
                     subset, **model, train_fraction=args.split,
                     split_seed=args.seed)
-                rows += condition_rows
-                fits = [row.result for row in condition_rows]
             else:
-                fits = [fit_model(
+                rows.append(ComparisonRow(condition, fit_model(
                     subset, ModelSpec(variant=args.variant, **model),
-                    train_fraction=args.split, split_seed=args.seed)]
-        results.update({(condition, result.variant): result
-                        for result in fits})
-        notes += _identifiability_notes(condition, caught)
+                    train_fraction=args.split, split_seed=args.seed), True))
+        for note in _identifiability_notes(condition, caught):
+            print(note, file=sys.stderr)
     if args.variant == "both":
         write_comparison_csv(rows, outdir / "comparison.csv")
         outputs.append("comparison.csv")
-        summary = {row.condition: f"selected {row.result.variant} "
-                                  f"(test BIC {row.result.test.bic:.1f})"
-                   for row in rows if row.selected}
-    else:
-        summary = {condition: f"beta = {math.degrees(result.beta):+.4f} deg "
-                              f"(test r2 {result.test.r2:.3f})"
-                   for (condition, _), result in results.items()}
-    for note in notes:
-        print(note, file=sys.stderr)
-    unconverged = set()
-    for (condition, variant), result in sorted(results.items()):
-        name = f"fit_{condition}_{variant}.json"
+    for row in rows:
+        result = row.result
+        name = f"fit_{row.condition}_{result.variant}.json"
         write_fit_json(result, outdir / name)
         outputs.append(name)
         if not result.converged:
-            unconverged.add(condition)
-            print(f"vackit: warning: condition {condition}: {variant} fit did "
-                  f"not converge (stop_reason {result.stop_reason} after "
-                  f"{result.n_iter} iterations)", file=sys.stderr)
-    for condition, text in summary.items():
-        print(f"condition {condition}: {text}"
-              f"{' (not converged)' if condition in unconverged else ''}")
+            print(f"vackit: warning: condition {row.condition}: "
+                  f"{result.variant} fit did not converge (stop_reason "
+                  f"{result.stop_reason} after {result.n_iter} iterations)",
+                  file=sys.stderr)
+        if row.selected:
+            text = (f"selected {result.variant} (test BIC "
+                    f"{result.test.bic:.1f})" if args.variant == "both" else
+                    f"beta = {math.degrees(result.beta):+.4f} deg "
+                    f"(test r2 {result.test.r2:.3f})")
+            print(f"condition {row.condition}: {text}"
+                  f"{'' if result.converged else ' (not converged)'}")
     _write_manifest(outdir / "manifest.json", "fit", {
         "input": args.input, "config_file": config_path, "config": data,
         "variant": args.variant, "split": args.split, "seed": args.seed,

@@ -117,8 +117,7 @@ def _read_outcome_rows(path: Path) -> tuple:
     i_pid, i_cond, i_reach, i_err = map(column.__getitem__, _OUTCOME_COLUMNS)
     i_valid = column.get("valid")
     width = len(header)
-    # numbered as a csv.DictReader loop numbered them: blank rows not counted
-    for line_no, (_, row) in enumerate(records, start=2):
+    for line_no, row in records:
         fields = row if len(row) >= width else \
             row + [None] * (width - len(row))
         if i_valid is not None and fields[i_valid] not in (None, "", "1"):
@@ -126,23 +125,17 @@ def _read_outcome_rows(path: Path) -> tuple:
         try:
             reach_m, error_m = float(fields[i_reach]), float(fields[i_err])
         except (TypeError, ValueError):
-            raise DataFormatError(
-                f"bad numeric fields in {_dict_row(header, row)!r}",
-                str(path), line_no,
-            ) from None
-        if not (math.isfinite(reach_m) and reach_m > 0):
-            raise DataFormatError(
-                f"target_reach_m must be finite and positive in "
-                f"{_dict_row(header, row)!r}", str(path), line_no)
-        if not math.isfinite(error_m):
-            raise DataFormatError(
-                f"distance_error_m must be finite in "
-                f"{_dict_row(header, row)!r}", str(path), line_no)
-        if fields[i_pid] is None or fields[i_cond] is None:
-            raise DataFormatError(
-                f"bad text fields in {_dict_row(header, row)!r}",
-                str(path), line_no,
-            )
+            problem = "bad numeric fields"
+        else:
+            problem = ("target_reach_m must be finite and positive"
+                       if not (math.isfinite(reach_m) and reach_m > 0)
+                       else "distance_error_m must be finite"
+                       if not math.isfinite(error_m)
+                       else "bad text fields"
+                       if None in (fields[i_pid], fields[i_cond]) else "")
+        if problem:
+            raise DataFormatError(f"{problem} in {_dict_row(header, row)!r}",
+                                  str(path), line_no)
         pids.append(fields[i_pid])
         conds.append(fields[i_cond])
         reach.append(reach_m)
@@ -319,11 +312,12 @@ class FitDataset:
 
         Fields are read by position, as csv.DictReader would map them: the
         last column of a repeated name wins, a missing trailing field reads
-        None, and blank rows are skipped without counting toward the
-        reported line number.  A row missing a required field is a
-        DataFormatError ("bad numeric fields" before "bad text fields"),
-        and so is a kept row whose reach is not finite and positive or
-        whose distance error is not finite.
+        None, and blank rows are skipped.  A row missing a required field
+        is a DataFormatError ("bad numeric fields" before "bad text
+        fields"), and so is a kept row whose reach is not finite and
+        positive or whose distance error is not finite.  An error names the
+        physical line its row ends on: blank lines and quoted newlines
+        count.
 
         The fields are parsed in C a bounded chunk of lines at a time.  A
         file that parse cannot promise the row loop's result for (quoted
@@ -345,24 +339,24 @@ class FitDataset:
         return FitDataset(self.participant_id[mask], self.condition[mask],
                           self.target_reach[mask], self.distance_error[mask])
 
-    def _groups(self) -> list[np.ndarray]:
-        """The row indices of each (participant, reach) cell.
-
-        Cells are ordered by participant id then reach, and each holds its
-        rows in ascending order.
+    def _cells(self) -> tuple[np.ndarray, list[int]]:
+        """The row indices in (participant id, reach) order, by one stable
+        lexsort, and the bounds of its (participant, reach) cells: cell j
+        holds the rows order[bounds[j]:bounds[j + 1]], in ascending order.
         """
         order = np.lexsort((self.target_reach, self.participant_code))
         code, reach = self.participant_code[order], self.target_reach[order]
         starts = np.flatnonzero((code[1:] != code[:-1])
                                 | (reach[1:] != reach[:-1])) + 1
-        return np.split(order, starts)
+        return order, [0, *starts.tolist(), len(order)]
 
     def split_indices(self, train_fraction: float = DEFAULT_TRAIN_FRACTION,
                       seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Train/test row indices, stratified by participant and distance.
 
-        Each (participant, reach) cell is shuffled and split at the train
-        fraction so both halves cover every cell; cells with one row go to
+        Each (participant, reach) cell, in _cells order, is shuffled in
+        place as its view of the sorted rows and split at the train
+        fraction, so both halves cover every cell; cells with one row go to
         the training half.  The seed must be a non-negative integer.
         """
         if not (0.0 < train_fraction < 1.0):
@@ -371,9 +365,11 @@ class FitDataset:
             raise DomainError(f"split seed must be >= 0, got {seed!r}")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         train = np.zeros(len(self), dtype=bool)
-        for cell in self._groups():
+        order, bounds = self._cells()
+        for a, b in zip(bounds, bounds[1:]):
+            cell = order[a:b]
             rng.shuffle(cell)
-            n = len(cell)
+            n = b - a
             n_train = int(round(train_fraction * n))
             n_train = min(max(n_train, 1), n - 1) if n >= 2 else n
             train[cell[:n_train]] = True
@@ -533,7 +529,7 @@ def levenberg_marquardt(
     r = residual(x)
     rss = _rss(r)
     if not np.isfinite(rss):
-        raise FitError(f"residual is not finite at the starting point {x!r}")
+        raise FitError("residual is not finite at the starting point")
     lam = LAMBDA_INIT
     n_iter = 0
     converged = False
@@ -605,17 +601,25 @@ def fit(dataset: FitDataset, spec: ModelSpec,
     Emits an IdentifiabilityWarning when any participant contributes fewer
     than two distinct reach distances to the training rows; a single
     distance cannot separate the offset from that participant's
-    interpupillary distance.
+    interpupillary distance.  Raises DomainError, whatever the variant, if
+    spec.eye_pose puts the eye at a target or at no finite distance from it.
     """
     participants, pidx = dataset.participants, dataset.participant_code
-    cells = dataset._groups()
+    eye_distance = spec.eye_pose.eye_distance(dataset.target_reach)
+    bad = np.flatnonzero(~(np.isfinite(eye_distance) & (eye_distance > 0)))
+    if len(bad):
+        raise DomainError(
+            f"eye_pose puts the eye {float(eye_distance[bad[0]])!r} m from "
+            f"the target at reach {float(dataset.target_reach[bad[0]])!r} m; "
+            f"eye distances must be finite and positive")
+    order, bounds = dataset._cells()
     idx_train, idx_test = dataset.split_indices(train_fraction, split_seed)
     obs_train = dataset.distance_error[idx_train]
     obs_test = dataset.distance_error[idx_test]
 
     # every cell keeps a training row, so the training rows hold each
     # participant's cells, one per distinct reach
-    n_reaches = np.bincount(pidx[[cell[0] for cell in cells]],
+    n_reaches = np.bincount(pidx[order[bounds[:-1]]],
                             minlength=len(participants))
     for p in np.flatnonzero(n_reaches < 2):
         warnings.warn(
@@ -635,7 +639,6 @@ def fit(dataset: FitDataset, spec: ModelSpec,
         pred_train, pred_test = np.zeros(len(idx_train)), np.zeros(len(idx_test))
         n_iter, converged, stop_reason = 0, True, "closed_form"
     else:
-        eye_distance = spec.eye_pose.eye_distance(dataset.target_reach)
         pidx_train, d_train = pidx[idx_train], eye_distance[idx_train]
         x0 = np.full(1 + n, DEFAULT_IPD_INIT)
         x0[0] = 0.0

@@ -60,7 +60,7 @@ def levenberg_marquardt(
     r = residual(x)
     rss = _rss(r)
     if not np.isfinite(rss):
-        raise FitError(f"residual is not finite at the starting point {x!r}")
+        raise FitError("residual is not finite at the starting point")
     lam = LAMBDA_INIT
     n_iter = 0
     converged = False

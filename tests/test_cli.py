@@ -671,9 +671,11 @@ class TestFit:
         assert captured.err.splitlines() == [
             "vackit: warning: condition original: with-offset fit did not "
             "converge (stop_reason max_iter after 1 iterations)"]
+        # the suffix marks the fit a condition reports: with both variants
+        # that is the selected fit, which is always converged
         line, = captured.out.splitlines()
         assert line.startswith("condition original: ")
-        assert line.endswith(" (not converged)")
+        assert line.endswith(" (not converged)") == (variant == "with-offset")
         payload = json.loads((outdir / "fit_original_with-offset.json")
                              .read_text(encoding="utf-8"))
         assert (payload["converged"], payload["stop_reason"],
@@ -694,9 +696,12 @@ class TestFit:
         capsys.readouterr()
         assert main(["fit", "--input", str(sim / "outcomes.csv"),
                      "--out", str(outdir)]) == 0
-        assert capsys.readouterr().err.splitlines() == [
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
             "vackit: warning: condition transformed: with-offset fit did not "
             "converge (stop_reason damping_limit after 1 iterations)"]
+        assert captured.out.splitlines() == [
+            "condition transformed: selected zero-offset (test BIC -40289.3)"]
         payload = json.loads((outdir / "fit_transformed_with-offset.json")
                              .read_text(encoding="utf-8"))
         assert (payload["converged"], payload["stop_reason"]) == \
@@ -799,6 +804,22 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("vackit: data error: bad text fields in ")
         assert f"[{bad}:3]" in err
+
+    @pytest.mark.parametrize("variant", ["both", "with-offset",
+                                         "zero-offset"])
+    def test_eye_at_a_target_exits_one(self, outcomes, tmp_path, capsys,
+                                       variant):
+        # 0.25 m in front of the home position, the eye sits on the 0.25 m
+        # target, where no vergence angle is defined
+        cfg = _write_json(tmp_path / "fit.json", {"eye_pose": {
+            "behind_m": -0.25, "above_m": 0.0, "lateral_m": 0.0}})
+        code = main(["fit", "--input", str(outcomes), "--variant", variant,
+                     "--config", cfg, "--out", str(tmp_path / "fits")])
+        assert code == 1
+        err, = capsys.readouterr().err.splitlines()
+        assert err == (
+            "vackit: error: eye_pose puts the eye 0.0 m from the target at "
+            "reach 0.25 m; eye distances must be finite and positive")
 
     def test_bad_header_exits_two_with_line(self, tmp_path, capsys):
         bad = tmp_path / "outcomes.csv"

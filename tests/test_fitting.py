@@ -196,8 +196,9 @@ class TestFromCsv:
             FitDataset.from_csv(p)
 
     # The pinned messages below are those of the csv.DictReader reader:
-    # a missing field reads None, extra fields sit under the key None, the
-    # last of a repeated header name wins, and blank rows are not counted.
+    # a missing field reads None, extra fields sit under the key None, and
+    # the last of a repeated header name wins.  The line is the physical
+    # line the row ends on.
 
     def _error(self, path) -> tuple[str, int | None]:
         with pytest.raises(DataFormatError) as info:
@@ -246,13 +247,22 @@ class TestFromCsv:
         ds = FitDataset.from_csv(p)
         assert ds.distance_error.tolist() == [-0.02]
 
-    def test_blank_lines_do_not_count(self, tmp_path):
+    def test_blank_lines_count(self, tmp_path):
         p = self._write(tmp_path / "b.csv", ["", "a,p0,original,0.25,1,-0.02",
                                              "", "", "b,p0,original,0.25,1,oops"])
         assert self._error(p) == (
             "bad numeric fields in {'trial_id': 'b', 'participant_id': 'p0', "
             "'condition': 'original', 'target_reach_m': '0.25', "
-            "'valid': '1', 'distance_error_m': 'oops'}", 3)
+            "'valid': '1', 'distance_error_m': 'oops'}", 6)
+
+    def test_quoted_newline_counts(self, tmp_path):
+        # the quoted id spans lines 2 and 3, so the bad row is line 4
+        p = self._write(tmp_path / "q.csv", ['"a\nb",p0,original,0.25,1,-0.02',
+                                             "c,p0,original,0.25,1,oops"])
+        assert self._error(p) == (
+            "bad numeric fields in {'trial_id': 'c', 'participant_id': 'p0', "
+            "'condition': 'original', 'target_reach_m': '0.25', "
+            "'valid': '1', 'distance_error_m': 'oops'}", 4)
 
     def test_permuted_header(self, tmp_path):
         header = ("distance_error_m,valid,condition,target_reach_m,"
@@ -328,7 +338,7 @@ class TestFromCsv:
         assert self._error(p) == (
             f"{message} in {{'trial_id': 'c', 'participant_id': 'p0', "
             f"'condition': 'original', 'target_reach_m': '{reach}', "
-            f"'valid': '1', 'distance_error_m': '{error}'}}", 4)
+            f"'valid': '1', 'distance_error_m': '{error}'}}", 5)
         with pytest.raises(DataFormatError) as info:
             FitDataset.from_csv(p)
         assert info.value.path == str(p)

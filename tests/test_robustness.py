@@ -1,0 +1,148 @@
+"""Pipeline-wide robustness properties, driven through ``cli.main``.
+
+Each example runs the command line in process on drawn inputs inside the
+documented domains, and checks the exit-code contract (0 success, 1 usage
+or domain error, 2 data error) together with what the run reports: every
+stderr line is a ``vackit: `` line, never a traceback, and a failed run
+says why in exactly one error line.
+
+The ``fit`` slice simulates one or two small cohorts without trajectories,
+joins their outcomes as one file, and fits it with a drawn variant, drawn
+bounds and a drawn eye pose, which may put the eye at a target's depth.
+A one-iteration cap on the solver is drawn too, so that fits that did not
+converge are common.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from vackit import fitting
+from vackit.cli import main
+
+REACHES = (0.15, 0.20, 0.25, 0.30, 0.35)
+ERROR_PREFIXES = ("vackit: error: ", "vackit: data error: ")
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) with its exit code, stdout and stderr; a warning that
+    escapes main would reach stderr as a line of its own, so none may."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as escaped, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in escaped] == []
+    return code, out.getvalue(), err.getvalue()
+
+
+def _write_json(path: Path, payload: dict) -> str:
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+@st.composite
+def _fit_runs(draw) -> tuple[list[dict], dict]:
+    """One simulate config per condition of the joined outcomes file, and
+    the fit config."""
+    reaches = draw(st.lists(st.sampled_from(REACHES), min_size=1, max_size=3,
+                            unique=True))
+    conditions = draw(st.lists(st.sampled_from(["original", "transformed"]),
+                               min_size=1, max_size=2, unique=True))
+    cohorts = [{
+        "condition": condition,
+        "feedback": draw(st.sampled_from(["online", "feedforward"])),
+        "response_mixture": draw(st.sampled_from(
+            [None, [0.8, 0.1, 0.1], [0.0, 1.0, 0.0], [0.2, 0.0, 1.0]])),
+        "reach_distances_m": reaches,
+        "repetitions": draw(st.integers(1, 3)),
+        "n_participants": draw(st.integers(1, 12)),
+        "seed": draw(st.integers(0, 2 ** 16)),
+        "write_trajectories": False,
+    } for condition in conditions]
+    # bounds that exit 1 are drawn, but seldom enough that most fits run
+    config = {}
+    if draw(st.booleans()):
+        config["ipd_bounds_mm"] = draw(st.sampled_from(
+            [[45, 80], [58, 68], [63, 63.5], [45, 80], [58, 68], [68, 58]]))
+    if draw(st.booleans()):
+        config["beta_bounds_deg"] = draw(st.sampled_from(
+            [[-2.0, 2.0], [-0.1, 0.5], [-0.5, 0.05], [0.1, 0.5]]))
+    if draw(st.integers(0, 3)) == 0:
+        # behind_m = -reach with no height puts the eye on that target
+        behind, above = draw(st.sampled_from(
+            [(0.30, 0.35)] + [(-reach, 0.0) for reach in reaches]))
+        config["eye_pose"] = {"behind_m": behind, "above_m": above,
+                              "lateral_m": 0.0}
+    return cohorts, config
+
+
+class TestFitRobustness:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(run=_fit_runs(),
+           variant=st.sampled_from(["both", "with-offset", "zero-offset"]),
+           max_iter=st.sampled_from([1, fitting.MAX_ITER]))
+    def test_fit_reports_what_it_wrote(self, run, variant, max_iter):
+        cohorts, config = run
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            lines: list[str] = []
+            for i, cohort in enumerate(cohorts):
+                sim = tmp / f"sim{i}"
+                code, _, err = _run(["simulate", "--config", _write_json(
+                    tmp / f"sim{i}.json", cohort), "--out", str(sim)])
+                assert (code, err) == (0, "")
+                text = (sim / "outcomes.csv").read_text(encoding="utf-8")
+                lines += text.splitlines(keepends=True)[1 if lines else 0:]
+            outcomes = tmp / "outcomes.csv"
+            outcomes.write_text("".join(lines), encoding="utf-8")
+            outdir = tmp / "fits"
+            default_max_iter = fitting.MAX_ITER
+            fitting.MAX_ITER = max_iter
+            try:
+                code, out, err = _run([
+                    "fit", "--input", str(outcomes), "--variant", variant,
+                    "--config", _write_json(tmp / "fit.json", config),
+                    "--out", str(outdir)])
+            finally:
+                fitting.MAX_ITER = default_max_iter
+
+            assert code in (0, 1, 2)
+            assert all(line.startswith("vackit: ")
+                       for line in err.splitlines()), err
+            errors = [line for line in err.splitlines()
+                      if line.startswith(ERROR_PREFIXES)]
+            if code:
+                assert len(errors) == 1, err
+                return
+            assert errors == []
+
+            def converged(condition: str, fit_variant: str) -> bool:
+                path = outdir / f"fit_{condition}_{fit_variant}.json"
+                return json.loads(path.read_text(encoding="utf-8"))["converged"]
+
+            if variant == "both":
+                with (outdir / "comparison.csv").open(
+                        encoding="utf-8", newline="") as fh:
+                    for row in csv.DictReader(fh):
+                        if row["selected"] == "1":
+                            assert converged(row["condition"], row["variant"])
+            reported = [c["condition"] for c in cohorts]
+            assert len(out.splitlines()) == len(reported)
+            for line in out.splitlines():
+                head, text = line.split(": ", 1)
+                condition = head.removeprefix("condition ")
+                assert condition in reported
+                fit_variant = text.split()[1] if variant == "both" else variant
+                assert line.endswith(" (not converged)") == \
+                    (not converged(condition, fit_variant))
