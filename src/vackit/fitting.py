@@ -19,7 +19,6 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress
 from pathlib import Path
 from typing import Callable
 
@@ -27,8 +26,8 @@ import numpy as np
 
 from .errors import DataFormatError, DomainError, FitError
 from .geometry import angles_at
-from .kinematics import EyePose
-from .meshio import _ENCODING, _ROW_LOOP_ONLY, _csv_records, _plain_lines
+from .kinematics import OUTCOME_HEADER, EyePose
+from .meshio import _column_chunks, _csv_records, _runs
 from .perception import fixated_distance_error
 
 __all__ = [
@@ -85,19 +84,13 @@ def _dict_row(header: list[str], row: list[str]) -> dict:
 # The required outcomes columns, in the order the readers return them.
 _OUTCOME_COLUMNS = ("participant_id", "condition", "target_reach_m",
                     "distance_error_m")
-# Characters np.loadtxt keeps of a text field _read_outcome_columns parses;
-# one that fills them may have been cut short.
-_FIELD_CHARS = 16
-# The rows _read_outcome_columns parses: the required columns, then valid.
-# The two text fields come first, so the last character of each sits at a
-# fixed 4-byte slot of a row.
-_TEXT_FIELDS = _OUTCOME_COLUMNS[:2]
-_OUTCOME_FIELDS = (
-    [(name, f"U{_FIELD_CHARS}") for name in _TEXT_FIELDS]
-    + [(name, np.float64) for name in _OUTCOME_COLUMNS[2:]]
-    # a valid field other than "1" or "" stays neither when cut to 2
-    + [("valid", "U2")])
-_LAST_CHARS = [(k + 1) * _FIELD_CHARS - 1 for k in range(len(_TEXT_FIELDS))]
+# The rows of an outcomes file with OUTCOME_HEADER as the column parse reads
+# them: the required columns, then valid.  An id or condition of 16
+# characters or more, or a valid field of 2, fills its field and is left to
+# the row loop.
+_OUTCOME_DTYPE = np.dtype([("participant_id", "U16"), ("condition", "U16"),
+                           ("target_reach_m", np.float64),
+                           ("distance_error_m", np.float64), ("valid", "U2")])
 
 
 def _read_outcome_rows(path: Path) -> tuple:
@@ -145,94 +138,35 @@ def _read_outcome_rows(path: Path) -> tuple:
     return pids, conds, np.frombuffer(reach), np.frombuffer(error)
 
 
-def _runs(values: np.ndarray) -> tuple[list, np.ndarray]:
-    """The first value of each run of equal values, and the run lengths."""
-    starts = np.flatnonzero(values[1:] != values[:-1]) + 1
-    return (values[np.concatenate(([0], starts))].tolist(),
-            np.diff(np.concatenate(([0], starts, [len(values)]))))
-
-
-def _parse_outcome_lines(lines: list[str], usecols: tuple[int, ...]) -> np.ndarray:
-    """The rows of outcomes lines the valid field keeps, as the first
-    len(usecols) of _OUTCOME_FIELDS; usecols ends with the valid column
-    when the file has one.
-
-    Raises:
-        ValueError: If np.loadtxt cannot parse a kept row.
-    """
-    with_valid = len(usecols) == len(_OUTCOME_FIELDS)
-    dtype = np.dtype(_OUTCOME_FIELDS[:len(usecols)])
-    try:
-        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", usecols=usecols,
-                          comments=None, ndmin=1)
-    except ValueError:
-        if not with_valid:
-            raise
-        # a rejected row may leave its numbers empty: drop the rejected
-        # rows, and the blank ones np.loadtxt skips, before the numbers are
-        # parsed
-        lines = [line for line in lines if line not in ("", "\r")]
-        valid = np.loadtxt(lines, dtype="U2", delimiter=",", usecols=usecols[4],
-                           comments=None, ndmin=1)
-        if len(valid) != len(lines):
-            raise ValueError("a row was skipped")
-        lines = list(compress(lines, (valid == "1") | (valid == "")))
-        if not lines:
-            return np.empty(0, dtype)
-        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", usecols=usecols,
-                          comments=None, ndmin=1)
-    if with_valid:
-        keep = (rows["valid"] == "1") | (rows["valid"] == "")
-        if not keep.all():
-            rows = rows[keep]
-    return rows
-
-
 def _read_outcome_columns(fh) -> tuple | None:
     """FitDataset.from_csv's columns, parsed in C, or None.
 
-    fh is the outcomes file opened in binary mode at its start.  The
-    needed fields of each chunk of lines are parsed by np.loadtxt, after
-    the rows the valid field rejects are dropped: the reach and the
-    distance error as float64, the participant id and condition as text,
-    taken once per run of rows that share both, so a file grouped by
-    participant costs no Python object per row.
+    fh is the outcomes file opened in binary mode at its start.  Each chunk
+    of rows is parsed by _column_chunks, and the rows the valid field
+    rejects are dropped; the participant id and condition are taken once
+    per run of rows that share both, so a file grouped by participant costs
+    no Python object per row.
 
     Returns None whenever the columns might differ from the row loop's: a
-    header or a chunk with a character _plain_lines refuses, a missing
-    column, a kept row np.loadtxt cannot parse (a missing field included),
-    an id or condition of _FIELD_CHARS characters or more, a number that
-    FitDataset would refuse, undecodable bytes, or no kept rows.  The
-    caller then reruns the row loop, which alone words errors and numbers
-    lines.
+    header other than OUTCOME_HEADER, a row _column_chunks refuses (a
+    rejected row with empty numbers, as analyze writes it, included), a
+    number that FitDataset would refuse, or no kept rows.  The caller then
+    reruns the row loop, which alone words errors and numbers lines.
     """
-    heads: list[tuple[str, str]] = []  # _TEXT_FIELDS, once per run
+    heads: list[tuple[str, str]] = []  # (participant_id, condition) per run
     lengths, reach, error = [], [], []
     try:
-        first = fh.readline().decode(_ENCODING)
-        line_end = "\r\n" if first.endswith("\r\n") else "\n"
-        header = first[:-len(line_end)]
-        if (not first.endswith(line_end) or "\r" in header
-                or any(c in header for c in _ROW_LOOP_ONLY)
-                or len(header) > csv.field_size_limit()):
-            return None
-        column = {name: i for i, name in enumerate(header.split(","))}
-        if not set(_OUTCOME_COLUMNS).issubset(column):
-            return None
-        usecols = tuple(map(column.__getitem__, _OUTCOME_COLUMNS))
-        if "valid" in column:
-            usecols += (column["valid"],)
-        for lines in _plain_lines(fh):
-            rows = _parse_outcome_lines(lines, usecols)
+        for rows in _column_chunks(fh, ",".join(OUTCOME_HEADER), _OUTCOME_DTYPE):
+            keep = (rows["valid"] == "1") | (rows["valid"] == "")
+            if not keep.all():
+                rows = rows[keep]
             if not len(rows):
                 continue
-            if rows.view(np.uint32).reshape(len(rows), -1)[:, _LAST_CHARS].any():
-                return None
-            first_values, counts = _runs(rows[list(_TEXT_FIELDS)])
+            first_values, counts = _runs(rows[["participant_id", "condition"]])
             heads += first_values
             lengths.append(counts)
-            reach.append(rows["target_reach_m"])
-            error.append(rows["distance_error_m"])
+            reach.append(rows["target_reach_m"].copy())
+            error.append(rows["distance_error_m"].copy())
     except ValueError:  # UnicodeDecodeError included
         return None
     if not error:
@@ -319,11 +253,13 @@ class FitDataset:
         physical line its row ends on: blank lines and quoted newlines
         count.
 
-        The fields are parsed in C a bounded chunk of lines at a time.  A
-        file that parse cannot promise the row loop's result for (quoted
-        fields, an id or condition of 16 characters or more, a malformed
-        row, a non-finite value, ...) is read row by row instead, with the
-        same columns and errors.
+        A file with the header vackit writes (OUTCOME_HEADER) is parsed in
+        C a bounded chunk of lines at a time, and the rows the valid field
+        rejects are dropped after the parse.  A file that parse cannot
+        promise the row loop's result for (another header, quoted fields,
+        an id or condition of 16 characters or more, a rejected row with
+        empty numbers, a malformed row, a non-finite value, ...) is read
+        row by row instead, with the same columns and errors.
         """
         path = Path(path)
         with path.open("rb") as fh:
@@ -602,7 +538,9 @@ def fit(dataset: FitDataset, spec: ModelSpec,
     than two distinct reach distances to the training rows; a single
     distance cannot separate the offset from that participant's
     interpupillary distance.  Raises DomainError, whatever the variant, if
-    spec.eye_pose puts the eye at a target or at no finite distance from it.
+    spec.eye_pose puts the eye at a target or at no finite distance from it,
+    and, before anything is solved, if either split has no more rows than
+    the k parameters its BIC charges.
     """
     participants, pidx = dataset.participants, dataset.participant_code
     eye_distance = spec.eye_pose.eye_distance(dataset.target_reach)
@@ -614,6 +552,15 @@ def fit(dataset: FitDataset, spec: ModelSpec,
             f"eye distances must be finite and positive")
     order, bounds = dataset._cells()
     idx_train, idx_test = dataset.split_indices(train_fraction, split_seed)
+    n = len(participants)
+    k = n + (spec.variant == VARIANT_WITH_OFFSET)
+    for half, rows in (("training", idx_train), ("test", idx_test)):
+        if len(rows) <= k:
+            raise DomainError(
+                f"the {half} split has {len(rows)} rows, not more than the "
+                f"k={k} parameters of the {spec.variant} fit: each "
+                f"(participant, reach) cell splits at the train fraction, and "
+                f"a cell of one row goes to training whole")
     obs_train = dataset.distance_error[idx_train]
     obs_test = dataset.distance_error[idx_test]
 
@@ -630,11 +577,10 @@ def fit(dataset: FitDataset, spec: ModelSpec,
             stacklevel=2,
         )
 
-    n = len(participants)
     if spec.variant == VARIANT_ZERO_OFFSET:
         # the model predicts zero for every row, so nothing is solved: the
         # inert distances stay at their start value, clipped into the bounds
-        beta, k = 0.0, n
+        beta = 0.0
         ipd_vec = np.clip(np.full(n, DEFAULT_IPD_INIT), *spec.ipd_bounds)
         pred_train, pred_test = np.zeros(len(idx_train)), np.zeros(len(idx_test))
         n_iter, converged, stop_reason = 0, True, "closed_form"
@@ -650,7 +596,7 @@ def fit(dataset: FitDataset, spec: ModelSpec,
             lambda x: _derivatives(x, pidx_train, d_train),
             pidx_train, x0, lower, upper,
         )
-        beta, ipd_vec, k = float(x[0]), x[1:], len(x)
+        beta, ipd_vec = float(x[0]), x[1:]
         pred_train = fixated_distance_error(d_train, ipd_vec[pidx_train], beta)
         pred_test = fixated_distance_error(eye_distance[idx_test],
                                            ipd_vec[pidx[idx_test]], beta)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataFormatError, DomainError
 from .geometry import EyeGeometry, angle_at
-from .meshio import _csv_records, _read_columns
+from .meshio import _column_chunks, _csv_records, _runs
 
 __all__ = [
     "Trajectory",
@@ -198,17 +198,23 @@ class EyePose:
         return self.eye_distance_of(0.0, 0.0, reach)
 
     def eye_distance_at(self, reach: float) -> float:
-        """eye_distance(reach) on a Python float, bit for bit.
+        """eye_distance(reach) on a Python float, bit for bit."""
+        return self._distance_to(0.0, 0.0, reach)
 
-        The same expression as eye_distance_of; ``** 2`` is libm pow, as
-        for numpy scalars, and can differ from ``d * d`` in the last bit.
+    def _distance_to(self, x: float, y: float, z: float) -> float:
+        """eye_distance_of(x, y, z) on Python floats, bit for bit.
+
+        The same expression; ``** 2`` is libm pow, as for numpy scalars,
+        and can differ from ``d * d`` in the last bit.  A square past the
+        float range, which math raises on, is left to numpy, which gives
+        inf, or nan with a nan coordinate.
         """
         try:
-            return math.sqrt((0.0 - self.lateral_m) ** 2
-                             + (0.0 - self.above_m) ** 2
-                             + (reach + self.behind_m) ** 2)
+            return math.sqrt((x - self.lateral_m) ** 2 + (y - self.above_m) ** 2
+                             + (z + self.behind_m) ** 2)
         except OverflowError:
-            return math.inf
+            with np.errstate(over="ignore"):
+                return float(self.eye_distance_of(x, y, z))
 
 
 @dataclass(frozen=True)
@@ -446,8 +452,8 @@ def _measure(trial_id: str, target: TargetSpec, eyes: EyeGeometry,
     movement_distance = float(z[i1] - z[i0])
     distance_error = movement_distance - target.reach_m
     endpoint_error = float(z[i1]) - target.reach_m
-    d_target = float(eye_pose.eye_distance_of(target.x_m, target.y_m, target.reach_m))
-    d_hand = float(eye_pose.eye_distance_of(x[i1], y[i1], z[i1]))
+    d_target = eye_pose._distance_to(target.x_m, target.y_m, target.reach_m)
+    d_hand = eye_pose._distance_to(float(x[i1]), float(y[i1]), float(z[i1]))
     tau_target = angle_at(d_target, eyes.half_ipd)
     tau_hand = angle_at(d_hand, eyes.half_ipd)
     return TrialOutcome(
@@ -571,6 +577,10 @@ def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec
 
 
 TRAJECTORY_HEADER = ["trial_id", "t", "x", "y", "z"]
+# The rows of trajectories.csv as the column parse reads them; a trial id
+# of 32 characters or more is left to the row loop.
+_SAMPLE_DTYPE = np.dtype([("trial_id", "U32")]
+                         + [(axis, np.float64) for axis in "txyz"])
 
 
 def read_trajectories_csv(
@@ -583,12 +593,15 @@ def read_trajectories_csv(
     invalid outcomes (reason "missing data") instead of aborting the
     batch; malformed rows or non-increasing timestamps are file errors.
 
-    The numeric columns are parsed in C into one (4, rows) array, and each
+    The rows are parsed in C a chunk at a time (``_column_chunks``), each
+    chunk's samples stacked into a (4, n) block and its trial ids kept once
+    per run; the blocks are joined into one (4, rows) array, and each
     trial's t, x, y and z are views into it, so memory is O(samples) in
-    float64 with no Python object per sample.  A file the column parser
-    cannot promise the row loop's result for (quoted ids, blank or
-    malformed rows, a trial's rows not contiguous, ...) is read row by row
-    instead, with the same trials, order and errors.
+    float64 with no Python object per sample.  A file the column parse
+    cannot promise the row loop's result for (quoted ids, a trial id of 32
+    characters or more, a malformed row, a trial's rows not contiguous,
+    ...) is read row by row instead, with the same trials, order and
+    errors.
 
     Returns:
         (trajectories, rejected), each sorted by trial_id.
@@ -598,16 +611,30 @@ def read_trajectories_csv(
             timestamps that do not strictly increase within a trial.
     """
     path = Path(path)
-    runs: list[list] = []
-    with path.open("rb") as fh:
-        columns = _read_columns(fh, ",".join(TRAJECTORY_HEADER), (1, 2, 3, 4),
-                                runs)
-    if columns is None:
+    ids: list[str] = []        # one per trial, in file order
+    lengths: list[int] = []    # rows per trial
+    blocks = []
+    try:
+        with path.open("rb") as fh:
+            for rows in _column_chunks(fh, ",".join(TRAJECTORY_HEADER),
+                                       _SAMPLE_DTYPE):
+                heads, counts = _runs(rows["trial_id"])
+                counts = counts.tolist()
+                if ids and ids[-1] == heads[0]:  # split by the chunk boundary
+                    lengths[-1] += counts.pop(0)
+                    del heads[0]
+                ids += heads
+                lengths += counts
+                blocks.append(np.stack([rows[axis] for axis in "txyz"]))
+        if not ids or len(set(ids)) < len(ids):
+            raise ValueError("needs the row loop")
+    except ValueError:  # UnicodeDecodeError included
         trials = _read_trajectory_rows(path)
     else:
-        ends = np.cumsum([count for _, count in runs]).tolist()
-        trials = ((trial_id, columns[:, end - count:end])
-                  for (trial_id, count), end in zip(runs, ends))
+        columns = np.concatenate(blocks, axis=1)
+        ends = np.cumsum(lengths).tolist()
+        trials = ((trial_id, columns[:, end - n:end])
+                  for trial_id, n, end in zip(ids, lengths, ends))
     trajectories: list[Trajectory] = []
     rejected: list[TrialOutcome] = []
     for trial_id, (t, x, y, z) in trials:

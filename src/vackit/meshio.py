@@ -3,11 +3,12 @@
 The OBJ reader parses its ``v`` and ``f`` records in C with ``np.loadtxt``
 a bounded chunk of lines at a time (``_read_obj_columns``), and reruns a
 loop over the lines whenever that might not give the loop's mesh or
-error.  The points reader, and the trajectory reader in ``kinematics``,
-parse their numeric columns the same way (``_read_columns``); they and the
-outcomes reader in ``fitting`` rerun a loop over ``_csv_records`` likewise.
-Writers format ``_CHUNK_ROWS`` rows per ``%`` operation.  Memory stays
-O(vertices + faces) in arrays, with no Python object per record.
+error.  The three CSV readers, points here, trajectories in
+``kinematics`` and outcomes in ``fitting``, parse their rows in C through
+one chunk parser (``_column_chunks``) and rerun a loop over
+``_csv_records`` likewise.  Writers format ``_CHUNK_ROWS`` rows per ``%``
+operation.  Memory stays O(vertices + faces) in arrays, with no Python
+object per record.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import csv
 import io
 import re
 from array import array
-from itertools import groupby, islice
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
@@ -36,7 +37,7 @@ _ENCODING = "utf-8-sig"
 # Size hint, in bytes, of the lines _plain_lines and _read_obj_columns
 # parse at once.
 _COLUMN_CHUNK = 1 << 20
-# Characters that send _read_columns to the row loop: a quote (csv fields),
+# Characters that send a CSV reader to its row loop: a quote (csv fields),
 # NUL (csv refuses it before Python 3.11), and the ASCII separators U+001C
 # to U+001F, which np.loadtxt strips from a number as space and float()
 # does not.
@@ -80,49 +81,38 @@ def _csv_records(path: Path) -> Iterator:
                 yield reader.line_num, row
 
 
-def _read_columns(fh, header: str, usecols: tuple[int, ...], runs: list | None = None
-                  ) -> np.ndarray | None:
-    """The numeric columns of a plain CSV, parsed in C, or None.
+def _column_chunks(fh, header: str, dtype: np.dtype) -> Iterator[np.ndarray]:
+    """The rows of a plain CSV after its header, parsed in C, as one
+    structured array of dtype per _plain_lines chunk.
 
-    fh is a binary file at its start.  Returns a C-contiguous float64
-    array of shape (len(usecols), rows), one column per row of the file
-    after the header.  When runs is a list, each row's first field (its id)
-    is folded into it as [id, run length] pairs in file order.
-
-    Returns None whenever the array might differ from what a csv.reader
-    loop with float() per field would give: a first line other than header
-    plus a line end, a chunk _plain_lines refuses, a field np.loadtxt
-    cannot parse, undecodable bytes, or no rows; with runs, also a row
-    without a comma (a blank row included) or an id that comes back after
-    another.  The caller then reruns its row loop, which alone words
-    errors and numbers lines.
+    fh is a binary file at its start, whose first line must be header plus
+    a line end.  Each field of dtype is taken from the header column of
+    the same name.  Raises ValueError whenever the rows might differ from
+    what a csv.reader loop would read: another first line, a chunk
+    _plain_lines refuses, a row np.loadtxt cannot parse, undecodable
+    bytes, or a text field that fills its width, since it may have been
+    cut.  The caller then reruns its row loop, which alone words errors
+    and numbers lines.
     """
-    chunks = []
-    seen = set()
-    try:
-        if fh.readline().decode(_ENCODING) not in (header + "\r\n", header + "\n"):
-            return None
-        for lines in _plain_lines(fh):
-            if runs is not None:
-                ids = [line[:line.index(",")] for line in lines]
-                for key, group in groupby(ids):
-                    count = len(list(group))
-                    if runs and runs[-1][0] == key:
-                        runs[-1][1] += count
-                    elif key in seen:
-                        return None
-                    else:
-                        seen.add(key)
-                        runs.append([key, count])
-            chunks.append(np.loadtxt(lines, delimiter=",", usecols=usecols,
-                                     ndmin=2, comments=None, unpack=True))
-    except ValueError:  # UnicodeDecodeError included
-        return None
-    n_rows = sum(chunk.shape[1] for chunk in chunks)
-    if not n_rows:
-        return None
-    return np.concatenate(chunks, axis=1,
-                          out=np.empty((len(usecols), n_rows)))
+    if fh.readline().decode(_ENCODING) not in (header + "\r\n", header + "\n"):
+        raise ValueError("needs the row loop")
+    names = header.split(",")
+    usecols = [names.index(name) for name in dtype.names]
+    texts = [name for name in dtype.names if dtype[name].kind == "U"]
+    for lines in _plain_lines(fh):
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", usecols=usecols,
+                          comments=None, ndmin=1)
+        for name in texts:
+            if (np.char.str_len(rows[name]) >= dtype[name].itemsize // 4).any():
+                raise ValueError("needs the row loop")
+        yield rows
+
+
+def _runs(values: np.ndarray) -> tuple[list, np.ndarray]:
+    """The first value of each run of equal values, and the run lengths."""
+    starts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    return (values[np.concatenate(([0], starts))].tolist(),
+            np.diff(np.concatenate(([0], starts, [len(values)]))))
 
 
 def _face_ref(token: str) -> int:
@@ -425,18 +415,25 @@ def write_obj(mesh: MeshModel, path: str | Path) -> None:
         _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)
 
 
+_POINT_DTYPE = np.dtype([("x", np.float64), ("y", np.float64), ("z", np.float64)])
+
+
 def read_points_csv(path: str | Path) -> np.ndarray:
     """Read an (N, 3) point array from a CSV with header x,y,z (meters).
 
-    The array is the transpose of (3, N) columns parsed in C; a file the
-    column parser cannot promise the row loop's result for (quoted fields,
-    a header spelled otherwise, a malformed row, ...) is read row by row
-    instead, with the same values and errors.
+    The rows are parsed in C (``_column_chunks``) into a C-contiguous
+    array; a file that parse cannot promise the row loop's result for
+    (quoted fields, a header spelled otherwise, a malformed row, ...) is
+    read row by row instead, with the same values and errors.
     """
     path = Path(path)
-    with path.open("rb") as fh:
-        columns = _read_columns(fh, "x,y,z", (0, 1, 2))
-    return _read_point_rows(path) if columns is None else columns.T
+    try:
+        with path.open("rb") as fh:
+            chunks = [rows.view(np.float64).reshape(-1, 3) for rows
+                      in _column_chunks(fh, "x,y,z", _POINT_DTYPE)]
+    except ValueError:  # UnicodeDecodeError included
+        chunks = []
+    return np.concatenate(chunks) if chunks else _read_point_rows(path)
 
 
 def _read_point_rows(path: Path) -> np.ndarray:

@@ -821,6 +821,35 @@ class TestFit:
             "vackit: error: eye_pose puts the eye 0.0 m from the target at "
             "reach 0.25 m; eye distances must be finite and positive")
 
+    @pytest.mark.parametrize("variant", ["both", "with-offset",
+                                         "zero-offset"])
+    @pytest.mark.parametrize("reaches, repetitions, half, n_rows", [
+        ([0.20, 0.25], 1, "test", 0),
+        ([0.25], 4, "test", 3),
+        ([0.25], 1, "training", 3),
+    ], ids=["one-row-cells", "one-reach", "one-trial"])
+    def test_short_split_exits_one(self, tmp_path, capsys, variant, reaches,
+                                   repetitions, half, n_rows):
+        # one-row cells go to training whole, so a test split can be empty
+        sim = tmp_path / "sim"
+        cfg = _write_json(tmp_path / "sim.json", {
+            "n_participants": 3, "repetitions": repetitions,
+            "reach_distances_m": reaches, "write_trajectories": False})
+        assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+        capsys.readouterr()
+        code = main(["fit", "--input", str(sim / "outcomes.csv"),
+                     "--variant", variant, "--out", str(tmp_path / "fits")])
+        assert code == 1
+        err, = capsys.readouterr().err.splitlines()
+        # both fits its with-offset variant first
+        fitted = "zero-offset" if variant == "zero-offset" else "with-offset"
+        k = 3 if fitted == "zero-offset" else 4
+        assert err == (
+            f"vackit: error: the {half} split has {n_rows} rows, not more "
+            f"than the k={k} parameters of the {fitted} fit: each "
+            f"(participant, reach) cell splits at the train fraction, and a "
+            f"cell of one row goes to training whole")
+
     def test_bad_header_exits_two_with_line(self, tmp_path, capsys):
         bad = tmp_path / "outcomes.csv"
         bad.write_text("trial,participant\nx,y\n", encoding="utf-8")

@@ -1,9 +1,9 @@
 """The columnar readers against their row loops.
 
-``read_trajectories_csv`` and ``read_points_csv`` parse their numeric
-columns in C (``meshio._read_columns``), and ``FitDataset.from_csv`` its
-outcomes columns (``fitting._read_outcome_columns``); each reruns a
-``csv.reader`` row loop whenever that might not give the loop's result.
+``read_trajectories_csv``, ``read_points_csv`` and ``FitDataset.from_csv``
+parse their rows in C through one chunk parser (``meshio._column_chunks``);
+each reruns a ``csv.reader`` row loop whenever that might not give the
+loop's result.
 ``read_obj`` parses its ``v`` and ``f`` records in C
 (``meshio._read_obj_columns``) and reruns its line loop likewise.
 Whatever the input, each reader must return exactly what its row loop
@@ -56,6 +56,9 @@ SPELLINGS = ["1_0", " 1.5 ", "nan", "-nan", "NaN", "-Infinity", "inf", "1e400",
 # line break) or the fast path leaves to the row loop (NUL).
 PLAIN_IDS = ["a", "b", "p0-t1", "", " lead", "\u00fc"]
 IDS = ["a,b", 'say "hi"', "two\nlines", "c\r", "nul\x00"]
+# Ids about the width of the parsed trial_id field: one of 32 characters or
+# more may have been cut, so the fast path leaves it to the row loop.
+LONG_IDS = ["i" * 31, "i" * 32, "\u00fc" * 33, "i" * 31 + ","]
 CHUNKS = [1, 60, 1 << 20]      # bytes per chunk: one line, a few, all
 
 
@@ -131,8 +134,9 @@ def _csv_bytes(draw, header: str, headers: list[str], rows: list[list[str]]
 def trajectory_files(draw) -> bytes:
     rows = []
     for _ in range(draw(st.integers(0, 3))):
-        trial_id = _field(draw(st.sampled_from(IDS)) if _rarely(draw)
-                          else draw(st.sampled_from(PLAIN_IDS)))
+        pool = draw(st.sampled_from([IDS, LONG_IDS])) if _rarely(draw) \
+            else PLAIN_IDS
+        trial_id = _field(draw(st.sampled_from(pool)))
         n = draw(st.sampled_from([1, 2, kin.MIN_SAMPLES, kin.MIN_SAMPLES + 2]))
         t0 = draw(st.sampled_from([0.0, 0.5, 1e3]))
         rate = draw(st.sampled_from([250.0, 100.0]))
@@ -195,7 +199,11 @@ def outcome_files(draw) -> bytes:
                         measures = [error, error, error, error]
                         reason = ""
                     else:
-                        measures, reason = ["", "", "", ""], "slow"
+                        # analyze leaves a rejected row's numbers empty;
+                        # another writer may not
+                        error = draw(st.sampled_from(
+                            ["", repr(draw(st.floats(-0.05, 0.05)))]))
+                        measures, reason = [error, error, error, error], "slow"
                     rows.append([f"{pid}-{condition}-{reach}-{rep}", pid,
                                  condition, reach, valid, reason, "", "",
                                  *measures])
@@ -347,15 +355,14 @@ def _points_result(path):
     return points.shape, points.dtype, np.ascontiguousarray(points).tobytes()
 
 
-# Each module's fast paths, which return None to leave a file to the loop.
-FAST_PATHS = {kin: ["_read_columns"], fitting: ["_read_outcome_columns"],
-              meshio: ["_read_columns", "_read_obj_columns"]}
-
-
 def _row_loop_only(module):
-    """Patch the fast paths away, leaving the readers' row loops."""
-    return mock.patch.multiple(module, **{
-        name: mock.Mock(return_value=None) for name in FAST_PATHS[module]})
+    """Patch the fast paths away, leaving the readers' row loops: the CSV
+    chunk parser, as each module imports it, raises ValueError, and the OBJ
+    record parse returns None."""
+    patches = {"_column_chunks": mock.Mock(side_effect=ValueError)}
+    if module is meshio:
+        patches["_read_obj_columns"] = mock.Mock(return_value=None)
+    return mock.patch.multiple(module, **patches)
 
 
 def _both(result, module, path, chunk=1 << 20):
@@ -420,10 +427,10 @@ class TestFastPathMatchesRowLoop:
         got, want = _both(_points_result, meshio, path)
         assert got == want
         path = tmp_path / "outcomes.csv"
-        path.write_text("participant_id,condition,target_reach_m,valid,"
-                        f"distance_error_m\np0,a,0.25,1,-0.01\n"
-                        f"p0,a,{spelling},1,-0.01\np0,a,0.3,1,{spelling}\n"
-                        f"p0,a,{spelling},0,{spelling}\n",
+        rows = ["t0,p0,a,0.25,1,,,,,-0.01,,", f"t1,p0,a,{spelling},1,,,,,-0.01,,",
+                f"t2,p0,a,0.3,1,,,,,{spelling},,",
+                f"t3,p0,a,{spelling},0,slow,,,,{spelling},,"]
+        path.write_text("\n".join([",".join(OUTCOME_HEADER), *rows]) + "\n",
                         encoding="utf-8", newline="")
         got, want = _both(_outcomes_result, fitting, path)
         assert got == want
@@ -639,13 +646,13 @@ class TestFastPathRuns:
         """The reach is parsed as a number, so its text may be of any
         length; 0.1 + 0.2 is written 0.30000000000000004."""
         reaches = [0.1 + 0.2, 0.25, 1 / 3, 0.2 + 1e-15]
-        rows = [f"t{i},p{i % 3},original,{reach!r},1,{i / 1000 - 0.01!r}"
+        rows = [f"t{i},p{i % 3},original,{reach!r},1,,,,,{i / 1000 - 0.01!r},,"
                 for i, reach in enumerate(reaches * 6)]
         path = tmp_path / "outcomes.csv"
-        path.write_text("\n".join(["trial_id,participant_id,condition,"
-                                   "target_reach_m,valid,distance_error_m",
-                                   *rows]) + "\n", encoding="utf-8")
-        assert max(len(repr(reach)) for reach in reaches) >= fitting._FIELD_CHARS
+        path.write_text("\n".join([",".join(OUTCOME_HEADER), *rows]) + "\n",
+                        encoding="utf-8")
+        text_chars = fitting._OUTCOME_DTYPE["participant_id"].itemsize // 4
+        assert max(len(repr(reach)) for reach in reaches) >= text_chars
         with _row_loop_only(fitting):
             want = _outcomes_result(path)
         calls = self._count_outcome_rows(monkeypatch)
@@ -654,32 +661,143 @@ class TestFastPathRuns:
         assert calls == []
         assert np.frombuffer(got[2]).tolist() == reaches * 6
 
-    def test_analyzed_outcomes_take_the_fast_path(self, tmp_path, monkeypatch):
-        """analyze writes rejected rows with empty numbers; they are dropped
-        before the numbers are parsed, so the file is not left to the row
-        loop."""
+    def _analyzed(self, tmp_path, bad_targets: bool):
+        """analyze's outcomes of a small simulated cohort; with bad_targets,
+        every fifth trial is a rejected row with empty numbers."""
         simdir = tmp_path / "sim"
         config = tmp_path / "sim.json"
         config.write_text('{"n_participants": 3, "repetitions": 2, "seed": 5}',
                           encoding="utf-8")
         assert main(["simulate", "--config", str(config), "--out",
                      str(simdir)]) == 0
-        targets = json.loads((simdir / "targets.json").read_text())
-        for trial_id in list(targets)[::5]:
-            targets[trial_id]["reach_m"] = -1.0
-        (simdir / "targets.json").write_text(json.dumps(targets))
+        if bad_targets:
+            targets = json.loads((simdir / "targets.json").read_text())
+            for trial_id in list(targets)[::5]:
+                targets[trial_id]["reach_m"] = -1.0
+            (simdir / "targets.json").write_text(json.dumps(targets))
         pose = tmp_path / "pose.json"
         pose.write_text('{"ipd_mm": 63}', encoding="utf-8")
         assert main(["analyze", "--input", str(simdir / "trajectories.csv"),
                      "--targets", str(simdir / "targets.json"),
                      "--eye-pose", str(pose), "--out",
                      str(tmp_path / "analysis")]) == 0
-        path = tmp_path / "analysis" / "outcomes.csv"
-        assert ",0,bad target,,,,,," in path.read_text(encoding="utf-8")
+        return tmp_path / "analysis" / "outcomes.csv"
+
+    def test_analyzed_outcomes_take_the_fast_path(self, tmp_path, monkeypatch):
+        """analyze's output without rejections is parsed in C."""
+        path = self._analyzed(tmp_path, bad_targets=False)
+        assert {row.split(",")[4] for row in
+                path.read_text(encoding="utf-8").splitlines()[1:]} == {"1"}
         with _row_loop_only(fitting):
             want = _outcomes_result(path)
         calls = self._count_outcome_rows(monkeypatch)
         assert _outcomes_result(path) == want
         assert main(["fit", "--input", str(path), "--out",
                      str(tmp_path / "fit")]) == 0
+        assert calls == []
+
+    def test_analyzed_rejections_take_the_row_loop(self, tmp_path,
+                                                   monkeypatch):
+        """analyze writes a rejected row with empty numbers, which the C
+        parse leaves to the row loop; the result is the row loop's."""
+        path = self._analyzed(tmp_path, bad_targets=True)
+        assert ",0,bad target,,,,,," in path.read_text(encoding="utf-8")
+        with _row_loop_only(fitting):
+            want = _outcomes_result(path)
+        calls = self._count_outcome_rows(monkeypatch)
+        assert _outcomes_result(path) == want
+        assert calls == [path]
+        assert main(["fit", "--input", str(path), "--out",
+                     str(tmp_path / "fit")]) == 0
+
+    def _count_trajectory_rows(self, monkeypatch) -> list:
+        calls = []
+        row_loop = kin._read_trajectory_rows
+        monkeypatch.setattr(kin, "_read_trajectory_rows",
+                            lambda p: calls.append(p) or row_loop(p))
+        return calls
+
+    @pytest.mark.parametrize("n_chars", [31, 32])
+    def test_trial_id_width(self, tmp_path, monkeypatch, n_chars):
+        """A trial id of 31 characters is parsed in C; one of 32 fills the
+        parsed field, may have been cut, and is left to the row loop."""
+        trial_id = "t" * (n_chars - 1) + "\u00fc"
+        rows = [f"{trial_id},{i / 250!r},0.0,0.0,{i / 1e3!r}"
+                for i in range(kin.MIN_SAMPLES + 5)]
+        path = tmp_path / "trajectories.csv"
+        path.write_text("\n".join(["trial_id,t,x,y,z", *rows]) + "\n",
+                        encoding="utf-8")
+        with _row_loop_only(kin):
+            want = _trajectory_result(path)
+        calls = self._count_trajectory_rows(monkeypatch)
+        got = _trajectory_result(path)
+        assert got == want
+        assert got[0][0][0] == trial_id
+        assert calls == ([] if n_chars < 32 else [path])
+
+    @pytest.mark.parametrize("comes_back", [False, True])
+    def test_trial_split_by_a_chunk_boundary(self, tmp_path, monkeypatch,
+                                             comes_back):
+        """With chunks of a few lines, a trial's rows span chunks and are
+        merged; a trial whose rows come back after another trial's leaves
+        the file to the row loop."""
+        order = ["a", "b", "a"] if comes_back else ["a", "b", "c"]
+        rows = [f"{trial_id},{i / 250!r},0.0,0.0,{i / 1e3!r}"
+                for trial_id in order for i in range(kin.MIN_SAMPLES + 5)]
+        if comes_back:   # the second run of a continues its timestamps
+            rows[-kin.MIN_SAMPLES - 5:] = [
+                f"a,{(kin.MIN_SAMPLES + 5 + i) / 250!r},0.0,0.0,{i / 1e3!r}"
+                for i in range(kin.MIN_SAMPLES + 5)]
+        path = tmp_path / "trajectories.csv"
+        path.write_text("\n".join(["trial_id,t,x,y,z", *rows]) + "\n",
+                        encoding="utf-8")
+        with _row_loop_only(kin):
+            want = _trajectory_result(path)
+        calls = self._count_trajectory_rows(monkeypatch)
+        monkeypatch.setattr(meshio, "_COLUMN_CHUNK", 100)
+        got = _trajectory_result(path)
+        assert got == want
+        assert [trial[0] for trial in got[0]] == sorted(set(order))
+        assert calls == ([path] if comes_back else [])
+
+    def test_benchmark_shaped_files_take_the_fast_path(self, tmp_path,
+                                                       monkeypatch):
+        """The files the benchmark's workloads read, at their sizes: a
+        12-participant simulate with trajectories and its analyze output
+        (every trial valid), two 250-participant cohorts joined as one
+        outcomes file with LF line ends, and a 90,000-row points CSV."""
+        calls = (self._count_trajectory_rows(monkeypatch)
+                 + self._count_outcome_rows(monkeypatch))
+        row_loop = meshio._read_point_rows
+        monkeypatch.setattr(meshio, "_read_point_rows",
+                            lambda p: calls.append(p) or row_loop(p))
+        (tmp_path / "sim.json").write_text('{"n_participants": 12, "seed": 0}',
+                                           encoding="utf-8")
+        (tmp_path / "pose.json").write_text('{"ipd_mm": 63.0}', encoding="utf-8")
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--out", str(tmp_path / "sim")]) == 0
+        assert main(["analyze", "--input", str(tmp_path / "sim" / "trajectories.csv"),
+                     "--targets", str(tmp_path / "sim" / "targets.json"),
+                     "--eye-pose", str(tmp_path / "pose.json"),
+                     "--out", str(tmp_path / "analysis")]) == 0
+        assert len(FitDataset.from_csv(tmp_path / "analysis" / "outcomes.csv")) == 576
+        parts = []
+        for condition, mixture in (("original", None),
+                                   ("transformed", (0.8, 0.1, 0.1))):
+            config = SimConfig(n_participants=250, seed=0, condition=condition,
+                               response_mixture=mixture)
+            participants = generate_participants(config)
+            write_dataset(tmp_path / condition, participants,
+                          generate_trials(config, participants))
+            text = (tmp_path / condition / "outcomes.csv").read_text(encoding="utf-8")
+            parts.append(text if not parts else text.split("\n", 1)[1])
+        (tmp_path / "cohort.csv").write_text("".join(parts), encoding="utf-8")
+        assert len(FitDataset.from_csv(tmp_path / "cohort.csv")) == 24_000
+        points = np.random.default_rng(0).uniform(0.3, 2.5, (90_000, 3))
+        (tmp_path / "points.csv").write_text(
+            "x,y,z\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in points.tolist()),
+            encoding="utf-8")
+        got = read_points_csv(tmp_path / "points.csv")
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), points.view(np.int64))
         assert calls == []

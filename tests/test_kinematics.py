@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter, filtfilt, lfilter_zi
 
@@ -578,6 +578,24 @@ class TestEyePose:
         with np.errstate(over="ignore"):
             expected = float(pose.eye_distance(reach))
         got = pose.eye_distance_at(reach)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=st.tuples(*[st.one_of(st.floats(-2.0, 2.0),
+                                       st.floats(allow_nan=True))] * 3),
+           behind=st.floats(-1.0, 1.0), above=st.floats(-1.0, 1.0),
+           lateral=st.floats(-1.0, 1.0))
+    # a square past the float range with a nan coordinate: numpy gives nan
+    @example(point=(0.0, 1.3407807929942597e+154, math.nan), behind=0.0,
+             above=0.0, lateral=0.0)
+    def test_scalar_distance_to_a_point_is_bitwise_the_numpy_distance(
+            self, point, behind, above, lateral):
+        """The scalar form _measure takes for the target and the hand."""
+        pose = EyePose(behind_m=behind, above_m=above, lateral_m=lateral)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = float(pose.eye_distance_of(*map(np.float64, point)))
+        got = pose._distance_to(*point)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
