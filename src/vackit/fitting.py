@@ -25,10 +25,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataFormatError, DomainError, FitError
-from .geometry import angles_at
+from .geometry import IPD_BOUND_M, angles_at
 from .kinematics import OUTCOME_HEADER, EyePose
 from .meshio import _column_chunks, _csv_records, _runs
-from .perception import fixated_distance_error
+from .perception import BETA_BOUND_RAD, fixated_distance_error
 
 __all__ = [
     "IdentifiabilityWarning",
@@ -51,7 +51,7 @@ VARIANT_ZERO_OFFSET = "zero-offset"
 VARIANTS = (VARIANT_WITH_OFFSET, VARIANT_ZERO_OFFSET)
 
 DEFAULT_IPD_BOUNDS = (0.045, 0.080)
-DEFAULT_BETA_BOUNDS = (-0.05, 0.05)
+DEFAULT_BETA_BOUNDS = (-BETA_BOUND_RAD, BETA_BOUND_RAD)
 DEFAULT_IPD_INIT = 0.063
 DEFAULT_TRAIN_FRACTION = 0.70
 
@@ -331,12 +331,16 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise DomainError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        # within the ranges EyeGeometry and PerturbationParams accept
         lo, hi = self.ipd_bounds
-        if not (0.0 < lo < hi):
-            raise DomainError(f"bad interpupillary bounds {self.ipd_bounds!r}")
+        if not (0.0 < lo < hi < IPD_BOUND_M):
+            raise DomainError(f"interpupillary bounds must satisfy 0 < low < high "
+                              f"< {IPD_BOUND_M} m, got {self.ipd_bounds!r}")
         blo, bhi = self.beta_bounds
-        if not (blo < 0.0 < bhi):
-            raise DomainError(f"offset bounds must straddle zero, got {self.beta_bounds!r}")
+        if not (-BETA_BOUND_RAD <= blo < 0.0 < bhi <= BETA_BOUND_RAD):
+            raise DomainError(f"offset bounds must straddle zero within "
+                              f"[-{BETA_BOUND_RAD}, {BETA_BOUND_RAD}] rad, "
+                              f"got {self.beta_bounds!r}")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 
+IPD_BOUND_M = 0.1
+
+
 @dataclass(frozen=True)
 class EyeGeometry:
     """Interpupillary distance and the cyclopean-eye frame it defines.
@@ -53,8 +56,8 @@ class EyeGeometry:
     ipd: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.ipd < 0.1):
-            raise DomainError(f"ipd must be in (0, 0.1) m, got {self.ipd!r}")
+        if not (0.0 < self.ipd < IPD_BOUND_M):
+            raise DomainError(f"ipd must be in (0, {IPD_BOUND_M}) m, got {self.ipd!r}")
 
     @property
     def half_ipd(self) -> float:

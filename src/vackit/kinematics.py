@@ -531,7 +531,9 @@ def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec
     share a sample rate and a length are filtered in blocks of
     BLOCK_TRIALS, whatever their t grids; the outcomes equal
     trial_outcome's for each trial on its own.  A threshold that is not
-    finite, or is negative, is a DomainError before any trial is filtered.
+    finite, or is negative, is a DomainError before any trial is filtered,
+    and so is a cutoff that is not finite and positive; one at or above a
+    block's Nyquist frequency is a DomainError when that block is filtered.
     """
     _check_threshold(threshold)
     ordered = sorted(trajectories, key=lambda tr: tr.trial_id)
@@ -573,6 +575,10 @@ def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec
                 [trial_eyes[i] for i in block], eye_pose, cutoff, threshold)
             for i, target, outcome in zip(block, block_targets, outcomes):
                 results[i] = AnalyzedTrial(target=target, outcome=outcome)
+    # each block's filter design refuses such a cutoff first; this refuses
+    # it when no trial reached a block
+    if not 0.0 < cutoff < math.inf:
+        raise DomainError(f"cutoff must be finite and > 0 Hz, got {cutoff!r}")
     return results
 
 

@@ -1,14 +1,14 @@
 """Mesh and point-cloud file I/O: ASCII OBJ and xyz CSV.
 
-The OBJ reader parses its ``v`` and ``f`` records in C with ``np.loadtxt``
-a bounded chunk of lines at a time (``_read_obj_columns``), and reruns a
-loop over the lines whenever that might not give the loop's mesh or
-error.  The three CSV readers, points here, trajectories in
-``kinematics`` and outcomes in ``fitting``, parse their rows in C through
-one chunk parser (``_column_chunks``) and rerun a loop over
-``_csv_records`` likewise.  Writers format ``_CHUNK_ROWS`` rows per ``%``
-operation.  Memory stays O(vertices + faces) in arrays, with no Python
-object per record.
+The OBJ reader parses its ``v`` records in C with ``np.loadtxt`` and its
+``f`` records with ``np.fromstring``, a bounded chunk of lines at a time
+(``_read_obj_columns``), and reruns a loop over the lines whenever that
+might not give the loop's mesh or error.  The three CSV readers, points
+here, trajectories in ``kinematics`` and outcomes in ``fitting``, parse
+their rows in C through one chunk parser (``_column_chunks``) and rerun a
+loop over ``_csv_records`` likewise.  Writers format ``_CHUNK_ROWS`` rows
+per ``%`` operation.  Memory stays O(vertices + faces) in arrays, with no
+Python object per record.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import warnings
 from array import array
 from itertools import islice
 from pathlib import Path
@@ -177,10 +178,6 @@ def read_obj(path: str | Path) -> MeshModel:
 # Unicode whitespace.
 _OBJ_PLAIN = bytes(range(0x20, 0x7f)) + b"\n"
 _V, _F, _N, _SLASH, _SPACE, _LF = b"vfn/ \n"
-# Bytes of face lines, once each token is cut at its first "/", that the
-# column parse reads: int() takes no others, and the np.loadtxt of NumPy 1.x
-# parses an int64 through a float ("1.0", "1.5e1") with only a warning.
-_FACE_PLAIN = b"f0123456789+- \n"
 
 
 def _read_obj_columns(fh) -> tuple | None:
@@ -191,14 +188,17 @@ def _read_obj_columns(fh) -> tuple | None:
     counts, vertices defined before each face, and the ``vn`` lines; or
     None whenever the line loop might read the file otherwise or fail on
     it: a byte outside _OBJ_PLAIN, a line that starts with a space, a bare
-    ``v`` or ``f``, a face with fewer than 3 vertices, a face byte outside
-    _FACE_PLAIN, a field np.loadtxt cannot parse (an empty one, from two
-    spaces in a row, included), or no vertices.  The caller then reruns the
-    loop, which alone words errors and numbers lines.
+    ``v`` or ``f``, a face with fewer than 3 vertices, a vertex field
+    np.loadtxt cannot parse (an empty one, from two spaces in a row,
+    included), a face reference np.fromstring cannot parse, face lines
+    that give fewer references than they hold spaces, or no vertices.  The
+    caller then reruns the loop, which alone words errors and numbers
+    lines.
 
     Each chunk's ``v`` lines go to one np.loadtxt call, and its ``f``
-    lines to one call per vertex count (its spaces) after each token is
-    cut at its first "/"; other lines are skipped, ``vn`` ones kept.
+    lines to one np.fromstring call once each token is cut at its first
+    "/" and each ``f`` tag is blanked; other lines are skipped, ``vn``
+    ones kept.
     """
     coords, refs, counts, face_nv, normal_lines = [], [], [], [], []
     n_vertices = 0
@@ -219,22 +219,34 @@ def _read_obj_columns(fh) -> tuple | None:
         if (((tag == _V) | (tag == _F)) & (after == _LF)).any():
             return None
         is_vertex = (tag == _V) & (after == _SPACE)
-        faces = np.flatnonzero((tag == _F) & (after == _SPACE))
+        is_face = (tag == _F) & (after == _SPACE)
         try:
             if is_vertex.any():
                 coords.append(np.loadtxt(
                     io.BytesIO(_joined(data, starts, ends, is_vertex)),
                     delimiter=" ", usecols=(1, 2, 3), ndmin=2, comments=None,
                     encoding="ascii"))
-            if len(faces):
+            if is_face.any():
                 spaces = np.flatnonzero(text == _SPACE)
-                n_refs = (np.searchsorted(spaces, ends[faces])
-                          - np.searchsorted(spaces, starts[faces]))
+                n_refs = (np.searchsorted(spaces, ends[is_face])
+                          - np.searchsorted(spaces, starts[is_face]))
                 if n_refs.min() < 3:
                     return None
-                refs.append(_face_refs(data, starts, ends, faces, n_refs))
+                lines = _cut_at_slash(_joined(data, starts, ends, is_face))
+                # A line gives no more values than it holds spaces, and a
+                # doubled or trailing space or an empty "/2" token gives
+                # fewer.  Unlike int(), a lone "+" or "-" reads as 0 or as
+                # the next value's sign, and a reference past int64 as
+                # 2**63 - 1: short or out of range, for the line loop to word.
+                # NumPy 1.x warns, not raises, on unmatched data, and stops.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    refs.append(np.fromstring(b" " + lines[1:].replace(b"\nf", b"\n "),
+                                              dtype=np.int64, sep=" "))
+                if len(refs[-1]) != n_refs.sum():
+                    return None
                 counts.append(n_refs)
-                face_nv.append(n_vertices + np.cumsum(is_vertex)[faces])
+                face_nv.append(n_vertices + np.cumsum(is_vertex)[is_face])
         except ValueError:
             return None
         third = text[np.minimum(starts + 2, len(text) - 1)]
@@ -260,32 +272,6 @@ def _joined(data: bytes, starts: np.ndarray, ends: np.ndarray,
     edges = np.flatnonzero(np.diff(take, prepend=False, append=False))
     return b"".join([data[a:b] for a, b in zip(starts[edges[::2]].tolist(),
                                                 ends[edges[1::2] - 1].tolist())])
-
-
-def _face_refs(data: bytes, starts: np.ndarray, ends: np.ndarray,
-               faces: np.ndarray, n_refs: np.ndarray) -> np.ndarray:
-    """The vertex references of a chunk's face lines, concatenated in order.
-
-    data is the chunk, starts and ends bound its lines, faces are the
-    indices of its face lines and n_refs their vertex counts.  Faces with
-    the same count are parsed in one np.loadtxt call.
-    Raises ValueError on a byte outside _FACE_PLAIN, or a reference
-    np.loadtxt cannot parse as int64.
-    """
-    out = np.empty(int(n_refs.sum()), dtype=np.int64)
-    first = np.cumsum(n_refs) - n_refs
-    for n in np.unique(n_refs).tolist():
-        same = n_refs == n
-        take = np.zeros(len(starts), dtype=bool)
-        take[faces[same]] = True
-        group = _cut_at_slash(_joined(data, starts, ends, take))
-        if group.translate(None, _FACE_PLAIN):
-            raise ValueError("needs the line loop")
-        out[(first[same][:, None] + np.arange(n)).ravel()] = np.loadtxt(
-            io.BytesIO(group), dtype=np.int64, delimiter=" ",
-            usecols=range(1, n + 1), ndmin=2, comments=None,
-            encoding="ascii").ravel()
-    return out
 
 
 def _cut_at_slash(data: bytes) -> bytes:

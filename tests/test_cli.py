@@ -412,6 +412,22 @@ class TestAnalyze:
             args += [f"--{key.replace('_', '-')}", value]
         return args
 
+    @pytest.mark.parametrize("cutoff", ["nan", "inf", "0", "-10"])
+    def test_bad_cutoff_exits_one_without_a_trial_filtered(self, simulated,
+                                                           tmp_path, capsys,
+                                                           cutoff):
+        # with no targets no trial reaches the filter, whose Nyquist check
+        # once was the only one: nan exited 0 with every trial rejected
+        args = self._analyze_args(simulated, tmp_path, tmp_path / "out",
+                                  cutoff_hz=cutoff)
+        args[args.index("--targets") + 1] = _write_json(
+            tmp_path / "targets.json", {})
+        assert main(args) == 1
+        err, = capsys.readouterr().err.splitlines()
+        assert err == (f"vackit: error: cutoff must be finite and > 0 Hz, "
+                       f"got {float(cutoff)!r}")
+        assert not (tmp_path / "out" / "outcomes.csv").exists()
+
     def test_pipeline_reproduces_simulated_outcomes(self, simulated,
                                                     tmp_path, capsys):
         outdir = tmp_path / "analysis"
@@ -654,7 +670,10 @@ class TestFit:
         assert code == 0
         assert "beta = +0.0000 deg" in capsys.readouterr().out
         assert not (outdir / "comparison.csv").exists()
-        assert (outdir / "fit_original_zero-offset.json").is_file()
+        # the zero-offset variant predicts zero everywhere and is not solved
+        payload = json.loads((outdir / "fit_original_zero-offset.json")
+                             .read_text(encoding="utf-8"))
+        assert (payload["n_iter"], payload["stop_reason"]) == (0, "closed_form")
 
     @pytest.mark.parametrize("variant", ["both", "with-offset"])
     def test_unconverged_fit_flagged(self, outcomes, tmp_path, monkeypatch,
@@ -823,32 +842,65 @@ class TestFit:
 
     @pytest.mark.parametrize("variant", ["both", "with-offset",
                                          "zero-offset"])
-    @pytest.mark.parametrize("reaches, repetitions, half, n_rows", [
-        ([0.20, 0.25], 1, "test", 0),
-        ([0.25], 4, "test", 3),
-        ([0.25], 1, "training", 3),
-    ], ids=["one-row-cells", "one-reach", "one-trial"])
-    def test_short_split_exits_one(self, tmp_path, capsys, variant, reaches,
-                                   repetitions, half, n_rows):
+    @pytest.mark.parametrize("participants, reaches, repetitions, half, "
+                             "n_rows", [
+        (3, [0.20, 0.25], 1, "test", 0),
+        (3, [0.25], 4, "test", 3),
+        (3, [0.25], 1, "training", 3),
+        (1, [0.20, 0.30], 2, "training", 2),
+    ], ids=["one-row-cells", "one-reach", "one-trial", "with-offset-only"])
+    def test_short_split_exits_one(self, tmp_path, capsys, variant,
+                                   participants, reaches, repetitions, half,
+                                   n_rows):
         # one-row cells go to training whole, so a test split can be empty
         sim = tmp_path / "sim"
         cfg = _write_json(tmp_path / "sim.json", {
-            "n_participants": 3, "repetitions": repetitions,
+            "n_participants": participants, "repetitions": repetitions,
             "reach_distances_m": reaches, "write_trajectories": False})
         assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
         capsys.readouterr()
         code = main(["fit", "--input", str(sim / "outcomes.csv"),
                      "--variant", variant, "--out", str(tmp_path / "fits")])
-        assert code == 1
-        err, = capsys.readouterr().err.splitlines()
         # both fits its with-offset variant first
         fitted = "zero-offset" if variant == "zero-offset" else "with-offset"
-        k = 3 if fitted == "zero-offset" else 4
+        k = participants + (fitted == "with-offset")
+        if n_rows > k:
+            # the split is short for the with-offset k only: the zero-offset
+            # fit alone runs, while both, which scores the two, exits 1
+            assert code == 0
+            assert (tmp_path / "fits" / "fit_original_zero-offset.json").is_file()
+            return
+        assert code == 1
+        err, = capsys.readouterr().err.splitlines()
         assert err == (
             f"vackit: error: the {half} split has {n_rows} rows, not more "
             f"than the k={k} parameters of the {fitted} fit: each "
             f"(participant, reach) cell splits at the train fraction, and a "
             f"cell of one row goes to training whole")
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"ipd_bounds_mm": [58, math.inf]}, "interpupillary bounds"),
+        ({"ipd_bounds_mm": [58, 100]}, "interpupillary bounds"),
+        ({"ipd_bounds_mm": [58, 1000]}, "interpupillary bounds"),
+        ({"ipd_bounds_mm": [-math.inf, 68]}, "interpupillary bounds"),
+        ({"beta_bounds_deg": [-3, 3]}, "offset bounds"),
+        ({"beta_bounds_deg": [-math.inf, 1]}, "offset bounds"),
+    ], ids=["ipd-inf", "ipd-100mm", "ipd-1000mm", "ipd-minus-inf",
+            "beta-3deg", "beta-minus-inf"])
+    @pytest.mark.parametrize("variant", ["both", "with-offset"])
+    def test_bounds_the_geometry_refuses_exit_one(self, outcomes, tmp_path,
+                                                  capsys, payload, message,
+                                                  variant):
+        # an IPD of 0.1 m or more, or an offset of 0.05 rad or more, is one
+        # EyeGeometry or PerturbationParams refuses; [58, Infinity] once
+        # gave a converged fit with an IPD of 3.8e9 mm
+        cfg = _write_json(tmp_path / "fit.json", payload)
+        code = main(["fit", "--input", str(outcomes), "--config", cfg,
+                     "--variant", variant, "--out", str(tmp_path / "fits")])
+        assert code == 1
+        err, = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"vackit: error: {message} must ")
+        assert not list((tmp_path / "fits").glob("fit_*.json"))
 
     def test_bad_header_exits_two_with_line(self, tmp_path, capsys):
         bad = tmp_path / "outcomes.csv"

@@ -224,11 +224,13 @@ def outcome_files(draw) -> bytes:
         draw(_edited(rows, 1))))
 
 
-# Face tokens int() and a C parser could read apart: a sign, an
-# underscore, a non-ASCII digit, a float, a ref beyond int64, an empty
-# vertex part, a comment mark.
-FACE_SPELLINGS = ["+5", "1_0", "\u0663", "1" * 23, "-" + "9" * 22, "1.0", "0",
-                  "-0", "/2", "", "#1", "0x1", "2\u2028", "3\x85"]
+# Face tokens int() and a C parser could read apart: a sign, a lone sign,
+# an underscore, a non-ASCII digit, a float, a ref beyond int64 (2**64 + 1
+# reads as 1 if the parse wraps), an empty vertex part, a comment mark, a
+# trailing letter.
+FACE_SPELLINGS = ["+5", "+", "-", "1_0", "\u0663", "1" * 23, "-" + "9" * 22,
+                  "18446744073709551617", "1.0", "0", "-0", "/2", "", "#1",
+                  "0x1", "1f", "2\u2028", "3\x85"]
 OTHER_LINES = ["vt 0.5 0.5", "g part", "o object", "usemtl skin", "# note",
                "vn 0 0 1", "vn 0.0 -1.0 0.0 ", "", "s off", "vnx 1", "vn"]
 # Line hazards: tabs and other whitespace splitting alone accepts, double,
@@ -434,6 +436,21 @@ class TestFastPathMatchesRowLoop:
                         encoding="utf-8", newline="")
         got, want = _both(_outcomes_result, fitting, path)
         assert got == want
+
+    @pytest.mark.parametrize("spelling", FACE_SPELLINGS)
+    def test_face_spellings(self, tmp_path, spelling):
+        """Each face spelling as the first, a middle and the last reference
+        of a face between two plain ones, bare and with a "//1" tail."""
+        path = tmp_path / "mesh.obj"
+        for k in range(3):
+            for tail in ("", "//1"):
+                refs = ["1", "2", "3"]
+                refs[k] = spelling + tail
+                path.write_text("v 0 0 1\nv 1 0 1\nv 0 1 1\nv 1 1 1\nf 1 2 3\n"
+                                f"f {' '.join(refs)}\nf 2 3 4\n",
+                                encoding="utf-8", newline="")
+                got, want = _both(_obj_result, meshio, path)
+                assert got == want, (k, tail)
 
     @pytest.mark.parametrize("text", [
         "trial_id,t,x,y,z\na,0,0,0,0\nb,0,0,0,0\na,0.004,0,0,0\n",
@@ -801,3 +818,69 @@ class TestFastPathRuns:
         assert got.flags.c_contiguous
         assert np.array_equal(got.view(np.int64), points.view(np.int64))
         assert calls == []
+
+    def _analyze(self, tmp_path, trajectories, targets, out: str) -> bytes:
+        pose = tmp_path / "pose.json"
+        pose.write_text('{"ipd_mm": 63}', encoding="utf-8")
+        assert main(["analyze", "--input", str(trajectories), "--targets",
+                     str(targets), "--eye-pose", str(pose), "--out",
+                     str(tmp_path / out)]) == 0
+        return (tmp_path / out / "outcomes.csv").read_bytes()
+
+    def test_quoted_trial_ids_keep_the_outcomes_bytes(self, tmp_path,
+                                                      monkeypatch):
+        """With every trial id quoted, trajectories.csv takes the row loop,
+        and analyze writes the outcomes.csv of the C parse byte for byte."""
+        path = _simulated(tmp_path)
+        plain = self._analyze(tmp_path, path, tmp_path / "targets.json",
+                              "plain")
+        header, *rows = path.read_text(encoding="utf-8").splitlines(True)
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text(header + "".join('"' + row.replace(",", '",', 1)
+                                           for row in rows),
+                          encoding="utf-8", newline="")
+        calls = self._count_trajectory_rows(monkeypatch)
+        assert self._analyze(tmp_path, quoted, tmp_path / "targets.json",
+                             "quoted") == plain
+        assert calls == [quoted]
+
+    def test_trial_id_with_a_comma_is_written_quoted(self, tmp_path,
+                                                     monkeypatch):
+        """A quoted trial id holding a comma takes the row loop, and
+        analyze writes it quoted."""
+        rows = [f'"p0,a",{i / 250:.3f},0.0,0.0,{max(i - 20, 0) / 400:.4f}'
+                for i in range(60)]
+        path = tmp_path / "quoted.csv"
+        path.write_text("\n".join(["trial_id,t,x,y,z", *rows]) + "\n",
+                        encoding="utf-8")
+        targets = tmp_path / "targets.json"
+        targets.write_text('{"p0,a": {"reach_m": 0.1}}', encoding="utf-8")
+        calls = self._count_trajectory_rows(monkeypatch)
+        outcomes = self._analyze(tmp_path, path, targets, "out").decode()
+        assert outcomes.splitlines()[1].startswith('"p0,a",')
+        assert calls == [path]
+
+    @pytest.mark.parametrize("cohort", ["analyzed", "joined"])
+    def test_quoted_participant_ids_keep_the_fit_bytes(self, tmp_path,
+                                                       monkeypatch, cohort):
+        """With every participant id quoted, an outcomes file takes the row
+        loop, and fit writes the fits of the C parse byte for byte: for
+        analyze's output, and for an original and a transformed cohort
+        joined as the benchmark joins them."""
+        path = (self._analyzed(tmp_path, bad_targets=False)
+                if cohort == "analyzed" else _simulated_outcomes(tmp_path))
+        header, *rows = path.read_text(encoding="utf-8").splitlines(True)
+        quoted = tmp_path / "quoted_outcomes.csv"
+        quoted.write_text(header + "".join(
+            '{},"{}",{}'.format(*row.split(",", 2)) for row in rows),
+            encoding="utf-8", newline="")
+        calls = self._count_outcome_rows(monkeypatch)
+        fits = {}
+        for name, source in (("plain", path), ("quoted", quoted)):
+            assert main(["fit", "--input", str(source), "--out",
+                         str(tmp_path / name)]) == 0
+            fits[name] = {p.name: p.read_bytes() for p in
+                          (tmp_path / name).glob("[cf]*")}
+        assert calls == [quoted]
+        assert len(fits["plain"]) == (3 if cohort == "analyzed" else 5)
+        assert fits["quoted"] == fits["plain"]

@@ -37,6 +37,7 @@ import vackit
 from vackit.errors import DataFormatError, DomainError
 from vackit.fitting import (
     COMPARISON_HEADER,
+    DEFAULT_BETA_BOUNDS,
     DEFAULT_IPD_BOUNDS,
     FitDataset,
     IdentifiabilityWarning,
@@ -52,7 +53,7 @@ from vackit.fitting import (
     write_fit_json,
 )
 from vackit.kinematics import EyePose
-from vackit.perception import fixated_distance_error
+from vackit.perception import BETA_BOUND_RAD, fixated_distance_error
 
 from lm_reference import (
     dense_jacobian,
@@ -449,6 +450,27 @@ class TestModelSpec:
             ModelSpec(ipd_bounds=(0.08, 0.045))
         with pytest.raises(DomainError):
             ModelSpec(beta_bounds=(0.01, 0.05))
+
+    @pytest.mark.parametrize("bounds", [
+        (0.058, math.inf), (0.058, 0.1), (0.058, 0.3), (-math.inf, 0.068),
+        (0.0, 0.068), (math.nan, 0.068), (0.058, math.nan)])
+    def test_ipd_bounds_inside_eye_geometry(self, bounds):
+        # EyeGeometry refuses an IPD of 0.1 m or more
+        with pytest.raises(DomainError, match="interpupillary bounds"):
+            ModelSpec(ipd_bounds=bounds)
+
+    @pytest.mark.parametrize("bounds", [
+        (-math.inf, 0.01), (-0.01, math.inf), (-0.01, math.nan),
+        (-0.01, math.nextafter(BETA_BOUND_RAD, 1.0)),
+        (-math.nextafter(BETA_BOUND_RAD, 1.0), 0.01)])
+    def test_beta_bounds_inside_the_offset_bound(self, bounds):
+        with pytest.raises(DomainError, match="offset bounds"):
+            ModelSpec(beta_bounds=bounds)
+
+    def test_widest_bounds_accepted(self):
+        spec = ModelSpec(ipd_bounds=(1e-9, math.nextafter(0.1, 0.0)),
+                         beta_bounds=(-BETA_BOUND_RAD, BETA_BOUND_RAD))
+        assert spec.beta_bounds == DEFAULT_BETA_BOUNDS
 
 
 class TestGoodnessOfFit:

@@ -229,6 +229,12 @@ class TestLowpassFilter:
                 analyze_trials([traj], {traj.trial_id: target}, EYES, POSE,
                                cutoff=cutoff)
 
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, math.inf, math.nan])
+    def test_cutoff_checked_when_no_trial_is_filtered(self, cutoff):
+        # without a target no trial reaches a block's Nyquist check
+        with pytest.raises(DomainError, match=r"cutoff must be finite and > 0 Hz"):
+            analyze_trials([_sine_trajectory(1.0)], {}, EYES, POSE, cutoff=cutoff)
+
     def test_matches_one_dimensional_filtfilt(self):
         traj = _noisy_trajectory(0.25, 0.4, np.random.default_rng(1))
         out = lowpass_filter(traj, 8.0)
