@@ -44,7 +44,7 @@ from .fitting import (
     write_comparison_csv,
     write_fit_json,
 )
-from .geometry import EyeGeometry
+from .geometry import IPD_BOUND_M, EyeGeometry
 from .kinematics import (
     DEFAULT_CUTOFF_HZ,
     DEFAULT_THRESHOLD,
@@ -57,7 +57,7 @@ from .kinematics import (
     write_summary_csv,
 )
 from .meshio import _ENCODING, read_obj, read_points_csv, write_obj, write_points_csv
-from .perception import PerturbationParams
+from .perception import BETA_BOUND_RAD, PerturbationParams
 from .synth import (
     SimConfig,
     generate_participants,
@@ -137,11 +137,6 @@ def _mm(value) -> float:
 
 def _floats(value) -> tuple[float, ...]:
     return tuple(map(_json_float, value))
-
-
-def _pair(value) -> tuple[float, float]:
-    lo, hi = _floats(value)
-    return lo, hi
 
 
 def _optional_float(value) -> float | None:
@@ -347,11 +342,30 @@ def _identifiability_notes(condition: str, caught: list) -> list[str]:
     return list(dict.fromkeys(notes))
 
 
+def _ipd_bounds(value) -> tuple[float, float]:
+    """ipd_bounds_mm in metres, inside (0, IPD_BOUND_M) as EyeGeometry holds."""
+    lo, hi = bounds = tuple(x / 1000.0 for x in _floats(value))
+    if not 0.0 < lo < hi < IPD_BOUND_M:
+        raise ValueError(f"must satisfy 0 < low < high < {IPD_BOUND_M * 1000:g} "
+                         f"mm, got {value}")
+    return bounds
+
+
+def _beta_bounds(value) -> tuple[float, float]:
+    """beta_bounds_deg in radians, straddling zero within BETA_BOUND_RAD as
+    PerturbationParams holds; degrees(BETA_BOUND_RAD) converts to just past
+    that bound, so it is clipped onto it."""
+    lo, hi = _floats(value)
+    limit = math.degrees(BETA_BOUND_RAD)
+    if not (-limit <= lo and math.radians(lo) < 0.0 < math.radians(hi) and hi <= limit):
+        raise ValueError(f"must straddle zero within +-{limit!r} deg, got {value}")
+    return max(math.radians(lo), -BETA_BOUND_RAD), min(math.radians(hi), BETA_BOUND_RAD)
+
+
 # fit config key -> (ModelSpec attribute, converter from surface units)
 _FIT_FIELDS = {
-    "ipd_bounds_mm": ("ipd_bounds", lambda v: tuple(x / 1000.0 for x in _pair(v))),
-    "beta_bounds_deg": ("beta_bounds",
-                        lambda v: tuple(math.radians(x) for x in _pair(v))),
+    "ipd_bounds_mm": ("ipd_bounds", _ipd_bounds),
+    "beta_bounds_deg": ("beta_bounds", _beta_bounds),
     "eye_pose": ("eye_pose", _eye_pose_from_dict),
 }
 

@@ -238,16 +238,19 @@ def _read_obj_columns(fh) -> tuple | None:
                 # fewer.  Unlike int(), a lone "+" or "-" reads as 0 or as
                 # the next value's sign, and a reference past int64 as
                 # 2**63 - 1: short or out of range, for the line loop to word.
-                # NumPy 1.x warns, not raises, on unmatched data, and stops.
+                # NumPy 2 raises on any other byte; NumPy 1.x instead warns
+                # and keeps what it read, which can match the count when the
+                # bad token is the last one ("f 1 2 1_0" as 1 2 1), so the
+                # warning is raised too.
                 with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
+                    warnings.simplefilter("error", DeprecationWarning)
                     refs.append(np.fromstring(b" " + lines[1:].replace(b"\nf", b"\n "),
                                               dtype=np.int64, sep=" "))
                 if len(refs[-1]) != n_refs.sum():
                     return None
                 counts.append(n_refs)
                 face_nv.append(n_vertices + np.cumsum(is_vertex)[is_face])
-        except ValueError:
+        except (ValueError, DeprecationWarning):
             return None
         third = text[np.minimum(starts + 2, len(text) - 1)]
         is_normal = (tag == _V) & (after == _N) & ((third == _SPACE) | (third == _LF))

@@ -878,20 +878,21 @@ class TestFit:
             f"(participant, reach) cell splits at the train fraction, and a "
             f"cell of one row goes to training whole")
 
-    @pytest.mark.parametrize("payload, message", [
-        ({"ipd_bounds_mm": [58, math.inf]}, "interpupillary bounds"),
-        ({"ipd_bounds_mm": [58, 100]}, "interpupillary bounds"),
-        ({"ipd_bounds_mm": [58, 1000]}, "interpupillary bounds"),
-        ({"ipd_bounds_mm": [-math.inf, 68]}, "interpupillary bounds"),
-        ({"beta_bounds_deg": [-3, 3]}, "offset bounds"),
-        ({"beta_bounds_deg": [-math.inf, 1]}, "offset bounds"),
+    @pytest.mark.parametrize("payload, key", [
+        ({"ipd_bounds_mm": [58, math.inf]}, "ipd_bounds_mm"),
+        ({"ipd_bounds_mm": [58, 100]}, "ipd_bounds_mm"),
+        ({"ipd_bounds_mm": [58, 1000]}, "ipd_bounds_mm"),
+        ({"ipd_bounds_mm": [-math.inf, 68]}, "ipd_bounds_mm"),
+        ({"beta_bounds_deg": [-3, 3]}, "beta_bounds_deg"),
+        ({"beta_bounds_deg": [-2.8648, 2.8648]}, "beta_bounds_deg"),
+        ({"beta_bounds_deg": [-math.inf, 1]}, "beta_bounds_deg"),
     ], ids=["ipd-inf", "ipd-100mm", "ipd-1000mm", "ipd-minus-inf",
-            "beta-3deg", "beta-minus-inf"])
+            "beta-3deg", "beta-rounded-up", "beta-minus-inf"])
     @pytest.mark.parametrize("variant", ["both", "with-offset"])
     def test_bounds_the_geometry_refuses_exit_one(self, outcomes, tmp_path,
-                                                  capsys, payload, message,
+                                                  capsys, payload, key,
                                                   variant):
-        # an IPD of 0.1 m or more, or an offset of 0.05 rad or more, is one
+        # an IPD of 0.1 m or more, or an offset past 0.05 rad, is one
         # EyeGeometry or PerturbationParams refuses; [58, Infinity] once
         # gave a converged fit with an IPD of 3.8e9 mm
         cfg = _write_json(tmp_path / "fit.json", payload)
@@ -899,8 +900,34 @@ class TestFit:
                      "--variant", variant, "--out", str(tmp_path / "fits")])
         assert code == 1
         err, = capsys.readouterr().err.splitlines()
-        assert err.startswith(f"vackit: error: {message} must ")
+        unit = "mm" if key == "ipd_bounds_mm" else "deg"
+        assert err.startswith(f"vackit: error: bad fit config field {key}: must ")
+        assert f" {unit}" in err
         assert not list((tmp_path / "fits").glob("fit_*.json"))
+
+    def test_bounds_refused_before_the_outcomes_are_read(self, tmp_path,
+                                                         capsys):
+        cfg = _write_json(tmp_path / "fit.json", {"ipd_bounds_mm": [58, 100]})
+        code = main(["fit", "--input", str(tmp_path / "missing.csv"),
+                     "--config", cfg, "--out", str(tmp_path / "fits")])
+        assert code == 1
+        assert "ipd_bounds_mm" in capsys.readouterr().err
+
+    def test_widest_documented_offset_bounds_are_the_default(self, outcomes,
+                                                             tmp_path):
+        # the README's widest beta_bounds_deg, degrees(0.05), converts to a
+        # hair past 0.05 rad; it is accepted and fits as the default does
+        widest = math.degrees(0.05)
+        assert widest == 2.8647889756541165
+        cfg = _write_json(tmp_path / "fit.json",
+                          {"beta_bounds_deg": [-widest, widest]})
+        fits = {}
+        for name, extra in (("widest", ["--config", cfg]), ("default", [])):
+            outdir = tmp_path / name
+            assert main(["fit", "--input", str(outcomes), *extra,
+                         "--out", str(outdir)]) == 0
+            fits[name] = (outdir / "fit_original_with-offset.json").read_bytes()
+        assert fits["widest"] == fits["default"]
 
     def test_bad_header_exits_two_with_line(self, tmp_path, capsys):
         bad = tmp_path / "outcomes.csv"

@@ -440,17 +440,43 @@ class TestFastPathMatchesRowLoop:
     @pytest.mark.parametrize("spelling", FACE_SPELLINGS)
     def test_face_spellings(self, tmp_path, spelling):
         """Each face spelling as the first, a middle and the last reference
-        of a face between two plain ones, bare and with a "//1" tail."""
+        of a face, bare and with a "//1" tail; the face lies between two
+        plain ones or is the file's last line, where the bad token is the
+        last the face parse reads."""
         path = tmp_path / "mesh.obj"
         for k in range(3):
             for tail in ("", "//1"):
-                refs = ["1", "2", "3"]
-                refs[k] = spelling + tail
-                path.write_text("v 0 0 1\nv 1 0 1\nv 0 1 1\nv 1 1 1\nf 1 2 3\n"
-                                f"f {' '.join(refs)}\nf 2 3 4\n",
-                                encoding="utf-8", newline="")
-                got, want = _both(_obj_result, meshio, path)
-                assert got == want, (k, tail)
+                for after in ("f 2 3 4\n", ""):
+                    refs = ["1", "2", "3"]
+                    refs[k] = spelling + tail
+                    path.write_text("v 0 0 1\nv 1 0 1\nv 0 1 1\nv 1 1 1\n"
+                                    f"f 1 2 3\nf {' '.join(refs)}\n{after}",
+                                    encoding="utf-8", newline="")
+                    got, want = _both(_obj_result, meshio, path)
+                    assert got == want, (k, tail, after)
+
+    @pytest.mark.parametrize("face, kept", [
+        ("f 1 2 1_0", [1, 2, 1]), ("f 1 2 3.0", [1, 2, 3]),
+        ("f 1 2 3f", [1, 2, 3])])
+    def test_face_parse_that_warns_and_stops(self, tmp_path, face, kept):
+        """NumPy 1.x's np.fromstring warns on unmatched data and keeps what
+        it read, so a bad last reference still gives one value per space:
+        the warning alone sends the file to the line loop."""
+        path = tmp_path / "mesh.obj"
+        path.write_text(f"v 0 0 1\nv 1 0 1\nv 0 1 1\n{face}\n",
+                        encoding="utf-8", newline="")
+
+        def warn_and_stop(string, dtype, sep):
+            warnings.warn("string or file could not be read to its end due "
+                          "to unmatched data", DeprecationWarning, stacklevel=2)
+            return np.array(kept, dtype=dtype)
+
+        with mock.patch.object(meshio.np, "fromstring", warn_and_stop):
+            got = _obj_result(path)
+        with _row_loop_only(meshio):
+            want = _obj_result(path)
+        assert got == want
+        assert want[0] is meshio.DataFormatError
 
     @pytest.mark.parametrize("text", [
         "trial_id,t,x,y,z\na,0,0,0,0\nb,0,0,0,0\na,0.004,0,0,0\n",
