@@ -54,9 +54,9 @@ MIN_SAMPLES = 25
 # trials filtered together by analyze_trials and synth.generate_trajectories;
 # the filter's Python loop steps once per sample over the whole block, so
 # small blocks pay for it.  Peak memory grows with this and with the trial
-# length (the filter holds three block-sized arrays: about 8 MB for 512
-# trials of 221 samples, about 300 MB for 512 of 8,001), not with the batch
-# size.
+# length (one padded copy of the block, filtered in place, and a gradient
+# as large: about 6 MB for 512 trials of 221 samples, about 200 MB for 512
+# of 8,001), not with the batch size.
 BLOCK_TRIALS = 512
 # odd-extension length at each end of a filtered series: scipy filtfilt's
 # default, 3 * max(len(a), len(b)) for an order-2 filter
@@ -275,26 +275,54 @@ def _lowpass_design(sample_rate: float,
 
 
 def _lfilter_rows(b: np.ndarray, a: np.ndarray, zi: np.ndarray,
-                  x: np.ndarray) -> np.ndarray:
-    """Direct-form-II-transposed filter down axis 0 of a time-major array.
+                  x: np.ndarray) -> None:
+    """Direct-form-II-transposed filter, in place, down axis 0 of x.
 
     The initial state is zi * x[0], and each step does scipy's C loop's
-    operations in its order, so every series comes out as
+    operations on the same operands (a row's x terms are taken before its
+    output overwrites it), so every series comes out as
     scipy.signal.lfilter(b, a, series, zi=zi * series[0]) does.
     """
     b0, b1, b2 = b.tolist()
     a1, a2 = a[1:].tolist()
-    y = np.empty(x.shape)
     z0, z1 = zi[0] * x[0], zi[1] * x[0]
-    xb, ya = np.empty_like(z0), np.empty_like(z0)
-    for xk, yk in zip(x, y):
+    w, xb, ya = np.empty_like(z0), np.empty_like(z0), np.empty_like(z0)
+    for xk in x:
         # y = z0 + b0·x;  z0 = z1 + x·b1 − y·a1;  z1 = x·b2 − y·a2
-        np.add(z0, np.multiply(xk, b0, out=xb), out=yk)
-        np.add(z1, np.multiply(xk, b1, out=xb), out=z0)
-        z0 -= np.multiply(yk, a1, out=ya)
+        np.add(z1, np.multiply(xk, b1, out=xb), out=w)
         np.multiply(xk, b2, out=z1)
-        z1 -= np.multiply(yk, a2, out=ya)
-    return y
+        np.add(z0, np.multiply(xk, b0, out=xb), out=xk)
+        z0, w = w, z0
+        z0 -= np.multiply(xk, a1, out=ya)
+        z1 -= np.multiply(xk, a2, out=ya)
+
+
+def _padded_series(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """An empty (n + 18, m) array for _lowpass_in_place, and its middle
+    rows as a view of the given (..., n) shape of m series."""
+    *stack, n = shape
+    padded = np.empty((n + 2 * _PADLEN, math.prod(stack)))
+    return padded, np.moveaxis(padded.reshape(len(padded), *stack), 0, -1)[
+        ..., _PADLEN:-_PADLEN]
+
+
+def _lowpass_in_place(x: np.ndarray, sample_rate: float,
+                      cutoff: float) -> None:
+    """Zero-phase low-pass, in place, of the m series held in the middle n
+    rows of a time-major (n + 18, m) float64 array.
+
+    Bit for bit scipy.signal.filtfilt(b, a, x[9:-9], axis=0) with the
+    order-2 Butterworth (b, a): the 9-sample odd extensions go into the end
+    rows, then the forward and the reversed pass run in place, each step
+    one row operation over every series.  Raises DomainError if the cutoff
+    is not inside (0, sample_rate/2).
+    """
+    b, a, zi = _lowpass_design(sample_rate, cutoff)
+    mid = x[_PADLEN:-_PADLEN]
+    np.subtract(2 * mid[:1], mid[_PADLEN:0:-1], out=x[:_PADLEN])
+    np.subtract(2 * mid[-1:], mid[-2:-_PADLEN - 2:-1], out=x[-_PADLEN:])
+    _lfilter_rows(b, a, zi, x)
+    _lfilter_rows(b, a, zi, x[::-1])
 
 
 def lowpass_block(samples: np.ndarray, sample_rate: float,
@@ -302,31 +330,27 @@ def lowpass_block(samples: np.ndarray, sample_rate: float,
     """Zero-phase low-pass of every series in a stack, along the last axis.
 
     Bit for bit scipy.signal.filtfilt(b, a, samples, axis=-1) with the
-    order-2 Butterworth (b, a): an odd extension of 9 samples at each end,
-    a forward pass, a pass over the reversed output, padding stripped.  The
-    data run time-major, so each step is one row operation over every
-    series, and a (k, 3, n) block of k trials costs one loop instead of 3k.
+    order-2 Butterworth (b, a): the series are copied time-major into one
+    padded array, filtered there by _lowpass_in_place, and copied out.
 
     Raises:
         DomainError: If the cutoff is not inside (0, sample_rate/2).
         ValueError: If the series have 9 samples or fewer.
     """
-    b, a, zi = _lowpass_design(sample_rate, cutoff)
     samples = np.asarray(samples, dtype=np.float64)
-    n = samples.shape[-1]
-    if n <= _PADLEN:
+    if samples.shape[-1] <= _PADLEN:
+        _lowpass_design(sample_rate, cutoff)  # a bad cutoff is named first
         raise ValueError("The length of the input vector x must be greater "
                          f"than padlen, which is {_PADLEN}.")
-    x = samples.reshape(-1, n).T
-    y = _lfilter_rows(b, a, zi, np.concatenate((
-        2 * x[:1] - x[_PADLEN:0:-1], x, 2 * x[-1:] - x[-2:-_PADLEN - 2:-1])))
-    y = _lfilter_rows(b, a, zi, y[::-1])[::-1]
-    return np.ascontiguousarray(y[_PADLEN:-_PADLEN].T).reshape(samples.shape)
+    padded, series = _padded_series(samples.shape)
+    series[...] = samples
+    _lowpass_in_place(padded, sample_rate, cutoff)
+    return np.ascontiguousarray(series)
 
 
 def _velocity(samples: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d/dt along the last axis: central differences, second-order ends."""
-    return np.gradient(samples, t, axis=-1, edge_order=2)
+    """d/dt down axis 0: central differences, second-order ends."""
+    return np.gradient(samples, t, axis=0, edge_order=2)
 
 
 def lowpass_filter(traj: Trajectory, cutoff: float = DEFAULT_CUTOFF_HZ) -> Trajectory:
@@ -352,7 +376,7 @@ def differentiate(traj: Trajectory) -> VelocitySeries:
     """
     if len(traj) < 3:
         raise DomainError(f"trial {traj.trial_id}: need >= 3 samples to differentiate")
-    vx, vy, vz = _velocity(np.stack((traj.x, traj.y, traj.z)), traj.t)
+    vx, vy, vz = _velocity(np.column_stack((traj.x, traj.y, traj.z)), traj.t).T
     return VelocitySeries(t=traj.t, vx=vx, vy=vy, vz=vz,
                           sample_rate=traj.sample_rate)
 
@@ -472,27 +496,36 @@ def _block_outcomes(trajectories: list[Trajectory], targets: list[TargetSpec],
                     threshold: float) -> list[TrialOutcome]:
     """Outcomes of trials that share one sample rate and one length.
 
-    The trials are filtered as one (k, 3, n) stack, which never reads t,
-    the depth velocities of those that also share a t grid are taken with
-    one gradient call, and the velocities are segmented as one block;
-    every trial's numbers equal those of a batch of one.
+    The trials are copied into one padded time-major array, filtered in
+    place (which never reads t), the depth velocities of those that also
+    share a t grid are taken with one gradient call, and the velocities
+    are segmented as one block; every trial's numbers equal those of a
+    batch of one.
     """
     head = trajectories[0]
-    filtered = lowpass_block(
-        np.array([(traj.x, traj.y, traj.z) for traj in trajectories]),
-        head.sample_rate, cutoff)
+    k, n = len(trajectories), len(head)
+    padded, series = _padded_series((k, 3, n))
+    for i in range(0, k, 64):  # 64 trials a write, whole cache lines
+        series[i:i + 64] = np.array([(tr.x, tr.y, tr.z)
+                                     for tr in trajectories[i:i + 64]])
+    _lowpass_in_place(padded, head.sample_rate, cutoff)
+    z = padded[_PADLEN:-_PADLEN, 2::3]
     grids: dict[bytes, list[int]] = {}
     for i, traj in enumerate(trajectories):
         grids.setdefault(traj.t.tobytes(), []).append(i)
-    vz = np.empty(filtered[:, 2].shape)
-    for members in grids.values():
-        vz[members] = _velocity(filtered[members, 2], trajectories[members[0]].t)
+    if len(grids) == 1:
+        # the common case: no copy of the depth columns
+        vz = np.ascontiguousarray(_velocity(z, head.t).T)
+    else:
+        vz = np.empty((k, n))
+        for members in grids.values():
+            vz[members] = _velocity(z[:, members], trajectories[members[0]].t).T
     segments = _segments(vz, [traj.t for traj in trajectories],
                          head.sample_rate, threshold)
     return [
         _measure(traj.trial_id, target, trial_eyes, eye_pose, segment, f)
         for traj, target, trial_eyes, segment, f
-        in zip(trajectories, targets, eyes, segments, filtered)
+        in zip(trajectories, targets, eyes, segments, series)
     ]
 
 

@@ -26,7 +26,8 @@ from .kinematics import (
     _CHUNK_ROWS,
     EyePose,
     Trajectory,
-    lowpass_block,
+    _lowpass_in_place,
+    _padded_series,
     write_outcomes_csv,
     write_trajectories_csv,
 )
@@ -357,11 +358,12 @@ def generate_trajectories(config: SimConfig, trials: TrialTable,
         if config.trajectory_noise_sd > 0:
             # drawn trial by trial, in trial order, from each participant's
             # own stream; only the filtering is shared by the block
-            noise = np.array([
-                rngs[pid].normal(0.0, config.trajectory_noise_sd, size=(3, n))
-                for pid in trials.participant_id[block]
-            ])
-            samples += lowpass_block(noise, fs, _NOISE_CUTOFF_HZ)
+            padded, noise = _padded_series(samples.shape)
+            for trial, pid in zip(noise, trials.participant_id[block]):
+                trial[...] = rngs[pid].normal(
+                    0.0, config.trajectory_noise_sd, size=(3, n))
+            _lowpass_in_place(padded, fs, _NOISE_CUTOFF_HZ)
+            samples += noise
         trajectories.extend(
             Trajectory(trial_id=trial_id, sample_rate=fs, t=t, x=x, y=y, z=z)
             for trial_id, (x, y, z) in zip(ids, samples)

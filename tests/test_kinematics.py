@@ -29,6 +29,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +37,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.signal import butter, filtfilt, lfilter_zi
 
 import vackit.kinematics as kin
 from vackit.errors import DataFormatError, DomainError
@@ -236,13 +236,20 @@ class TestLowpassFilter:
             analyze_trials([_sine_trajectory(1.0)], {}, EYES, POSE, cutoff=cutoff)
 
     def test_matches_one_dimensional_filtfilt(self):
+        signal = _scipy_signal()
         traj = _noisy_trajectory(0.25, 0.4, np.random.default_rng(1))
         out = lowpass_filter(traj, 8.0)
-        b, a = butter(2, 8.0, btype="low", fs=FS)
+        b, a = signal.butter(2, 8.0, btype="low", fs=FS)
         for axis in "xyz":
             assert np.array_equal(getattr(out, axis),
-                                  filtfilt(b, a, getattr(traj, axis)))
+                                  signal.filtfilt(b, a, getattr(traj, axis)))
 
+
+
+def _scipy_signal():
+    """scipy.signal, the filter's oracle; a test that needs it is skipped
+    where scipy is not installed, as in a runtime-only install."""
+    return pytest.importorskip("scipy.signal")
 
 
 def _bits(arr: np.ndarray) -> bytes:
@@ -256,29 +263,45 @@ ORACLE_RATES = (60.0, 90.0, 100.0, 120.0, 200.0, 240.0, 250.0, 500.0,
 ORACLE_FRACTIONS = (0.001, 0.01, 0.05, 0.08, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999)
 
 
+def _scaled_normal(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, 10.0 ** rng.uniform(-6, 3), shape)
+
+
+def _in_place_filtered(x: np.ndarray, rate: float, cutoff: float) -> np.ndarray:
+    """The (n, m) series x filtered by the in-place kernel; the padding rows
+    start as nan, so any the kernel failed to write would show."""
+    padded = np.full((len(x) + 2 * kin._PADLEN, x.shape[1]), np.nan)
+    padded[kin._PADLEN:-kin._PADLEN] = x
+    kin._lowpass_in_place(padded, rate, cutoff)
+    return padded[kin._PADLEN:-kin._PADLEN]
+
+
 class TestLowpassOracle:
     """The numpy Butterworth design and filtfilt against scipy.signal."""
 
     def test_design_grid_matches_butter_and_lfilter_zi(self):
+        signal = _scipy_signal()
         for rate in ORACLE_RATES:
             for fraction in ORACLE_FRACTIONS:
                 cutoff = fraction * rate / 2.0
                 b, a, zi = kin._lowpass_design.__wrapped__(rate, cutoff)
-                want_b, want_a = butter(2, cutoff, btype="low", fs=rate)
+                want_b, want_a = signal.butter(2, cutoff, btype="low", fs=rate)
                 assert _bits(b) == _bits(want_b), (rate, cutoff)
                 assert _bits(a) == _bits(want_a), (rate, cutoff)
-                assert _bits(zi) == _bits(lfilter_zi(want_b, want_a)), \
+                assert _bits(zi) == _bits(signal.lfilter_zi(want_b, want_a)), \
                     (rate, cutoff)
 
     @settings(max_examples=200, deadline=None)
     @given(rate=st.floats(1.0, 1e5), fraction=st.floats(1e-4, 0.9999))
     def test_design_matches_butter_and_lfilter_zi(self, rate, fraction):
+        signal = _scipy_signal()
         cutoff = fraction * rate / 2.0
         b, a, zi = kin._lowpass_design.__wrapped__(rate, cutoff)
-        want_b, want_a = butter(2, cutoff, btype="low", fs=rate)
+        want_b, want_a = signal.butter(2, cutoff, btype="low", fs=rate)
         assert _bits(b) == _bits(want_b)
         assert _bits(a) == _bits(want_a)
-        assert _bits(zi) == _bits(lfilter_zi(want_b, want_a))
+        assert _bits(zi) == _bits(signal.lfilter_zi(want_b, want_a))
 
     def test_design_is_cached_read_only(self):
         design = kin._lowpass_design(FS, 10.0)
@@ -293,6 +316,7 @@ class TestLowpassOracle:
            fraction=st.sampled_from(ORACLE_FRACTIONS),
            seed=st.integers(0, 2**32 - 1))
     def test_block_matches_filtfilt(self, n, k, layout, rate, fraction, seed):
+        signal = _scipy_signal()
         rng = np.random.default_rng(seed)
         scale = 10.0 ** rng.uniform(-6, 3)
         if layout == "1-D":
@@ -304,25 +328,53 @@ class TestLowpassOracle:
         else:
             x = rng.normal(0.0, scale, (k, 3, n))
         cutoff = fraction * rate / 2.0
-        b, a = butter(2, cutoff, btype="low", fs=rate)
+        b, a = signal.butter(2, cutoff, btype="low", fs=rate)
         got = kin.lowpass_block(x, rate, cutoff)
-        want = filtfilt(b, a, x, axis=-1)
+        want = signal.filtfilt(b, a, x, axis=-1)
         assert got.shape == want.shape == x.shape
         assert _bits(got) == _bits(want)
 
     def test_default_block_matches_filtfilt(self):
         # one full block of the analysis' default shape and filter
+        signal = _scipy_signal()
         x = np.random.default_rng(3).normal(0.0, 2e-4, (kin.BLOCK_TRIALS, 3, 221))
-        b, a = butter(2, 10.0, btype="low", fs=FS)
+        b, a = signal.butter(2, 10.0, btype="low", fs=FS)
         assert _bits(kin.lowpass_block(x, FS)) == \
-            _bits(filtfilt(b, a, x, axis=-1))
+            _bits(signal.filtfilt(b, a, x, axis=-1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(10, 300), m=st.integers(0, 7),
+           rate=st.sampled_from(ORACLE_RATES),
+           fraction=st.sampled_from(ORACLE_FRACTIONS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_in_place_kernel_matches_filtfilt(self, n, m, rate, fraction,
+                                              seed):
+        signal = _scipy_signal()
+        x = _scaled_normal(seed, (n, m))
+        cutoff = fraction * rate / 2.0
+        b, a = signal.butter(2, cutoff, btype="low", fs=rate)
+        assert _bits(_in_place_filtered(x, rate, cutoff)) == \
+            _bits(signal.filtfilt(b, a, x, axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(10, 300), m=st.integers(0, 7),
+           rate=st.sampled_from(ORACLE_RATES),
+           fraction=st.sampled_from(ORACLE_FRACTIONS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_matches_in_place_kernel(self, n, m, rate, fraction, seed):
+        x = _scaled_normal(seed, (m, n))
+        cutoff = fraction * rate / 2.0
+        got = kin.lowpass_block(x, rate, cutoff)
+        assert got.flags.c_contiguous
+        assert _bits(got) == _bits(_in_place_filtered(x.T, rate, cutoff).T)
 
     @pytest.mark.parametrize("shape", [(0,), (1,), (9,), (2, 3, 9), (4, 5)])
     def test_short_input_raises_scipy_value_error(self, shape):
+        signal = _scipy_signal()
         x = np.ones(shape)
-        b, a = butter(2, 10.0, btype="low", fs=FS)
+        b, a = signal.butter(2, 10.0, btype="low", fs=FS)
         with pytest.raises(ValueError) as want:
-            filtfilt(b, a, x, axis=-1)
+            signal.filtfilt(b, a, x, axis=-1)
         with pytest.raises(ValueError) as got:
             kin.lowpass_block(x, FS)
         assert str(got.value) == str(want.value) == (
@@ -437,7 +489,7 @@ class TestDetectSegment:
         """A threshold that is not finite, or is negative, would label every
         trial slow; each entry point refuses it before filtering."""
         traj = _minimum_jerk_trajectory(0.25, 0.4)
-        monkeypatch.setattr(kin, "lowpass_block", None)  # never reached
+        monkeypatch.setattr(kin, "_lowpass_in_place", None)  # never reached
         target = TargetSpec(trial_id=traj.trial_id, reach_m=0.25)
         calls = [
             lambda: detect_segment(differentiate(traj), threshold=threshold),
@@ -694,11 +746,11 @@ class TestAnalyzeTrials:
         # recorded trials each with their own timestamps but one rate and
         # length are filtered together, since the filter never reads t
         calls = []
-        lowpass_block = kin.lowpass_block
+        lowpass_in_place = kin._lowpass_in_place
 
-        def counting_lowpass_block(samples, *args):
-            calls.append(len(samples))
-            return lowpass_block(samples, *args)
+        def counting_lowpass_in_place(padded, *args):
+            calls.append(padded.shape[1] // 3)
+            return lowpass_in_place(padded, *args)
 
         rng = np.random.default_rng(11)
         trajectories = []
@@ -712,13 +764,63 @@ class TestAnalyzeTrials:
                                              reach_m=0.25)
                    for traj in trajectories}
         assert len({traj.t.tobytes() for traj in trajectories}) == 20
-        monkeypatch.setattr(kin, "lowpass_block", counting_lowpass_block)
+        monkeypatch.setattr(kin, "_lowpass_in_place", counting_lowpass_in_place)
         analyzed = analyze_trials(trajectories, targets, EYES, POSE)
         assert calls == [20]
         for traj, item in zip(trajectories, analyzed):
             assert item.outcome.valid
             assert item.outcome == trial_outcome(traj, targets[traj.trial_id],
                                                  EYES, POSE)
+
+    @pytest.mark.parametrize("n_grids", [1, 3, 9])
+    def test_block_velocity_is_each_trials_own(self, monkeypatch, n_grids):
+        # the block's depth velocity, one gradient down the time axis per t
+        # grid, has the bits of each trial's own, filtered and
+        # differentiated alone
+        rng = np.random.default_rng(5)
+        trajectories = [_noisy_trajectory(0.25, 0.4, rng, trial_id=f"tr{i:02d}",
+                                          t0=0.0137 * (i % n_grids))
+                        for i in range(9)]
+        targets = {traj.trial_id: TargetSpec(trial_id=traj.trial_id,
+                                             reach_m=0.25)
+                   for traj in trajectories}
+        assert len({traj.t.tobytes() for traj in trajectories}) == n_grids
+        seen = []
+        segments = kin._segments
+
+        def capturing_segments(vz, *args):
+            seen.append(vz.copy())
+            return segments(vz, *args)
+
+        monkeypatch.setattr(kin, "_segments", capturing_segments)
+        analyze_trials(trajectories, targets, EYES, POSE)
+        [vz] = seen
+        assert vz.shape == (9, len(trajectories[0]))
+        for row, traj in zip(vz, trajectories):
+            filtered = lowpass_filter(traj)
+            assert _bits(row) == _bits(differentiate(filtered).vz)
+            assert _bits(row) == _bits(
+                np.gradient(filtered.z, traj.t, edge_order=2))
+
+    def test_block_holds_about_one_padded_copy(self):
+        # the block is filtered in place: the peak is the padded array and
+        # the depth velocity's gradient, not a stack and a copy per pass
+        rng = np.random.default_rng(9)
+        trajectories = [_noisy_trajectory(0.25, 0.52, rng, fs=1000.0,
+                                          trial_id=f"tr{i:03d}")
+                        for i in range(256)]
+        targets = {traj.trial_id: TargetSpec(trial_id=traj.trial_id,
+                                             reach_m=0.25)
+                   for traj in trajectories}
+        n = len(trajectories[0])
+        padded_bytes = (n + 2 * kin._PADLEN) * 3 * len(trajectories) * 8
+        tracemalloc.start()
+        try:
+            analyze_trials(trajectories, targets, EYES, POSE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.3 * padded_bytes
 
     @pytest.mark.parametrize("column,value", [("t", "inf"), ("x", "nan"),
                                               ("z", "-inf")])

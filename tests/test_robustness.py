@@ -6,6 +6,11 @@ or domain error, 2 data error) together with what the run reports: every
 stderr line is a ``vackit: `` line, never a traceback, and a failed run
 says why in exactly one error line.
 
+The ``analyze`` slice simulates a small cohort with trajectories at a
+drawn sample rate, noise and timing, analyzes it with a drawn cutoff (at
+or above some rates' Nyquist frequency), and checks that every trial gets
+one outcomes row and every valid row finite measures.
+
 The ``fit`` slice simulates one or two small cohorts without trajectories,
 joins their outcomes as one file, and fits it with a drawn variant, drawn
 bounds and a drawn eye pose, which may put the eye at a target's depth.
@@ -19,6 +24,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -45,9 +51,77 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _check_report(code: int, err: str) -> None:
+    """The exit-code contract: 0, 1 or 2, only ``vackit: `` lines on
+    stderr, and exactly one error line when the run failed."""
+    assert code in (0, 1, 2)
+    assert all(line.startswith("vackit: ") for line in err.splitlines()), err
+    errors = [line for line in err.splitlines()
+              if line.startswith(ERROR_PREFIXES)]
+    assert len(errors) == (1 if code else 0), err
+
+
 def _write_json(path: Path, payload: dict) -> str:
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+MEASURES = ("movement_distance_m", "distance_error_m", "endpoint_error_m",
+            "disparity_difference_rad")
+EYE_POSE = {"behind_m": 0.30, "above_m": 0.35, "lateral_m": 0.0, "ipd_mm": 63}
+
+
+def _simulate_configs() -> st.SearchStrategy[dict]:
+    """A small simulate config with trajectories, inside the documented
+    domains."""
+    return st.fixed_dictionaries({
+        "condition": st.sampled_from(["original", "transformed"]),
+        "feedback": st.sampled_from(["online", "feedforward"]),
+        "reach_distances_m": st.lists(st.sampled_from(REACHES), min_size=1,
+                                      max_size=3, unique=True),
+        "repetitions": st.integers(1, 3),
+        "n_participants": st.integers(1, 3),
+        "sample_rate_hz": st.floats(100.0, 500.0),
+        "trajectory_noise_sd_mm": st.sampled_from([0.0, 0.2, 2.0, 10.0]),
+        "movement_duration_s": st.sampled_from([0.1, 0.4, 1.0]),
+        "rest_padding_s": st.sampled_from([0.2, 0.24, 0.5]),
+        "seed": st.integers(0, 2 ** 16),
+    })
+
+
+class TestAnalyzeRobustness:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cohort=_simulate_configs(),
+           cutoff=st.sampled_from([None, 6.0, 45.0, 60.0, 100.0]))
+    def test_every_trial_gets_a_row_with_finite_measures(self, cohort,
+                                                          cutoff):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            sim = tmp / "sim"
+            code, _, err = _run(["simulate", "--config", _write_json(
+                tmp / "sim.json", cohort), "--out", str(sim)])
+            assert (code, err) == (0, "")
+            argv = ["analyze", "--input", str(sim / "trajectories.csv"),
+                    "--targets", str(sim / "targets.json"),
+                    "--eye-pose", _write_json(tmp / "pose.json", EYE_POSE),
+                    "--out", str(tmp / "analysis")]
+            if cutoff is not None:
+                argv += ["--cutoff-hz", str(cutoff)]
+            code, _, err = _run(argv)
+            _check_report(code, err)
+            if code:
+                return
+            with (tmp / "analysis" / "outcomes.csv").open(
+                    encoding="utf-8", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == (cohort["n_participants"]
+                                 * len(cohort["reach_distances_m"])
+                                 * cohort["repetitions"])
+            for row in rows:
+                if row["valid"] == "1":
+                    assert all(math.isfinite(float(row[key]))
+                               for key in MEASURES), row
 
 
 @st.composite
@@ -116,16 +190,9 @@ class TestFitRobustness:
                     "--out", str(outdir)])
             finally:
                 fitting.MAX_ITER = default_max_iter
-
-            assert code in (0, 1, 2)
-            assert all(line.startswith("vackit: ")
-                       for line in err.splitlines()), err
-            errors = [line for line in err.splitlines()
-                      if line.startswith(ERROR_PREFIXES)]
+            _check_report(code, err)
             if code:
-                assert len(errors) == 1, err
                 return
-            assert errors == []
 
             def converged(condition: str, fit_variant: str) -> bool:
                 path = outdir / f"fit_{condition}_{fit_variant}.json"

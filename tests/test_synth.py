@@ -32,7 +32,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import butter, filtfilt
 
 import vackit.kinematics as kin
 import vackit.synth as synth
@@ -324,6 +323,7 @@ class TestGenerateTrajectories:
         # reference: each trial's noise drawn and filtered on its own; the
         # blocks are shrunk so that 112 trials span more than one.  synth
         # imports the name, so it is patched there too.
+        signal = pytest.importorskip("scipy.signal")  # the filter's oracle
         monkeypatch.setattr(kin, "BLOCK_TRIALS", 64)
         monkeypatch.setattr(synth, "BLOCK_TRIALS", 64)
         config = _config(n_participants=4, repetitions=7,
@@ -334,7 +334,7 @@ class TestGenerateTrajectories:
         got = generate_trajectories(config, trials, people)
         rngs = {p.participant_id: np.random.Generator(
             np.random.Philox(p.trajectory_seed)) for p in people}
-        b, a = butter(2, 10.0, btype="low", fs=config.sample_rate)
+        b, a = signal.butter(2, 10.0, btype="low", fs=config.sample_rate)
         for traj, trial in zip(got, _rows(trials)):
             u = np.clip((traj.t - config.rest_padding)
                         / config.movement_duration, 0.0, 1.0)
@@ -343,10 +343,10 @@ class TestGenerateTrajectories:
                 0.0, config.trajectory_noise_sd, size=(3, len(traj)))
             assert traj.trial_id == trial.trial_id
             assert np.array_equal(traj.x, np.zeros(len(traj))
-                                  + filtfilt(b, a, noise[0]))
+                                  + signal.filtfilt(b, a, noise[0]))
             assert np.array_equal(traj.y, np.zeros(len(traj))
-                                  + filtfilt(b, a, noise[1]))
-            assert np.array_equal(traj.z, z + filtfilt(b, a, noise[2]))
+                                  + signal.filtfilt(b, a, noise[1]))
+            assert np.array_equal(traj.z, z + signal.filtfilt(b, a, noise[2]))
 
     def test_analysis_recovers_trial_table(self):
         config = _config(motor_noise_sd=0.003)
