@@ -48,6 +48,7 @@ from .geometry import IPD_BOUND_M, EyeGeometry
 from .kinematics import (
     DEFAULT_CUTOFF_HZ,
     DEFAULT_THRESHOLD,
+    AnalyzedTrial,
     EyePose,
     TargetSpec,
     analyze_trials,
@@ -294,24 +295,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     targets = _targets_from_json(_load_json(args.targets))
     trajectories, rejected = read_trajectories_csv(args.input)
     if args.axes != "x,y,z":
+        # one signed row permutation of the trial table's x, y and z
         axes = _parse_axes(args.axes)
-        remapped = []
-        for traj in trajectories:
-            cols = dict(zip("xyz", [traj.x, traj.y, traj.z]))
-            x, y, z = (sign * cols[axis] for axis, sign in axes)
-            remapped.append(replace(traj, x=x, y=y, z=z))
-        trajectories = remapped
+        xyz = trajectories.xyz[["xyz".index(axis) for axis, _ in axes]]
+        xyz *= [[sign] for _, sign in axes]
+        trajectories = replace(trajectories, xyz=xyz)
     threshold = args.threshold_mmps / 1000.0
     analyzed = analyze_trials(trajectories, targets, eyes, pose,
                               cutoff=args.cutoff_hz, threshold=threshold)
-    from .kinematics import AnalyzedTrial
-
-    for outcome in rejected:
-        target = targets.get(
-            outcome.trial_id,
-            TargetSpec(trial_id=outcome.trial_id, reach_m=float("nan")),
-        )
-        analyzed.append(AnalyzedTrial(target=target, outcome=outcome))
+    analyzed += [AnalyzedTrial(target=targets.get(out.trial_id, TargetSpec(
+        trial_id=out.trial_id, reach_m=math.nan)), outcome=out) for out in rejected]
     analyzed.sort(key=lambda item: item.outcome.trial_id)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

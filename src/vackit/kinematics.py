@@ -54,9 +54,9 @@ MIN_SAMPLES = 25
 # trials filtered together by analyze_trials and synth.generate_trajectories;
 # the filter's Python loop steps once per sample over the whole block, so
 # small blocks pay for it.  Peak memory grows with this and with the trial
-# length (one padded copy of the block, filtered in place, and a gradient
-# as large: about 6 MB for 512 trials of 221 samples, about 200 MB for 512
-# of 8,001), not with the batch size.
+# length (one padded copy of the block, filtered in place, then its velocity
+# and a scratch array a third as large each: about 5 MB for 512 trials of
+# 221 samples, about 170 MB for 512 of 8,001), not with the batch size.
 BLOCK_TRIALS = 512
 # odd-extension length at each end of a filtered series: scipy filtfilt's
 # default, 3 * max(len(a), len(b)) for an order-2 filter
@@ -119,6 +119,50 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
+
+
+@dataclass(frozen=True, eq=False)
+class _TrialTable(Sequence):
+    """Trials as columns, shaped like synth.TrialTable: trial i is
+    trial_id[i], sampled at sample_rate[i] Hz; its x, y and z are columns
+    start[i] to start[i] + length[i] of the (3, rows) xyz, and its t the
+    length[i] values of t from t_start[i], so trials on one grid can share
+    them.  Indexing builds (and checks) a Trajectory of views; nothing else
+    does.  It compares with == as the list of its items would.
+    """
+
+    trial_id: list[str]
+    sample_rate: np.ndarray
+    length: np.ndarray
+    start: np.ndarray
+    xyz: np.ndarray
+    t_start: np.ndarray
+    t: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.trial_id)
+
+    def __getitem__(self, i: int) -> Trajectory:
+        a, b, n = self.start[i], self.t_start[i], self.length[i]
+        return Trajectory(self.trial_id[i], float(self.sample_rate[i]),
+                          self.t[b:b + n], *self.xyz[:, a:a + n])
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+
+def _trial_views(trials: Sequence[Trajectory]) -> list[tuple]:
+    """(trial_id, sample_rate, t, x, y, z) of each trial, in order: views
+    into a _TrialTable's arrays, or a Trajectory's own; nothing is copied
+    and no Trajectory is built."""
+    if not isinstance(trials, _TrialTable):
+        return [(tr.trial_id, tr.sample_rate, tr.t, tr.x, tr.y, tr.z)
+                for tr in trials]
+    return [(trial_id, rate, trials.t[b:b + n], *trials.xyz[:, a:a + n])
+            for trial_id, rate, n, a, b in zip(
+                trials.trial_id, trials.sample_rate.tolist(),
+                trials.length.tolist(), trials.start.tolist(),
+                trials.t_start.tolist())]
 
 
 @dataclass(frozen=True)
@@ -348,9 +392,33 @@ def lowpass_block(samples: np.ndarray, sample_rate: float,
     return np.ascontiguousarray(series)
 
 
-def _velocity(samples: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d/dt down axis 0: central differences, second-order ends."""
-    return np.gradient(samples, t, axis=0, edge_order=2)
+def _velocity(f: np.ndarray, t: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """d/dt down axis 0 of a 2-d f, into out (a new array when None):
+    np.gradient(f, t, axis=0, edge_order=2) bit for bit, its three-point
+    expressions for an even t and for any other evaluated term by term into
+    out, so only an uneven t needs a scratch array, as large as out."""
+    out = np.empty(f.shape) if out is None else out
+    inner, dt = out[1:-1], np.diff(t)
+    if (dt == dt[0]).all():
+        h = dt[0]
+        np.divide(np.subtract(f[2:], f[:-2], out=inner), 2.0 * h, out=inner)
+        ends = (-1.5 / h, 2.0 / h, -0.5 / h), (0.5 / h, -2.0 / h, 1.5 / h)
+    else:
+        d1, d2 = dt[:-1, None], dt[1:, None]
+        scratch = np.empty_like(inner)
+        np.multiply(-d2 / (d1 * (d1 + d2)), f[:-2], out=inner)
+        inner += np.multiply((d2 - d1) / (d1 * d2), f[1:-1], out=scratch)
+        inner += np.multiply(d1 / (d2 * (d1 + d2)), f[2:], out=scratch)
+        (d1, d2), (e1, e2) = dt[:2], dt[-2:]
+        ends = ((-(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2),
+                 -d1 / (d2 * (d1 + d2))),
+                (e2 / (e1 * (e1 + e2)), -(e2 + e1) / (e1 * e2),
+                 (2.0 * e2 + e1) / (e2 * (e1 + e2))))
+    (a, b, c), (p, q, r) = ends
+    out[0] = a * f[0] + b * f[1] + c * f[2]
+    out[-1] = p * f[-3] + q * f[-2] + r * f[-1]
+    return out
 
 
 def lowpass_filter(traj: Trajectory, cutoff: float = DEFAULT_CUTOFF_HZ) -> Trajectory:
@@ -491,41 +559,41 @@ def _measure(trial_id: str, target: TargetSpec, eyes: EyeGeometry,
     )
 
 
-def _block_outcomes(trajectories: list[Trajectory], targets: list[TargetSpec],
+def _block_outcomes(trials: list[tuple], targets: list[TargetSpec],
                     eyes: list[EyeGeometry], eye_pose: EyePose, cutoff: float,
                     threshold: float) -> list[TrialOutcome]:
-    """Outcomes of trials that share one sample rate and one length.
+    """Outcomes of trials, as _trial_views gives them, that share one
+    sample rate and one length.
 
     The trials are copied into one padded time-major array, filtered in
     place (which never reads t), the depth velocities of those that also
-    share a t grid are taken with one gradient call, and the velocities
-    are segmented as one block; every trial's numbers equal those of a
-    batch of one.
+    share a t grid are taken with one _velocity call into one time-major
+    array, and the velocities are segmented as one block; every trial's
+    numbers equal those of a batch of one.
     """
-    head = trajectories[0]
-    k, n = len(trajectories), len(head)
+    ids, rates, t = zip(*(tr[:3] for tr in trials))
+    k, n = len(trials), len(t[0])
     padded, series = _padded_series((k, 3, n))
     for i in range(0, k, 64):  # 64 trials a write, whole cache lines
-        series[i:i + 64] = np.array([(tr.x, tr.y, tr.z)
-                                     for tr in trajectories[i:i + 64]])
-    _lowpass_in_place(padded, head.sample_rate, cutoff)
+        series[i:i + 64] = np.array([tr[3:] for tr in trials[i:i + 64]])
+    _lowpass_in_place(padded, rates[0], cutoff)
     z = padded[_PADLEN:-_PADLEN, 2::3]
     grids: dict[bytes, list[int]] = {}
-    for i, traj in enumerate(trajectories):
-        grids.setdefault(traj.t.tobytes(), []).append(i)
+    for i, times in enumerate(t):
+        grids.setdefault(times.tobytes(), []).append(i)
+    vz = np.empty((n, k))  # time-major, as the filter leaves the block
     if len(grids) == 1:
         # the common case: no copy of the depth columns
-        vz = np.ascontiguousarray(_velocity(z, head.t).T)
+        _velocity(z, t[0], out=vz)
     else:
-        vz = np.empty((k, n))
         for members in grids.values():
-            vz[members] = _velocity(z[:, members], trajectories[members[0]].t).T
-    segments = _segments(vz, [traj.t for traj in trajectories],
-                         head.sample_rate, threshold)
+            vz[:, members] = _velocity(z[:, members], t[members[0]])
+    vz = np.ascontiguousarray(vz.T)  # trial-major, for the run scans
+    segments = _segments(vz, t, rates[0], threshold)
     return [
-        _measure(traj.trial_id, target, trial_eyes, eye_pose, segment, f)
-        for traj, target, trial_eyes, segment, f
-        in zip(trajectories, targets, eyes, segments, series)
+        _measure(trial_id, target, trial_eyes, eye_pose, segment, f)
+        for trial_id, target, trial_eyes, segment, f
+        in zip(ids, targets, eyes, segments, series)
     ]
 
 
@@ -546,11 +614,12 @@ def trial_outcome(traj: Trajectory, target: TargetSpec, eyes: EyeGeometry,
     The threshold, in m/s, must be finite and >= 0.
     """
     _check_threshold(threshold)
-    return _block_outcomes([traj], [target], [eyes], eye_pose, cutoff,
-                           threshold)[0]
+    return _block_outcomes(_trial_views([traj]), [target], [eyes], eye_pose,
+                           cutoff, threshold)[0]
 
 
-def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec],
+def analyze_trials(trajectories: Sequence[Trajectory],
+                   targets: dict[str, TargetSpec],
                    eyes: EyeGeometry, eye_pose: EyePose,
                    cutoff: float = DEFAULT_CUTOFF_HZ,
                    threshold: float = DEFAULT_THRESHOLD) -> list[AnalyzedTrial]:
@@ -562,22 +631,24 @@ def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec
     target", and trials whose target sets an ipd_m outside (0, 0.1) m with
     reason "bad ipd", rather than aborting the batch.  Trials that
     share a sample rate and a length are filtered in blocks of
-    BLOCK_TRIALS, whatever their t grids; the outcomes equal
+    BLOCK_TRIALS, whatever their t grids, copied straight from the trial
+    table that read_trajectories_csv and synth.generate_trajectories
+    return, or from each Trajectory of any other sequence; the outcomes equal
     trial_outcome's for each trial on its own.  A threshold that is not
     finite, or is negative, is a DomainError before any trial is filtered,
     and so is a cutoff that is not finite and positive; one at or above a
     block's Nyquist frequency is a DomainError when that block is filtered.
     """
     _check_threshold(threshold)
-    ordered = sorted(trajectories, key=lambda tr: tr.trial_id)
+    ordered = sorted(_trial_views(trajectories), key=lambda tr: tr[0])
     results: list[AnalyzedTrial | None] = [None] * len(ordered)
     trial_eyes: list[EyeGeometry | None] = [None] * len(ordered)
     groups: dict[tuple[float, int], list[int]] = {}
-    for i, traj in enumerate(ordered):
-        target = targets.get(traj.trial_id)
+    for i, (trial_id, rate, t, *_) in enumerate(ordered):
+        target = targets.get(trial_id)
         reason = None
         if target is None:
-            target = TargetSpec(trial_id=traj.trial_id, reach_m=float("nan"))
+            target = TargetSpec(trial_id=trial_id, reach_m=float("nan"))
             reason = "no target"
         elif not (0.0 < target.reach_m < math.inf
                   and math.isfinite(target.x_m) and math.isfinite(target.y_m)
@@ -592,17 +663,17 @@ def analyze_trials(trajectories: list[Trajectory], targets: dict[str, TargetSpec
             except DomainError:
                 reason = "bad ipd"
         if reason is None:
-            groups.setdefault((traj.sample_rate, len(traj.t)), []).append(i)
+            groups.setdefault((rate, len(t)), []).append(i)
         else:
             results[i] = AnalyzedTrial(
                 target=target,
-                outcome=TrialOutcome(trial_id=traj.trial_id, valid=False,
+                outcome=TrialOutcome(trial_id=trial_id, valid=False,
                                      rejection_reason=reason),
             )
     for members in groups.values():
         for start in range(0, len(members), BLOCK_TRIALS):
             block = members[start:start + BLOCK_TRIALS]
-            block_targets = [targets[ordered[i].trial_id] for i in block]
+            block_targets = [targets[ordered[i][0]] for i in block]
             outcomes = _block_outcomes(
                 [ordered[i] for i in block], block_targets,
                 [trial_eyes[i] for i in block], eye_pose, cutoff, threshold)
@@ -624,7 +695,7 @@ _SAMPLE_DTYPE = np.dtype([("trial_id", "U32")]
 
 def read_trajectories_csv(
     path: str | Path,
-) -> tuple[list[Trajectory], list[TrialOutcome]]:
+) -> tuple[Sequence[Trajectory], list[TrialOutcome]]:
     """Read trajectories from a CSV with header trial_id,t,x,y,z (SI units).
 
     Rows are grouped by trial_id.  Trials with sampling gaps, irregular
@@ -632,22 +703,24 @@ def read_trajectories_csv(
     invalid outcomes (reason "missing data") instead of aborting the
     batch; malformed rows or non-increasing timestamps are file errors.
 
-    The rows are parsed in C a chunk at a time (``_column_chunks``), each
-    chunk's samples stacked into a (4, n) block and its trial ids kept once
-    per run; the blocks are joined into one (4, rows) array, and each
-    trial's t, x, y and z are views into it, so memory is O(samples) in
-    float64 with no Python object per sample.  A file the column parse
-    cannot promise the row loop's result for (quoted ids, a trial id of 32
-    characters or more, a malformed row, a trial's rows not contiguous,
-    ...) is read row by row instead, with the same trials, order and
-    errors.
+    The rows are parsed in C a chunk at a time (``_column_chunks``) and
+    joined into one (4, rows) array: O(samples) memory in float64, with no
+    Python object per sample or per trial.  The rates (inverse median
+    periods) and Trajectory's rules, as masks, are worked out once per
+    group of trials of one length.  A file the column parse cannot promise
+    the row loop's result for (quoted ids, a trial id of 32 characters or
+    more, a malformed row, a trial's rows not contiguous, ...) is read row
+    by row instead, with the same trials, order and errors.
 
     Returns:
-        (trajectories, rejected), each sorted by trial_id.
+        (trajectories, rejected), each sorted by trial_id; trajectories is
+        a trial table over the array, a Sequence (not a list) whose items
+        are Trajectory objects of views into it.
 
     Raises:
         DataFormatError: On a bad header, an unparseable row, or
-            timestamps that do not strictly increase within a trial.
+            timestamps that do not strictly increase within a trial (the
+            first such trial in the file is named).
     """
     path = Path(path)
     ids: list[str] = []        # one per trial, in file order
@@ -668,50 +741,66 @@ def read_trajectories_csv(
         if not ids or len(set(ids)) < len(ids):
             raise ValueError("needs the row loop")
     except ValueError:  # UnicodeDecodeError included
-        trials = _read_trajectory_rows(path)
+        ids, lengths, columns = _read_trajectory_rows(path)
     else:
         columns = np.concatenate(blocks, axis=1)
-        ends = np.cumsum(lengths).tolist()
-        trials = ((trial_id, columns[:, end - n:end])
-                  for trial_id, n, end in zip(ids, lengths, ends))
-    trajectories: list[Trajectory] = []
-    rejected: list[TrialOutcome] = []
-    for trial_id, (t, x, y, z) in trials:
-        dt = np.diff(t)
-        # a single sample or a non-finite timestamp leaves no period to
-        # check here; Trajectory rejects such a trial as missing data
-        well_timed = len(dt) > 0 and bool(np.isfinite(t).all())
-        if well_timed and np.any(dt <= 0):
-            raise DataFormatError(f"trial {trial_id}: timestamps must strictly "
-                                  f"increase", str(path))
-        rate = 1.0 / float(_median(dt)) if well_timed else math.nan
-        try:
-            trajectories.append(Trajectory(trial_id=trial_id, sample_rate=rate,
-                                           t=t, x=x, y=y, z=z))
-        except DomainError:
-            rejected.append(TrialOutcome(trial_id=trial_id, valid=False,
-                                         rejection_reason="missing data"))
-    return (sorted(trajectories, key=lambda tr: tr.trial_id),
-            sorted(rejected, key=lambda out: out.trial_id))
+        del blocks  # the chunks are freed before the rules run
+    length = np.array(lengths, dtype=np.intp)
+    start = np.cumsum(length) - length
+    rate = np.full(len(ids), math.nan)
+    late = len(ids)  # the first trial, in file order, whose time goes back
+    for n in set(lengths) - {1}:
+        members = np.flatnonzero(length == n)
+        t = columns[0, start[members, None] + np.arange(n)]
+        # a non-finite timestamp, like a single sample, leaves no period to
+        # check: such a trial is missing data
+        timed = np.isfinite(t).all(axis=1)
+        dt = np.diff(t, axis=1)
+        del t
+        back = timed & (dt <= 0).any(axis=1)
+        if back.any():
+            late = min(late, members[back.argmax()])
+        with np.errstate(all="ignore"):
+            group_rate = 1.0 / _median(dt)
+            period = 1.0 / group_rate[:, None]
+            dt -= period  # each period's deviation, in place
+            even = ~(np.abs(dt, out=dt) > 0.01 * period).any(axis=1)
+        rate[members] = np.where(timed & even, group_rate, math.nan)
+    if late < len(ids):
+        raise DataFormatError(f"trial {ids[late]}: timestamps must strictly "
+                              f"increase", str(path))
+    # the rest of Trajectory's rules: enough samples, every one finite
+    keep = ((length >= MIN_SAMPLES) & (0.0 < rate) & (rate < math.inf)
+            & np.logical_and.reduceat(np.isfinite(columns).all(axis=0), start)
+            ).tolist()
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    kept = [i for i in order if keep[i]]
+    return (_TrialTable([ids[i] for i in kept], rate[kept], length[kept],
+                        start[kept], columns[1:], start[kept], columns[0]),
+            [TrialOutcome(trial_id=ids[i], valid=False,
+                          rejection_reason="missing data")
+             for i in order if not keep[i]])
 
 
-def _median(values: np.ndarray) -> float:
-    """np.median of a non-empty 1-d array without nan, bit for bit.
+def _median(values: np.ndarray) -> np.ndarray:
+    """np.median along the last axis, without nan, bit for bit.
 
-    np.median imports numpy.ma on its first call; np.partition does not.
-    np.median averages the middle elements with a sum that starts at 0.0,
-    so a -0.0 median comes back 0.0; the 0.0 terms here do the same.
+    np.median imports numpy.ma on its first call; np.partition does not,
+    and picks the same middle elements of each row.  np.median averages
+    them with a sum that starts at 0.0, so a -0.0 median comes back 0.0;
+    the 0.0 terms here do the same.
     """
-    half = len(values) // 2
-    if len(values) % 2:
-        return 0.0 + np.partition(values, half)[half]
-    low, high = np.partition(values, (half - 1, half))[half - 1:half + 1]
-    return (0.0 + low + high) / 2.0
+    half = values.shape[-1] // 2
+    if values.shape[-1] % 2:
+        return 0.0 + np.partition(values, half, axis=-1)[..., half]
+    middle = np.partition(values, (half - 1, half), axis=-1)
+    return (0.0 + middle[..., half - 1] + middle[..., half]) / 2.0
 
 
-def _read_trajectory_rows(path: Path) -> Iterable[tuple[str, np.ndarray]]:
-    """Each trial's (trial_id, (4, n) samples), in first-appearance order,
-    by a csv.reader row loop with one float() per field."""
+def _read_trajectory_rows(path: Path) -> tuple[list[str], list[int], np.ndarray]:
+    """The trial ids in first-appearance order, their lengths and their
+    samples as one (4, rows) array, trial after trial, by a csv.reader row
+    loop with one float() per field."""
     groups: dict[str, list[tuple[float, float, float, float]]] = {}
     records = _csv_records(path)
     if [h.strip() for h in next(records)] != TRAJECTORY_HEADER:
@@ -726,8 +815,9 @@ def _read_trajectory_rows(path: Path) -> Iterable[tuple[str, np.ndarray]]:
         except (ValueError, IndexError):
             raise DataFormatError(f"bad sample row {row!r}", str(path),
                                   line_no) from None
-    return ((trial_id, np.asarray(samples, dtype=np.float64).T)
-            for trial_id, samples in groups.items())
+    samples = [sample for trial in groups.values() for sample in trial]
+    return (list(groups), list(map(len, groups.values())),
+            np.array(samples, dtype=np.float64).reshape(-1, 4).T.copy())
 
 
 def _csv_field(value: str) -> str:
@@ -750,25 +840,27 @@ def _csv_fields(values: list[str]) -> list[str]:
     return values
 
 
-def write_trajectories_csv(trajectories: list[Trajectory], path: str | Path) -> None:
+def write_trajectories_csv(trajectories: Sequence[Trajectory],
+                           path: str | Path) -> None:
     """Write trajectories in the trial_id,t,x,y,z schema.
 
-    The bytes equal a csv.writer row per sample; each trial is formatted
-    as one string, and consecutive trials on the same t grid share its
-    formatted timestamps.
+    The bytes equal a csv.writer row per sample.  Each trial is formatted
+    as one string, from the views _trial_views takes of a trial table (as
+    synth.generate_trajectories returns it) or of each Trajectory, and
+    consecutive trials on the same t grid share its formatted timestamps.
     """
-    path = Path(path)
+    trials = _trial_views(trajectories)
     grid: bytes | None = None
     times: list[str] = []
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRAJECTORY_HEADER) + "\r\n")
-        for traj in trajectories:
-            if traj.t.tobytes() != grid:
-                grid, times = traj.t.tobytes(), list(map(repr, traj.t.tolist()))
-            trial_id = _csv_field(traj.trial_id)
+        for trial_id, (_, _, t, x, y, z) in zip(
+                _csv_fields([tr[0] for tr in trials]), trials):
+            if t.tobytes() != grid:
+                grid, times = t.tobytes(), list(map(repr, t.tolist()))
             fh.write("".join([
                 f"{trial_id},{t},{x!r},{y!r},{z!r}\r\n" for t, x, y, z
-                in zip(times, traj.x.tolist(), traj.y.tolist(), traj.z.tolist())
+                in zip(times, x.tolist(), y.tolist(), z.tolist())
             ]))
 
 

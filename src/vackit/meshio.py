@@ -238,10 +238,10 @@ def _read_obj_columns(fh) -> tuple | None:
                 # fewer.  Unlike int(), a lone "+" or "-" reads as 0 or as
                 # the next value's sign, and a reference past int64 as
                 # 2**63 - 1: short or out of range, for the line loop to word.
-                # NumPy 2 raises on any other byte; NumPy 1.x instead warns
-                # and keeps what it read, which can match the count when the
-                # bad token is the last one ("f 1 2 1_0" as 1 2 1), so the
-                # warning is raised too.
+                # NumPy 2.4 raises on any other byte; one that only warns
+                # (1.x, maybe early 2.x) keeps what it read, which can match
+                # the count when the bad token is the last ("f 1 2 1_0" as
+                # 1 2 1), so the warning is raised too.
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", DeprecationWarning)
                     refs.append(np.fromstring(b" " + lines[1:].replace(b"\nf", b"\n "),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,8 +24,10 @@ from .geometry import EyeGeometry, angle_at
 from .kinematics import (
     BLOCK_TRIALS,
     _CHUNK_ROWS,
+    MIN_SAMPLES,
     EyePose,
     Trajectory,
+    _TrialTable,
     _lowpass_in_place,
     _padded_series,
     write_outcomes_csv,
@@ -328,14 +330,17 @@ def _minimum_jerk(u: np.ndarray) -> np.ndarray:
 
 
 def generate_trajectories(config: SimConfig, trials: TrialTable,
-                          participants: list[Participant]) -> list[Trajectory]:
+                          participants: list[Participant]) -> Sequence[Trajectory]:
     """Sampled minimum-jerk depth trajectories for every trial.
 
     Each trial rests at the home position for the configured padding,
     moves to its endpoint along the depth axis with a minimum-jerk
     profile, then holds; optional white positional noise is low-pass
     filtered here at 10 Hz so it cannot alias into the velocity analysis,
-    which needs a sample rate above 20 Hz (a DomainError otherwise).
+    which needs a sample rate above 20 Hz (a DomainError otherwise).  The
+    trials fill one trial table block by block, all sharing one t array:
+    a Sequence (not a list) whose items are Trajectory objects, built on
+    access.  A trial that Trajectory refuses raises its DomainError.
     """
     fs = config.sample_rate
     if config.trajectory_noise_sd > 0 and not fs > 2 * _NOISE_CUTOFF_HZ:
@@ -349,26 +354,31 @@ def generate_trajectories(config: SimConfig, trials: TrialTable,
     profile = _minimum_jerk(u)
     rngs = {p.participant_id: _participant_rng(p.trajectory_seed)
             for p in participants}
-    trajectories = []
+    xyz = np.zeros((3, len(trials) * n))
     for start in range(0, len(trials), BLOCK_TRIALS):
         block = slice(start, start + BLOCK_TRIALS)
-        ids = trials.trial_id[block]
-        samples = np.zeros((len(ids), 3, n))
-        samples[:, 2] = np.outer(trials.endpoint_z[block], profile)
+        k = len(trials.trial_id[block])
+        samples = xyz[:, start * n:(start + k) * n].reshape(3, k, n)
+        np.multiply(trials.endpoint_z[block, None], profile, out=samples[2])
         if config.trajectory_noise_sd > 0:
             # drawn trial by trial, in trial order, from each participant's
             # own stream; only the filtering is shared by the block
-            padded, noise = _padded_series(samples.shape)
+            padded, noise = _padded_series((k, 3, n))
             for trial, pid in zip(noise, trials.participant_id[block]):
                 trial[...] = rngs[pid].normal(
                     0.0, config.trajectory_noise_sd, size=(3, n))
             _lowpass_in_place(padded, fs, _NOISE_CUTOFF_HZ)
-            samples += noise
-        trajectories.extend(
-            Trajectory(trial_id=trial_id, sample_rate=fs, t=t, x=x, y=y, z=z)
-            for trial_id, (x, y, z) in zip(ids, samples)
-        )
-    return trajectories
+            samples += np.moveaxis(noise, 1, 0)
+    m = len(trials)
+    table = _TrialTable(list(trials.trial_id), np.full(m, fs), np.full(m, n),
+                        n * np.arange(m), xyz, np.zeros(m, dtype=np.intp), t)
+    # the trials share t and its rate, so Trajectory refuses one only for
+    # too few samples or a sample that is not finite: the first it would
+    # refuse is built, and raises its error
+    refused = (n < MIN_SAMPLES) | ~np.isfinite(xyz.reshape(3, m, n)).all(axis=(0, 2))
+    if refused.any():
+        table[int(refused.argmax())]
+    return table
 
 
 def write_participants_csv(participants: list[Participant],
@@ -450,7 +460,7 @@ def _write_targets_json(trials: TrialTable, path: Path) -> None:
 
 def write_dataset(outdir: str | Path, participants: list[Participant],
                   trials: TrialTable,
-                  trajectories: list[Trajectory] | None = None) -> dict[str, str]:
+                  trajectories: Sequence[Trajectory] | None = None) -> dict[str, str]:
     """Write the CSV family the analysis and fitting pipelines consume.
 
     outcomes.csv and targets.json are written in chunks of rows straight

@@ -29,7 +29,11 @@ from vackit import __version__, fitting
 from vackit.cli import main
 from vackit.correction import MeshModel, transform_points
 from vackit.geometry import EyeGeometry
-from vackit.kinematics import read_trajectories_csv, write_trajectories_csv
+from vackit.kinematics import (
+    Trajectory,
+    read_trajectories_csv,
+    write_trajectories_csv,
+)
 from vackit.meshio import read_obj, read_points_csv, write_obj, write_points_csv
 from vackit.perception import PerturbationParams
 
@@ -504,6 +508,25 @@ class TestAnalyze:
         assert main(args) == 0
         assert (remapped / "outcomes.csv").read_bytes() == \
             (straight / "outcomes.csv").read_bytes()
+
+    @pytest.mark.parametrize("axes", ["x,y,z", "z,-y,x"])
+    def test_simulate_and_analyze_build_no_trajectory(self, tmp_path,
+                                                      monkeypatch, axes):
+        # one trial table goes from producer to consumer: no Trajectory is
+        # built, so none is checked trial by trial
+        calls = []
+        post_init = Trajectory.__post_init__
+        monkeypatch.setattr(Trajectory, "__post_init__",
+                            lambda traj: calls.append(traj) or post_init(traj))
+        simdir = tmp_path / "sim"
+        assert main(["simulate", "--config", _sim_config(tmp_path / "sim.json"),
+                     "--out", str(simdir)]) == 0
+        assert main(self._analyze_args(simdir, tmp_path, tmp_path / "analysis",
+                                       axes=axes)) == 0
+        assert calls == []
+        # the count is live: indexing the reader's table builds one
+        read_trajectories_csv(simdir / "trajectories.csv")[0][0]
+        assert len(calls) == 1
 
     def test_missing_target_marks_trial_invalid(self, simulated, tmp_path):
         targets = json.loads(

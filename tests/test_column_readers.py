@@ -478,6 +478,52 @@ class TestFastPathMatchesRowLoop:
         assert got == want
         assert want[0] is meshio.DataFormatError
 
+    @pytest.mark.parametrize("trials, edits, missing", [
+        # (id, samples, rate) per trial; (trial, sample, t) edits
+        ([("a", 27, 250.0), ("b", 25, 100.0), ("c", 40, 250.0),
+          ("d", 25, 250.0), ("e", 40, 100.0)], [], []),
+        ([("a", 1, 250.0), ("b", 25, 250.0), ("c", 1, 100.0),
+          ("d", 27, 250.0), ("e", 2, 250.0)], [], ["a", "c", "e"]),
+        ([("a", 25, 250.0), ("b", 27, 250.0), ("c", 25, 250.0)],
+         [(1, 4, "nan")], ["b"]),
+        # a nan timestamp leaves no period to check, so a later one going
+        # back is missing data too, not a file error
+        ([("a", 25, 250.0), ("b", 27, 250.0), ("c", 1, 250.0)],
+         [(1, 4, "nan"), (1, 9, "0.0")], ["b", "c"]),
+        ([("a", 30, 250.0), ("b", 25, 250.0), ("c", 30, 250.0)],
+         [(0, 12, "0.0481"), (2, 3, "-inf")], ["a", "c"]),
+        ([("a", 30, 250.0), ("b", 25, 250.0), ("c", 30, 250.0)],
+         [(2, 3, "0.0"), (1, 6, "0.0")], "b"),
+        ([("a", 30, 250.0), ("b", 25, 250.0), ("c", 30, 250.0)],
+         [(1, 6, "0.0"), (0, 3, "0.0")], "a"),
+    ], ids=["mixed-lengths", "single-samples", "nan-timestamp",
+            "nan-then-back", "missing-and-non-finite", "back-short-first",
+            "back-long-first"])
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_trajectory_tables(self, tmp_path, trials, edits, missing, chunk):
+        """Trials of mixed lengths and rates, single samples, nan and
+        non-finite timestamps, gaps, and timestamps going back in trials
+        of two lengths (the first in the file is named)."""
+        times = {trial_id: [repr(i / rate) for i in range(n)]
+                 for trial_id, n, rate in trials}
+        for trial, sample, t in edits:
+            times[trials[trial][0]][sample] = t
+        rows = [f"{trial_id},{t},{i * 1e-3!r},0.0,{i * 2e-3!r}"
+                for trial_id, ts in times.items() for i, t in enumerate(ts)]
+        path = tmp_path / "trajectories.csv"
+        path.write_text("\n".join(["trial_id,t,x,y,z", *rows]) + "\n",
+                        encoding="utf-8", newline="")
+        got, want = _both(_trajectory_result, kin, path, chunk)
+        assert got == want
+        if isinstance(missing, str):
+            assert got == (kin.DataFormatError, f"trial {missing}: timestamps "
+                           f"must strictly increase [{path}]", None)
+        else:
+            kept, rejected = got
+            assert [out.trial_id for out in rejected] == missing
+            assert [tr[0] for tr in kept] == sorted(
+                set(times) - set(missing))
+
     @pytest.mark.parametrize("text", [
         "trial_id,t,x,y,z\na,0,0,0,0\nb,0,0,0,0\na,0.004,0,0,0\n",
         'trial_id,t,x,y,z\n"a,b",0,0,0,0\n"a,b",0.004,0,0,0\n',

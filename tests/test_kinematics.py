@@ -802,9 +802,30 @@ class TestAnalyzeTrials:
             assert _bits(row) == _bits(
                 np.gradient(filtered.z, traj.t, edge_order=2))
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(3, 40), m=st.integers(1, 5),
+           even=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_velocity_is_numpy_gradient_bitwise(self, n, m, even, seed):
+        # both of np.gradient's branches, evenly spaced t (whole numbers,
+        # so every difference is exact) and uneven t, evaluated into a
+        # transposed view
+        rng = np.random.default_rng(seed)
+        f = rng.normal(0.0, 1.0, (n, 3 * m))[:, ::3]
+        t = 7.0 + 3.0 * np.arange(n) if even else \
+            np.cumsum(rng.uniform(0.001, 0.01, n))
+        assert (np.diff(t) == np.diff(t)[0]).all() == even
+        out = np.empty((m, n))
+        kin._velocity(f, t, out=out.T)
+        want = np.gradient(f, t, axis=0, edge_order=2)
+        assert _bits(out.T) == _bits(want)
+        assert _bits(kin._velocity(f, t)) == _bits(want)
+
     def test_block_holds_about_one_padded_copy(self):
-        # the block is filtered in place: the peak is the padded array and
-        # the depth velocity's gradient, not a stack and a copy per pass
+        # the block is filtered in place and its depth velocity evaluated
+        # into one array: the peak is the padded array, the velocity and
+        # one scratch array as large, not a stack and a copy per pass.  A
+        # list of trajectories and a trial table are read in place, so
+        # neither is copied whole.
         rng = np.random.default_rng(9)
         trajectories = [_noisy_trajectory(0.25, 0.52, rng, fs=1000.0,
                                           trial_id=f"tr{i:03d}")
@@ -814,13 +835,22 @@ class TestAnalyzeTrials:
                    for traj in trajectories}
         n = len(trajectories[0])
         padded_bytes = (n + 2 * kin._PADLEN) * 3 * len(trajectories) * 8
-        tracemalloc.start()
-        try:
-            analyze_trials(trajectories, targets, EYES, POSE)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.3 * padded_bytes
+        xyz = np.array([(tr.x, tr.y, tr.z) for tr in trajectories])
+        table = kin._TrialTable(
+            [tr.trial_id for tr in trajectories],
+            np.full(len(trajectories), 1000.0), np.full(len(trajectories), n),
+            n * np.arange(len(trajectories)),
+            np.moveaxis(xyz, 1, 0).reshape(3, -1),
+            np.zeros(len(trajectories), dtype=np.intp), trajectories[0].t)
+        assert np.array_equal(table[7].z, trajectories[7].z)
+        for batch in (trajectories, table):
+            tracemalloc.start()
+            try:
+                analyze_trials(batch, targets, EYES, POSE)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.75 * padded_bytes
 
     @pytest.mark.parametrize("column,value", [("t", "inf"), ("x", "nan"),
                                               ("z", "-inf")])
@@ -924,6 +954,22 @@ class TestTrajectoryCsv:
         with np.errstate(over="ignore", invalid="ignore"):
             got, want = kin._median(values), np.median(values)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 6), m=st.integers(1, 12))
+    def test_median_along_rows_is_each_rows_median(self, data, k, m):
+        # odd and even row lengths; signed zeros, subnormals, infinities
+        # and repeated values, which a partition may place differently
+        pool = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 0.004,
+                                0.004000000000000001, 1.0, -np.inf, np.inf])
+        rows = np.array(data.draw(st.lists(
+            st.lists(pool | st.floats(allow_nan=False), min_size=m,
+                     max_size=m), min_size=k, max_size=k)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = kin._median(rows)
+            want = [kin._median(row) for row in rows]
+        assert got.shape == (k,)
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_round_trip(self, tmp_path):
         traj = _minimum_jerk_trajectory(0.25, 0.4, trial_id="p0-a")

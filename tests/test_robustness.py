@@ -16,6 +16,11 @@ joins their outcomes as one file, and fits it with a drawn variant, drawn
 bounds and a drawn eye pose, which may put the eye at a target's depth.
 A one-iteration cap on the solver is drawn too, so that fits that did not
 converge are common.
+
+The ``predict`` slice draws an offset, an IPD and a distance list, each
+inside or outside its domain (zero, negative, subnormal, huge, nan and
+infinite values, empty and malformed list entries), and checks that a
+run that succeeds writes one finite row per distance.
 """
 
 from __future__ import annotations
@@ -213,3 +218,35 @@ class TestFitRobustness:
                 fit_variant = text.split()[1] if variant == "both" else variant
                 assert line.endswith(" (not converged)") == \
                     (not converged(condition, fit_variant))
+
+
+def _surface_floats(low: float, high: float) -> st.SearchStrategy[float]:
+    """Floats inside [low, high], and values at or past every edge."""
+    return st.floats(low, high) | st.sampled_from(
+        [0.0, -0.0, 5e-324, -1e-300, low, high, 2 * high, -high, 1e308,
+         math.nan, math.inf, -math.inf])
+
+
+class TestPredictRobustness:
+    @settings(max_examples=300, deadline=None)
+    @given(beta=_surface_floats(-3.0, 3.0), ipd=_surface_floats(40.0, 100.0),
+           distances=st.lists(_surface_floats(1e-4, 100.0).map(repr)
+                              | st.sampled_from(["", " ", "abc", "1,5"]),
+                              max_size=4))
+    def test_curve_or_one_error_line(self, beta, ipd, distances):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "curve.csv"
+            # "=" keeps a value that starts with "-" from reading as a flag
+            code, stdout, err = _run([
+                "predict", f"--beta-deg={beta!r}", f"--ipd-mm={ipd!r}",
+                f"--distances={','.join(distances)}", f"--out={out}"])
+            _check_report(code, err)
+            if code:
+                return
+            with out.open(encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert len(rows) == len(stdout.splitlines())
+            assert len(rows) == len([d for d in ",".join(distances).split(",")
+                                     if d.strip()])
+            assert all(math.isfinite(float(value)) for row in rows
+                       for value in row), rows

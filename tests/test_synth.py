@@ -348,6 +348,29 @@ class TestGenerateTrajectories:
                                   + signal.filtfilt(b, a, noise[1]))
             assert np.array_equal(traj.z, z + signal.filtfilt(b, a, noise[2]))
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"sample_rate": 20.0}, "need >= 25 samples, got 19"),
+        ({"trajectory_noise_sd": 1.7e308}, "samples must be finite")])
+    def test_trial_trajectory_refuses_raises_its_error(self, overrides,
+                                                       message):
+        # the table builds no Trajectory, yet a trial that Trajectory would
+        # refuse raises its error, as building every trial did
+        config = _config(**overrides)
+        people = generate_participants(config)
+        trials = generate_trials(config, people)
+        with np.errstate(all="ignore"), pytest.raises(
+                DomainError, match=f"^trial {trials.trial_id[0]}: {message}$"):
+            generate_trajectories(config, trials, people)
+
+    def test_table_items_are_checked_trajectories(self):
+        config = _config(trajectory_noise_sd=0.0002)
+        people = generate_participants(config)
+        trials = generate_trials(config, people)
+        trajectories = generate_trajectories(config, trials, people)
+        assert [tr.trial_id for tr in trajectories] == trials.trial_id
+        assert all(isinstance(tr, kin.Trajectory) for tr in trajectories)
+        assert trajectories[-1].trial_id == trials.trial_id[-1]
+
     def test_analysis_recovers_trial_table(self):
         config = _config(motor_noise_sd=0.003)
         people = generate_participants(config)
