@@ -262,6 +262,18 @@ def _parse_axes(text: str) -> list[tuple[str, float]]:
     return axes
 
 
+def _remap_rows(xyz, axes: list[tuple[str, float]]) -> None:
+    """Permute and sign xyz's rows in place as axes maps them, one row of scratch."""
+    held, scratch = list("xyz"), xyz[0].copy()
+    for i, (axis, sign) in enumerate(axes):
+        j = held.index(axis)  # swap rows i and j through scratch
+        scratch[...] = xyz[j]
+        xyz[j] = xyz[i]
+        xyz[i] = scratch
+        held[i], held[j] = held[j], held[i]
+        xyz[i] *= sign
+
+
 _TARGET_FIELDS = {
     "reach_m": ("reach_m", _json_float),
     "participant_id": ("participant_id", str),
@@ -295,11 +307,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     targets = _targets_from_json(_load_json(args.targets))
     trajectories, rejected = read_trajectories_csv(args.input)
     if args.axes != "x,y,z":
-        # one signed row permutation of the trial table's x, y and z
-        axes = _parse_axes(args.axes)
-        xyz = trajectories.xyz[["xyz".index(axis) for axis, _ in axes]]
-        xyz *= [[sign] for _, sign in axes]
-        trajectories = replace(trajectories, xyz=xyz)
+        _remap_rows(trajectories.xyz, _parse_axes(args.axes))
     threshold = args.threshold_mmps / 1000.0
     analyzed = analyze_trials(trajectories, targets, eyes, pose,
                               cutoff=args.cutoff_hz, threshold=threshold)

@@ -141,9 +141,9 @@ def transform_points(points: np.ndarray, eyes: EyeGeometry,
     xyz = np.ascontiguousarray(points, dtype=np.float64)
     shift = float(_angle_shift(params, literal_half_angle))
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-    d_tilde, ok = shift_distances(np.sqrt(x * x + y * y + z * z),
-                                  float(eyes.half_ipd), shift)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf distance is refused
+        d_tilde, ok = shift_distances(np.sqrt(x * x + y * y + z * z),
+                                      float(eyes.half_ipd), shift)
         radicand = d_tilde * d_tilde - x * x - y * y
     ok &= (z > 0.0) & (radicand > 0.0)
     if not ok.all():

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DataFormatError, DomainError, FitError
 from .geometry import IPD_BOUND_M, angles_at
 from .kinematics import OUTCOME_HEADER, EyePose
-from .meshio import _column_chunks, _csv_records, _runs
+from .meshio import _column_chunks, _csv_records, _row_bound, _runs
 from .perception import BETA_BOUND_RAD, fixated_distance_error
 
 __all__ = [
@@ -142,10 +142,10 @@ def _read_outcome_columns(fh) -> tuple | None:
     """FitDataset.from_csv's columns, parsed in C, or None.
 
     fh is the outcomes file opened in binary mode at its start.  Each chunk
-    of rows is parsed by _column_chunks, and the rows the valid field
-    rejects are dropped; the participant id and condition are taken once
-    per run of rows that share both, so a file grouped by participant costs
-    no Python object per row.
+    of rows is parsed by _column_chunks; the rows the valid field keeps
+    fill one (2, rows) reach and error array sized before the parse, and
+    give their participant id and condition once per run of rows that
+    share both, so a file grouped by participant costs no object per row.
 
     Returns None whenever the columns might differ from the row loop's: a
     header other than OUTCOME_HEADER, a row _column_chunks refuses (a
@@ -153,8 +153,8 @@ def _read_outcome_columns(fh) -> tuple | None:
     number that FitDataset would refuse, or no kept rows.  The caller then
     reruns the row loop, which alone words errors and numbers lines.
     """
-    heads: list[tuple[str, str]] = []  # (participant_id, condition) per run
-    lengths, reach, error = [], [], []
+    heads, lengths = [], []  # per run: (participant_id, condition), rows
+    columns, end = np.empty((2, _row_bound(fh))), 0
     try:
         for rows in _column_chunks(fh, ",".join(OUTCOME_HEADER), _OUTCOME_DTYPE):
             keep = (rows["valid"] == "1") | (rows["valid"] == "")
@@ -164,21 +164,19 @@ def _read_outcome_columns(fh) -> tuple | None:
                 continue
             first_values, counts = _runs(rows[["participant_id", "condition"]])
             heads += first_values
-            lengths.append(counts)
-            reach.append(rows["target_reach_m"].copy())
-            error.append(rows["distance_error_m"].copy())
+            lengths += counts.tolist()
+            columns[:, end:end + len(rows)] = (rows["target_reach_m"],
+                                               rows["distance_error_m"])
+            end += len(rows)
     except ValueError:  # UnicodeDecodeError included
         return None
-    if not error:
-        return None
-    reach_m, error_m = np.concatenate(reach), np.concatenate(error)
-    if not (np.isfinite(reach_m).all() and (reach_m > 0).all()
+    reach_m, error_m = columns[:, :end]
+    if not (end and np.isfinite(reach_m).all() and (reach_m > 0).all()
             and np.isfinite(error_m).all()):
         return None
-    counts = np.concatenate(lengths)
     pids, conditions = zip(*heads)
-    return (np.repeat(np.array(pids, dtype=object), counts),
-            np.repeat(np.array(conditions, dtype=object), counts),
+    return (np.repeat(np.array(pids, dtype=object), lengths),
+            np.repeat(np.array(conditions, dtype=object), lengths),
             reach_m, error_m)
 
 

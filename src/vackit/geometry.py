@@ -285,7 +285,7 @@ def shift_distances(distance: np.ndarray, half_ipd: np.ndarray | float,
                     shift: float) -> tuple[np.ndarray, np.ndarray]:
     """shift_distance on arrays: (distances, ok), ok False where it raises."""
     angle = angles_at(distance, half_ipd) + shift
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         shifted = half_ipd / np.tan(angle / 2.0)
     return shifted, (angle > 0.0) & (angle < math.pi)
 

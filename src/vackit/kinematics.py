@@ -20,10 +20,11 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataFormatError, DomainError
 from .geometry import EyeGeometry, angle_at
-from .meshio import _column_chunks, _csv_records, _runs
+from .meshio import _column_chunks, _csv_records, _row_bound, _runs
 
 __all__ = [
     "Trajectory",
@@ -703,14 +704,14 @@ def read_trajectories_csv(
     invalid outcomes (reason "missing data") instead of aborting the
     batch; malformed rows or non-increasing timestamps are file errors.
 
-    The rows are parsed in C a chunk at a time (``_column_chunks``) and
-    joined into one (4, rows) array: O(samples) memory in float64, with no
-    Python object per sample or per trial.  The rates (inverse median
-    periods) and Trajectory's rules, as masks, are worked out once per
-    group of trials of one length.  A file the column parse cannot promise
-    the row loop's result for (quoted ids, a trial id of 32 characters or
-    more, a malformed row, a trial's rows not contiguous, ...) is read row
-    by row instead, with the same trials, order and errors.
+    The rows are parsed in C a chunk at a time (``_column_chunks``) into
+    one (4, rows) float64 array sized before the parse, with no Python
+    object per sample or per trial.  The rates (inverse median periods)
+    and Trajectory's rules, as masks, are worked out for up to
+    BLOCK_TRIALS trials of one length at a time.  A file the column parse
+    cannot promise the row loop's result for (quoted ids, a trial id of 32
+    characters or more, a malformed row, a trial's rows not contiguous,
+    ...) is read row by row instead, with the same trials, order and errors.
 
     Returns:
         (trajectories, rejected), each sorted by trial_id; trajectories is
@@ -723,11 +724,54 @@ def read_trajectories_csv(
             first such trial in the file is named).
     """
     path = Path(path)
-    ids: list[str] = []        # one per trial, in file order
-    lengths: list[int] = []    # rows per trial
-    blocks = []
+    ids, lengths, columns = (_read_trajectory_columns(path)
+                             or _read_trajectory_rows(path))
+    length = np.array(lengths, dtype=np.intp)
+    start = np.cumsum(length) - length
+    rate = np.full(len(ids), math.nan)
+    late = len(ids)  # the first trial, in file order, whose time goes back
+    for n in set(lengths) - {1}:
+        group = np.flatnonzero(length == n)
+        for members in np.split(group, range(BLOCK_TRIALS, len(group), BLOCK_TRIALS)):
+            first = start[members]  # a member's samples: its window of a row
+            t = sliding_window_view(columns[0], n)[first]
+            # a non-finite timestamp, like a single sample, leaves no period
+            # to check: such a trial is missing data
+            timed = np.isfinite(t).all(axis=1)
+            dt = np.diff(t, axis=1)
+            del t
+            back = timed & (dt <= 0).any(axis=1)
+            if back.any():
+                late = min(late, members[back.argmax()])
+            with np.errstate(all="ignore"):
+                block_rate = 1.0 / _median(dt)
+                period = 1.0 / block_rate[:, None]
+                dt -= period  # each period's deviation, in place
+                even = ~(np.abs(dt, out=dt) > 0.01 * period).any(axis=1)
+            for row in columns[1:]:  # and every x, y and z finite
+                timed &= np.isfinite(sliding_window_view(row, n)[first]).all(axis=1)
+            rate[members] = np.where(timed & even, block_rate, math.nan)
+    if late < len(ids):
+        raise DataFormatError(f"trial {ids[late]}: timestamps must strictly "
+                              f"increase", str(path))
+    # the rest of Trajectory's rules: enough samples
+    keep = ((length >= MIN_SAMPLES) & (0.0 < rate) & (rate < math.inf)).tolist()
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    kept = [i for i in order if keep[i]]
+    return (_TrialTable([ids[i] for i in kept], rate[kept], length[kept],
+                        start[kept], columns[1:], start[kept], columns[0]),
+            [TrialOutcome(trial_id=ids[i], valid=False,
+                          rejection_reason="missing data")
+             for i in order if not keep[i]])
+
+
+def _read_trajectory_columns(path: Path) -> tuple | None:
+    """read_trajectories_csv's trials, parsed in C, or None (nothing filled
+    kept) whenever the row loop might read them otherwise."""
+    ids, lengths = [], []  # per trial, in file order: its id and its rows
     try:
         with path.open("rb") as fh:
+            columns, end = np.empty((4, _row_bound(fh))), 0
             for rows in _column_chunks(fh, ",".join(TRAJECTORY_HEADER),
                                        _SAMPLE_DTYPE):
                 heads, counts = _runs(rows["trial_id"])
@@ -737,49 +781,13 @@ def read_trajectories_csv(
                     del heads[0]
                 ids += heads
                 lengths += counts
-                blocks.append(np.stack([rows[axis] for axis in "txyz"]))
-        if not ids or len(set(ids)) < len(ids):
-            raise ValueError("needs the row loop")
+                columns[:, end:end + len(rows)] = [rows[axis] for axis in "txyz"]
+                end += len(rows)
     except ValueError:  # UnicodeDecodeError included
-        ids, lengths, columns = _read_trajectory_rows(path)
-    else:
-        columns = np.concatenate(blocks, axis=1)
-        del blocks  # the chunks are freed before the rules run
-    length = np.array(lengths, dtype=np.intp)
-    start = np.cumsum(length) - length
-    rate = np.full(len(ids), math.nan)
-    late = len(ids)  # the first trial, in file order, whose time goes back
-    for n in set(lengths) - {1}:
-        members = np.flatnonzero(length == n)
-        t = columns[0, start[members, None] + np.arange(n)]
-        # a non-finite timestamp, like a single sample, leaves no period to
-        # check: such a trial is missing data
-        timed = np.isfinite(t).all(axis=1)
-        dt = np.diff(t, axis=1)
-        del t
-        back = timed & (dt <= 0).any(axis=1)
-        if back.any():
-            late = min(late, members[back.argmax()])
-        with np.errstate(all="ignore"):
-            group_rate = 1.0 / _median(dt)
-            period = 1.0 / group_rate[:, None]
-            dt -= period  # each period's deviation, in place
-            even = ~(np.abs(dt, out=dt) > 0.01 * period).any(axis=1)
-        rate[members] = np.where(timed & even, group_rate, math.nan)
-    if late < len(ids):
-        raise DataFormatError(f"trial {ids[late]}: timestamps must strictly "
-                              f"increase", str(path))
-    # the rest of Trajectory's rules: enough samples, every one finite
-    keep = ((length >= MIN_SAMPLES) & (0.0 < rate) & (rate < math.inf)
-            & np.logical_and.reduceat(np.isfinite(columns).all(axis=0), start)
-            ).tolist()
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    kept = [i for i in order if keep[i]]
-    return (_TrialTable([ids[i] for i in kept], rate[kept], length[kept],
-                        start[kept], columns[1:], start[kept], columns[0]),
-            [TrialOutcome(trial_id=ids[i], valid=False,
-                          rejection_reason="missing data")
-             for i in order if not keep[i]])
+        return None
+    if not ids or len(set(ids)) < len(ids):
+        return None
+    return ids, lengths, columns[:, :end]
 
 
 def _median(values: np.ndarray) -> np.ndarray:

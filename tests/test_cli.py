@@ -13,11 +13,13 @@ at 0.438110417642508 m, an error of -11.8896 mm.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vackit import __version__, fitting
+from vackit import __version__, cli, fitting
 from vackit.cli import main
 from vackit.correction import MeshModel, transform_points
 from vackit.geometry import EyeGeometry
@@ -508,6 +510,55 @@ class TestAnalyze:
         assert main(args) == 0
         assert (remapped / "outcomes.csv").read_bytes() == \
             (straight / "outcomes.csv").read_bytes()
+
+    def test_axes_remap_in_place_with_one_row_of_scratch(self):
+        """Every signed permutation of x, y and z gives the bits of a
+        fancy-indexed copy, in place, holding one row of scratch at most."""
+        xyz0 = np.random.default_rng(8).normal(size=(3, 20_000))
+        xyz0[:, :4] = [0.0, -0.0, np.nan, np.inf]
+        for order in itertools.permutations("xyz"):
+            for signs in itertools.product(["", "-"], repeat=3):
+                axes = cli._parse_axes(",".join(map("".join, zip(signs, order))))
+                want = (xyz0[["xyz".index(axis) for axis, _ in axes]]
+                        * [[sign] for _, sign in axes])
+                xyz = xyz0.copy()
+                tracemalloc.start()
+                try:
+                    cli._remap_rows(xyz, axes)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert np.array_equal(xyz.view(np.int64), want.view(np.int64))
+                assert peak <= xyz0[0].nbytes + 1024
+
+    def test_axes_remap_adds_at_most_a_row_to_analyze(self, tmp_path,
+                                                      monkeypatch):
+        """analyze --axes holds no more than analyze without it, plus one
+        row, both at its peak and once the trials are analyzed: the
+        reader's array is remapped, not copied."""
+        simulated = tmp_path / "sim"
+        assert main(["simulate", "--config", _write_json(
+            tmp_path / "sim.json", {"n_participants": 4, "seed": 0}),
+            "--out", str(simulated)]) == 0
+        samples = read_trajectories_csv(
+            simulated / "trajectories.csv")[0].xyz.shape[1]
+        held = []
+        analyze = cli.analyze_trials
+        monkeypatch.setattr(cli, "analyze_trials", lambda *args, **kw: (
+            held.append(tracemalloc.get_traced_memory()[0])
+            or analyze(*args, **kw)))
+        peaks = []
+        for axes in ("x,y,z", "x,y,z", "y,x,-z"):  # the first run warms up
+            args = self._analyze_args(simulated, tmp_path, tmp_path / axes,
+                                      axes=axes)
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert held[2] <= held[1] + 8 * samples
+        assert peaks[2] <= peaks[1] + 8 * samples
 
     @pytest.mark.parametrize("axes", ["x,y,z", "z,-y,x"])
     def test_simulate_and_analyze_build_no_trajectory(self, tmp_path,

@@ -10,12 +10,13 @@ Whatever the input, each reader must return exactly what its row loop
 alone returns: the same ids, order, sample rates, rejections, participant
 codes, faces, normal lines and array bits, or the same error with the
 same message and line.  The fast path must also really run on the files
-the package writes.
+the package writes, and hold no more than its output plus a few chunks.
 """
 
 from __future__ import annotations
 
 import json
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -956,3 +957,175 @@ class TestFastPathRuns:
         assert calls == [quoted]
         assert len(fits["plain"]) == (3 if cohort == "analyzed" else 5)
         assert fits["quoted"] == fits["plain"]
+
+
+# The row loop of each CSV reader, by the module that holds it.
+ROW_LOOPS = {kin: "_read_trajectory_rows", meshio: "_read_point_rows",
+             fitting: "_read_outcome_rows"}
+READERS = {kin: _trajectory_result, meshio: _points_result,
+           fitting: _outcomes_result}
+# (header, row i, floats per row in the array the fast path fills, a
+# column the fast path parses as a number)
+EDGE_ROWS = {
+    kin: ("trial_id,t,x,y,z",
+          lambda i: f"t{i // 30:03d},{i % 30 / 250!r},{i * 1e-3!r},0.0,"
+                    f"{i % 30 * 2e-3!r}", 4, 1),
+    meshio: ("x,y,z", lambda i: f"{i * 1e-3!r},{-i * 2e-3!r},0.5", 3, 1),
+    fitting: (",".join(OUTCOME_HEADER),
+              lambda i: f"tr{i},p{i // 20},original,{0.2 + i % 3 * 0.05!r},1,"
+                        f",,,0.2,{i * 1e-5!r},0.01,0.0", 2, 3),
+}
+
+
+def _edge_file(module, n: int, form: str) -> bytes:
+    """n rows of a plain file the reader's fast path takes, with the line
+    ends, blank lines or last row that form names."""
+    header, row, _, number = EDGE_ROWS[module]
+    lines = [header, *map(row, range(n))]
+    if form == "late-quote":       # the row loop reads it alike
+        first, _, rest = lines[-1].partition(",")
+        lines[-1] = f'"{first}",{rest}'
+    elif form == "late-error":     # the row loop words the error
+        fields = lines[-1].split(",")
+        fields[number] = "x"
+        lines[-1] = ",".join(fields)
+    elif form == "blank-lines":
+        lines = [line for i, line in enumerate(lines)
+                 for line in ([line, ""] if i % 7 == 3 else [line])]
+    text = ("\r\n" if form == "crlf" else "\n").join(lines)
+    if form == "no-final-newline":
+        return text.encode("utf-8")
+    return (text + ("\n\n\n" if form == "blank-lines" else
+                    "\r\n" if form == "crlf" else "\n")).encode("utf-8")
+
+
+def _count_row_loop(monkeypatch, module, at_entry=None) -> list:
+    """The row loop's calls; at_entry() is recorded with each."""
+    calls = []
+    row_loop = getattr(module, ROW_LOOPS[module])
+    monkeypatch.setattr(module, ROW_LOOPS[module], lambda p: calls.append(
+        at_entry() if at_entry else p) or row_loop(p))
+    return calls
+
+
+class TestRowBound:
+    """Each CSV reader sizes its array from the file's line count before
+    the parse; these files put that count at its edges."""
+
+    @pytest.mark.parametrize("module", READERS, ids=["trajectories", "points",
+                                                     "outcomes"])
+    @pytest.mark.parametrize("form", ["no-final-newline", "crlf",
+                                      "blank-lines", "late-quote",
+                                      "late-error"])
+    @pytest.mark.parametrize("chunk", [1, 60, 1 << 18])
+    def test_fast_path_matches_row_loop(self, tmp_path, monkeypatch, module,
+                                        form, chunk):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(_edge_file(module, 95, form))
+        with _row_loop_only(module):
+            want = READERS[module](path)
+        calls = _count_row_loop(monkeypatch, module)
+        with mock.patch.object(meshio, "_COLUMN_CHUNK", chunk), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = READERS[module](path)
+        assert got == want
+        assert calls == ([path] if form.startswith("late") else [])
+        if form == "late-error":
+            assert got[0] is kin.DataFormatError and got[2] == 96
+
+    def test_row_bound_counts_lines(self, tmp_path):
+        for data, bound in [(b"", 0), (b"h", 0), (b"h\n", 0), (b"h\na", 1),
+                            (b"h\r\na\r\n", 1), (b"h\n\n\na\n\n", 4)]:
+            path = tmp_path / "lines.csv"
+            path.write_bytes(data)
+            with path.open("rb") as fh, \
+                    mock.patch.object(meshio, "_COLUMN_CHUNK", 1):
+                assert meshio._row_bound(fh) == bound
+                assert fh.tell() == 0
+
+    @pytest.mark.parametrize("module", READERS, ids=["trajectories", "points",
+                                                     "outcomes"])
+    @pytest.mark.parametrize("form", ["late-quote", "late-error"])
+    def test_refused_late_chunk_drops_the_filled_array(self, tmp_path,
+                                                       monkeypatch, module,
+                                                       form):
+        """When the last chunk is refused, the array filled so far is
+        freed before the row loop runs."""
+        n = 6000
+        path = tmp_path / "rows.csv"
+        path.write_bytes(_edge_file(module, n, form))
+        filled = n * EDGE_ROWS[module][2] * 8
+        monkeypatch.setattr(meshio, "_COLUMN_CHUNK", 1 << 12)
+        grown = _count_row_loop(monkeypatch, module,
+                                lambda: tracemalloc.get_traced_memory()[0])
+        tracemalloc.start()
+        try:
+            READERS[module](path)
+        finally:
+            tracemalloc.stop()
+        assert len(grown) == 1
+        assert grown[0] < filled / 4
+
+
+def _traced_peak(read, path) -> tuple[object, int]:
+    """read(path) and the tracemalloc peak of the call, after one untraced
+    call, so that first-call caches are not counted."""
+    read(path)
+    tracemalloc.start()
+    try:
+        result = read(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestWorkingSet:
+    """A read holds the array it returns plus a fixed number of chunks:
+    each chunk is parsed into the one output array, which was sized before
+    the parse, and never joined.  The files span many 64 KiB chunks."""
+
+    CHUNK = 1 << 16
+    CHUNKS = 8
+
+    def test_trajectories(self, tmp_path, monkeypatch):
+        config = SimConfig(n_participants=3, seed=3)
+        participants = generate_participants(config)
+        trials = generate_trials(config, participants)
+        write_dataset(tmp_path, participants, trials,
+                      generate_trajectories(config, trials, participants))
+        path = tmp_path / "trajectories.csv"
+        assert path.stat().st_size > 8 * self.CHUNK
+        monkeypatch.setattr(meshio, "_COLUMN_CHUNK", self.CHUNK)
+        # the rules' blocks, a working set of their own, small next to a chunk
+        monkeypatch.setattr(kin, "BLOCK_TRIALS", 16)
+        (table, rejected), peak = _traced_peak(read_trajectories_csv, path)
+        assert not rejected
+        returned = table.t.base.nbytes + sum(
+            a.nbytes for a in (table.sample_rate, table.length, table.start,
+                               table.t_start))
+        assert peak < returned + self.CHUNKS * self.CHUNK
+
+    def test_points(self, tmp_path, monkeypatch):
+        path = tmp_path / "points.csv"
+        write_points_csv(np.random.default_rng(5).uniform(-1.0, 1.0, (50_000, 3)),
+                         path)
+        assert path.stat().st_size > 8 * self.CHUNK
+        monkeypatch.setattr(meshio, "_COLUMN_CHUNK", self.CHUNK)
+        points, peak = _traced_peak(read_points_csv, path)
+        assert points.flags.c_contiguous and points.shape == (50_000, 3)
+        assert peak < points.nbytes + self.CHUNKS * self.CHUNK
+
+    def test_outcomes(self, tmp_path, monkeypatch):
+        config = SimConfig(n_participants=200, seed=3)
+        participants = generate_participants(config)
+        write_dataset(tmp_path, participants, generate_trials(config, participants))
+        path = tmp_path / "outcomes.csv"
+        assert path.stat().st_size > 8 * self.CHUNK
+        monkeypatch.setattr(meshio, "_COLUMN_CHUNK", self.CHUNK)
+        ds, peak = _traced_peak(FitDataset.from_csv, path)
+        returned = sum(getattr(ds, name).nbytes for name in (
+            "participant_id", "condition", "target_reach", "distance_error",
+            "participant_code"))
+        assert peak < returned + self.CHUNKS * self.CHUNK

@@ -21,6 +21,12 @@ The ``predict`` slice draws an offset, an IPD and a distance list, each
 inside or outside its domain (zero, negative, subnormal, huge, nan and
 infinite values, empty and malformed list entries), and checks that a
 run that succeeds writes one finite row per distance.
+
+The ``transform`` slice draws an OBJ mesh or a points CSV (tabs, CRLF
+line ends, negative face references, quads, a byte-order mark, and
+coordinates at or behind the eye) and an offset and IPD as ``predict``
+draws them, and checks that a run that succeeds writes one vertex or
+point per input one.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from hypothesis import strategies as st
 
 from vackit import fitting
 from vackit.cli import main
+from vackit.meshio import read_obj, read_points_csv
 
 REACHES = (0.15, 0.20, 0.25, 0.30, 0.35)
 ERROR_PREFIXES = ("vackit: error: ", "vackit: data error: ")
@@ -250,3 +257,62 @@ class TestPredictRobustness:
                                      if d.strip()])
             assert all(math.isfinite(float(value)) for row in rows
                        for value in row), rows
+
+
+def _coordinates() -> st.SearchStrategy[str]:
+    """A coordinate as a file spells it: mostly a plausible scene value,
+    sometimes zero, huge or non-finite."""
+    return (st.floats(-3.0, 3.0).map(repr)
+            | st.sampled_from(["0", "-0.0", "1e308", "nan", "-inf", "5e-324"]))
+
+
+@st.composite
+def _transform_inputs(draw) -> tuple[str, str, int]:
+    """(suffix, text, vertices or points in it): an OBJ mesh of triangles
+    and quads with positive or negative references in each token form, or
+    a points CSV; fields split by spaces or tabs, LF or CRLF line ends,
+    and maybe a byte-order mark."""
+    n = draw(st.integers(1, 6))
+    rows = [[draw(_coordinates()) for _ in range(3)] for _ in range(n)]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    if draw(st.booleans()):
+        sep = draw(st.sampled_from([" ", "\t", "  "]))
+        lines = [sep.join(["v", *row]) for row in rows]
+        for _ in range(draw(st.integers(0, 3))):
+            refs = []
+            for _ in range(draw(st.sampled_from([3, 4]))):
+                ref = draw(st.integers(1, n))
+                ref = ref - n - 1 if draw(st.booleans()) else ref
+                refs.append(draw(st.sampled_from(["{}", "{}/1", "{}//1",
+                                                  "{}/1/1"])).format(ref))
+            lines.append(sep.join(["f", *refs]))
+        suffix = ".obj"
+    else:
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines = ["x,y,z", *(",".join(pad + value for value in row)
+                            for row in rows)]
+        suffix = ".csv"
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return suffix, ("\ufeff" if draw(st.booleans()) else "") + text, n
+
+
+class TestTransformRobustness:
+    @settings(max_examples=200, deadline=None)
+    @given(given_input=_transform_inputs(), beta=_surface_floats(-3.0, 3.0),
+           ipd=_surface_floats(40.0, 100.0), literal=st.booleans())
+    def test_copy_or_one_error_line(self, given_input, beta, ipd, literal):
+        suffix, text, n = given_input
+        with tempfile.TemporaryDirectory() as tmp:
+            source, out = Path(tmp) / f"in{suffix}", Path(tmp) / f"out{suffix}"
+            source.write_bytes(text.encode("utf-8"))
+            argv = ["transform", f"--in={source}", f"--out={out}",
+                    f"--beta-deg={beta!r}", f"--ipd-mm={ipd!r}"]
+            code, stdout, err = _run(argv + ["--compat-literal-half-angle"]
+                                     * literal)
+            _check_report(code, err)
+            if code:
+                return
+            assert stdout == f"transformed {n} points -> {out}\n"
+            copy = (read_obj(out).vertices if suffix == ".obj"
+                    else read_points_csv(out))
+            assert copy.shape == (n, 3)
