@@ -328,21 +328,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _identifiability_notes(condition: str, caught: list) -> list[str]:
-    """One stderr line per participant of a condition that a fit warned
-    about (both variants warn alike), for the caller to print as soon as
-    the condition's fits finish; other warnings are issued again."""
-    notes = []
-    for item in caught:
-        if issubclass(item.category, IdentifiabilityWarning):
-            notes.append(f"vackit: warning: condition {condition}: "
-                         f"{item.message}")
-        else:
-            warnings.warn_explicit(item.message, item.category,
-                                   item.filename, item.lineno)
-    return list(dict.fromkeys(notes))
-
-
 def _ipd_bounds(value) -> tuple[float, float]:
     """ipd_bounds_mm in metres, inside (0, IPD_BOUND_M) as EyeGeometry holds."""
     lo, hi = bounds = tuple(x / 1000.0 for x in _floats(value))
@@ -384,8 +369,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     rows: list[ComparisonRow] = []
     for condition in dataset.conditions:
         subset = dataset.select_condition(condition)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", IdentifiabilityWarning)
+        # the notes are printed from the results below, not as warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IdentifiabilityWarning)
             if args.variant == "both":
                 rows += compare_models_detailed(
                     subset, **model, train_fraction=args.split,
@@ -394,8 +380,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 rows.append(ComparisonRow(condition, fit_model(
                     subset, ModelSpec(variant=args.variant, **model),
                     train_fraction=args.split, split_seed=args.seed), True))
-        for note in _identifiability_notes(condition, caught):
-            print(note, file=sys.stderr)
+        # both variants of a condition carry the same notes
+        for note in rows[-1].result.notes:
+            print(f"vackit: warning: condition {condition}: {note}",
+                  file=sys.stderr)
     if args.variant == "both":
         write_comparison_csv(rows, outdir / "comparison.csv")
         outputs.append("comparison.csv")

@@ -354,7 +354,9 @@ class FitResult:
     """Fitted parameters and split-wise fit quality.
 
     k counts the parameters each split's BIC charges: one distance per
-    participant, plus the offset in the with-offset variant.
+    participant, plus the offset in the with-offset variant.  notes holds
+    the texts of the IdentifiabilityWarnings the fit issued, in participant
+    order.
     """
 
     variant: str
@@ -366,6 +368,7 @@ class FitResult:
     n_iter: int
     converged: bool
     stop_reason: str
+    notes: tuple[str, ...] = ()
 
 
 def residuals(x: np.ndarray, observed: np.ndarray, pidx: np.ndarray,
@@ -536,13 +539,14 @@ def fit(dataset: FitDataset, spec: ModelSpec,
         split_seed: int = 0) -> FitResult:
     """Fit one model variant on the training split, score both splits.
 
-    Emits an IdentifiabilityWarning when any participant contributes fewer
-    than two distinct reach distances to the training rows; a single
-    distance cannot separate the offset from that participant's
-    interpupillary distance.  Raises DomainError, whatever the variant, if
-    spec.eye_pose puts the eye at a target or at no finite distance from it,
-    and, before anything is solved, if either split has no more rows than
-    the k parameters its BIC charges.
+    Emits an IdentifiabilityWarning, and keeps its text in the result's
+    notes, for each participant with fewer than two distinct reach
+    distances in the training rows; a single distance cannot separate the
+    offset from that participant's interpupillary distance.  Raises
+    DomainError, whatever the variant, if spec.eye_pose puts the eye at a
+    target or at no finite distance from it, and, before anything is
+    solved, if either split has no more rows than the k parameters its BIC
+    charges.
     """
     participants, pidx = dataset.participants, dataset.participant_code
     eye_distance = spec.eye_pose.eye_distance(dataset.target_reach)
@@ -570,14 +574,13 @@ def fit(dataset: FitDataset, spec: ModelSpec,
     # participant's cells, one per distinct reach
     n_reaches = np.bincount(pidx[order[bounds[:-1]]],
                             minlength=len(participants))
-    for p in np.flatnonzero(n_reaches < 2):
-        warnings.warn(
-            f"participant {participants[p]!r} has fewer than two distinct "
-            f"reach distances in the training rows; the offset and that "
-            f"participant's interpupillary distance are not separable",
-            IdentifiabilityWarning,
-            stacklevel=2,
-        )
+    notes = tuple(
+        f"participant {participants[p]!r} has fewer than two distinct "
+        f"reach distances in the training rows; the offset and that "
+        f"participant's interpupillary distance are not separable"
+        for p in np.flatnonzero(n_reaches < 2))
+    for note in notes:
+        warnings.warn(note, IdentifiabilityWarning, stacklevel=2)
 
     if spec.variant == VARIANT_ZERO_OFFSET:
         # the model predicts zero for every row, so nothing is solved: the
@@ -612,6 +615,7 @@ def fit(dataset: FitDataset, spec: ModelSpec,
         n_iter=n_iter,
         converged=converged,
         stop_reason=stop_reason,
+        notes=notes,
     )
 
 

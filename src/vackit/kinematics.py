@@ -252,14 +252,19 @@ class EyePose:
         The same expression; ``** 2`` is libm pow, as for numpy scalars,
         and can differ from ``d * d`` in the last bit.  A square past the
         float range, which math raises on, is left to numpy, which gives
-        inf, or nan with a nan coordinate.
+        inf, or nan with a nan coordinate.  So is a nan result: of two nan
+        terms, numpy's sum keeps the second's sign and payload, and Python's
+        the first's once CPython has specialized the addition.
         """
         try:
-            return math.sqrt((x - self.lateral_m) ** 2 + (y - self.above_m) ** 2
-                             + (z + self.behind_m) ** 2)
+            d = math.sqrt((x - self.lateral_m) ** 2 + (y - self.above_m) ** 2
+                          + (z + self.behind_m) ** 2)
         except OverflowError:
-            with np.errstate(over="ignore"):
-                return float(self.eye_distance_of(x, y, z))
+            d = math.nan
+        if d == d:
+            return d
+        with np.errstate(over="ignore"):
+            return float(self.eye_distance_of(x, y, z))
 
 
 @dataclass(frozen=True)
@@ -913,14 +918,13 @@ def _float_fields(column) -> list[str]:
 
 def _reach_fields(column) -> list[str]:
     """A column of reaches as outcomes.csv fields: one not finite empty."""
-    if isinstance(column, np.ndarray):
-        # a chunk of trials repeats a few reaches: format each bit pattern
-        # once, so -0.0 and 0.0 keep their own text
-        bits, index = np.unique(column.view(np.int64), return_inverse=True)
-        texts = [repr(r) if math.isfinite(r) else ""
-                 for r in bits.view(np.float64).tolist()]
-        return [texts[i] for i in index.tolist()]
-    return [repr(float(r)) if math.isfinite(r) else "" for r in column]
+    # a chunk of trials repeats a few reaches: format each bit pattern once,
+    # so -0.0 and 0.0 keep their own text
+    bits, index = np.unique(np.asarray(column, dtype=np.float64)
+                            .view(np.int64), return_inverse=True)
+    texts = [repr(r) if math.isfinite(r) else ""
+             for r in bits.view(np.float64).tolist()]
+    return [texts[i] for i in index.tolist()]
 
 
 def write_outcomes_csv(chunks: Iterable[Sequence], path: str | Path) -> None:
@@ -933,8 +937,8 @@ def write_outcomes_csv(chunks: Iterable[Sequence], path: str | Path) -> None:
     float64 arrays.  outcome_columns makes the chunks of analyzed trials.
     None, and a reach that is not finite, are written empty, and floats
     with repr: the bytes equal one csv.writer row per trial.  Each chunk
-    is formatted as one string; an array's distinct reaches are formatted
-    once each, and a measure column that is the same object as the one
+    is formatted as one string; its distinct reaches are formatted once
+    each, and a measure column that is the same object as the one
     before it once.
     """
     with Path(path).open("w", encoding="utf-8", newline="") as fh:

@@ -600,6 +600,41 @@ class TestFit:
             warnings.simplefilter("error", IdentifiabilityWarning)
             fit(ds, ModelSpec(ipd_bounds=SIM_IPD_BOUNDS))
 
+    @pytest.mark.parametrize("variant", [VARIANT_WITH_OFFSET,
+                                         VARIANT_ZERO_OFFSET])
+    def test_notes_are_the_warnings_in_participant_order(self, variant):
+        # p2 comes first in the rows, but the notes follow the sorted ids
+        rows = [("p2", "original", 0.30, -0.03)] * 6
+        rows += [("p1", "original", r, -0.02 - 0.01 * i)
+                 for i, r in enumerate(REACHES) for _ in range(4)]
+        rows += [("p0", "original", 0.25, -0.02)] * 6
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fit(FitDataset.from_rows(rows),
+                         ModelSpec(variant=variant, ipd_bounds=SIM_IPD_BOUNDS))
+        assert all(w.category is IdentifiabilityWarning for w in caught)
+        assert result.notes == tuple(str(w.message) for w in caught)
+        assert result.notes == tuple(
+            f"participant {pid!r} has fewer than two distinct reach "
+            f"distances in the training rows; the offset and that "
+            f"participant's interpupillary distance are not separable"
+            for pid in ("p0", "p2"))
+
+    @pytest.mark.parametrize("variant", [VARIANT_WITH_OFFSET,
+                                         VARIANT_ZERO_OFFSET])
+    def test_no_notes_when_every_participant_has_two_reaches(self, variant):
+        diverse, _ = _synthetic_dataset(noise_sd=0.005, seed=8)
+        # one-row cells all go to training, so two of them separate p0
+        rows = [("p0", "original", 0.25, -0.02),
+                ("p0", "original", 0.30, -0.03)]
+        rows += [("p1", "original", r, -0.02 - 0.01 * i)
+                 for i, r in enumerate(REACHES) for _ in range(8)]
+        for ds in (diverse, FitDataset.from_rows(rows)):
+            spec = ModelSpec(variant=variant, ipd_bounds=SIM_IPD_BOUNDS)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", IdentifiabilityWarning)
+                assert fit(ds, spec).notes == ()
+
 
 def _reference_fit(ds: FitDataset, spec: ModelSpec, split_seed: int = 0):
     """The fit run the plain way: the dense reference LM on the dense
@@ -740,6 +775,29 @@ class TestModelComparison:
         assert {r.condition for r in rows} == {"original", "feedforward"}
         assert len(rows) == 4
 
+    def test_both_variants_of_a_condition_carry_the_same_notes(self):
+        # p0 keeps one reach in "original", p1 in "feedforward"
+        rows = []
+        for condition, single in (("original", "p0"), ("feedforward", "p1")):
+            for pid in ("p0", "p1", "p2"):
+                reaches = REACHES[:1] if pid == single else REACHES
+                rows += [(pid, condition, r, -0.02 - 0.01 * i)
+                         for i, r in enumerate(reaches) for _ in range(6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IdentifiabilityWarning)
+            detailed = compare_models_detailed(FitDataset.from_rows(rows),
+                                               ipd_bounds=SIM_IPD_BOUNDS)
+        notes: dict[str, list] = {}
+        for row in detailed:
+            notes.setdefault(row.condition, []).append(row.result.notes)
+        assert {c: len(n) for c, n in notes.items()} == \
+            {"original": 2, "feedforward": 2}
+        for condition, single in (("original", "p0"), ("feedforward", "p1")):
+            first, second = notes[condition]
+            assert first == second
+            assert len(first) == 1 and first[0].startswith(
+                f"participant {single!r} has fewer than two")
+
 
 class TestWriters:
     def test_comparison_csv_schema(self, tmp_path):
@@ -764,6 +822,18 @@ class TestWriters:
             result.ipd["p00"] * 1000.0)
         assert data == fit_result_to_dict(result) | {
             "beta_deg": data["beta_deg"]}
+
+    def test_fit_json_leaves_the_notes_out(self, tmp_path):
+        rows = [("p0", "original", 0.25, -0.02)] * 6
+        rows += [("p1", "original", r, -0.02 - 0.01 * i)
+                 for i, r in enumerate(REACHES) for _ in range(4)]
+        with pytest.warns(IdentifiabilityWarning):
+            result = fit(FitDataset.from_rows(rows),
+                         ModelSpec(ipd_bounds=SIM_IPD_BOUNDS))
+        assert result.notes
+        assert "notes" not in fit_result_to_dict(result)
+        write_fit_json(result, tmp_path / "fit.json")
+        assert "notes" not in json.loads((tmp_path / "fit.json").read_text())
 
     def test_default_bounds_are_physical(self):
         lo, hi = DEFAULT_IPD_BOUNDS

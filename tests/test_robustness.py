@@ -17,6 +17,10 @@ bounds and a drawn eye pose, which may put the eye at a target's depth.
 A one-iteration cap on the solver is drawn too, so that fits that did not
 converge are common.
 
+The noise-free recovery slice simulates a cohort at motor noise 0 and
+fits it under an IPD box equal to the simulated IPD range, and checks
+that the offset and every IPD come back.
+
 The ``predict`` slice draws an offset, an IPD and a distance list, each
 inside or outside its domain (zero, negative, subnormal, huge, nan and
 infinite values, empty and malformed list entries), and checks that a
@@ -225,6 +229,72 @@ class TestFitRobustness:
                 fit_variant = text.split()[1] if variant == "both" else variant
                 assert line.endswith(" (not converged)") == \
                     (not converged(condition, fit_variant))
+
+
+@st.composite
+def _noise_free_cohorts(draw) -> dict:
+    """A simulate config at motor noise 0 with an offset of 0.01 to 2
+    degrees either way, and IPDs drawn uniform or normal (clipped onto
+    their range's ends) in a range 0.5 to 10 mm wide inside 45-80 mm.  Two
+    to six participants reach two to four distances two to four times
+    each, so both splits hold more rows than the fit has parameters."""
+    low = draw(st.floats(45.0, 70.0))
+    high = low + draw(st.floats(0.5, 10.0))
+    config = {
+        "n_participants": draw(st.integers(2, 6)),
+        "seed": draw(st.integers(0, 2 ** 16)),
+        "beta_deg": draw(st.floats(0.01, 2.0)) * draw(st.sampled_from([1, -1])),
+        "motor_noise_sd_mm": 0,
+        "reach_distances_m": draw(st.lists(st.sampled_from(REACHES),
+                                           min_size=2, max_size=4,
+                                           unique=True)),
+        "repetitions": draw(st.integers(2, 4)),
+        "ipd_low_mm": low,
+        "ipd_high_mm": high,
+        "write_trajectories": False,
+    }
+    if draw(st.booleans()):
+        config |= {"ipd_distribution": "normal",
+                   "ipd_mean_mm": draw(st.floats(low, high)),
+                   "ipd_sd_mm": draw(st.floats(0.0, 5.0))}
+    return config
+
+
+class TestNoiseFreeRecovery:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cohort=_noise_free_cohorts())
+    def test_fit_recovers_the_offset_and_every_ipd(self, cohort):
+        """At motor noise 0, under an IPD box equal to the simulated IPD
+        range, the with-offset fit recovers the offset within 1e-4 deg and
+        each IPD within 1e-6 m.  The offset stays at least 0.01 deg from
+        0: at 0 the model's errors do not depend on the IPDs."""
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            sim = tmp / "sim"
+            code, _, err = _run(["simulate", "--config", _write_json(
+                tmp / "sim.json", cohort), "--out", str(sim)])
+            assert (code, err) == (0, "")
+            config = {"ipd_bounds_mm": [cohort["ipd_low_mm"],
+                                        cohort["ipd_high_mm"]]}
+            code, _, err = _run([
+                "fit", "--input", str(sim / "outcomes.csv"),
+                "--variant", "with-offset",
+                "--config", _write_json(tmp / "fit.json", config),
+                "--out", str(tmp / "fits")])
+            _check_report(code, err)
+            assert (code, err) == (0, "")
+            result = json.loads((tmp / "fits" / "fit_original_with-offset.json")
+                                .read_text(encoding="utf-8"))
+            with (sim / "participants.csv").open(encoding="utf-8",
+                                                  newline="") as fh:
+                truth = {row["participant_id"]: float(row["ipd_m"])
+                         for row in csv.DictReader(fh)}
+        assert result["converged"]
+        assert abs(result["beta_deg"] - cohort["beta_deg"]) <= 1e-4
+        assert result["ipd_m"].keys() == truth.keys()
+        for pid, ipd in truth.items():
+            assert abs(result["ipd_m"][pid] - ipd) <= 1e-6, pid
 
 
 def _surface_floats(low: float, high: float) -> st.SearchStrategy[float]:
