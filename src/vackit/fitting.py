@@ -85,12 +85,10 @@ def _dict_row(header: list[str], row: list[str]) -> dict:
 _OUTCOME_COLUMNS = ("participant_id", "condition", "target_reach_m",
                     "distance_error_m")
 # The rows of an outcomes file with OUTCOME_HEADER as the column parse reads
-# them: the required columns, then valid.  An id or condition of 16
-# characters or more, or a valid field of 2, fills its field and is left to
-# the row loop.
-_OUTCOME_DTYPE = np.dtype([("participant_id", "U16"), ("condition", "U16"),
+# them: the required columns, then valid.
+_OUTCOME_DTYPE = np.dtype([("participant_id", object), ("condition", object),
                            ("target_reach_m", np.float64),
-                           ("distance_error_m", np.float64), ("valid", "U2")])
+                           ("distance_error_m", np.float64), ("valid", object)])
 
 
 def _read_outcome_rows(path: Path) -> tuple:
@@ -142,10 +140,11 @@ def _read_outcome_columns(fh) -> tuple | None:
     """FitDataset.from_csv's columns, parsed in C, or None.
 
     fh is the outcomes file opened in binary mode at its start.  Each chunk
-    of rows is parsed by _column_chunks; the rows the valid field keeps
-    fill one (2, rows) reach and error array sized before the parse, and
-    give their participant id and condition once per run of rows that
-    share both, so a file grouped by participant costs no object per row.
+    of rows is parsed by _column_chunks, its text fields as Python
+    strings; the rows the valid field keeps fill one (2, rows) reach and
+    error array sized before the parse, and give their participant id and
+    condition once per run of rows that share both, so the columns of a
+    file grouped by participant keep one string per run, not per row.
 
     Returns None whenever the columns might differ from the row loop's: a
     header other than OUTCOME_HEADER, a row _column_chunks refuses (a
@@ -249,15 +248,16 @@ class FitDataset:
         fields"), and so is a kept row whose reach is not finite and
         positive or whose distance error is not finite.  An error names the
         physical line its row ends on: blank lines and quoted newlines
-        count.
+        count.  A field longer than csv.field_size_limit() is a
+        DataFormatError too.
 
         A file with the header vackit writes (OUTCOME_HEADER) is parsed in
         C a bounded chunk of lines at a time, and the rows the valid field
         rejects are dropped after the parse.  A file that parse cannot
         promise the row loop's result for (another header, quoted fields,
-        an id or condition of 16 characters or more, a rejected row with
-        empty numbers, a malformed row, a non-finite value, ...) is read
-        row by row instead, with the same columns and errors.
+        a rejected row with empty numbers, a malformed row, a non-finite
+        value, ...) is read row by row instead, with the same columns and
+        errors.
         """
         path = Path(path)
         with path.open("rb") as fh:

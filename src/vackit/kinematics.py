@@ -693,9 +693,8 @@ def analyze_trials(trajectories: Sequence[Trajectory],
 
 
 TRAJECTORY_HEADER = ["trial_id", "t", "x", "y", "z"]
-# The rows of trajectories.csv as the column parse reads them; a trial id
-# of 32 characters or more is left to the row loop.
-_SAMPLE_DTYPE = np.dtype([("trial_id", "U32")]
+# The rows of trajectories.csv as the column parse reads them.
+_SAMPLE_DTYPE = np.dtype([("trial_id", object)]
                          + [(axis, np.float64) for axis in "txyz"])
 
 
@@ -710,13 +709,13 @@ def read_trajectories_csv(
     batch; malformed rows or non-increasing timestamps are file errors.
 
     The rows are parsed in C a chunk at a time (``_column_chunks``) into
-    one (4, rows) float64 array sized before the parse, with no Python
-    object per sample or per trial.  The rates (inverse median periods)
+    one (4, rows) float64 array sized before the parse, and a trial id of
+    any length, kept once per trial.  The rates (inverse median periods)
     and Trajectory's rules, as masks, are worked out for up to
     BLOCK_TRIALS trials of one length at a time.  A file the column parse
-    cannot promise the row loop's result for (quoted ids, a trial id of 32
-    characters or more, a malformed row, a trial's rows not contiguous,
-    ...) is read row by row instead, with the same trials, order and errors.
+    cannot promise the row loop's result for (quoted ids, a malformed row,
+    a trial's rows not contiguous, ...) is read row by row instead, with
+    the same trials, order and errors.
 
     Returns:
         (trajectories, rejected), each sorted by trial_id; trajectories is

@@ -5,10 +5,10 @@ The OBJ reader parses its ``v`` records in C with ``np.loadtxt`` and its
 (``_read_obj_columns``), and reruns a loop over the lines whenever that
 might not give the loop's mesh or error.  The three CSV readers, points
 here, trajectories in ``kinematics`` and outcomes in ``fitting``, parse
-their rows in C through one chunk parser (``_column_chunks``) and rerun a
-loop over ``_csv_records`` likewise.  Writers format ``_CHUNK_ROWS`` rows
-per ``%`` operation.  Memory stays O(vertices + faces) in arrays, with no
-Python object per record.
+their rows in C through one chunk parser (``_column_chunks``), text fields
+as whole Python strings, and rerun a loop over ``_csv_records`` likewise.
+Writers format ``_CHUNK_ROWS`` rows per ``%`` operation.  Memory stays
+O(vertices + faces) in arrays, with no Python object per record.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ _CHUNK_ROWS = 4096
 # A UTF-8 byte-order mark, if present, is not part of the first record.
 _ENCODING = "utf-8-sig"
 
-# Size hint, in bytes, of the lines _plain_lines and _read_obj_columns
+# Size hint, in bytes, of the lines _column_chunks and _read_obj_columns
 # parse at once.  A CSV chunk is live about 6.5 times over (bytes, text,
 # lines, rows): reading 576 trials of 221 samples (12.4 MB) peaks 1.9 MiB
 # above its output here (tracemalloc), 6.2 MiB at 1 MiB, in the same time.
@@ -47,29 +47,6 @@ _COLUMN_CHUNK = 1 << 18
 _ROW_LOOP_ONLY = '"\0\x1c\x1d\x1e\x1f'
 # A CR not followed by LF, which a csv.reader takes for a line end.
 _LONE_CR = re.compile("\r(?!\n)")
-
-
-def _plain_lines(fh) -> Iterator[list[str]]:
-    """The lines left in a binary file, decoded, a bounded chunk at a time.
-
-    Each line comes without its "\\n", and a chunk of blank lines only is
-    skipped.  Raises ValueError on undecodable bytes, and on a chunk a
-    csv.reader might not split at commas and line ends alone: one holding
-    a character of _ROW_LOOP_ONLY, a lone CR, or a line longer than csv's
-    field limit.
-    """
-    limit = csv.field_size_limit()
-    while text := (fh.read(_COLUMN_CHUNK) + fh.readline()).decode("utf-8"):
-        if any(c in text for c in _ROW_LOOP_ONLY) or _LONE_CR.search(text):
-            raise ValueError("needs the row loop")
-        if not text.strip("\r\n"):
-            continue
-        lines = text.split("\n")
-        if not lines[-1]:
-            lines.pop()
-        if len(text) > limit and max(map(len, lines)) > limit:
-            raise ValueError("needs the row loop")
-        yield lines
 
 
 def _row_bound(fh) -> int:
@@ -90,37 +67,47 @@ def _csv_records(path: Path) -> Iterator:
     blank lines and quoted newlines count."""
     with path.open("r", encoding=_ENCODING, newline="") as fh:
         reader = csv.reader(fh)
-        yield next(reader, [])
-        for row in reader:
-            if row:
-                yield reader.line_num, row
+        try:
+            yield next(reader, [])
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+        except csv.Error as exc:  # a NUL before Python 3.11, a long field
+            raise DataFormatError(str(exc), str(path), reader.line_num) from None
 
 
 def _column_chunks(fh, header: str, dtype: np.dtype) -> Iterator[np.ndarray]:
     """The rows of a plain CSV after its header, parsed in C, as one
-    structured array of dtype per _plain_lines chunk.
+    structured array of dtype per chunk of about _COLUMN_CHUNK bytes.
 
     fh is a binary file at its start, whose first line must be header plus
     a line end.  Each field of dtype is taken from the header column of
-    the same name.  Raises ValueError whenever the rows might differ from
-    what a csv.reader loop would read: another first line, a chunk
-    _plain_lines refuses, a row np.loadtxt cannot parse, undecodable
-    bytes, or a text field that fills its width, since it may have been
-    cut.  The caller then reruns its row loop, which alone words errors
-    and numbers lines.
+    the same name; an object field keeps its text whole, as a csv.reader
+    splits an unquoted field.  A chunk of blank lines only is skipped.
+    Raises ValueError whenever the rows might differ from what a
+    csv.reader loop would read: another first line, undecodable bytes, a
+    chunk holding a character of _ROW_LOOP_ONLY, a lone CR or a line
+    longer than csv's field limit, or a row np.loadtxt cannot parse.  The
+    caller then reruns its row loop, which alone words errors and numbers
+    lines.
     """
     if fh.readline().decode(_ENCODING) not in (header + "\r\n", header + "\n"):
         raise ValueError("needs the row loop")
     names = header.split(",")
     usecols = [names.index(name) for name in dtype.names]
-    texts = [name for name in dtype.names if dtype[name].kind == "U"]
-    for lines in _plain_lines(fh):
-        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", usecols=usecols,
-                          comments=None, ndmin=1)
-        for name in texts:
-            if (np.char.str_len(rows[name]) >= dtype[name].itemsize // 4).any():
-                raise ValueError("needs the row loop")
-        yield rows
+    limit = csv.field_size_limit()
+    while text := (fh.read(_COLUMN_CHUNK) + fh.readline()).decode("utf-8"):
+        if any(c in text for c in _ROW_LOOP_ONLY) or _LONE_CR.search(text):
+            raise ValueError("needs the row loop")
+        if not text.strip("\r\n"):
+            continue
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        if len(text) > limit and max(map(len, lines)) > limit:
+            raise ValueError("needs the row loop")
+        yield np.loadtxt(lines, dtype=dtype, delimiter=",", usecols=usecols,
+                         comments=None, ndmin=1)
 
 
 def _runs(values: np.ndarray) -> tuple[list, np.ndarray]:

@@ -57,9 +57,9 @@ SPELLINGS = ["1_0", " 1.5 ", "nan", "-nan", "NaN", "-Infinity", "inf", "1e400",
 # line break) or the fast path leaves to the row loop (NUL).
 PLAIN_IDS = ["a", "b", "p0-t1", "", " lead", "\u00fc"]
 IDS = ["a,b", 'say "hi"', "two\nlines", "c\r", "nul\x00"]
-# Ids about the width of the parsed trial_id field: one of 32 characters or
-# more may have been cut, so the fast path leaves it to the row loop.
-LONG_IDS = ["i" * 31, "i" * 32, "\u00fc" * 33, "i" * 31 + ","]
+# Long ids, ASCII and not: the fast path keeps each whole, as a Python
+# string, and quotes or a comma still send the file to the row loop.
+LONG_IDS = ["i" * 31, "i" * 32, "\u00fc" * 33, "i" * 31 + ",", "i" * 200]
 CHUNKS = [1, 60, 1 << 20]      # bytes per chunk: one line, a few, all
 
 
@@ -741,8 +741,7 @@ class TestFastPathRuns:
         path = tmp_path / "outcomes.csv"
         path.write_text("\n".join([",".join(OUTCOME_HEADER), *rows]) + "\n",
                         encoding="utf-8")
-        text_chars = fitting._OUTCOME_DTYPE["participant_id"].itemsize // 4
-        assert max(len(repr(reach)) for reach in reaches) >= text_chars
+        assert repr(reaches[0]) == "0.30000000000000004"
         with _row_loop_only(fitting):
             want = _outcomes_result(path)
         calls = self._count_outcome_rows(monkeypatch)
@@ -750,6 +749,25 @@ class TestFastPathRuns:
         assert got == want
         assert calls == []
         assert np.frombuffer(got[2]).tolist() == reaches * 6
+
+    def test_long_text_outcomes_take_the_fast_path(self, tmp_path,
+                                                   monkeypatch):
+        """Ids, conditions and valid fields of any length are parsed in C,
+        whole; a valid field of 10 drops its row, as in the row loop."""
+        rows = [f"t{i},participant_{i % 3:04d},transformed_feedback,"
+                f"{0.2 + i % 4 * 0.05!r},{'10' if i % 5 == 2 else '1'},,,,,"
+                f"{i / 1000 - 0.01!r},," for i in range(24)]
+        path = tmp_path / "outcomes.csv"
+        path.write_text("\n".join([",".join(OUTCOME_HEADER), *rows]) + "\n",
+                        encoding="utf-8")
+        with _row_loop_only(fitting):
+            want = _outcomes_result(path)
+        calls = self._count_outcome_rows(monkeypatch)
+        got = _outcomes_result(path)
+        assert got == want
+        assert calls == []
+        assert got[0][0] == "participant_0000" and len(got[0]) == 19
+        assert set(got[1]) == {"transformed_feedback"}
 
     def _analyzed(self, tmp_path, bad_targets: bool):
         """analyze's outcomes of a small simulated cohort; with bad_targets,
@@ -807,10 +825,9 @@ class TestFastPathRuns:
                             lambda p: calls.append(p) or row_loop(p))
         return calls
 
-    @pytest.mark.parametrize("n_chars", [31, 32])
+    @pytest.mark.parametrize("n_chars", [31, 32, 200])
     def test_trial_id_width(self, tmp_path, monkeypatch, n_chars):
-        """A trial id of 31 characters is parsed in C; one of 32 fills the
-        parsed field, may have been cut, and is left to the row loop."""
+        """A trial id of any length is parsed in C, whole."""
         trial_id = "t" * (n_chars - 1) + "\u00fc"
         rows = [f"{trial_id},{i / 250!r},0.0,0.0,{i / 1e3!r}"
                 for i in range(kin.MIN_SAMPLES + 5)]
@@ -823,7 +840,7 @@ class TestFastPathRuns:
         got = _trajectory_result(path)
         assert got == want
         assert got[0][0][0] == trial_id
-        assert calls == ([] if n_chars < 32 else [path])
+        assert calls == []
 
     @pytest.mark.parametrize("comes_back", [False, True])
     def test_trial_split_by_a_chunk_boundary(self, tmp_path, monkeypatch,
@@ -1079,6 +1096,23 @@ def _traced_peak(read, path) -> tuple[object, int]:
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+class TestCsvErrors:
+    @pytest.mark.parametrize("module", READERS, ids=["trajectories", "points",
+                                                     "outcomes"])
+    def test_field_over_the_limit_is_a_data_error(self, tmp_path, module):
+        """csv's own refusal of a row is a DataFormatError naming the file
+        and line, not a csv.Error; the C parse leaves that row to csv."""
+        header, row, _, number = EDGE_ROWS[module]
+        fields = row(0).split(",")
+        fields[number] = "1" * 200_001
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join([header, ",".join(fields), row(1)]) + "\n",
+                        encoding="utf-8")
+        assert READERS[module](path) == (
+            kin.DataFormatError,
+            f"field larger than field limit (131072) [{path}:2]", 2)
 
 
 class TestWorkingSet:

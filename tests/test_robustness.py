@@ -44,7 +44,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vackit import fitting
@@ -370,6 +370,9 @@ class TestTransformRobustness:
     @settings(max_examples=200, deadline=None)
     @given(given_input=_transform_inputs(), beta=_surface_floats(-3.0, 3.0),
            ipd=_surface_floats(40.0, 100.0), literal=st.booleans())
+    # a field over csv's limit, which csv.reader refuses
+    @example(given_input=(".csv", "x,y,z\n" + "1" * 200_001 + ",0,0.5\n", 1),
+             beta=0.22, ipd=63.0, literal=False)
     def test_copy_or_one_error_line(self, given_input, beta, ipd, literal):
         suffix, text, n = given_input
         with tempfile.TemporaryDirectory() as tmp:
