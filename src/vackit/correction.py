@@ -116,6 +116,11 @@ def transform_point(p: ScenePoint, eyes: EyeGeometry, params: PerturbationParams
     return ScenePoint(x=p.x, y=p.y, z=math.sqrt(radicand))
 
 
+# Rows transform_points evaluates at once: its temporaries are a few arrays
+# of this many float64s, whatever the size of the input.
+_BLOCK_ROWS = 1 << 13
+
+
 def transform_points(points: np.ndarray, eyes: EyeGeometry,
                      params: PerturbationParams, *, kind: str = "point",
                      literal_half_angle: bool = False) -> np.ndarray:
@@ -127,6 +132,10 @@ def transform_points(points: np.ndarray, eyes: EyeGeometry,
     shift copies the input bitwise (after the domain checks) so that a
     no-op transform cannot drift by rounding, with or without
     literal_half_angle.  The input is not modified.
+
+    The rows are evaluated in blocks of _BLOCK_ROWS straight into the
+    output array, so the call holds the output plus one block's
+    temporaries; each element is the same as the whole-array expression.
 
     Args:
         kind: Word naming a row in the error message ("point", "vertex").
@@ -140,22 +149,26 @@ def transform_points(points: np.ndarray, eyes: EyeGeometry,
     """
     xyz = np.ascontiguousarray(points, dtype=np.float64)
     shift = float(_angle_shift(params, literal_half_angle))
-    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf distance is refused
-        d_tilde, ok = shift_distances(np.sqrt(x * x + y * y + z * z),
-                                      float(eyes.half_ipd), shift)
-        radicand = d_tilde * d_tilde - x * x - y * y
-    ok &= (z > 0.0) & (radicand > 0.0)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        x, y, z = points[i]
-        raise DomainError(f"{kind} {i} at ({x}, {y}, {z}) cannot be corrected")
-    if shift == 0.0:
-        return xyz.copy()
+    half_ipd = float(eyes.half_ipd)
     out = np.empty_like(xyz)
-    out[:, 0] = x
-    out[:, 1] = y
-    out[:, 2] = np.sqrt(radicand)
+    for start in range(0, len(xyz), _BLOCK_ROWS):
+        block = xyz[start:start + _BLOCK_ROWS]
+        x, y, z = block[:, 0], block[:, 1], block[:, 2]
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf distance is refused
+            d_tilde, ok = shift_distances(np.sqrt(x * x + y * y + z * z),
+                                          half_ipd, shift)
+            radicand = d_tilde * d_tilde - x * x - y * y
+        ok &= (z > 0.0) & (radicand > 0.0)
+        if not ok.all():
+            i = start + int(np.argmin(ok))
+            x, y, z = points[i]
+            raise DomainError(f"{kind} {i} at ({x}, {y}, {z}) cannot be corrected")
+        rows = out[start:start + _BLOCK_ROWS]
+        if shift == 0.0:
+            rows[:] = block
+        else:
+            rows[:, :2] = block[:, :2]
+            np.sqrt(radicand, out=rows[:, 2])
     return out
 
 

@@ -2,13 +2,17 @@
 
 The OBJ reader parses its ``v`` records in C with ``np.loadtxt`` and its
 ``f`` records with ``np.fromstring``, a bounded chunk of lines at a time
-(``_read_obj_columns``), and reruns a loop over the lines whenever that
-might not give the loop's mesh or error.  The three CSV readers, points
-here, trajectories in ``kinematics`` and outcomes in ``fitting``, parse
-their rows in C through one chunk parser (``_column_chunks``), text fields
-as whole Python strings, and rerun a loop over ``_csv_records`` likewise.
-Writers format ``_CHUNK_ROWS`` rows per ``%`` operation.  Memory stays
-O(vertices + faces) in arrays, with no Python object per record.
+(``_read_obj_columns``), resolving and fan-triangulating each chunk's
+faces straight into a vertex and a face array that a counting pass sized
+before the parse; it reruns a loop over the lines whenever that might not
+give the loop's mesh or error.  The three CSV readers, points here,
+trajectories in ``kinematics`` and outcomes in ``fitting``, parse their
+rows in C through one chunk parser (``_column_chunks``), text fields as
+whole Python strings, and rerun a loop over ``_csv_records`` likewise.
+Writers format ``_CHUNK_ROWS`` rows per ``%`` operation, ``write_obj``
+making each block of faces 1-based as it goes.  A read holds the arrays
+it returns plus one chunk's working set, with no Python object per
+record, and a write one block's.
 """
 
 from __future__ import annotations
@@ -104,10 +108,19 @@ def _column_chunks(fh, header: str, dtype: np.dtype) -> Iterator[np.ndarray]:
         lines = text.split("\n")
         if not lines[-1]:
             lines.pop()
-        if len(text) > limit and max(map(len, lines)) > limit:
+        if len(text) > limit and _may_hold_a_long_line(text, limit) \
+                and max(map(len, lines)) > limit:
             raise ValueError("needs the row loop")
         yield np.loadtxt(lines, dtype=dtype, delimiter=",", usecols=usecols,
                          comments=None, ndmin=1)
+
+
+def _may_hold_a_long_line(text: str, limit: int) -> bool:
+    """False when every window of limit // 2 characters holds a "\n", so
+    that no line of text is longer than limit: one find per window, where
+    the exact scan measures every line."""
+    half = max(limit // 2, 1)
+    return any(text.find("\n", a, a + half) < 0 for a in range(0, len(text), half))
 
 
 def _runs(values: np.ndarray) -> tuple[list, np.ndarray]:
@@ -153,7 +166,9 @@ def read_obj(path: str | Path) -> MeshModel:
     the vertices defined before its face.  Normal records are kept verbatim
     so they can be written back out, but nothing updates them.
 
-    The ``v`` and ``f`` records are parsed in C (``_read_obj_columns``); a
+    The ``v`` and ``f`` records are parsed in C a chunk at a time
+    (``_read_obj_columns``) into one vertex and one face array sized before
+    the parse, so the read holds the mesh plus one chunk's working set.  A
     file that parse cannot promise the line loop's result for (tabs, lone
     CRs, non-ASCII bytes, a malformed record, a bad reference, ...) is read
     line by line instead, with the same mesh and errors.
@@ -169,8 +184,10 @@ def read_obj(path: str | Path) -> MeshModel:
     path = Path(path)
     with path.open("rb") as fh:
         records = _read_obj_columns(fh)
-    mesh = None if records is None else _obj_mesh(path, *records)
-    return mesh if mesh is not None else _obj_mesh(path, *_read_obj_lines(path))
+    vertices, faces, normal_lines = (_read_obj_lines(path) if records is None
+                                     else records)
+    return MeshModel(vertices=vertices, faces=faces, provenance=str(path),
+                     normal_lines=tuple(normal_lines))
 
 
 # Bytes _read_obj_columns parses: printable ASCII and "\n" (a CR before it
@@ -181,57 +198,103 @@ _OBJ_PLAIN = bytes(range(0x20, 0x7f)) + b"\n"
 _V, _F, _N, _SLASH, _SPACE, _LF = b"vfn/ \n"
 
 
+def _obj_chunks(fh) -> Iterator[bytes]:
+    """A binary OBJ file's lines, about _COLUMN_CHUNK bytes at a time, from
+    its start: the BOM dropped, "\r\n" read as "\n", and each chunk ending
+    in "\n"."""
+    data = (fh.read(_COLUMN_CHUNK) + fh.readline()).removeprefix(b"\xef\xbb\xbf")
+    while data:
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n")
+        yield data if data.endswith(b"\n") else data + b"\n"
+        data = fh.read(_COLUMN_CHUNK) + fh.readline()
+
+
+def _obj_lines(data: bytes) -> tuple:
+    """A chunk's bytes as uint8, and each line's start, end ("\n"
+    included), first byte and second byte (its "\n" for a one-byte line)."""
+    text = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(text == _LF) + 1
+    starts = np.concatenate(([0], ends[:-1]))
+    return (text, starts, ends, text[starts],
+            text[np.minimum(starts + 1, len(text) - 1)])
+
+
+def _obj_bound(fh) -> tuple[int, int]:
+    """The vertices and triangles of a binary OBJ file at its start, with no
+    parse: the lines that start "v ", and the spaces on lines that start
+    "f " less two per such line (fh rewound).  A file _read_obj_columns
+    accepts has exactly as many."""
+    n_vertices = n_triangles = 0
+    for data in _obj_chunks(fh):
+        text, starts, ends, tag, after = _obj_lines(data)
+        n_vertices += int(np.count_nonzero((tag == _V) & (after == _SPACE)))
+        is_face = (tag == _F) & (after == _SPACE)
+        if is_face.any():
+            on_face = np.repeat(is_face, ends - starts)    # per byte
+            n_triangles += int(np.count_nonzero((text == _SPACE) & on_face)
+                               - 2 * np.count_nonzero(is_face))
+    fh.seek(0)
+    return n_vertices, n_triangles
+
+
 def _read_obj_columns(fh) -> tuple | None:
     """read_obj's records, parsed in C a bounded chunk of lines at a time.
 
     fh is a binary file at its start.  Returns the vertices as an (N, 3)
-    float64 array, and the faces' raw references (concatenated), vertex
-    counts, vertices defined before each face, and the ``vn`` lines; or
-    None whenever the line loop might read the file otherwise or fail on
-    it: a byte outside _OBJ_PLAIN, a line that starts with a space, a bare
-    ``v`` or ``f``, a face with fewer than 3 vertices, a vertex field
-    np.loadtxt cannot parse (an empty one, from two spaces in a row,
-    included), a face reference np.fromstring cannot parse, face lines
-    that give fewer references than they hold spaces, or no vertices.  The
-    caller then reruns the loop, which alone words errors and numbers
-    lines.
+    float64 array, the fanned faces as an (M, 3) int64 array of 0-based
+    indices, and the ``vn`` lines.  Both arrays are sized by _obj_bound
+    before the parse, and each chunk's faces are resolved and fanned into
+    the face array as they are parsed (``_fan``), so the parse holds the
+    two arrays plus one chunk's working set.
+
+    Returns None whenever the line loop might read the file otherwise or
+    fail on it: a byte outside _OBJ_PLAIN, a line that starts with a
+    space, a bare ``v`` or ``f``, a face with fewer than 3 vertices, a
+    vertex field np.loadtxt cannot parse (an empty one, from two spaces in
+    a row, included), a face reference np.fromstring cannot parse, face
+    lines that give fewer references than they hold spaces, a chunk that
+    would overfill either array, a reference that resolves before the
+    first vertex (0, or counting back too far), a reference past the last
+    vertex (checked once at the end, since a positive reference may name a
+    vertex defined later), or no vertices.  The caller then reruns the
+    loop, which alone words errors and numbers lines.
 
     Each chunk's ``v`` lines go to one np.loadtxt call, and its ``f``
     lines to one np.fromstring call once each token is cut at its first
     "/" and each ``f`` tag is blanked; other lines are skipped, ``vn``
     ones kept.
     """
-    coords, refs, counts, face_nv, normal_lines = [], [], [], [], []
-    n_vertices = 0
-    data = fh.read(_COLUMN_CHUNK) + fh.readline()
-    data = data.removeprefix(b"\xef\xbb\xbf")
-    while data:
-        if b"\r" in data:
-            data = data.replace(b"\r\n", b"\n")
-        if not data.endswith(b"\n"):
-            data += b"\n"
+    n_vertices, n_triangles = _obj_bound(fh)
+    if n_triangles < 0:        # a face of fewer than 3 vertices
+        return None
+    vertices = np.empty((n_vertices, 3))
+    faces = np.empty((n_triangles, 3), dtype=np.int64)
+    filled_v = filled_f = 0
+    top = -1                   # the highest vertex index a face names
+    normal_lines = []
+    for data in _obj_chunks(fh):
         if data.translate(None, _OBJ_PLAIN) or data[0] == _SPACE or b"\n " in data:
             return None
-        text = np.frombuffer(data, dtype=np.uint8)
-        ends = np.flatnonzero(text == _LF) + 1     # each line's "\n" included
-        starts = np.concatenate(([0], ends[:-1]))
-        tag = text[starts]
-        after = text[np.minimum(starts + 1, len(text) - 1)]
+        text, starts, ends, tag, after = _obj_lines(data)
         if (((tag == _V) | (tag == _F)) & (after == _LF)).any():
             return None
         is_vertex = (tag == _V) & (after == _SPACE)
         is_face = (tag == _F) & (after == _SPACE)
+        new_v = int(np.count_nonzero(is_vertex))
+        if filled_v + new_v > n_vertices:
+            return None
         try:
-            if is_vertex.any():
-                coords.append(np.loadtxt(
+            if new_v:
+                vertices[filled_v:filled_v + new_v] = np.loadtxt(
                     io.BytesIO(_joined(data, starts, ends, is_vertex)),
                     delimiter=" ", usecols=(1, 2, 3), ndmin=2, comments=None,
-                    encoding="ascii"))
+                    encoding="ascii")
             if is_face.any():
                 spaces = np.flatnonzero(text == _SPACE)
-                n_refs = (np.searchsorted(spaces, ends[is_face])
+                counts = (np.searchsorted(spaces, ends[is_face])
                           - np.searchsorted(spaces, starts[is_face]))
-                if n_refs.min() < 3:
+                if counts.min() < 3:
                     return None
                 lines = _cut_at_slash(_joined(data, starts, ends, is_face))
                 # A line gives no more values than it holds spaces, and a
@@ -245,26 +308,27 @@ def _read_obj_columns(fh) -> tuple | None:
                 # 1 2 1), so the warning is raised too.
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", DeprecationWarning)
-                    refs.append(np.fromstring(b" " + lines[1:].replace(b"\nf", b"\n "),
-                                              dtype=np.int64, sep=" "))
-                if len(refs[-1]) != n_refs.sum():
+                    refs = np.fromstring(b" " + lines[1:].replace(b"\nf", b"\n "),
+                                         dtype=np.int64, sep=" ")
+                n_fan = len(refs) - 2 * len(counts)
+                if len(refs) != counts.sum() or filled_f + n_fan > n_triangles:
                     return None
-                counts.append(n_refs)
-                face_nv.append(n_vertices + np.cumsum(is_vertex)[is_face])
+                index = _fan(refs, counts, filled_v + np.cumsum(is_vertex)[is_face],
+                             faces[filled_f:filled_f + n_fan])
+                if index.min() < 0:
+                    return None
+                top = max(top, int(index.max()))
+                filled_f += n_fan
         except (ValueError, DeprecationWarning):
             return None
         third = text[np.minimum(starts + 2, len(text) - 1)]
         is_normal = (tag == _V) & (after == _N) & ((third == _SPACE) | (third == _LF))
         normal_lines += [data[a:b].decode("ascii").strip() for a, b in
                          zip(starts[is_normal].tolist(), ends[is_normal].tolist())]
-        n_vertices += int(np.count_nonzero(is_vertex))
-        data = fh.read(_COLUMN_CHUNK) + fh.readline()
-    if not coords:
+        filled_v += new_v
+    if not filled_v or top >= filled_v:
         return None
-    return (np.concatenate(coords),
-            *(np.concatenate(column) if column else np.zeros(0, dtype=np.int64)
-              for column in (refs, counts, face_nv)),
-            normal_lines)
+    return vertices[:filled_v], faces[:filled_f], normal_lines
 
 
 def _joined(data: bytes, starts: np.ndarray, ends: np.ndarray,
@@ -297,12 +361,41 @@ def _cut_at_slash(data: bytes) -> bytes:
     return text[slashes == at_break].tobytes()
 
 
+def _fan(refs: np.ndarray, counts: np.ndarray, face_nv: np.ndarray,
+         out: np.ndarray) -> np.ndarray:
+    """Resolve faces' references and fan-triangulate the faces into out.
+
+    refs are the 1-based references of faces of counts[i] >= 3 vertices,
+    concatenated; a negative one counts back from face_nv[i], the vertices
+    defined before its face.  Face (i0, i1, ..., in) gives the triangles
+    (i0, ik, ik+1), k = 1..n-1, in face order, so out is an int64 array of
+    counts.sum() - 2 * len(counts) rows and 3 columns.  Returns the 0-based
+    references, for the caller to check against the vertices: 0, and a
+    reference that counts back past the first vertex, come out negative.
+    """
+    face_start = np.cumsum(counts) - counts
+    index = refs - 1
+    back = np.flatnonzero(refs < 0)
+    if len(back):
+        index[back] = refs[back] + face_nv[np.searchsorted(face_start, back,
+                                                           side="right") - 1]
+    # Over all faces in order, the ik are every reference but each face's
+    # first and last, and the ik+1 every one but its first two.
+    out[:, 0] = np.repeat(index[face_start], counts - 2)
+    take = np.ones(len(index), dtype=bool)
+    take[face_start] = take[face_start + counts - 1] = False
+    out[:, 1] = index[take]
+    take[face_start + counts - 1], take[face_start + 1] = True, False
+    out[:, 2] = index[take]
+    return index
+
+
 def _read_obj_lines(path: Path) -> tuple:
     """read_obj's records by a loop over the lines, one split() per line.
 
-    Returns what _read_obj_columns returns, and each face's line number.
-    Raises DataFormatError on a malformed vertex, a face with fewer than 3
-    vertices, or no vertices.
+    Returns what _read_obj_columns returns.  Raises DataFormatError on a
+    malformed vertex, a face with fewer than 3 vertices, no vertices, or a
+    face reference out of range (the first in face order).
     """
     coords = array("d")        # x, y, z per vertex
     refs = array("q")          # raw face vertex references, faces concatenated
@@ -340,55 +433,28 @@ def _read_obj_lines(path: Path) -> tuple:
                 normal_lines.append(raw.strip())
     if not coords:
         raise DataFormatError("no vertices found", str(path))
-    return (np.frombuffer(coords, dtype=np.float64).reshape(-1, 3),
-            *(np.frombuffer(column, dtype=np.int64)
-              for column in (refs, counts, face_nv)),
-            normal_lines, face_lines)
-
-
-def _obj_mesh(path: Path, vertices: np.ndarray, refs: np.ndarray,
-              counts: np.ndarray, face_nv: np.ndarray, normal_lines: list[str],
-              face_lines: array | None = None) -> MeshModel | None:
-    """The mesh of read_obj's records: references resolved, faces fanned.
-
-    A reference out of range raises its DataFormatError when face_lines
-    numbers the faces, and returns None when it does not (the column
-    parse, which leaves the error to the line loop).
-    """
-    face_start = np.cumsum(counts) - counts
-    # References are 1-based, and negative ones count back from the vertices
-    # defined before their face.
-    index = refs - 1
-    back = np.flatnonzero(refs < 0)
-    if len(back):
-        index[back] = refs[back] + face_nv[np.searchsorted(face_start, back,
-                                                           side="right") - 1]
+    vertices = np.frombuffer(coords, dtype=np.float64).reshape(-1, 3)
+    refs, counts, face_nv = (np.frombuffer(column, dtype=np.int64)
+                             for column in (refs, counts, face_nv))
+    faces = np.empty((int(counts.sum()) - 2 * len(counts), 3), dtype=np.int64)
+    index = _fan(refs, counts, face_nv, faces)
     bad = (index < 0) | (index >= len(vertices))
     if bad.any():
-        if face_lines is None:
-            return None
         pos = int(bad.argmax())
+        face_start = np.cumsum(counts) - counts
         face = int(np.searchsorted(face_start, pos, side="right")) - 1
         raise _face_ref_error(path, face_lines[face], pos - int(face_start[face]))
-    # Fan triangulation: face (i0, i1, ..., in) gives (i0, ik, ik+1), k = 1..n-1.
-    # Over all faces in order, the ik are every reference but each face's
-    # first and last, and the ik+1 every one but its first two.
-    faces = np.empty((int(counts.sum()) - 2 * len(counts), 3), dtype=np.int64)
-    faces[:, 0] = np.repeat(index[face_start], counts - 2)
-    take = np.ones(len(index), dtype=bool)
-    take[face_start] = take[face_start + counts - 1] = False
-    faces[:, 1] = index[take]
-    take[face_start + counts - 1], take[face_start + 1] = True, False
-    faces[:, 2] = index[take]
-    return MeshModel(vertices=vertices, faces=faces, provenance=str(path),
-                     normal_lines=tuple(normal_lines))
+    return vertices, faces, normal_lines
 
 
-def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
-    """Write each row of a 2-D array through row_format, one `%` per chunk."""
+def _write_rows(fh, row_format: str, rows: np.ndarray, offset: int = 0) -> None:
+    """Write each row of a 2-D array through row_format, one `%` per chunk,
+    offset added to each chunk that is written (not to the array)."""
     chunk_format = row_format * _CHUNK_ROWS
     for start in range(0, len(rows), _CHUNK_ROWS):
         block = rows[start:start + _CHUNK_ROWS]
+        if offset:
+            block = block + offset
         fmt = chunk_format if len(block) == _CHUNK_ROWS else row_format * len(block)
         fh.write(fmt % tuple(block.ravel().tolist()))
 
@@ -402,7 +468,7 @@ def write_obj(mesh: MeshModel, path: str | Path) -> None:
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         _write_rows(fh, "v %r %r %r\n", mesh.vertices)
         fh.writelines(line + "\n" for line in mesh.normal_lines)
-        _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)
+        _write_rows(fh, "f %d %d %d\n", mesh.faces, offset=1)
 
 
 _POINT_DTYPE = np.dtype([("x", np.float64), ("y", np.float64), ("z", np.float64)])

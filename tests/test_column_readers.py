@@ -25,13 +25,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import vackit.correction as correction
 import vackit.fitting as fitting
 import vackit.kinematics as kin
 import vackit.meshio as meshio
 from vackit.cli import main
 from vackit.fitting import FitDataset
 from vackit.kinematics import OUTCOME_HEADER, read_trajectories_csv
-from vackit.correction import MeshModel
+from vackit.correction import MeshModel, transform_points
+from vackit.geometry import EyeGeometry
+from vackit.perception import PerturbationParams
 from vackit.meshio import read_obj, read_points_csv, write_obj, write_points_csv
 from vackit.synth import (
     SimConfig,
@@ -242,16 +245,18 @@ LINE_HAZARDS = ["\t", "  ", "\x0b", "\x0c", "\x1c", "\u2028", "\x85",
 
 
 @st.composite
-def _obj_line(draw, kind: str, n_vertices: int) -> str:
-    """One well-formed v, f or other line, given the vertices before it."""
+def _obj_line(draw, kind: str, n_vertices: int, n_total: int) -> str:
+    """One well-formed v, f or other line, given the vertices before it and
+    in the whole file; rarely a face names vertices defined after it."""
     if kind == "v":
         n_fields = draw(st.sampled_from([3, 3, 3, 4, 6]))
         return "v " + " ".join(repr(draw(st.floats())) for _ in range(n_fields))
-    if kind == "f" and n_vertices:
+    top = n_total if _rarely(draw) else n_vertices
+    if kind == "f" and top:
         tokens = []
         for _ in range(draw(st.sampled_from([3, 4, 5]))):
-            ref = draw(st.integers(1, n_vertices))
-            if draw(st.booleans()):
+            ref = draw(st.integers(1, top))
+            if ref <= n_vertices and draw(st.booleans()):
                 ref -= n_vertices + 1   # the same vertex, counted back
             style = draw(st.sampled_from(["{}", "{}/1", "{}//1", "{}/1/1"]))
             tokens.append(style.format(ref))
@@ -259,7 +264,7 @@ def _obj_line(draw, kind: str, n_vertices: int) -> str:
     return draw(st.sampled_from(OTHER_LINES))
 
 
-def _edit_obj_line(draw, line: str, n_vertices: int) -> str:
+def _edit_obj_line(draw, line: str, n_vertices: int, n_total: int) -> str:
     """line with one fault or hazard the fast path must leave to the loop,
     or read as the loop does."""
     edit = draw(st.sampled_from(["spelling", "spelling", "bare", "short",
@@ -274,7 +279,7 @@ def _edit_obj_line(draw, line: str, n_vertices: int) -> str:
     elif edit == "short" and tag == "f":
         fields = fields[:2]
     elif edit == "range" and tag == "f":
-        fields[0] = str(draw(st.sampled_from([n_vertices + 1, -n_vertices - 1])))
+        fields[0] = str(draw(st.sampled_from([n_total + 1, -n_vertices - 1])))
     elif edit == "lead":
         return " " + line
     elif edit == "trail":
@@ -287,20 +292,21 @@ def _edit_obj_line(draw, line: str, n_vertices: int) -> str:
 @st.composite
 def obj_files(draw) -> bytes:
     """OBJ files: interleaved v, f and other lines, faces of 3 to 5
-    vertices in each token form, with positive and negative references;
-    a few faults or hazards (a spelling, a bare tag, a 2-vertex face, an
+    vertices in each token form, with positive and negative references,
+    and rarely positive references to vertices defined later; a few
+    faults or hazards (a spelling, a bare tag, a 2-vertex face, an
     out-of-range reference, odd whitespace); LF or CRLF line ends and
     rarely a lone CR, a BOM or an undecodable byte."""
     kinds = draw(st.lists(st.sampled_from(["v", "v", "v", "f", "f", "other"]),
                           max_size=30))
     lines, before, n_vertices = [], [], 0
     for kind in kinds:
-        lines.append(draw(_obj_line(kind, n_vertices)))
+        lines.append(draw(_obj_line(kind, n_vertices, kinds.count("v"))))
         before.append(n_vertices)
         n_vertices += kind == "v"
     for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if lines else 0):
         i = draw(st.integers(0, len(lines) - 1))
-        lines[i] = _edit_obj_line(draw, lines[i], before[i])
+        lines[i] = _edit_obj_line(draw, lines[i], before[i], n_vertices)
     endings = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
     if lines and _rarely(draw):
         i = draw(st.integers(0, len(lines) - 1))
@@ -552,8 +558,11 @@ class TestFastPathMatchesRowLoop:
         "v 0 0 1\nv 1 0 1\nv 0 1 1\nf 1\x852 3\n",
         "v 0 0 1\nv 1 0 1\nv 0 1 1\nf 1 2 3 \n",
         "v 0 0 1\nv 1 0 1\nv 0 1 1\nf -1 -2 -4\nv 1 1 1\n",
+        "v 0 0 1\nv 1 0 1\nv 0 1 1\nf 1\n",
+        "v 0 0 1\nv 1 0 1\nf 1 2 4\nv 0 1 1\n",
     ], ids=["two-vertex-face", "bare-v", "bare-f", "leading-space", "tab",
-            "lone-cr", "long-ref", "nel", "trailing-space", "early-negative"])
+            "lone-cr", "long-ref", "nel", "trailing-space", "early-negative",
+            "one-vertex-face", "forward-past-the-end"])
     def test_obj_examples(self, tmp_path, text):
         """Files the fast path must leave to the line loop, errors included."""
         path = tmp_path / "mesh.obj"
@@ -707,6 +716,28 @@ class TestFastPathRuns:
         first = [r * grid + c for r in range(grid - 1) for c in range(grid - 1)]
         assert got[3] == [face for a in first for face in
                           ([a, a + 1, a + grid + 1], [a, a + grid + 1, a + grid])]
+
+    @pytest.mark.parametrize("chunk", [1, 60])
+    def test_references_across_chunk_boundaries(self, tmp_path, monkeypatch,
+                                                chunk):
+        """Faces resolved a chunk at a time: negative references that count
+        back into earlier chunks, and a positive one to a vertex defined in
+        a later chunk.  At 60 bytes the second chunk starts at the first
+        face and ends after the four-vertex face."""
+        text = ("v 0.0 0.0 1.0\nv 1.0 0.0 1.0\nv 1.0 1.0 1.0\n"
+                "# the faces start in a later chunk\n"
+                "f -3//1 -2//1 -1//1\nf 1 2 5\nv 0.0 1.0 1.0\n"
+                "f -4/1 -3/1 -2/1 -1/1\nv 0.5 0.5 1.0\nf -1 1 2\n")
+        path = tmp_path / "mesh.obj"
+        path.write_text(text, encoding="utf-8")
+        with _row_loop_only(meshio):
+            want = _obj_result(path)
+        calls = self._count_obj_lines(monkeypatch)
+        monkeypatch.setattr(meshio, "_COLUMN_CHUNK", chunk)
+        got = _obj_result(path)
+        assert got == want
+        assert calls == []
+        assert got[3] == [[0, 1, 2], [0, 1, 4], [0, 1, 2], [0, 2, 3], [4, 0, 1]]
 
     def _count_outcome_rows(self, monkeypatch) -> list:
         calls = []
@@ -1114,14 +1145,32 @@ class TestCsvErrors:
             kin.DataFormatError,
             f"field larger than field limit (131072) [{path}:2]", 2)
 
+    @given(text=st.text(alphabet="a\r\n", max_size=200),
+           limit=st.integers(0, 40))
+    def test_window_check_never_passes_a_long_line(self, text, limit):
+        """_column_chunks skips its exact longest-line scan only when each
+        window of limit // 2 characters holds a line end, which leaves no
+        line longer than limit."""
+        if not meshio._may_hold_a_long_line(text, limit):
+            assert max(map(len, text.split("\n"))) <= limit
+
 
 class TestWorkingSet:
-    """A read holds the array it returns plus a fixed number of chunks:
+    """A read holds the arrays it returns plus a fixed number of chunks:
     each chunk is parsed into the one output array, which was sized before
-    the parse, and never joined.  The files span many 64 KiB chunks."""
+    the parse, and never joined.  The files span many 64 KiB chunks.  The
+    writers and the remap kernel likewise hold their input and output plus
+    a fixed number of blocks."""
 
     CHUNK = 1 << 16
     CHUNKS = 8
+    # The OBJ face parse cuts each token at its "/" with about ten bytes of
+    # scratch per byte of the chunk's face lines.
+    OBJ_CHUNKS = 12
+    # A block written is its rows as Python objects and as text.
+    WRITE_BLOCKS = 12
+    # The kernel's temporaries: a few float64 and bool arrays of a block's rows.
+    KERNEL_BLOCKS = 4
 
     def test_trajectories(self, tmp_path, monkeypatch):
         config = SimConfig(n_participants=3, seed=3)
@@ -1163,3 +1212,53 @@ class TestWorkingSet:
             "participant_id", "condition", "target_reach", "distance_error",
             "participant_code"))
         assert peak < returned + self.CHUNKS * self.CHUNK
+
+    def test_obj(self, tmp_path, monkeypatch):
+        """A grid of quads "f a//1 b//1 c//1 d//1", one object per row of
+        quads, each counted back from the row's last vertex: the faces are
+        resolved and fanned a chunk at a time into the presized array."""
+        grid = 150
+        rng = np.random.default_rng(8)
+        vertices = [f"v {x!r} {y!r} {z!r}" for x, y, z in
+                    rng.uniform(0.1, 1.0, (grid * grid, 3)).tolist()]
+        lines = ["# grid", "vn 0.0 0.0 -1.0", *vertices[:grid]]
+        for r in range(1, grid):
+            lines += vertices[r * grid:(r + 1) * grid]
+            lines += [f"f {a}//1 {a + 1}//1 {a + grid + 1}//1 {a + grid}//1"
+                      for a in range(-2 * grid, -grid - 1)]
+        path = tmp_path / "grid.obj"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert path.stat().st_size > 8 * self.CHUNK
+        monkeypatch.setattr(meshio, "_COLUMN_CHUNK", self.CHUNK)
+        line_loop = mock.Mock(side_effect=AssertionError("line loop ran"))
+        monkeypatch.setattr(meshio, "_read_obj_lines", line_loop)
+        mesh, peak = _traced_peak(read_obj, path)
+        assert mesh.faces.shape == (2 * (grid - 1) ** 2, 3)
+        assert mesh.faces[-1].tolist() == [grid * grid - grid - 2,
+                                           grid * grid - 1, grid * grid - 2]
+        assert peak < (mesh.vertices.nbytes + mesh.faces.nbytes
+                       + self.OBJ_CHUNKS * self.CHUNK)
+
+    def test_write_obj(self, tmp_path):
+        """The faces are made 1-based a block of _CHUNK_ROWS rows at a
+        time, never as a copy of the whole face array."""
+        rng = np.random.default_rng(9)
+        mesh = MeshModel(vertices=rng.uniform(-1.0, 1.0, (1000, 3)),
+                         faces=rng.integers(0, 1000, (200_000, 3)))
+        _, peak = _traced_peak(lambda path: write_obj(mesh, path),
+                               tmp_path / "mesh.obj")
+        block = meshio._CHUNK_ROWS * 3 * 8
+        assert self.WRITE_BLOCKS * block < mesh.faces.nbytes
+        assert peak < self.WRITE_BLOCKS * block
+
+    @pytest.mark.parametrize("beta", [0.004, 0.0])
+    def test_transform_points(self, beta):
+        """The remap kernel evaluates a block of rows at a time into its
+        output, the zero-shift copy included."""
+        points = np.random.default_rng(10).uniform(0.2, 0.5, (100_000, 3))
+        out, peak = _traced_peak(
+            lambda p: transform_points(p, EyeGeometry(ipd=0.063),
+                                       PerturbationParams(beta)), points)
+        block = correction._BLOCK_ROWS * 3 * 8
+        assert len(points) > 10 * correction._BLOCK_ROWS
+        assert peak < out.nbytes + self.KERNEL_BLOCKS * block

@@ -16,6 +16,9 @@ it is checked pointwise here and on a dense grid in the acceptance
 suite.  A superficially similar variant that subtracts the offset from
 the half-angle instead is kept behind an explicit flag for comparison;
 it does not satisfy the inverse property and a test pins that down.
+
+The array kernel runs in row blocks; across block edges its output must
+keep every bit of the whole-array expression.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 import numpy as np
 import pytest
 
+import vackit.correction as correction
 from vackit.correction import (
     CorrectionCurveRow,
     MeshModel,
@@ -35,7 +39,7 @@ from vackit.correction import (
     transform_points,
 )
 from vackit.errors import DomainError
-from vackit.geometry import EyeGeometry, ScenePoint
+from vackit.geometry import EyeGeometry, ScenePoint, shift_distances
 from vackit.perception import PerturbationParams, fixated_distance_error, predict_endpoint
 
 EYES64 = EyeGeometry(ipd=0.064)
@@ -214,6 +218,56 @@ class TestTransformPoints:
         with pytest.raises(DomainError) as exc:
             transform_mesh(mesh, EYES64, PerturbationParams(-0.04))
         assert str(exc.value) == "vertex 1 at (0.3, 0.3, 0.05) cannot be corrected"
+
+
+def _whole_array(points, eyes, params, literal_half_angle):
+    """transform_points as one expression over the whole array: the
+    reference for its block kernel."""
+    shift = -2.0 * params.beta_offset if literal_half_angle else -params.beta_offset
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    d_tilde, ok = shift_distances(np.sqrt(x * x + y * y + z * z),
+                                  float(eyes.half_ipd), shift)
+    radicand = d_tilde * d_tilde - x * x - y * y
+    assert (ok & (z > 0.0) & (radicand > 0.0)).all()
+    if shift == 0.0:
+        return points.copy()
+    return np.column_stack([x, y, np.sqrt(radicand)])
+
+
+class TestTransformPointsBlocks:
+    """transform_points evaluates _BLOCK_ROWS rows at a time; these arrays
+    straddle three block edges."""
+
+    N = 3 * correction._BLOCK_ROWS + 17
+
+    def _points(self, seed):
+        rng = np.random.default_rng(seed)
+        return np.column_stack([rng.uniform(-0.1, 0.1, self.N),
+                                rng.uniform(-0.1, 0.1, self.N),
+                                rng.uniform(0.3, 1.0, self.N)])
+
+    @pytest.mark.parametrize("beta", [BETA, 0.0])
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_bits_equal_the_whole_array_expression(self, beta, literal):
+        points = self._points(11)
+        params = PerturbationParams(beta)
+        out = transform_points(points, EYES64, params,
+                               literal_half_angle=literal)
+        want = _whole_array(points, EYES64, params, literal)
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("beta, bad", [
+        (-0.04, [0.3, 0.3, 0.05]),   # cannot keep x and y
+        (0.0, [0.1, 0.0, -0.5]),     # behind the viewer, also with no shift
+    ])
+    def test_bad_point_named_by_its_global_index(self, beta, bad):
+        points = self._points(12)
+        first = correction._BLOCK_ROWS + 5
+        points[first] = points[2 * correction._BLOCK_ROWS + 1] = bad
+        x, y, z = bad
+        with pytest.raises(DomainError) as exc:
+            transform_points(points, EYES64, PerturbationParams(beta))
+        assert str(exc.value) == f"point {first} at ({x}, {y}, {z}) cannot be corrected"
 
 
 class TestTransformPointsLiteral:
