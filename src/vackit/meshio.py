@@ -1,14 +1,15 @@
 """Mesh and point-cloud file I/O: ASCII OBJ and xyz CSV.
 
 The OBJ reader parses its ``v`` records in C with ``np.loadtxt`` and its
-``f`` records with ``np.fromstring``, a bounded chunk of lines at a time
-(``_read_obj_columns``), resolving and fan-triangulating each chunk's
+``f`` records with ``np.fromstring``, a chunk of ``_line_chunks`` at a
+time (``_read_obj_columns``), resolving and fan-triangulating each chunk's
 faces straight into a vertex and a face array that a counting pass sized
 before the parse; it reruns a loop over the lines whenever that might not
 give the loop's mesh or error.  The three CSV readers, points here,
 trajectories in ``kinematics`` and outcomes in ``fitting``, parse their
-rows in C through one chunk parser (``_column_chunks``), text fields as
-whole Python strings, and rerun a loop over ``_csv_records`` likewise.
+rows in C through one chunk parser over the same chunks
+(``_column_chunks``), text fields as whole Python strings, and rerun a
+loop over ``_csv_records`` likewise.
 Writers format ``_CHUNK_ROWS`` rows per ``%`` operation, ``write_obj``
 making each block of faces 1-based as it goes.  A read holds the arrays
 it returns plus one chunk's working set, with no Python object per
@@ -39,10 +40,10 @@ _CHUNK_ROWS = 4096
 # A UTF-8 byte-order mark, if present, is not part of the first record.
 _ENCODING = "utf-8-sig"
 
-# Size hint, in bytes, of the lines _column_chunks and _read_obj_columns
-# parse at once.  A CSV chunk is live about 6.5 times over (bytes, text,
-# lines, rows): reading 576 trials of 221 samples (12.4 MB) peaks 1.9 MiB
-# above its output here (tracemalloc), 6.2 MiB at 1 MiB, in the same time.
+# Size hint, in bytes, of the chunks every reader parses.  Reading 576
+# trials of 221 samples (12.4 MB) peaks 1.9 MiB above the output here
+# (tracemalloc), 6.2 MiB at 1 MiB, in the same time; a 300 x 300 quad OBJ
+# grid 1.7 MiB above its 6.2 MiB mesh.
 _COLUMN_CHUNK = 1 << 18
 # Characters that send a CSV reader to its row loop: a quote (csv fields),
 # NUL (csv refuses it before Python 3.11), and the ASCII separators U+001C
@@ -53,11 +54,20 @@ _ROW_LOOP_ONLY = '"\0\x1c\x1d\x1e\x1f'
 _LONE_CR = re.compile("\r(?!\n)")
 
 
+def _line_chunks(fh) -> Iterator[bytes]:
+    """A binary file's bytes, about _COLUMN_CHUNK at a time, each chunk but
+    the last ending in b"\\n".  A leading UTF-8 BOM is skipped at the call;
+    each chunk is read when asked for, and not kept."""
+    if fh.read(3) != b"\xef\xbb\xbf":
+        fh.seek(0)
+    return iter(lambda: fh.read(_COLUMN_CHUNK) + fh.readline(), b"")
+
+
 def _row_bound(fh) -> int:
     """The lines but the first of a binary file at its start, from its b"\\n"
     bytes with no parse: a bound on the rows of _column_chunks (fh rewound)."""
     lines, last = 0, b""
-    while data := fh.read(_COLUMN_CHUNK):
+    for data in _line_chunks(fh):
         # a fifth of bytes.count's time
         lines += np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == _LF)
         last = data[-1:]
@@ -95,12 +105,13 @@ def _column_chunks(fh, header: str, dtype: np.dtype) -> Iterator[np.ndarray]:
     caller then reruns its row loop, which alone words errors and numbers
     lines.
     """
-    if fh.readline().decode(_ENCODING) not in (header + "\r\n", header + "\n"):
+    chunks = _line_chunks(fh)
+    if fh.readline() not in (header.encode() + b"\r\n", header.encode() + b"\n"):
         raise ValueError("needs the row loop")
     names = header.split(",")
     usecols = [names.index(name) for name in dtype.names]
     limit = csv.field_size_limit()
-    while text := (fh.read(_COLUMN_CHUNK) + fh.readline()).decode("utf-8"):
+    for text in map(bytes.decode, chunks):    # UTF-8, bytes not kept
         if any(c in text for c in _ROW_LOOP_ONLY) or _LONE_CR.search(text):
             raise ValueError("needs the row loop")
         if not text.strip("\r\n"):
@@ -198,25 +209,18 @@ _OBJ_PLAIN = bytes(range(0x20, 0x7f)) + b"\n"
 _V, _F, _N, _SLASH, _SPACE, _LF = b"vfn/ \n"
 
 
-def _obj_chunks(fh) -> Iterator[bytes]:
-    """A binary OBJ file's lines, about _COLUMN_CHUNK bytes at a time, from
-    its start: the BOM dropped, "\r\n" read as "\n", and each chunk ending
-    in "\n"."""
-    data = (fh.read(_COLUMN_CHUNK) + fh.readline()).removeprefix(b"\xef\xbb\xbf")
-    while data:
-        if b"\r" in data:
-            data = data.replace(b"\r\n", b"\n")
-        yield data if data.endswith(b"\n") else data + b"\n"
-        data = fh.read(_COLUMN_CHUNK) + fh.readline()
-
-
 def _obj_lines(data: bytes) -> tuple:
-    """A chunk's bytes as uint8, and each line's start, end ("\n"
-    included), first byte and second byte (its "\n" for a one-byte line)."""
+    """A chunk with "\r\n" read as "\n" and a final "\n", as uint8, and each
+    line's start, end ("\n" included), first and second byte (its "\n" for
+    a one-byte line)."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
     text = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(text == _LF) + 1
     starts = np.concatenate(([0], ends[:-1]))
-    return (text, starts, ends, text[starts],
+    return (data, text, starts, ends, text[starts],
             text[np.minimum(starts + 1, len(text) - 1)])
 
 
@@ -226,16 +230,20 @@ def _obj_bound(fh) -> tuple[int, int]:
     "f " less two per such line (fh rewound).  A file _read_obj_columns
     accepts has exactly as many."""
     n_vertices = n_triangles = 0
-    for data in _obj_chunks(fh):
-        text, starts, ends, tag, after = _obj_lines(data)
+    for data in _line_chunks(fh):
+        _, text, starts, ends, tag, after = _obj_lines(data)
         n_vertices += int(np.count_nonzero((tag == _V) & (after == _SPACE)))
         is_face = (tag == _F) & (after == _SPACE)
         if is_face.any():
-            on_face = np.repeat(is_face, ends - starts)    # per byte
-            n_triangles += int(np.count_nonzero((text == _SPACE) & on_face)
-                               - 2 * np.count_nonzero(is_face))
+            n_triangles += int((_spaces(text, starts[is_face], ends[is_face]) - 2).sum())
     fh.seek(0)
     return n_vertices, n_triangles
+
+
+def _spaces(text: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The spaces on each line text[starts[i]:ends[i]]."""
+    spaces = np.flatnonzero(text == _SPACE)
+    return np.searchsorted(spaces, ends) - np.searchsorted(spaces, starts)
 
 
 def _read_obj_columns(fh) -> tuple | None:
@@ -273,10 +281,10 @@ def _read_obj_columns(fh) -> tuple | None:
     filled_v = filled_f = 0
     top = -1                   # the highest vertex index a face names
     normal_lines = []
-    for data in _obj_chunks(fh):
+    for data in _line_chunks(fh):
+        data, text, starts, ends, tag, after = _obj_lines(data)
         if data.translate(None, _OBJ_PLAIN) or data[0] == _SPACE or b"\n " in data:
             return None
-        text, starts, ends, tag, after = _obj_lines(data)
         if (((tag == _V) | (tag == _F)) & (after == _LF)).any():
             return None
         is_vertex = (tag == _V) & (after == _SPACE)
@@ -291,9 +299,7 @@ def _read_obj_columns(fh) -> tuple | None:
                     delimiter=" ", usecols=(1, 2, 3), ndmin=2, comments=None,
                     encoding="ascii")
             if is_face.any():
-                spaces = np.flatnonzero(text == _SPACE)
-                counts = (np.searchsorted(spaces, ends[is_face])
-                          - np.searchsorted(spaces, starts[is_face]))
+                counts = _spaces(text, starts[is_face], ends[is_face])
                 if counts.min() < 3:
                     return None
                 lines = _cut_at_slash(_joined(data, starts, ends, is_face))
@@ -346,19 +352,26 @@ def _cut_at_slash(data: bytes) -> bytes:
     """Lines of space-separated tokens, each token cut at its first "/".
 
     This is ``t.partition("/")[0]`` per token: v/vt/vn, v//vn and v/vt
-    become v.
+    become v.  Its scratch, about 11 bytes per byte, is for a window of
+    _COLUMN_CHUNK // 8 bytes extended to a line end at a time.
     """
     if b"/" not in data:
         return data
-    text = np.frombuffer(data, dtype=np.uint8)
-    is_slash = text == _SLASH
-    # int32 counts are exact below 2**31 bytes, and half the work of int64
-    slashes = np.cumsum(is_slash, dtype=np.int32 if len(text) < 1 << 31 else np.int64)
-    # the slash count at the last space or line end at or before each byte
-    # (no other byte at or below a space reaches here)
-    at_break = np.where(text <= _SPACE, slashes, 0)
-    np.maximum.accumulate(at_break, out=at_break)
-    return text[slashes == at_break].tobytes()
+    window = max(_COLUMN_CHUNK // 8, 1)
+    pieces, start = [], 0
+    while start < len(data):
+        stop = data.find(b"\n", start + window - 1) + 1 or len(data)
+        text = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+        # int32 counts are exact below 2**31 bytes, and half the work of int64
+        slashes = np.cumsum(text == _SLASH,
+                            dtype=np.int32 if len(text) < 1 << 31 else np.int64)
+        # the slash count at the last space or line end at or before each
+        # byte (no other byte at or below a space reaches here)
+        at_break = np.where(text <= _SPACE, slashes, 0)
+        np.maximum.accumulate(at_break, out=at_break)
+        pieces.append(text[slashes == at_break].tobytes())
+        start = stop
+    return b"".join(pieces)
 
 
 def _fan(refs: np.ndarray, counts: np.ndarray, face_nv: np.ndarray,

@@ -15,6 +15,7 @@ the package writes, and hold no more than its output plus a few chunks.
 
 from __future__ import annotations
 
+import io
 import json
 import tracemalloc
 import warnings
@@ -1057,8 +1058,9 @@ def _count_row_loop(monkeypatch, module, at_entry=None) -> list:
 
 
 class TestRowBound:
-    """Each CSV reader sizes its array from the file's line count before
-    the parse; these files put that count at its edges."""
+    """Each reader sizes its arrays by a counting pass before the parse
+    (the CSVs' line count, the OBJ's vertices and triangles), through the
+    chunks the parse reads; these files put that count at its edges."""
 
     @pytest.mark.parametrize("module", READERS, ids=["trajectories", "points",
                                                      "outcomes"])
@@ -1090,6 +1092,36 @@ class TestRowBound:
             with path.open("rb") as fh, \
                     mock.patch.object(meshio, "_COLUMN_CHUNK", 1):
                 assert meshio._row_bound(fh) == bound
+                assert fh.tell() == 0
+
+    @given(pieces=st.lists(st.sampled_from([b"a", b"1,2", b"\n", b"\r",
+                                            b"\r\n", b"\xef\xbb\xbf"])),
+           chunk=st.sampled_from([1, 2, 7, 60]))
+    def test_line_chunks_are_the_file_in_lines(self, pieces, chunk):
+        """Every reader's chunks give back the file, less one leading BOM,
+        each chunk but the last ending in a line end."""
+        data = b"".join(pieces)
+        with mock.patch.object(meshio, "_COLUMN_CHUNK", chunk):
+            chunks = list(meshio._line_chunks(io.BytesIO(data)))
+        assert b"".join(chunks) == data.removeprefix(b"\xef\xbb\xbf")
+        assert all(chunks)
+        assert all(c.endswith(b"\n") for c in chunks[:-1])
+
+    @PROPERTY_SETTINGS
+    @given(data=obj_files())
+    def test_obj_bound_is_exact_on_accepted_files(self, tmp_path, data):
+        """On every file the OBJ parse accepts, at every chunk size, the
+        counting pass gives exactly the vertices and triangles returned."""
+        path = tmp_path / "mesh.obj"
+        path.write_bytes(data)
+        for chunk in CHUNKS:
+            with path.open("rb") as fh, \
+                    mock.patch.object(meshio, "_COLUMN_CHUNK", chunk):
+                records = meshio._read_obj_columns(fh)
+                if records is None:
+                    continue
+                fh.seek(0)
+                assert meshio._obj_bound(fh) == (len(records[0]), len(records[1]))
                 assert fh.tell() == 0
 
     @pytest.mark.parametrize("module", READERS, ids=["trajectories", "points",
@@ -1155,6 +1187,33 @@ class TestCsvErrors:
             assert max(map(len, text.split("\n"))) <= limit
 
 
+@st.composite
+def face_text(draw) -> bytes:
+    """Lines "f" plus 3 to 12 tokens v, v/vt, v//vn or v/vt/vn, references
+    negative as well, the last line ending in "\n" or not."""
+    ref = st.integers(-99_999, 99_999).filter(bool)
+    style = st.sampled_from(["{}", "{}/{}", "{}//{}", "{}/{}/{}"])
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        tokens = [draw(style).format(draw(ref), draw(ref), draw(ref))
+                  for _ in range(draw(st.integers(3, 12)))]
+        lines.append(" ".join(["f", *tokens]))
+    return ("\n".join(lines) + draw(st.sampled_from(["\n", ""]))).encode("ascii")
+
+
+class TestCutAtSlash:
+    @PROPERTY_SETTINGS
+    @given(data=face_text(), window=st.integers(1, 64))
+    def test_windowed_cut_is_the_cut_per_token(self, data, window):
+        """The cut runs per window of _COLUMN_CHUNK // 8 bytes, extended to
+        a line end: lines longer than a window, and windows that end on a
+        line end, give each token cut at its first "/" all the same."""
+        want = b"\n".join(b" ".join(t.partition(b"/")[0] for t in line.split(b" "))
+                          for line in data.split(b"\n"))
+        with mock.patch.object(meshio, "_COLUMN_CHUNK", 8 * window):
+            assert meshio._cut_at_slash(data) == want
+
+
 class TestWorkingSet:
     """A read holds the arrays it returns plus a fixed number of chunks:
     each chunk is parsed into the one output array, which was sized before
@@ -1164,9 +1223,12 @@ class TestWorkingSet:
 
     CHUNK = 1 << 16
     CHUNKS = 8
-    # The OBJ face parse cuts each token at its "/" with about ten bytes of
-    # scratch per byte of the chunk's face lines.
-    OBJ_CHUNKS = 12
+    # The OBJ face parse holds a chunk's face lines a few times over
+    # (joined, cut, tags blanked, as references) and the cut's scratch for
+    # an eighth of a chunk: measured 5.3 chunks above the mesh in the
+    # "objects" layout and 7.3 in the "scene" one, where a chunk is all
+    # faces.
+    OBJ_CHUNKS = 9
     # A block written is its rows as Python objects and as text.
     WRITE_BLOCKS = 12
     # The kernel's temporaries: a few float64 and bool arrays of a block's rows.
@@ -1213,19 +1275,30 @@ class TestWorkingSet:
             "participant_code"))
         assert peak < returned + self.CHUNKS * self.CHUNK
 
-    def test_obj(self, tmp_path, monkeypatch):
-        """A grid of quads "f a//1 b//1 c//1 d//1", one object per row of
-        quads, each counted back from the row's last vertex: the faces are
-        resolved and fanned a chunk at a time into the presized array."""
+    @pytest.mark.parametrize("layout", ["objects", "scene"])
+    def test_obj(self, tmp_path, monkeypatch, layout):
+        """A grid of quads "f a//1 b//1 c//1 d//1", as one object per row of
+        quads, each counted back from the row's last vertex, or as the
+        benchmark scene is laid out (every vertex, one normal, every face):
+        the faces are resolved and fanned a chunk at a time into the
+        presized array."""
         grid = 150
         rng = np.random.default_rng(8)
         vertices = [f"v {x!r} {y!r} {z!r}" for x, y, z in
                     rng.uniform(0.1, 1.0, (grid * grid, 3)).tolist()]
-        lines = ["# grid", "vn 0.0 0.0 -1.0", *vertices[:grid]]
-        for r in range(1, grid):
-            lines += vertices[r * grid:(r + 1) * grid]
-            lines += [f"f {a}//1 {a + 1}//1 {a + grid + 1}//1 {a + grid}//1"
-                      for a in range(-2 * grid, -grid - 1)]
+
+        def quad(a: int) -> str:
+            return f"f {a}//1 {a + 1}//1 {a + grid + 1}//1 {a + grid}//1"
+
+        if layout == "objects":
+            lines = ["# grid", "vn 0.0 0.0 -1.0", *vertices[:grid]]
+            for r in range(1, grid):
+                lines += vertices[r * grid:(r + 1) * grid]
+                lines += [quad(a) for a in range(-2 * grid, -grid - 1)]
+        else:
+            lines = ["# grid", *vertices, "vn 0.0 0.0 -1.0"]
+            lines += [quad(r * grid + c + 1)
+                      for r in range(grid - 1) for c in range(grid - 1)]
         path = tmp_path / "grid.obj"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert path.stat().st_size > 8 * self.CHUNK
