@@ -61,8 +61,8 @@ from .meshio import _ENCODING, read_obj, read_points_csv, write_obj, write_point
 from .perception import BETA_BOUND_RAD, PerturbationParams
 from .synth import (
     SimConfig,
+    _trajectory_blocks,
     generate_participants,
-    generate_trajectories,
     generate_trials,
     write_dataset,
 )
@@ -232,7 +232,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = replace(config, seed=args.seed)
     participants = generate_participants(config)
     trials = generate_trials(config, participants)
-    trajectories = generate_trajectories(config, trials, participants) \
+    # written a block at a time, so memory does not grow with the cohort
+    trajectories = _trajectory_blocks(config, trials, participants) \
         if write_traj else None
     outdir = Path(args.out)
     written = write_dataset(outdir, participants, trials, trajectories)

@@ -52,12 +52,14 @@ DEFAULT_CUTOFF_HZ = 10.0
 DEFAULT_THRESHOLD = 0.050
 HYSTERESIS_S = 0.020
 MIN_SAMPLES = 25
-# trials filtered together by analyze_trials and synth.generate_trajectories;
-# the filter's Python loop steps once per sample over the whole block, so
-# small blocks pay for it.  Peak memory grows with this and with the trial
-# length (one padded copy of the block, filtered in place, then its velocity
-# and a scratch array a third as large each: about 5 MB for 512 trials of
-# 221 samples, about 170 MB for 512 of 8,001), not with the batch size.
+# trials filtered together by analyze_trials, and generated, filtered and
+# written together by vackit simulate (synth._trajectory_blocks); the
+# filter's Python loop steps once per sample over the whole block, so small
+# blocks pay for it.  Peak memory grows with this and with the trial length,
+# not with the batch size: a block is one padded copy, filtered in place
+# (2.9 MB for 512 trials of 221 samples), and analyze adds its velocity, a
+# third as large (analyze_trials of 576 trials peaks at about 4.7 MB at 221
+# samples, 144 MB at 8,001).
 BLOCK_TRIALS = 512
 # odd-extension length at each end of a filtered series: scipy filtfilt's
 # default, 3 * max(len(a), len(b)) for an order-2 filter
@@ -499,9 +501,13 @@ def _segments(vz: np.ndarray, t: Sequence[np.ndarray], sample_rate: float,
     # peak of the detected movement, not of the whole series: a brief
     # pre-onset glitch taller than the true peak must not drag the
     # termination scan before the onset.  Series without samples have no
-    # onset, and nothing to take an argmax of.
-    peak = np.argmax(np.where(np.arange(n) >= onset[:, None], vz, -np.inf),
-                     axis=1) if n else onset
+    # onset, and nothing to take an argmax of.  Taken 64 rows at a time, so
+    # the masked copy is never the block's size.
+    peak = onset.copy()
+    for i in range(0, k if n else 0, 64):
+        rows = slice(i, i + 64)
+        np.argmax(np.where(np.arange(n) >= onset[rows, None], vz[rows], -np.inf),
+                  axis=1, out=peak[rows])
     term = _run_starts(vz < threshold, min_run, peak + 1, accept_tail=True)
     return [MovementSegment(i0, i1, float(times[i0]), float(times[i1]))
             if i0 >= 0 and i1 >= 0 else None
@@ -571,11 +577,12 @@ def _block_outcomes(trials: list[tuple], targets: list[TargetSpec],
     """Outcomes of trials, as _trial_views gives them, that share one
     sample rate and one length.
 
-    The trials are copied into one padded time-major array, filtered in
-    place (which never reads t), the depth velocities of those that also
-    share a t grid are taken with one _velocity call into one time-major
-    array, and the velocities are segmented as one block; every trial's
-    numbers equal those of a batch of one.
+    The trials are copied into one padded time-major array and filtered in
+    place (which never reads t).  The depth velocities of those that also
+    share a t grid are taken 64 trials a _velocity call into one
+    trial-major array, which is segmented as one block.  So the block holds
+    the padded array and one velocity array; every trial's numbers equal
+    those of a batch of one.
     """
     ids, rates, t = zip(*(tr[:3] for tr in trials))
     k, n = len(trials), len(t[0])
@@ -587,14 +594,17 @@ def _block_outcomes(trials: list[tuple], targets: list[TargetSpec],
     grids: dict[bytes, list[int]] = {}
     for i, times in enumerate(t):
         grids.setdefault(times.tobytes(), []).append(i)
-    vz = np.empty((n, k))  # time-major, as the filter leaves the block
-    if len(grids) == 1:
-        # the common case: no copy of the depth columns
-        _velocity(z, t[0], out=vz)
-    else:
-        for members in grids.values():
-            vz[:, members] = _velocity(z[:, members], t[members[0]])
-    vz = np.ascontiguousarray(vz.T)  # trial-major, for the run scans
+    # the velocity is taken time-major, as the filter leaves the block, into
+    # a scratch array of 64 trials; writing it straight into vz.T is slower
+    vz, scratch = np.empty((k, n)), np.empty((n, 64))
+    for members in grids.values():
+        for i in range(0, len(members), 64):
+            rows = members[i:i + 64]
+            out = scratch[:, :len(rows)]
+            if len(grids) == 1:  # the common case: no copy of the depth columns
+                rows = slice(i, i + len(rows))
+            vz[rows] = _velocity(z[:, rows], t[members[i]], out=out).T
+    del scratch, out
     segments = _segments(vz, t, rates[0], threshold)
     return [
         _measure(trial_id, target, trial_eyes, eye_pose, segment, f)
@@ -852,28 +862,42 @@ def _csv_fields(values: list[str]) -> list[str]:
     return values
 
 
-def write_trajectories_csv(trajectories: Sequence[Trajectory],
+def write_trajectories_csv(trajectories: Sequence[Trajectory] | Iterable[list[tuple]],
                            path: str | Path) -> None:
     """Write trajectories in the trial_id,t,x,y,z schema.
 
-    The bytes equal a csv.writer row per sample.  Each trial is formatted
-    as one string, from the views _trial_views takes of a trial table (as
-    synth.generate_trajectories returns it) or of each Trajectory, and
-    consecutive trials on the same t grid share its formatted timestamps.
+    trajectories is a Sequence of Trajectory, a trial table (as
+    read_trajectories_csv returns it) included, or an iterable of blocks,
+    each a list of (trial_id, sample_rate, t, x, y, z) as _trial_views
+    gives them, written before the next block is asked for: vackit
+    simulate streams synth._trajectory_blocks so.  The bytes equal a
+    csv.writer row per sample.  Each trial is formatted as one string, and
+    consecutive trials on the same t grid share its formatted timestamps,
+    across block edges too.  If a block raises, the part written is
+    removed and the error propagates.
     """
-    trials = _trial_views(trajectories)
+    blocks = [_trial_views(trajectories)] if isinstance(trajectories, Sequence) \
+        else trajectories
     grid: bytes | None = None
     times: list[str] = []
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TRAJECTORY_HEADER) + "\r\n")
-        for trial_id, (_, _, t, x, y, z) in zip(
-                _csv_fields([tr[0] for tr in trials]), trials):
-            if t.tobytes() != grid:
-                grid, times = t.tobytes(), list(map(repr, t.tolist()))
-            fh.write("".join([
-                f"{trial_id},{t},{x!r},{y!r},{z!r}\r\n" for t, x, y, z
-                in zip(times, x.tolist(), y.tolist(), z.tolist())
-            ]))
+    path = Path(path)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        try:
+            fh.write(",".join(TRAJECTORY_HEADER) + "\r\n")
+            for block in blocks:
+                for trial_id, (_, _, t, x, y, z) in zip(
+                        _csv_fields([tr[0] for tr in block]), block):
+                    if t.tobytes() != grid:
+                        grid, times = t.tobytes(), list(map(repr, t.tolist()))
+                    fh.write("".join([
+                        f"{trial_id},{t},{x!r},{y!r},{z!r}\r\n" for t, x, y, z
+                        in zip(times, x.tolist(), y.tolist(), z.tolist())
+                    ]))
+                del block  # not alive while the next one is made
+        except BaseException:
+            fh.close()
+            path.unlink()
+            raise
 
 
 OUTCOME_HEADER = [

@@ -65,9 +65,10 @@ def _line_chunks(fh) -> Iterator[bytes]:
 
 def _row_bound(fh) -> int:
     """The lines but the first of a binary file at its start, from its b"\\n"
-    bytes with no parse: a bound on the rows of _column_chunks (fh rewound)."""
+    bytes with no parse: a bound on the rows of _column_chunks (fh rewound).
+    The count needs no line-aligned chunks, and a BOM holds no line end."""
     lines, last = 0, b""
-    for data in _line_chunks(fh):
+    for data in iter(lambda: fh.read(_COLUMN_CHUNK), b""):
         # a fifth of bytes.count's time
         lines += np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == _LF)
         last = data[-1:]

@@ -13,9 +13,9 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -338,47 +338,91 @@ def generate_trajectories(config: SimConfig, trials: TrialTable,
     profile, then holds; optional white positional noise is low-pass
     filtered here at 10 Hz so it cannot alias into the velocity analysis,
     which needs a sample rate above 20 Hz (a DomainError otherwise).  The
-    trials fill one trial table block by block, all sharing one t array:
+    trials are copied block by block from _trajectory_blocks, the stream
+    vackit simulate writes, into one trial table, all sharing one t array:
     a Sequence (not a list) whose items are Trajectory objects, built on
     access.  A trial that Trajectory refuses raises its DomainError.
     """
+    blocks = _trajectory_blocks(config, trials, participants)
+    t = _sample_times(config)
+    m, n = len(trials), len(t)
+    xyz = np.empty((3, m * n))
+    for start, (*_, x, y, z) in zip(range(0, m * n, n),
+                                    chain.from_iterable(blocks)):
+        xyz[:, start:start + n] = x, y, z
+    return _TrialTable(list(trials.trial_id), np.full(m, config.sample_rate),
+                       np.full(m, n), n * np.arange(m), xyz,
+                       np.zeros(m, dtype=np.intp), t)
+
+
+def _sample_times(config: SimConfig) -> np.ndarray:
+    """The t grid every trial shares: rest, movement, rest, at the sample
+    rate.  A rate too low to filter trajectory noise is a DomainError."""
     fs = config.sample_rate
     if config.trajectory_noise_sd > 0 and not fs > 2 * _NOISE_CUTOFF_HZ:
         raise DomainError(
             f"sample_rate must exceed {2 * _NOISE_CUTOFF_HZ} Hz to filter "
             f"trajectory noise at {_NOISE_CUTOFF_HZ} Hz, got {fs!r}")
     duration = config.rest_padding + config.movement_duration + config.rest_padding
-    n = int(round(duration * fs)) + 1
-    t = np.arange(n) / fs
+    return np.arange(int(round(duration * fs)) + 1) / fs
+
+
+def _trajectory_blocks(config: SimConfig, trials: TrialTable,
+                       participants: list[Participant]) -> Iterator[list[tuple]]:
+    """generate_trajectories' trials, BLOCK_TRIALS at a time, each block a
+    list of (trial_id, sample_rate, t, x, y, z) as _trial_views gives them.
+
+    A rate too low to filter the noise, or trials too short for
+    Trajectory, raise here, before any block is made.  A block holding a
+    sample that is not finite raises Trajectory's error for its first such
+    trial when it is reached, before it is yielded.  Each block's x, y and
+    z are views into one array, padded for the filter when there is noise,
+    that the next block overwrites: a block is read before the next is
+    asked for.
+    """
+    t = _sample_times(config)
+    if len(t) < MIN_SAMPLES and len(trials):
+        # every trial shares t: the first is refused for its length
+        Trajectory(trials.trial_id[0], config.sample_rate, t, t, t, t)
+    return _filled_blocks(config, trials, participants, t)
+
+
+def _filled_blocks(config: SimConfig, trials: TrialTable,
+                   participants: list[Participant],
+                   t: np.ndarray) -> Iterator[list[tuple]]:
+    """_trajectory_blocks' stream, made one block at a time."""
+    fs, sd, n = config.sample_rate, config.trajectory_noise_sd, len(t)
     u = np.clip((t - config.rest_padding) / config.movement_duration, 0.0, 1.0)
     profile = _minimum_jerk(u)
     rngs = {p.participant_id: _participant_rng(p.trajectory_seed)
             for p in participants}
-    xyz = np.zeros((3, len(trials) * n))
+    k = min(len(trials), BLOCK_TRIALS)
+    if sd > 0:
+        padded, samples = _padded_series((k, 3, n))
+    else:
+        # axis-major zeros, of which only z is written: the pages of x and y
+        # are never touched
+        samples = np.moveaxis(np.zeros((3, k, n)), 0, 1)
     for start in range(0, len(trials), BLOCK_TRIALS):
-        block = slice(start, start + BLOCK_TRIALS)
-        k = len(trials.trial_id[block])
-        samples = xyz[:, start * n:(start + k) * n].reshape(3, k, n)
-        np.multiply(trials.endpoint_z[block, None], profile, out=samples[2])
-        if config.trajectory_noise_sd > 0:
+        rows = slice(start, start + BLOCK_TRIALS)
+        ids = trials.trial_id[rows]
+        block = samples[:len(ids)]
+        if sd > 0:
             # drawn trial by trial, in trial order, from each participant's
             # own stream; only the filtering is shared by the block
-            padded, noise = _padded_series((k, 3, n))
-            for trial, pid in zip(noise, trials.participant_id[block]):
-                trial[...] = rngs[pid].normal(
-                    0.0, config.trajectory_noise_sd, size=(3, n))
-            _lowpass_in_place(padded, fs, _NOISE_CUTOFF_HZ)
-            samples += np.moveaxis(noise, 1, 0)
-    m = len(trials)
-    table = _TrialTable(list(trials.trial_id), np.full(m, fs), np.full(m, n),
-                        n * np.arange(m), xyz, np.zeros(m, dtype=np.intp), t)
-    # the trials share t and its rate, so Trajectory refuses one only for
-    # too few samples or a sample that is not finite: the first it would
-    # refuse is built, and raises its error
-    refused = (n < MIN_SAMPLES) | ~np.isfinite(xyz.reshape(3, m, n)).all(axis=(0, 2))
-    if refused.any():
-        table[int(refused.argmax())]
-    return table
+            for trial, pid in zip(block, trials.participant_id[rows]):
+                trial[...] = rngs[pid].normal(0.0, sd, size=(3, n))
+            _lowpass_in_place(padded[:, :3 * len(ids)], fs, _NOISE_CUTOFF_HZ)
+            block[:, :2] += 0.0  # 0.0 + noise: a -0.0 comes out 0.0
+            for z, endpoint in zip(block[:, 2], trials.endpoint_z[rows].tolist()):
+                z += endpoint * profile
+        else:
+            np.multiply(trials.endpoint_z[rows, None], profile, out=block[:, 2])
+        refused = ~np.isfinite(block).all(axis=(1, 2))
+        if refused.any():
+            i = int(refused.argmax())
+            Trajectory(ids[i], fs, t, *block[i])  # raises its error
+        yield [(trial_id, fs, t, *trial) for trial_id, trial in zip(ids, block)]
 
 
 def write_participants_csv(participants: list[Participant],
@@ -460,11 +504,13 @@ def _write_targets_json(trials: TrialTable, path: Path) -> None:
 
 def write_dataset(outdir: str | Path, participants: list[Participant],
                   trials: TrialTable,
-                  trajectories: Sequence[Trajectory] | None = None) -> dict[str, str]:
+                  trajectories: Sequence[Trajectory] | Iterable[list[tuple]]
+                  | None = None) -> dict[str, str]:
     """Write the CSV family the analysis and fitting pipelines consume.
 
     outcomes.csv and targets.json are written in chunks of rows straight
-    from the trial table's columns, so no whole-file string is built.
+    from the trial table's columns, so no whole-file string is built;
+    trajectories, when given, are anything write_trajectories_csv takes.
     Returns a name -> path map of everything written.
     """
     outdir = Path(outdir)

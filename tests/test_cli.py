@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vackit import __version__, cli, fitting
+from vackit import __version__, cli, fitting, synth
 from vackit.cli import main
 from vackit.correction import MeshModel, transform_points
 from vackit.geometry import EyeGeometry
@@ -387,6 +387,53 @@ class TestSimulate:
         assert code == 1
         assert capsys.readouterr().err == f"vackit: error: {message}\n"
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"sample_rate_hz": 20.0, "trajectory_noise_sd_mm": 0.0},
+         "need >= 25 samples, got 19"),
+        ({"trajectory_noise_sd_mm": 1.7e308}, "samples must be finite")])
+    def test_trial_trajectory_refuses_exits_one(self, tmp_path, capsys,
+                                                monkeypatch, overrides,
+                                                message):
+        # the two cases of TestGenerateTrajectories in test_synth.py.  A
+        # field in millimeters cannot hold 1.7e308 m, so the noise is read in
+        # meters here.  The refusal leaves no trajectory file and no manifest
+        monkeypatch.setitem(cli._SIM_FIELDS, "trajectory_noise_sd_mm",
+                            ("trajectory_noise_sd", cli._json_float))
+        cfg = _sim_config(tmp_path / "sim.json", **overrides)
+        outdir = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            code = main(["simulate", "--config", cfg, "--out", str(outdir)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"vackit: error: trial p00-original-d0.20-r000: {message}\n")
+        assert not (outdir / "trajectories.csv").exists()
+        assert not (outdir / "manifest.json").exists()
+
+    @pytest.mark.parametrize("noise_mm", [0.2, 0.0])
+    @pytest.mark.parametrize("block", [16, 64])
+    def test_streamed_trajectories_equal_the_table_written(
+            self, tmp_path, monkeypatch, block, noise_mm):
+        # 4 participants of 20 trials on one t grid: blocks of 16 and of 64
+        # each cut a participant's trials, and every block edge cuts the t
+        # grid's run.  The reference is written from one table of one block.
+        cfg = _sim_config(tmp_path / "sim.json", n_participants=4,
+                          repetitions=5,
+                          reach_distances_m=[0.20, 0.25, 0.30, 0.35],
+                          trajectory_noise_sd_mm=noise_mm)
+        config, _ = cli._sim_config_from_dict(
+            json.loads(Path(cfg).read_text(encoding="utf-8")))
+        people = synth.generate_participants(config)
+        trials = synth.generate_trials(config, people)
+        assert len(trials) == 80
+        reference = tmp_path / "reference.csv"
+        write_trajectories_csv(
+            synth.generate_trajectories(config, trials, people), reference)
+        monkeypatch.setattr(synth, "BLOCK_TRIALS", block)
+        outdir = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(outdir)]) == 0
+        assert (outdir / "trajectories.csv").read_bytes() == \
+            reference.read_bytes()
 
     def test_malformed_json_exits_two_with_location(self, tmp_path, capsys):
         cfg = tmp_path / "sim.json"

@@ -30,6 +30,7 @@ import vackit.correction as correction
 import vackit.fitting as fitting
 import vackit.kinematics as kin
 import vackit.meshio as meshio
+import vackit.synth as synth
 from vackit.cli import main
 from vackit.fitting import FitDataset
 from vackit.kinematics import OUTCOME_HEADER, read_trajectories_csv
@@ -1086,7 +1087,9 @@ class TestRowBound:
 
     def test_row_bound_counts_lines(self, tmp_path):
         for data, bound in [(b"", 0), (b"h", 0), (b"h\n", 0), (b"h\na", 1),
-                            (b"h\r\na\r\n", 1), (b"h\n\n\na\n\n", 4)]:
+                            (b"h\r\na\r\n", 1), (b"h\n\n\na\n\n", 4),
+                            (b"\xef\xbb\xbf", 0), (b"\xef\xbb\xbf\n", 0),
+                            (b"\xef\xbb\xbfh\na", 1)]:
             path = tmp_path / "lines.csv"
             path.write_bytes(data)
             with path.open("rb") as fh, \
@@ -1233,6 +1236,32 @@ class TestWorkingSet:
     WRITE_BLOCKS = 12
     # The kernel's temporaries: a few float64 and bool arrays of a block's rows.
     KERNEL_BLOCKS = 4
+    # simulate's trajectory stream: one block of samples, and text and
+    # generators smaller than a second.
+    SIM_BLOCKS = 2
+
+    @pytest.mark.parametrize("n_participants", [6, 24])
+    def test_simulate_trajectories(self, tmp_path, monkeypatch,
+                                   n_participants):
+        """simulate streams its trajectories a block of BLOCK_TRIALS trials
+        at a time.  Beyond the trial table it is given, the write holds one
+        block, the padded array the noise is filtered in: (221 + 18) samples
+        x 3 axes x 64 trials of float64, 367,104 bytes.  It also holds one
+        trial's text, the formatted t grid and each participant's generator.
+        Measured 1.46 and 1.49 blocks, the whole cohort's samples being 4.2
+        and 16.6 blocks."""
+        monkeypatch.setattr(synth, "BLOCK_TRIALS", 64)
+        config = SimConfig(n_participants=n_participants, seed=3)
+        participants = generate_participants(config)
+        trials = generate_trials(config, participants)
+        n = len(synth._sample_times(config))
+        block = (n + 2 * kin._PADLEN) * 3 * synth.BLOCK_TRIALS * 8
+        assert block == 367_104
+        assert len(trials) * 3 * n * 8 > 2 * self.SIM_BLOCKS * block
+        _, peak = _traced_peak(lambda path: kin.write_trajectories_csv(
+            synth._trajectory_blocks(config, trials, participants), path),
+            tmp_path / "trajectories.csv")
+        assert peak < self.SIM_BLOCKS * block
 
     def test_trajectories(self, tmp_path, monkeypatch):
         config = SimConfig(n_participants=3, seed=3)

@@ -829,10 +829,11 @@ class TestAnalyzeTrials:
 
     def test_block_holds_about_one_padded_copy(self):
         # the block is filtered in place and its depth velocity evaluated
-        # into one array: the peak is the padded array, the velocity and
-        # one scratch array as large, not a stack and a copy per pass.  A
-        # list of trajectories and a trial table are read in place, so
-        # neither is copied whole.
+        # into one trial-major array through a scratch of 64 trials: the
+        # peak is the padded array and the velocity, a third as large
+        # (measured 1.52 and 1.54 padded arrays), not a stack and a copy per
+        # pass.  A list of trajectories and a trial table are read in place,
+        # so neither is copied whole.
         rng = np.random.default_rng(9)
         trajectories = [_noisy_trajectory(0.25, 0.52, rng, fs=1000.0,
                                           trial_id=f"tr{i:03d}")
@@ -857,7 +858,7 @@ class TestAnalyzeTrials:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 1.75 * padded_bytes
+            assert peak < 1.6 * padded_bytes
 
     @pytest.mark.parametrize("column,value", [("t", "inf"), ("x", "nan"),
                                               ("z", "-inf")])

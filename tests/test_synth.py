@@ -362,6 +362,24 @@ class TestGenerateTrajectories:
                 DomainError, match=f"^trial {trials.trial_id[0]}: {message}$"):
             generate_trajectories(config, trials, people)
 
+    def test_late_refused_block_removes_the_trajectory_file(self, tmp_path,
+                                                           monkeypatch):
+        # each block is checked before it is written: one refused after
+        # others were written takes the file's written part with it
+        monkeypatch.setattr(synth, "BLOCK_TRIALS", 8)
+        config = _config()
+        people = generate_participants(config)
+        trials = generate_trials(config, people)
+        assert len(trials) > 4 * synth.BLOCK_TRIALS
+        trials.endpoint_z[-1] = math.inf
+        with np.errstate(all="ignore"), pytest.raises(
+                DomainError,
+                match=f"^trial {trials.trial_id[-1]}: samples must be finite$"):
+            write_dataset(tmp_path, people, trials,
+                          synth._trajectory_blocks(config, trials, people))
+        assert (tmp_path / "outcomes.csv").exists()
+        assert not (tmp_path / "trajectories.csv").exists()
+
     def test_table_items_are_checked_trajectories(self):
         config = _config(trajectory_noise_sd=0.0002)
         people = generate_participants(config)
