@@ -26,11 +26,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .correction import (
-    predicted_correction_curve,
-    transform_mesh,
-    transform_points,
-)
+from .correction import _remap_in_place, predicted_correction_curve
 from .errors import DataFormatError, DomainError, FitError
 from .fitting import (
     DEFAULT_TRAIN_FRACTION,
@@ -420,16 +416,22 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     literal = args.compat_literal_half_angle
     suffix = in_path.suffix.lower()
+    # the array read is remapped in place: the call holds one copy of it
     if suffix == ".obj":
-        mesh = transform_mesh(read_obj(in_path), eyes, params,
-                              literal_half_angle=literal)
+        mesh = read_obj(in_path)
+        if not mesh.vertices.flags.writeable:
+            mesh = replace(mesh, vertices=mesh.vertices.copy())
+        _remap_in_place(mesh.vertices, eyes, params, kind="vertex",
+                        literal_half_angle=literal)
         write_obj(mesh, out_path)
         n = len(mesh.vertices)
     elif suffix == ".csv":
-        out = transform_points(read_points_csv(in_path), eyes, params,
-                               literal_half_angle=literal)
-        write_points_csv(out, out_path)
-        n = len(out)
+        points = read_points_csv(in_path)
+        if not points.flags.writeable:
+            points = points.copy()
+        _remap_in_place(points, eyes, params, literal_half_angle=literal)
+        write_points_csv(points, out_path)
+        n = len(points)
     else:
         raise DomainError(
             f"--in must be an .obj or .csv file, got {in_path.name!r}"

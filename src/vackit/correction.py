@@ -28,13 +28,23 @@ __all__ = [
 ]
 
 
+def _face_dtype(n_vertices: int) -> np.dtype:
+    """MeshModel's face index dtype for a mesh of n_vertices: int32 while
+    every index, and every index + 1 that the OBJ writer prints, fits in
+    it, int64 beyond."""
+    return np.dtype(np.int32 if n_vertices <= np.iinfo(np.int32).max else np.int64)
+
+
 @dataclass(frozen=True)
 class MeshModel:
     """Triangle mesh: an (N, 3) vertex array and (M, 3) face index array.
 
     Attributes:
         vertices: Vertex coordinates in meters, view space.
-        faces: 0-based vertex index triples.
+        faces: 0-based vertex index triples, int32 when every index fits
+            (N <= 2**31 - 1), int64 otherwise.  Input of another dtype is
+            converted to int64, range-checked there, then narrowed, so an
+            index past int32 is refused rather than wrapped into range.
         provenance: Source path or a description of how the mesh was made.
         normal_lines: Raw normal records carried through from an OBJ file;
             they are not recomputed by any transform and become stale once
@@ -48,7 +58,9 @@ class MeshModel:
 
     def __post_init__(self) -> None:
         vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
-        faces = np.ascontiguousarray(self.faces, dtype=np.int64)
+        faces = self.faces
+        keep = isinstance(faces, np.ndarray) and faces.dtype in (np.int32, np.int64)
+        faces = np.ascontiguousarray(faces, dtype=faces.dtype if keep else np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3 or vertices.shape[0] < 1:
             raise DomainError(f"vertices must be (N>=1, 3), got shape {vertices.shape}")
         if faces.size and (faces.ndim != 2 or faces.shape[1] != 3):
@@ -56,7 +68,8 @@ class MeshModel:
         if faces.size and (faces.min() < 0 or faces.max() >= len(vertices)):
             raise DomainError("face indices out of vertex range")
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "faces", faces.reshape(-1, 3))
+        object.__setattr__(self, "faces", faces.reshape(-1, 3).astype(
+            _face_dtype(len(vertices)), copy=False))
 
 
 def _angle_shift(params: PerturbationParams, literal_half_angle: bool) -> float:
@@ -116,8 +129,8 @@ def transform_point(p: ScenePoint, eyes: EyeGeometry, params: PerturbationParams
     return ScenePoint(x=p.x, y=p.y, z=math.sqrt(radicand))
 
 
-# Rows transform_points evaluates at once: its temporaries are a few arrays
-# of this many float64s, whatever the size of the input.
+# Rows _remap_in_place evaluates at once: its temporaries are a few arrays of
+# this many float64s, whatever the size of the input.
 _BLOCK_ROWS = 1 << 13
 
 
@@ -131,11 +144,8 @@ def transform_points(points: np.ndarray, eyes: EyeGeometry,
     numpy and libm routes may differ in the last few bits.  A zero angle
     shift copies the input bitwise (after the domain checks) so that a
     no-op transform cannot drift by rounding, with or without
-    literal_half_angle.  The input is not modified.
-
-    The rows are evaluated in blocks of _BLOCK_ROWS straight into the
-    output array, so the call holds the output plus one block's
-    temporaries; each element is the same as the whole-array expression.
+    literal_half_angle.  The input is not modified: it is copied to a
+    float64 array, which _remap_in_place then remaps in place.
 
     Args:
         kind: Word naming a row in the error message ("point", "vertex").
@@ -147,10 +157,26 @@ def transform_points(points: np.ndarray, eyes: EyeGeometry,
             outside (0, pi), or a corrected distance that cannot keep the
             lateral coordinates.
     """
-    xyz = np.ascontiguousarray(points, dtype=np.float64)
+    out = np.array(points, dtype=np.float64, order="C")
+    _remap_in_place(out, eyes, params, kind=kind,
+                    literal_half_angle=literal_half_angle)
+    return out
+
+
+def _remap_in_place(xyz: np.ndarray, eyes: EyeGeometry,
+                    params: PerturbationParams, *, kind: str = "point",
+                    literal_half_angle: bool = False) -> None:
+    """transform_points written over xyz, a writable float64 (N, 3) array.
+
+    The rows are evaluated in blocks of _BLOCK_ROWS, so the call holds one
+    block's temporaries; each element is the same as the whole-array
+    expression.  A block is checked whole before any of its rows is
+    written, so the DomainError names the row's coordinates as given, and
+    leaves that block and the ones after it as given (earlier blocks are
+    remapped).
+    """
     shift = float(_angle_shift(params, literal_half_angle))
     half_ipd = float(eyes.half_ipd)
-    out = np.empty_like(xyz)
     for start in range(0, len(xyz), _BLOCK_ROWS):
         block = xyz[start:start + _BLOCK_ROWS]
         x, y, z = block[:, 0], block[:, 1], block[:, 2]
@@ -161,15 +187,10 @@ def transform_points(points: np.ndarray, eyes: EyeGeometry,
         ok &= (z > 0.0) & (radicand > 0.0)
         if not ok.all():
             i = start + int(np.argmin(ok))
-            x, y, z = points[i]
+            x, y, z = xyz[i]
             raise DomainError(f"{kind} {i} at ({x}, {y}, {z}) cannot be corrected")
-        rows = out[start:start + _BLOCK_ROWS]
-        if shift == 0.0:
-            rows[:] = block
-        else:
-            rows[:, :2] = block[:, :2]
-            np.sqrt(radicand, out=rows[:, 2])
-    return out
+        if shift != 0.0:
+            np.sqrt(radicand, out=z)
 
 
 def transform_mesh(mesh: MeshModel, eyes: EyeGeometry,

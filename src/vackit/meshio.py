@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .correction import MeshModel
+from .correction import MeshModel, _face_dtype
 from .errors import DataFormatError
 
 __all__ = ["read_obj", "write_obj", "read_points_csv", "write_points_csv"]
@@ -180,7 +180,8 @@ def read_obj(path: str | Path) -> MeshModel:
 
     The ``v`` and ``f`` records are parsed in C a chunk at a time
     (``_read_obj_columns``) into one vertex and one face array sized before
-    the parse, so the read holds the mesh plus one chunk's working set.  A
+    the parse, the faces in the dtype MeshModel keeps (int32 below 2**31
+    vertices), so the read holds the mesh plus one chunk's working set.  A
     file that parse cannot promise the line loop's result for (tabs, lone
     CRs, non-ASCII bytes, a malformed record, a bad reference, ...) is read
     line by line instead, with the same mesh and errors.
@@ -251,11 +252,12 @@ def _read_obj_columns(fh) -> tuple | None:
     """read_obj's records, parsed in C a bounded chunk of lines at a time.
 
     fh is a binary file at its start.  Returns the vertices as an (N, 3)
-    float64 array, the fanned faces as an (M, 3) int64 array of 0-based
-    indices, and the ``vn`` lines.  Both arrays are sized by _obj_bound
-    before the parse, and each chunk's faces are resolved and fanned into
-    the face array as they are parsed (``_fan``), so the parse holds the
-    two arrays plus one chunk's working set.
+    float64 array, the fanned faces as an (M, 3) array of 0-based indices
+    in MeshModel's dtype (int32 for N <= 2**31 - 1), and the ``vn`` lines.
+    Both arrays are sized by _obj_bound before the parse, and each chunk's
+    faces are resolved and fanned into the face array as they are parsed
+    (``_fan``), so the parse holds the two arrays plus one chunk's working
+    set.
 
     Returns None whenever the line loop might read the file otherwise or
     fail on it: a byte outside _OBJ_PLAIN, a line that starts with a
@@ -278,7 +280,7 @@ def _read_obj_columns(fh) -> tuple | None:
     if n_triangles < 0:        # a face of fewer than 3 vertices
         return None
     vertices = np.empty((n_vertices, 3))
-    faces = np.empty((n_triangles, 3), dtype=np.int64)
+    faces = np.empty((n_triangles, 3), dtype=_face_dtype(n_vertices))
     filled_v = filled_f = 0
     top = -1                   # the highest vertex index a face names
     normal_lines = []
@@ -382,10 +384,12 @@ def _fan(refs: np.ndarray, counts: np.ndarray, face_nv: np.ndarray,
     refs are the 1-based references of faces of counts[i] >= 3 vertices,
     concatenated; a negative one counts back from face_nv[i], the vertices
     defined before its face.  Face (i0, i1, ..., in) gives the triangles
-    (i0, ik, ik+1), k = 1..n-1, in face order, so out is an int64 array of
-    counts.sum() - 2 * len(counts) rows and 3 columns.  Returns the 0-based
-    references, for the caller to check against the vertices: 0, and a
-    reference that counts back past the first vertex, come out negative.
+    (i0, ik, ik+1), k = 1..n-1, in face order, so out is an integer array
+    of counts.sum() - 2 * len(counts) rows and 3 columns, int32 or int64.
+    Returns the 0-based references as int64, for the caller to check
+    against the vertices before it keeps out, where a reference past int32
+    is wrapped: 0, and a reference that counts back past the first vertex,
+    come out negative.
     """
     face_start = np.cumsum(counts) - counts
     index = refs - 1
@@ -450,7 +454,8 @@ def _read_obj_lines(path: Path) -> tuple:
     vertices = np.frombuffer(coords, dtype=np.float64).reshape(-1, 3)
     refs, counts, face_nv = (np.frombuffer(column, dtype=np.int64)
                              for column in (refs, counts, face_nv))
-    faces = np.empty((int(counts.sum()) - 2 * len(counts), 3), dtype=np.int64)
+    faces = np.empty((int(counts.sum()) - 2 * len(counts), 3),
+                     dtype=_face_dtype(len(vertices)))
     index = _fan(refs, counts, face_nv, faces)
     bad = (index < 0) | (index >= len(vertices))
     if bad.any():

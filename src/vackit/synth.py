@@ -511,10 +511,15 @@ def write_dataset(outdir: str | Path, participants: list[Participant],
     outcomes.csv and targets.json are written in chunks of rows straight
     from the trial table's columns, so no whole-file string is built;
     trajectories, when given, are anything write_trajectories_csv takes.
-    Returns a name -> path map of everything written.
+    They are written first: a block it refuses removes its partial file
+    and leaves the directory without any file of this call.  Returns a
+    name -> path map of everything written.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    trajectory_path = outdir / "trajectories.csv"
+    if trajectories is not None:
+        write_trajectories_csv(trajectories, trajectory_path)
     written: dict[str, str] = {}
 
     path = outdir / "participants.csv"
@@ -530,9 +535,7 @@ def write_dataset(outdir: str | Path, participants: list[Participant],
     written["targets"] = str(path)
 
     if trajectories is not None:
-        path = outdir / "trajectories.csv"
-        write_trajectories_csv(trajectories, path)
-        written["trajectories"] = str(path)
+        written["trajectories"] = str(trajectory_path)
     return written
 
 

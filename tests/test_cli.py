@@ -187,6 +187,33 @@ class TestTransform:
                                    rtol=0, atol=0)
         assert "transformed 12 points" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("suffix", [".obj", ".csv"])
+    def test_read_only_array_is_remapped_in_a_copy(self, tmp_path,
+                                                   monkeypatch, suffix):
+        # the readers return writable arrays, which the remap writes over;
+        # one that is not writable is copied first, to the same bytes
+        src = tmp_path / f"in{suffix}"
+        if suffix == ".obj":
+            self._mesh_file(src)
+        else:
+            write_points_csv(np.random.default_rng(14).uniform(
+                [-0.3, -0.3, 0.2], [0.3, 0.3, 1.5], (50, 3)), src)
+        name = "read_obj" if suffix == ".obj" else "read_points_csv"
+        reader = getattr(cli, name)
+
+        def read_only(path):
+            got = reader(path)
+            (got.vertices if suffix == ".obj" else got).flags.writeable = False
+            return got
+
+        argv = ["transform", "--in", str(src), "--beta-deg", "0.22",
+                "--ipd-mm", "63", "--out"]
+        assert main([*argv, str(tmp_path / f"writable{suffix}")]) == 0
+        monkeypatch.setattr(cli, name, read_only)
+        assert main([*argv, str(tmp_path / f"read-only{suffix}")]) == 0
+        assert (tmp_path / f"read-only{suffix}").read_bytes() == \
+            (tmp_path / f"writable{suffix}").read_bytes()
+
     def test_csv_matches_library_remap(self, tmp_path):
         rng = np.random.default_rng(13)
         points = np.vstack([[[0.0, 0.0, 0.45], [0.05, -0.02, 0.6],
@@ -397,7 +424,9 @@ class TestSimulate:
                                                 message):
         # the two cases of TestGenerateTrajectories in test_synth.py.  A
         # field in millimeters cannot hold 1.7e308 m, so the noise is read in
-        # meters here.  The refusal leaves no trajectory file and no manifest
+        # meters here.  The refusal leaves no file: the short trials are
+        # refused before the directory is made, the non-finite block after
+        # it, when the trajectories, written first, take their file with them
         monkeypatch.setitem(cli._SIM_FIELDS, "trajectory_noise_sd_mm",
                             ("trajectory_noise_sd", cli._json_float))
         cfg = _sim_config(tmp_path / "sim.json", **overrides)
@@ -409,6 +438,7 @@ class TestSimulate:
             f"vackit: error: trial p00-original-d0.20-r000: {message}\n")
         assert not (outdir / "trajectories.csv").exists()
         assert not (outdir / "manifest.json").exists()
+        assert list(outdir.glob("*")) == []
 
     @pytest.mark.parametrize("noise_mm", [0.2, 0.0])
     @pytest.mark.parametrize("block", [16, 64])

@@ -1151,6 +1151,31 @@ class TestRowBound:
         assert grown[0] < filled / 4
 
 
+def _grid_obj(path, grid: int, layout: str = "scene"):
+    """A grid x grid vertex mesh of quads "f a//1 b//1 c//1 d//1", written to
+    path: as one object per row of quads, each counted back from the row's
+    last vertex, or as the benchmark scene is laid out (every vertex, one
+    normal, every face)."""
+    rng = np.random.default_rng(8)
+    vertices = [f"v {x!r} {y!r} {z!r}" for x, y, z in
+                rng.uniform(0.1, 1.0, (grid * grid, 3)).tolist()]
+
+    def quad(a: int) -> str:
+        return f"f {a}//1 {a + 1}//1 {a + grid + 1}//1 {a + grid}//1"
+
+    if layout == "objects":
+        lines = ["# grid", "vn 0.0 0.0 -1.0", *vertices[:grid]]
+        for r in range(1, grid):
+            lines += vertices[r * grid:(r + 1) * grid]
+            lines += [quad(a) for a in range(-2 * grid, -grid - 1)]
+    else:
+        lines = ["# grid", *vertices, "vn 0.0 0.0 -1.0"]
+        lines += [quad(r * grid + c + 1)
+                  for r in range(grid - 1) for c in range(grid - 1)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def _traced_peak(read, path) -> tuple[object, int]:
     """read(path) and the tracemalloc peak of the call, after one untraced
     call, so that first-call caches are not counted."""
@@ -1217,6 +1242,33 @@ class TestCutAtSlash:
             assert meshio._cut_at_slash(data) == want
 
 
+class TestFaceDtype:
+    """Both OBJ readers store the faces in MeshModel's dtype from the
+    start: int32 below 2**31 vertices, so the mesh is never copied to
+    narrow it."""
+
+    def test_benchmark_grid_reads_int32_faces(self, tmp_path, monkeypatch):
+        grid = 300
+        path = _grid_obj(tmp_path / "grid.obj", grid)
+        line_loop = mock.Mock(side_effect=AssertionError("line loop ran"))
+        monkeypatch.setattr(meshio, "_read_obj_lines", line_loop)
+        mesh = read_obj(path)
+        assert mesh.faces.dtype == np.int32
+        assert mesh.faces.shape == (2 * (grid - 1) ** 2, 3)
+        assert mesh.faces[-1].tolist() == [grid * grid - grid - 2,
+                                           grid * grid - 1, grid * grid - 2]
+
+    @pytest.mark.parametrize("layout", ["objects", "scene"])
+    def test_fast_path_and_line_loop_agree(self, tmp_path, layout):
+        path = _grid_obj(tmp_path / "grid.obj", 12, layout)
+        with path.open("rb") as fh:
+            fast = meshio._read_obj_columns(fh)
+        loop = meshio._read_obj_lines(path)
+        assert fast[1].dtype == loop[1].dtype == np.int32
+        assert fast[1].tolist() == loop[1].tolist()
+        assert read_obj(path).faces.dtype == np.int32
+
+
 class TestWorkingSet:
     """A read holds the arrays it returns plus a fixed number of chunks:
     each chunk is parsed into the one output array, which was sized before
@@ -1239,6 +1291,10 @@ class TestWorkingSet:
     # simulate's trajectory stream: one block of samples, and text and
     # generators smaller than a second.
     SIM_BLOCKS = 2
+    # vackit transform: the read's chunk working set, then the kernel's
+    # block, then the write's block of _CHUNK_ROWS rows as Python objects
+    # and as text, the largest of the three at this chunk size.
+    TRANSFORM_CHUNKS = 16
 
     @pytest.mark.parametrize("n_participants", [6, 24])
     def test_simulate_trajectories(self, tmp_path, monkeypatch,
@@ -1306,30 +1362,10 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("layout", ["objects", "scene"])
     def test_obj(self, tmp_path, monkeypatch, layout):
-        """A grid of quads "f a//1 b//1 c//1 d//1", as one object per row of
-        quads, each counted back from the row's last vertex, or as the
-        benchmark scene is laid out (every vertex, one normal, every face):
-        the faces are resolved and fanned a chunk at a time into the
+        """The faces are resolved and fanned a chunk at a time into the
         presized array."""
         grid = 150
-        rng = np.random.default_rng(8)
-        vertices = [f"v {x!r} {y!r} {z!r}" for x, y, z in
-                    rng.uniform(0.1, 1.0, (grid * grid, 3)).tolist()]
-
-        def quad(a: int) -> str:
-            return f"f {a}//1 {a + 1}//1 {a + grid + 1}//1 {a + grid}//1"
-
-        if layout == "objects":
-            lines = ["# grid", "vn 0.0 0.0 -1.0", *vertices[:grid]]
-            for r in range(1, grid):
-                lines += vertices[r * grid:(r + 1) * grid]
-                lines += [quad(a) for a in range(-2 * grid, -grid - 1)]
-        else:
-            lines = ["# grid", *vertices, "vn 0.0 0.0 -1.0"]
-            lines += [quad(r * grid + c + 1)
-                      for r in range(grid - 1) for c in range(grid - 1)]
-        path = tmp_path / "grid.obj"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = _grid_obj(tmp_path / "grid.obj", grid, layout)
         assert path.stat().st_size > 8 * self.CHUNK
         monkeypatch.setattr(meshio, "_COLUMN_CHUNK", self.CHUNK)
         line_loop = mock.Mock(side_effect=AssertionError("line loop ran"))
@@ -1352,6 +1388,30 @@ class TestWorkingSet:
         block = meshio._CHUNK_ROWS * 3 * 8
         assert self.WRITE_BLOCKS * block < mesh.faces.nbytes
         assert peak < self.WRITE_BLOCKS * block
+
+    @pytest.mark.parametrize("kind", ["obj", "points"])
+    def test_transform_holds_one_copy(self, tmp_path, monkeypatch, kind):
+        """vackit transform remaps the array it read in place, and an OBJ
+        keeps its faces int32: the call holds that mesh or point array
+        plus a fixed number of chunks, not an input and an output copy.
+        Measured 11.6 chunks above the 150 x 150 grid's mesh with int32
+        faces and 12.1 above 50,000 points; a transform that holds an
+        output copy and int64 faces measured 23 and 25."""
+        if kind == "obj":
+            path = _grid_obj(tmp_path / "grid.obj", 150)
+        else:
+            path = tmp_path / "points.csv"
+            write_points_csv(np.random.default_rng(5).uniform(
+                [-0.3, -0.3, 0.3], [0.3, 0.3, 1.5], (50_000, 3)), path)
+        # the one array, plus the faces as int32 whatever read_obj returns
+        held = (read_obj(path).vertices.nbytes + 2 * (150 - 1) ** 2 * 3 * 4
+                if kind == "obj" else read_points_csv(path).nbytes)
+        monkeypatch.setattr(meshio, "_COLUMN_CHUNK", self.CHUNK)
+        argv = ["transform", "--in", str(path), "--out",
+                str(tmp_path / f"out{path.suffix}"), "--beta-deg", "0.22",
+                "--ipd-mm", "63"]
+        _, peak = _traced_peak(lambda _: main(argv), path)
+        assert peak < held + self.TRANSFORM_CHUNKS * self.CHUNK
 
     @pytest.mark.parametrize("beta", [0.004, 0.0])
     def test_transform_points(self, beta):

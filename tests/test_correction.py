@@ -25,8 +25,12 @@ from __future__ import annotations
 
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vackit.correction as correction
 from vackit.correction import (
@@ -162,6 +166,32 @@ class TestMeshModel:
                       faces=np.zeros((0, 3), dtype=np.int64),
                       provenance="bad")
 
+    @pytest.mark.parametrize("bad", [2**32 + 1, -2**32 + 1])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_index_past_int32_refused_not_wrapped(self, bad, as_array):
+        # both wrap to 1 in int32: the range is checked before the narrowing
+        faces = [[0, 1, bad]]
+        with pytest.raises(DomainError, match="^face indices out of vertex range$"):
+            MeshModel(vertices=np.ones((3, 3)),
+                      faces=np.array(faces, dtype=np.int64) if as_array else faces)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.float64])
+    def test_faces_kept_as_int32_values_unchanged(self, dtype):
+        faces = np.array([[0, 1, 2], [2, 1, 0], [0, 2, 1]], dtype=dtype)
+        mesh = MeshModel(vertices=np.ones((3, 3)), faces=faces)
+        assert mesh.faces.dtype == np.int32
+        assert mesh.faces.tolist() == faces.astype(np.int64).tolist()
+
+    def test_int32_faces_are_not_copied(self):
+        faces = np.array([[0, 1, 2]], dtype=np.int32)
+        mesh = MeshModel(vertices=np.ones((3, 3)), faces=faces)
+        assert np.shares_memory(mesh.faces, faces)
+
+    def test_face_dtype_widens_past_int32(self):
+        # every index of such a mesh, plus the writer's 1, fits in int32
+        assert correction._face_dtype(2**31 - 1) == np.int32
+        assert correction._face_dtype(2**31) == np.int64
+
 
 class TestTransformMesh:
     def test_depths_match_pointwise_transform(self):
@@ -268,6 +298,61 @@ class TestTransformPointsBlocks:
         with pytest.raises(DomainError) as exc:
             transform_points(points, EYES64, PerturbationParams(beta))
         assert str(exc.value) == f"point {first} at ({x}, {y}, {z}) cannot be corrected"
+
+
+# Rows no offset here can correct: laterally too far for its corrected
+# distance, behind the viewer, on the eye axis too near, not finite.
+UNCORRECTABLE = [[0.3, 0.3, 0.05], [0.1, 0.0, -0.5], [0.0, 0.0, 0.0005],
+                 [0.0, 0.0, math.inf], [math.nan, 0.0, 0.5]]
+
+
+class TestRemapInPlace:
+    """_remap_in_place, which transform_points runs on its copy and vackit
+    transform on the array it read, in blocks of 4 rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_transform_points(self, data):
+        n = data.draw(st.integers(0, 14))
+        row = st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+                        st.floats(0.05, 3.0))
+        points = np.array(data.draw(st.lists(row, min_size=n, max_size=n)),
+                          dtype=np.float64).reshape(n, 3)
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else []:
+            points[i] = data.draw(st.sampled_from(UNCORRECTABLE))
+        params = PerturbationParams(data.draw(
+            st.sampled_from([0.0, BETA, -0.04]) | st.floats(-0.049, 0.049)))
+        options = {"kind": data.draw(st.sampled_from(["point", "vertex"])),
+                   "literal_half_angle": data.draw(st.booleans())}
+        work = points.copy()
+        with mock.patch.object(correction, "_BLOCK_ROWS", 4):
+            try:
+                want = transform_points(points, EYES64, params, **options)
+            except DomainError as exc:
+                error = str(exc)
+            else:
+                correction._remap_in_place(work, EYES64, params, **options)
+                assert work.tobytes() == want.tobytes()
+                return
+            with pytest.raises(DomainError) as exc:
+                correction._remap_in_place(work, EYES64, params, **options)
+            assert str(exc.value) == error
+            # the failing row's block and the ones after it are as given
+            start = int(error.split()[1]) // 4 * 4
+            assert work[start:].tobytes() == points[start:].tobytes()
+            assert work[:start].tobytes() == transform_points(
+                points[:start], EYES64, params, **options).tobytes()
+
+    def test_later_block_refused_with_its_block_untouched(self):
+        points = np.tile([0.05, -0.02, 0.6], (12, 1))
+        points[9] = UNCORRECTABLE[0]
+        work = points.copy()
+        with mock.patch.object(correction, "_BLOCK_ROWS", 4), \
+                pytest.raises(DomainError) as exc:
+            correction._remap_in_place(work, EYES64, PerturbationParams(-0.04))
+        assert str(exc.value) == "point 9 at (0.3, 0.3, 0.05) cannot be corrected"
+        assert not np.array_equal(work[:8], points[:8])
+        assert work[8:].tobytes() == points[8:].tobytes()
 
 
 class TestTransformPointsLiteral:

@@ -365,7 +365,8 @@ class TestGenerateTrajectories:
     def test_late_refused_block_removes_the_trajectory_file(self, tmp_path,
                                                            monkeypatch):
         # each block is checked before it is written: one refused after
-        # others were written takes the file's written part with it
+        # others were written takes the file's written part with it, and
+        # the trajectories go first, so no other file is left either
         monkeypatch.setattr(synth, "BLOCK_TRIALS", 8)
         config = _config()
         people = generate_participants(config)
@@ -377,8 +378,7 @@ class TestGenerateTrajectories:
                 match=f"^trial {trials.trial_id[-1]}: samples must be finite$"):
             write_dataset(tmp_path, people, trials,
                           synth._trajectory_blocks(config, trials, people))
-        assert (tmp_path / "outcomes.csv").exists()
-        assert not (tmp_path / "trajectories.csv").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_table_items_are_checked_trajectories(self):
         config = _config(trajectory_noise_sd=0.0002)
@@ -414,8 +414,8 @@ class TestWriteDataset:
         trials = generate_trials(config, people)
         trajectories = generate_trajectories(config, trials, people)
         written = write_dataset(tmp_path, people, trials, trajectories)
-        assert set(written) == {"participants", "outcomes", "targets",
-                                "trajectories"}
+        assert list(written) == ["participants", "outcomes", "targets",
+                                 "trajectories"]
         ds = FitDataset.from_csv(written["outcomes"])
         assert len(ds) == len(trials)
         assert ds.participants == sorted(set(trials.participant_id))
