@@ -419,16 +419,12 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     # the array read is remapped in place: the call holds one copy of it
     if suffix == ".obj":
         mesh = read_obj(in_path)
-        if not mesh.vertices.flags.writeable:
-            mesh = replace(mesh, vertices=mesh.vertices.copy())
         _remap_in_place(mesh.vertices, eyes, params, kind="vertex",
                         literal_half_angle=literal)
         write_obj(mesh, out_path)
         n = len(mesh.vertices)
     elif suffix == ".csv":
         points = read_points_csv(in_path)
-        if not points.flags.writeable:
-            points = points.copy()
         _remap_in_place(points, eyes, params, literal_half_angle=literal)
         write_points_csv(points, out_path)
         n = len(points)
@@ -542,10 +538,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataFormatError as exc:
-        print(f"vackit: data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"vackit: data error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, FitError, ValueError) as exc:

@@ -72,14 +72,7 @@ class MeshModel:
             _face_dtype(len(vertices)), copy=False))
 
 
-def _angle_shift(params: PerturbationParams, literal_half_angle: bool) -> float:
-    """The shift the correction adds to a point's subtended angle."""
-    # beta off the half angle is 2*beta off the full angle, bit for bit
-    return -2.0 * params.beta_offset if literal_half_angle else -params.beta_offset
-
-
-def remap_depth(z_view: float, eyes: EyeGeometry, params: PerturbationParams,
-                literal_half_angle: bool = False) -> float:
+def remap_depth(z_view: float, eyes: EyeGeometry, params: PerturbationParams) -> float:
     """Corrected display depth for an on-axis point at depth z_view.
 
     tau = 2*atan2(ipd/2, z); tau_tilde = tau - beta;
@@ -91,10 +84,6 @@ def remap_depth(z_view: float, eyes: EyeGeometry, params: PerturbationParams,
         z_view: View-space depth in meters (> 0).
         eyes: Viewing geometry.
         params: Offset parameters.
-        literal_half_angle: Apply beta to the half angle and drop the /2 in
-            the tangent, which equals applying 2*beta to the full angle.
-            Provided for comparison only; this variant does not satisfy
-            the inverse property.
 
     Raises:
         DomainError: If z_view <= 0 or the corrected angle leaves (0, pi)
@@ -102,13 +91,12 @@ def remap_depth(z_view: float, eyes: EyeGeometry, params: PerturbationParams,
     """
     if z_view <= 0.0:
         raise DomainError(f"z_view must be positive, got {z_view!r}")
-    return shift_distance(z_view, eyes.half_ipd,
-                          _angle_shift(params, literal_half_angle),
+    return shift_distance(z_view, eyes.half_ipd, -params.beta_offset,
                           "corrected angle")
 
 
-def transform_point(p: ScenePoint, eyes: EyeGeometry, params: PerturbationParams,
-                    literal_half_angle: bool = False) -> ScenePoint:
+def transform_point(p: ScenePoint, eyes: EyeGeometry,
+                    params: PerturbationParams) -> ScenePoint:
     """Remap one point's depth, preserving its x and y coordinates.
 
     The corrected cyclopean distance d_tilde is remap_depth of the
@@ -119,7 +107,7 @@ def transform_point(p: ScenePoint, eyes: EyeGeometry, params: PerturbationParams
         DomainError: If the corrected distance cannot keep the lateral
             coordinates (radicand <= 0), or as remap_depth does.
     """
-    d_tilde = remap_depth(p.cyclopean_distance, eyes, params, literal_half_angle)
+    d_tilde = remap_depth(p.cyclopean_distance, eyes, params)
     radicand = d_tilde * d_tilde - p.x * p.x - p.y * p.y
     if radicand <= 0.0:
         raise DomainError(
@@ -135,21 +123,19 @@ _BLOCK_ROWS = 1 << 13
 
 
 def transform_points(points: np.ndarray, eyes: EyeGeometry,
-                     params: PerturbationParams, *, kind: str = "point",
-                     literal_half_angle: bool = False) -> np.ndarray:
+                     params: PerturbationParams, *,
+                     kind: str = "point") -> np.ndarray:
     """Remap an (N, 3) point array, row order preserved.
 
     As transform_point on each row, vectorized: a row's cyclopean
     distance is remapped and its depth re-solved keeping x and y; the
-    numpy and libm routes may differ in the last few bits.  A zero angle
-    shift copies the input bitwise (after the domain checks) so that a
-    no-op transform cannot drift by rounding, with or without
-    literal_half_angle.  The input is not modified: it is copied to a
-    float64 array, which _remap_in_place then remaps in place.
+    numpy and libm routes may differ in the last few bits.  A zero offset
+    copies the input bitwise (after the domain checks) so that a no-op
+    transform cannot drift by rounding.  The input is not modified: it is
+    copied to a float64 array, which _remap_in_place then remaps in place.
 
     Args:
         kind: Word naming a row in the error message ("point", "vertex").
-        literal_half_angle: As for remap_depth; comparison only.
 
     Raises:
         DomainError: Naming the index and coordinates of the first point
@@ -158,8 +144,7 @@ def transform_points(points: np.ndarray, eyes: EyeGeometry,
             lateral coordinates.
     """
     out = np.array(points, dtype=np.float64, order="C")
-    _remap_in_place(out, eyes, params, kind=kind,
-                    literal_half_angle=literal_half_angle)
+    _remap_in_place(out, eyes, params, kind=kind)
     return out
 
 
@@ -174,8 +159,14 @@ def _remap_in_place(xyz: np.ndarray, eyes: EyeGeometry,
     written, so the DomainError names the row's coordinates as given, and
     leaves that block and the ones after it as given (earlier blocks are
     remapped).
+
+    literal_half_angle (vackit transform --compat-literal-half-angle, for
+    comparison only) applies beta to the half angle, that is 2*beta to the
+    full angle, bit for bit: transform_points at PerturbationParams(2*beta)
+    while |2*beta| < 0.05 rad.  It has no inverse property.
     """
-    shift = float(_angle_shift(params, literal_half_angle))
+    shift = float(-2.0 * params.beta_offset if literal_half_angle
+                  else -params.beta_offset)
     half_ipd = float(eyes.half_ipd)
     for start in range(0, len(xyz), _BLOCK_ROWS):
         block = xyz[start:start + _BLOCK_ROWS]
@@ -194,16 +185,14 @@ def _remap_in_place(xyz: np.ndarray, eyes: EyeGeometry,
 
 
 def transform_mesh(mesh: MeshModel, eyes: EyeGeometry,
-                   params: PerturbationParams, *,
-                   literal_half_angle: bool = False) -> MeshModel:
+                   params: PerturbationParams) -> MeshModel:
     """Remap every vertex of a mesh; faces and ordering are preserved.
 
     Raises:
         DomainError: Naming the index and coordinates of the first vertex
             that cannot be corrected.
     """
-    out = transform_points(mesh.vertices, eyes, params, kind="vertex",
-                           literal_half_angle=literal_half_angle)
+    out = transform_points(mesh.vertices, eyes, params, kind="vertex")
     return MeshModel(vertices=out, faces=mesh.faces, provenance=mesh.provenance,
                      normal_lines=mesh.normal_lines)
 

@@ -187,33 +187,6 @@ class TestTransform:
                                    rtol=0, atol=0)
         assert "transformed 12 points" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("suffix", [".obj", ".csv"])
-    def test_read_only_array_is_remapped_in_a_copy(self, tmp_path,
-                                                   monkeypatch, suffix):
-        # the readers return writable arrays, which the remap writes over;
-        # one that is not writable is copied first, to the same bytes
-        src = tmp_path / f"in{suffix}"
-        if suffix == ".obj":
-            self._mesh_file(src)
-        else:
-            write_points_csv(np.random.default_rng(14).uniform(
-                [-0.3, -0.3, 0.2], [0.3, 0.3, 1.5], (50, 3)), src)
-        name = "read_obj" if suffix == ".obj" else "read_points_csv"
-        reader = getattr(cli, name)
-
-        def read_only(path):
-            got = reader(path)
-            (got.vertices if suffix == ".obj" else got).flags.writeable = False
-            return got
-
-        argv = ["transform", "--in", str(src), "--beta-deg", "0.22",
-                "--ipd-mm", "63", "--out"]
-        assert main([*argv, str(tmp_path / f"writable{suffix}")]) == 0
-        monkeypatch.setattr(cli, name, read_only)
-        assert main([*argv, str(tmp_path / f"read-only{suffix}")]) == 0
-        assert (tmp_path / f"read-only{suffix}").read_bytes() == \
-            (tmp_path / f"writable{suffix}").read_bytes()
-
     def test_csv_matches_library_remap(self, tmp_path):
         rng = np.random.default_rng(13)
         points = np.vstack([[[0.0, 0.0, 0.45], [0.05, -0.02, 0.6],
@@ -223,12 +196,14 @@ class TestTransform:
         src = tmp_path / "points.csv"
         dst = tmp_path / "out.csv"
         write_points_csv(points, src)
+        beta = math.radians(0.22)
         for compat in COMPAT_FLAGS:
             assert main(["transform", "--in", str(src), "--out", str(dst),
                          "--beta-deg", "0.22", "--ipd-mm", "63", *compat]) == 0
-            expected = transform_points(points, EyeGeometry(ipd=0.063),
-                                        PerturbationParams(math.radians(0.22)),
-                                        literal_half_angle=bool(compat))
+            # the half-angle variant is the remap at twice the offset
+            expected = transform_points(
+                points, EyeGeometry(ipd=0.063),
+                PerturbationParams(2 * beta if compat else beta))
             assert read_points_csv(dst).tobytes() == expected.tobytes(), compat
 
     def test_literal_half_angle_flag_changes_depths(self, tmp_path):

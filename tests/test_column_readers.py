@@ -1269,6 +1269,40 @@ class TestFaceDtype:
         assert read_obj(path).faces.dtype == np.int32
 
 
+class TestReturnedArrays:
+    """vackit transform remaps the array a reader returns over itself, so
+    read_obj's vertices and read_points_csv's points come back writable,
+    C-contiguous float64 from the C parse and from the fallback alike."""
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    @pytest.mark.parametrize("kind", ["obj", "points"])
+    def test_writable_c_contiguous_float64(self, tmp_path, monkeypatch, kind,
+                                           fallback):
+        if kind == "obj":
+            path, loop = _grid_obj(tmp_path / "grid.obj", 12), "_read_obj_lines"
+            # a tab in a vertex line sends the file to the line loop
+            edit = (b"\nv ", b"\nv\t")
+        else:
+            path, loop = tmp_path / "points.csv", "_read_point_rows"
+            points = np.random.default_rng(9).uniform([-0.3, -0.3, 0.3],
+                                                      [0.3, 0.3, 1.5], (50, 3))
+            write_points_csv(points, path)
+            # a quoted field sends the file to the row loop
+            x = repr(float(points[0, 0])).encode()
+            edit = (b"\r\n" + x + b",", b'\r\n"' + x + b'",')
+        if fallback:
+            data = path.read_bytes()
+            assert edit[0] in data
+            path.write_bytes(data.replace(*edit, 1))
+        calls = []
+        row_loop = getattr(meshio, loop)
+        monkeypatch.setattr(meshio, loop, lambda p: calls.append(p) or row_loop(p))
+        got = read_obj(path).vertices if kind == "obj" else read_points_csv(path)
+        assert len(calls) == fallback
+        assert got.dtype == np.float64
+        assert got.flags.c_contiguous and got.flags.writeable
+
+
 class TestWorkingSet:
     """A read holds the arrays it returns plus a fixed number of chunks:
     each chunk is parsed into the one output array, which was sized before

@@ -14,8 +14,9 @@ Pushing z_tilde back through the perception model with the same offset
 must land exactly on z again; that inverse property is the contract and
 it is checked pointwise here and on a dense grid in the acceptance
 suite.  A superficially similar variant that subtracts the offset from
-the half-angle instead is kept behind an explicit flag for comparison;
-it does not satisfy the inverse property and a test pins that down.
+the half-angle instead, which is the offset doubled on the full angle, is
+kept in the array kernel behind vackit transform's comparison flag; it
+does not satisfy the inverse property and a test pins that down.
 
 The array kernel runs in row blocks; across block edges its output must
 keep every bit of the whole-array expression.
@@ -88,21 +89,30 @@ class TestRemapDepth:
             remap_depth(2.0, EYES64, params)
 
 
+def _literal(points, eyes, params):
+    """vackit transform --compat-literal-half-angle on a copy of points."""
+    out = np.array(points, dtype=np.float64)
+    correction._remap_in_place(out, eyes, params, literal_half_angle=True)
+    return out
+
+
 class TestLiteralHalfAngleVariant:
+    """The half-angle variant is the remap at twice the offset."""
+
     def test_differs_from_default(self):
-        literal = remap_depth(0.45, EYES64, PARAMS, literal_half_angle=True)
+        literal = remap_depth(0.45, EYES64, PerturbationParams(2.0 * BETA))
         assert abs(literal - Z_TILDE_045) > 1e-3
 
     def test_breaks_inverse_property(self):
-        literal = remap_depth(0.45, EYES64, PARAMS, literal_half_angle=True)
+        literal = remap_depth(0.45, EYES64, PerturbationParams(2.0 * BETA))
         round_trip = predict_endpoint(literal, PARAMS, EYES64)
         assert abs(round_trip - 0.45) > 1e-3
 
     def test_agrees_with_default_at_zero_offset(self):
         zero = PerturbationParams(0.0)
-        a = remap_depth(0.45, EYES64, zero, literal_half_angle=True)
-        b = remap_depth(0.45, EYES64, zero)
-        assert a == pytest.approx(b, rel=1e-14)
+        on_axis = np.array([[0.0, 0.0, 0.45]])
+        assert _literal(on_axis, EYES64, zero).tobytes() == \
+            transform_points(on_axis, EYES64, zero).tobytes()
 
 
 class TestTransformPoint:
@@ -213,16 +223,6 @@ class TestTransformMesh:
         out = transform_mesh(mesh, EYES64, PerturbationParams(0.0))
         assert np.array_equal(out.vertices, mesh.vertices)
 
-    @pytest.mark.parametrize("literal", [False, True])
-    def test_passes_literal_keyword_through(self, literal):
-        mesh = _tetra_mesh()
-        out = transform_mesh(mesh, EYES64, PARAMS, literal_half_angle=literal)
-        want = transform_points(mesh.vertices, EYES64, PARAMS,
-                                literal_half_angle=literal)
-        assert out.vertices.tobytes() == want.tobytes()
-        plain = transform_mesh(mesh, EYES64, PARAMS).vertices
-        assert np.array_equal(out.vertices, plain) is not literal
-
     def test_uncorrectable_vertex_is_indexed(self):
         vertices = np.array([[0.0, 0.0, 0.5], [0.3, 0.3, 0.05]])
         mesh = MeshModel(vertices=vertices,
@@ -250,10 +250,10 @@ class TestTransformPoints:
         assert str(exc.value) == "vertex 1 at (0.3, 0.3, 0.05) cannot be corrected"
 
 
-def _whole_array(points, eyes, params, literal_half_angle):
+def _whole_array(points, eyes, params):
     """transform_points as one expression over the whole array: the
     reference for its block kernel."""
-    shift = -2.0 * params.beta_offset if literal_half_angle else -params.beta_offset
+    shift = -params.beta_offset
     x, y, z = points[:, 0], points[:, 1], points[:, 2]
     d_tilde, ok = shift_distances(np.sqrt(x * x + y * y + z * z),
                                   float(eyes.half_ipd), shift)
@@ -277,13 +277,13 @@ class TestTransformPointsBlocks:
                                 rng.uniform(0.3, 1.0, self.N)])
 
     @pytest.mark.parametrize("beta", [BETA, 0.0])
-    @pytest.mark.parametrize("literal", [False, True])
-    def test_bits_equal_the_whole_array_expression(self, beta, literal):
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_bits_equal_the_whole_array_expression(self, beta, doubled):
+        # doubled: the offset vackit transform's half-angle variant applies
         points = self._points(11)
-        params = PerturbationParams(beta)
-        out = transform_points(points, EYES64, params,
-                               literal_half_angle=literal)
-        want = _whole_array(points, EYES64, params, literal)
+        params = PerturbationParams(2.0 * beta if doubled else beta)
+        out = transform_points(points, EYES64, params)
+        want = _whole_array(points, EYES64, params)
         assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("beta, bad", [
@@ -308,7 +308,8 @@ UNCORRECTABLE = [[0.3, 0.3, 0.05], [0.1, 0.0, -0.5], [0.0, 0.0, 0.0005],
 
 class TestRemapInPlace:
     """_remap_in_place, which transform_points runs on its copy and vackit
-    transform on the array it read, in blocks of 4 rows."""
+    transform on the array it read, in blocks of 4 rows.  Its half-angle
+    variant at beta is transform_points at 2 * beta, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -320,92 +321,100 @@ class TestRemapInPlace:
                           dtype=np.float64).reshape(n, 3)
         for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else []:
             points[i] = data.draw(st.sampled_from(UNCORRECTABLE))
-        params = PerturbationParams(data.draw(
-            st.sampled_from([0.0, BETA, -0.04]) | st.floats(-0.049, 0.049)))
-        options = {"kind": data.draw(st.sampled_from(["point", "vertex"])),
-                   "literal_half_angle": data.draw(st.booleans())}
+        beta = data.draw(st.sampled_from([0.0, BETA, -0.04])
+                         | st.floats(-0.049, 0.049))
+        kind = data.draw(st.sampled_from(["point", "vertex"]))
+        literal = data.draw(st.booleans())
+        # the variant runs at half the drawn offset, so 2 * beta is in bounds
+        params = PerturbationParams(beta / 2 if literal else beta)
+        reference = PerturbationParams(2 * params.beta_offset if literal else beta)
         work = points.copy()
         with mock.patch.object(correction, "_BLOCK_ROWS", 4):
             try:
-                want = transform_points(points, EYES64, params, **options)
+                want = transform_points(points, EYES64, reference, kind=kind)
             except DomainError as exc:
                 error = str(exc)
             else:
-                correction._remap_in_place(work, EYES64, params, **options)
+                correction._remap_in_place(work, EYES64, params, kind=kind,
+                                           literal_half_angle=literal)
                 assert work.tobytes() == want.tobytes()
                 return
             with pytest.raises(DomainError) as exc:
-                correction._remap_in_place(work, EYES64, params, **options)
+                correction._remap_in_place(work, EYES64, params, kind=kind,
+                                           literal_half_angle=literal)
             assert str(exc.value) == error
             # the failing row's block and the ones after it are as given
             start = int(error.split()[1]) // 4 * 4
             assert work[start:].tobytes() == points[start:].tobytes()
             assert work[:start].tobytes() == transform_points(
-                points[:start], EYES64, params, **options).tobytes()
+                points[:start], EYES64, reference, kind=kind).tobytes()
 
     def test_later_block_refused_with_its_block_untouched(self):
         points = np.tile([0.05, -0.02, 0.6], (12, 1))
         points[9] = UNCORRECTABLE[0]
-        work = points.copy()
-        with mock.patch.object(correction, "_BLOCK_ROWS", 4), \
-                pytest.raises(DomainError) as exc:
-            correction._remap_in_place(work, EYES64, PerturbationParams(-0.04))
-        assert str(exc.value) == "point 9 at (0.3, 0.3, 0.05) cannot be corrected"
-        assert not np.array_equal(work[:8], points[:8])
-        assert work[8:].tobytes() == points[8:].tobytes()
+        # the half-angle variant runs at -0.04 rad too, where no
+        # PerturbationParams holds twice the offset
+        for literal in (False, True):
+            work = points.copy()
+            with mock.patch.object(correction, "_BLOCK_ROWS", 4), \
+                    pytest.raises(DomainError) as exc:
+                correction._remap_in_place(work, EYES64,
+                                           PerturbationParams(-0.04),
+                                           literal_half_angle=literal)
+            assert str(exc.value) == \
+                "point 9 at (0.3, 0.3, 0.05) cannot be corrected"
+            assert not np.array_equal(work[:8], points[:8])
+            assert work[8:].tobytes() == points[8:].tobytes()
 
 
 class TestTransformPointsLiteral:
-    """The literal half-angle variant runs through the array kernel."""
+    """The half-angle variant runs through the array kernel, which doubles
+    the offset: it is transform_points at 2 * beta."""
 
     def test_agrees_with_rowwise_transform_point(self):
         rng = np.random.default_rng(5)
         points = np.column_stack([rng.uniform(-0.2, 0.2, 500),
                                   rng.uniform(-0.2, 0.2, 500),
                                   rng.uniform(0.3, 1.5, 500)])
-        for params in (PARAMS, PerturbationParams(-0.01)):
-            out = transform_points(points, EYES64, params,
-                                   literal_half_angle=True)
+        for beta in (BETA, -0.01):
+            out = _literal(points, EYES64, PerturbationParams(beta))
             assert np.array_equal(out[:, :2], points[:, :2])
-            rowwise = np.array([transform_point(ScenePoint(*p), EYES64, params,
-                                                literal_half_angle=True).z
-                                for p in points])
+            doubled = PerturbationParams(2.0 * beta)
+            rowwise = np.array([transform_point(ScenePoint(*p), EYES64,
+                                                doubled).z for p in points])
             # numpy's and libm's atan2/tan may differ in the last bits
             assert np.all(np.abs(out[:, 2] - rowwise) <= 4 * np.spacing(rowwise))
             assert not np.array_equal(
-                out, transform_points(points, EYES64, params))
+                out, transform_points(points, EYES64, PerturbationParams(beta)))
 
     def test_literal_doubles_the_shift(self):
         points = np.array([[0.0, 0.0, 0.45], [0.1, -0.05, 0.7]])
         doubled = PerturbationParams(2.0 * BETA)
-        assert transform_points(points, EYES64, PARAMS,
-                                literal_half_angle=True).tobytes() == \
+        assert _literal(points, EYES64, PARAMS).tobytes() == \
             transform_points(points, EYES64, doubled).tobytes()
 
     def test_zero_offset_is_bitwise_identity(self):
         points = np.random.default_rng(6).uniform(0.1, 0.9, (200, 3))
-        out = transform_points(points, EYES64, PerturbationParams(0.0),
-                               literal_half_angle=True)
-        assert out.tobytes() == points.tobytes()
-        assert out is not points
+        work = points.copy()
+        correction._remap_in_place(work, EYES64, PerturbationParams(0.0),
+                                   literal_half_angle=True)
+        assert work.tobytes() == points.tobytes()
 
     @pytest.mark.parametrize("bad", [
         [0.0, 0.0, 0.0005],  # corrected angle past pi
         [0.3, 0.3, 0.05],    # corrected distance cannot keep x and y
     ])
     def test_raises_on_the_same_first_bad_row(self, bad):
-        params = PerturbationParams(-0.02)
+        doubled = PerturbationParams(-0.04)
         points = np.array([[0.0, 0.0, 0.45], [0.1, 0.0, 0.5], bad,
                            [0.3, 0.3, 0.05]])
         for p in points[:2]:
-            transform_point(ScenePoint(*p), EYES64, params,
-                            literal_half_angle=True)
+            transform_point(ScenePoint(*p), EYES64, doubled)
         with pytest.raises(DomainError):
-            transform_point(ScenePoint(*bad), EYES64, params,
-                            literal_half_angle=True)
+            transform_point(ScenePoint(*bad), EYES64, doubled)
         x, y, z = bad
         with pytest.raises(DomainError) as exc:
-            transform_points(points, EYES64, params, literal_half_angle=True)
+            _literal(points, EYES64, PerturbationParams(-0.02))
         assert str(exc.value) == f"point 2 at ({x}, {y}, {z}) cannot be corrected"
 
 

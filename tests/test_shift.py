@@ -90,24 +90,18 @@ def old_distance_from_angle(tau, eyes):
     return eyes.half_ipd / math.tan(tau / 2.0)
 
 
-def old_remap_depth(z_view, eyes, params, literal_half_angle=False):
+def old_remap_depth(z_view, eyes, params):
     if z_view <= 0.0:
         raise DomainError("z_view")
     tau = 2.0 * math.atan2(eyes.half_ipd, z_view)
-    if literal_half_angle:
-        corrected = tau / 2.0 - params.beta_offset
-    else:
-        corrected = tau - params.beta_offset
+    corrected = tau - params.beta_offset
     if corrected <= 0.0:
         raise DomainError("too distant")
-    if literal_half_angle:
-        return eyes.half_ipd / math.tan(corrected)
     return eyes.half_ipd / math.tan(corrected / 2.0)
 
 
-def old_transform_point(p, eyes, params, literal_half_angle=False):
-    d_tilde = old_remap_depth(p.cyclopean_distance, eyes, params,
-                              literal_half_angle)
+def old_transform_point(p, eyes, params):
+    d_tilde = old_remap_depth(p.cyclopean_distance, eyes, params)
     radicand = d_tilde * d_tilde - p.x * p.x - p.y * p.y
     if radicand <= 0.0:
         raise DomainError("radicand")
@@ -258,18 +252,16 @@ def _pin(new, old, *args, **kwargs):
 class TestWrapperPins:
     @settings(max_examples=200, deadline=None)
     @given(x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0), z=distances,
-           ipd=ipds, beta=betas, literal=st.booleans())
-    def test_geometry_and_correction(self, x, y, z, ipd, beta, literal):
+           ipd=ipds, beta=betas)
+    def test_geometry_and_correction(self, x, y, z, ipd, beta):
         eyes, params = EyeGeometry(ipd), PerturbationParams(beta)
         point = ScenePoint(x, y, z)
         assert _bits(subtended_angle(point, eyes)) == \
             _bits(old_subtended_angle(point, eyes))
         tau = old_subtended_angle(point, eyes) + beta
         _pin(distance_from_angle, old_distance_from_angle, tau, eyes)
-        _pin(remap_depth, old_remap_depth, z, eyes, params,
-             literal_half_angle=literal)
-        _pin(transform_point, old_transform_point, point, eyes, params,
-             literal_half_angle=literal)
+        _pin(remap_depth, old_remap_depth, z, eyes, params)
+        _pin(transform_point, old_transform_point, point, eyes, params)
 
     @settings(max_examples=200, deadline=None)
     @given(d=distances, ipd=ipds, beta=betas)
@@ -343,8 +335,8 @@ class TestWrapperPins:
 class TestNearEdge:
     """d = 0.5 mm, ipd = 64 mm, beta = -0.04 rad: the corrected angle
     passes pi.  The old scalar remap returned a negative depth,
-    transform_point a mirrored positive one, transform_points refused the
-    point, and the literal half-angle variant accepted it."""
+    transform_point a mirrored positive one, and transform_points refused
+    the point."""
 
     EYES = EyeGeometry(0.064)
     PARAMS = PerturbationParams(-0.04)
@@ -355,10 +347,9 @@ class TestNearEdge:
         assert old_remap_depth(0.0005, self.EYES, self.PARAMS) < 0
 
     def test_transform_point_raises(self):
-        for literal in (False, True):
-            with pytest.raises(DomainError, match=r"^corrected angle must be"):
-                transform_point(ScenePoint(0.0, 0.0, 0.0005), self.EYES,
-                                self.PARAMS, literal_half_angle=literal)
+        with pytest.raises(DomainError, match=r"^corrected angle must be"):
+            transform_point(ScenePoint(0.0, 0.0, 0.0005), self.EYES,
+                            self.PARAMS)
 
     def test_transform_points_refuses(self):
         with pytest.raises(DomainError, match="^point 0 at"):
