@@ -57,9 +57,9 @@ MIN_SAMPLES = 25
 # filter's Python loop steps once per sample over the whole block, so small
 # blocks pay for it.  Peak memory grows with this and with the trial length,
 # not with the batch size: a block is one padded copy, filtered in place
-# (2.9 MB for 512 trials of 221 samples), and analyze adds its velocity, a
-# third as large (analyze_trials of 576 trials peaks at about 4.7 MB at 221
-# samples, 144 MB at 8,001).
+# (2.9 MB for 512 trials of 221 samples), and analyze then segments it 64
+# trials at a time from a scratch of that size (analyze_trials of 576 trials
+# peaks at about 3.9 MB at 221 samples, 111 MB at 8,001).
 BLOCK_TRIALS = 512
 # odd-extension length at each end of a filtered series: scipy filtfilt's
 # default, 3 * max(len(a), len(b)) for an order-2 filter
@@ -493,7 +493,8 @@ def _check_threshold(threshold: float) -> None:
 def _segments(vz: np.ndarray, t: Sequence[np.ndarray], sample_rate: float,
               threshold: float) -> list[MovementSegment | None]:
     """The movement segment of each row of a (k, n) depth-velocity block,
-    t holding each row's timestamps; None where a row has none."""
+    t holding each row's timestamps; None where a row has none.  The
+    callers hand it at most 64 rows, so its masked copy stays small."""
     k, n = vz.shape
     min_run = max(1, math.ceil(HYSTERESIS_S * sample_rate))
     onset = _run_starts(vz > threshold, min_run, np.zeros(k, dtype=np.intp),
@@ -501,13 +502,9 @@ def _segments(vz: np.ndarray, t: Sequence[np.ndarray], sample_rate: float,
     # peak of the detected movement, not of the whole series: a brief
     # pre-onset glitch taller than the true peak must not drag the
     # termination scan before the onset.  Series without samples have no
-    # onset, and nothing to take an argmax of.  Taken 64 rows at a time, so
-    # the masked copy is never the block's size.
-    peak = onset.copy()
-    for i in range(0, k if n else 0, 64):
-        rows = slice(i, i + 64)
-        np.argmax(np.where(np.arange(n) >= onset[rows, None], vz[rows], -np.inf),
-                  axis=1, out=peak[rows])
+    # onset, and nothing to take an argmax of.
+    peak = (np.argmax(np.where(np.arange(n) >= onset[:, None], vz, -np.inf),
+                      axis=1) if n else onset)
     term = _run_starts(vz < threshold, min_run, peak + 1, accept_tail=True)
     return [MovementSegment(i0, i1, float(times[i0]), float(times[i1]))
             if i0 >= 0 and i1 >= 0 else None
@@ -524,7 +521,7 @@ def detect_segment(velocity: VelocitySeries,
     20 ms (a run cut off by the end of the recording counts as sustained,
     since recordings stop with the hand at rest); the peak is the fastest
     sample at or after the onset.  analyze_trials runs the same scan on
-    whole blocks.
+    up to 64 trials at a time.
 
     Args:
         velocity: Output of differentiate.
@@ -578,11 +575,11 @@ def _block_outcomes(trials: list[tuple], targets: list[TargetSpec],
     sample rate and one length.
 
     The trials are copied into one padded time-major array and filtered in
-    place (which never reads t).  The depth velocities of those that also
-    share a t grid are taken 64 trials a _velocity call into one
-    trial-major array, which is segmented as one block.  So the block holds
-    the padded array and one velocity array; every trial's numbers equal
-    those of a batch of one.
+    place (which never reads t).  Those that also share a t grid are then
+    taken 64 at a time: their depth velocities by one _velocity call into a
+    scratch of 64 trials, segmented from there, and each trial measured.
+    So the block holds the padded array and that scratch; every trial's
+    numbers equal those of a batch of one.
     """
     ids, rates, t = zip(*(tr[:3] for tr in trials))
     k, n = len(trials), len(t[0])
@@ -594,23 +591,19 @@ def _block_outcomes(trials: list[tuple], targets: list[TargetSpec],
     grids: dict[bytes, list[int]] = {}
     for i, times in enumerate(t):
         grids.setdefault(times.tobytes(), []).append(i)
-    # the velocity is taken time-major, as the filter leaves the block, into
-    # a scratch array of 64 trials; writing it straight into vz.T is slower
-    vz, scratch = np.empty((k, n)), np.empty((n, 64))
+    scratch = np.empty((n, 64))  # time-major, as the filter leaves z
+    outcomes: list[TrialOutcome | None] = [None] * k
     for members in grids.values():
         for i in range(0, len(members), 64):
             rows = members[i:i + 64]
-            out = scratch[:, :len(rows)]
-            if len(grids) == 1:  # the common case: no copy of the depth columns
-                rows = slice(i, i + len(rows))
-            vz[rows] = _velocity(z[:, rows], t[members[i]], out=out).T
-    del scratch, out
-    segments = _segments(vz, t, rates[0], threshold)
-    return [
-        _measure(trial_id, target, trial_eyes, eye_pose, segment, f)
-        for trial_id, target, trial_eyes, segment, f
-        in zip(ids, targets, eyes, segments, series)
-    ]
+            # the common case, one grid: no copy of the depth columns
+            cols = slice(i, i + len(rows)) if len(grids) == 1 else rows
+            vz = _velocity(z[:, cols], t[rows[0]], out=scratch[:, :len(rows)])
+            segments = _segments(vz.T, [t[j] for j in rows], rates[0], threshold)
+            for j, segment in zip(rows, segments):
+                outcomes[j] = _measure(ids[j], targets[j], eyes[j], eye_pose,
+                                       segment, series[j])
+    return outcomes
 
 
 def trial_outcome(traj: Trajectory, target: TargetSpec, eyes: EyeGeometry,
