@@ -575,11 +575,12 @@ def _block_outcomes(trials: list[tuple], targets: list[TargetSpec],
     sample rate and one length.
 
     The trials are copied into one padded time-major array and filtered in
-    place (which never reads t).  Those that also share a t grid are then
-    taken 64 at a time: their depth velocities by one _velocity call into a
-    scratch of 64 trials, segmented from there, and each trial measured.
-    So the block holds the padded array and that scratch; every trial's
-    numbers equal those of a batch of one.
+    place (which never reads t).  Then, 64 trials at a time, their depth
+    velocities go into a scratch of 64 trials, one _velocity call per t
+    grid among them (straight from the block when they share one, from a
+    copy of its columns otherwise); one _segments call segments them, and
+    each trial is measured.  So the block holds the padded array and that
+    scratch; every trial's numbers equal those of a batch of one.
     """
     ids, rates, t = zip(*(tr[:3] for tr in trials))
     k, n = len(trials), len(t[0])
@@ -588,21 +589,22 @@ def _block_outcomes(trials: list[tuple], targets: list[TargetSpec],
         series[i:i + 64] = np.array([tr[3:] for tr in trials[i:i + 64]])
     _lowpass_in_place(padded, rates[0], cutoff)
     z = padded[_PADLEN:-_PADLEN, 2::3]
-    grids: dict[bytes, list[int]] = {}
-    for i, times in enumerate(t):
-        grids.setdefault(times.tobytes(), []).append(i)
     scratch = np.empty((n, 64))  # time-major, as the filter leaves z
-    outcomes: list[TrialOutcome | None] = [None] * k
-    for members in grids.values():
-        for i in range(0, len(members), 64):
-            rows = members[i:i + 64]
-            # the common case, one grid: no copy of the depth columns
-            cols = slice(i, i + len(rows)) if len(grids) == 1 else rows
-            vz = _velocity(z[:, cols], t[rows[0]], out=scratch[:, :len(rows)])
-            segments = _segments(vz.T, [t[j] for j in rows], rates[0], threshold)
-            for j, segment in zip(rows, segments):
-                outcomes[j] = _measure(ids[j], targets[j], eyes[j], eye_pose,
-                                       segment, series[j])
+    outcomes: list[TrialOutcome] = []
+    for i in range(0, k, 64):
+        window = slice(i, i + 64)
+        zw, vz = z[:, window], scratch[:, :len(t[window])]
+        grids: dict[bytes, list[int]] = {}
+        for j, times in enumerate(t[window]):
+            grids.setdefault(times.tobytes(), []).append(j)
+        for cols in grids.values():
+            if len(grids) == 1:  # the common case: no copy of the depth columns
+                _velocity(zw, t[i], out=vz)
+            else:
+                vz[:, cols] = _velocity(zw[:, cols], t[i + cols[0]])
+        segments = _segments(vz.T, t[window], rates[0], threshold)
+        outcomes += [_measure(ids[j], targets[j], eyes[j], eye_pose, segment,
+                              series[j]) for j, segment in enumerate(segments, i)]
     return outcomes
 
 

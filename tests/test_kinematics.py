@@ -706,8 +706,8 @@ class TestAnalyzeTrials:
         # false-start trials, trials without a target, and one group
         # large enough to span more than one block (shrunk to keep the
         # batch small).  At 256, one block holds a t grid of more than 64
-        # trials among shifted ones, so its 64-trial sub-blocks take
-        # scattered columns of the block
+        # trials among shifted ones, so it spans several 64-trial windows
+        # that mix grids
         monkeypatch.setattr(kin, "BLOCK_TRIALS", block_trials)
         rng = np.random.default_rng(7)
         trajectories, targets = [], {}
@@ -791,11 +791,14 @@ class TestAnalyzeTrials:
     def test_block_velocity_is_each_trials_own(self, monkeypatch, n_grids):
         # the block's depth velocity, one gradient down the time axis per t
         # grid, has the bits of each trial's own, filtered and
-        # differentiated alone
+        # differentiated alone.  The block spans three 64-trial windows:
+        # with several grids the first two hold one grid each, the second
+        # not the first trial's, and the third mixes every grid
         rng = np.random.default_rng(5)
-        trajectories = [_noisy_trajectory(0.25, 0.4, rng, trial_id=f"tr{i:02d}",
-                                          t0=0.0137 * (i % n_grids))
-                        for i in range(9)]
+        trajectories = [_noisy_trajectory(
+            0.25, 0.4, rng, trial_id=f"tr{i:03d}",
+            t0=0.0137 * ((i // 64 if i < 128 else i) % n_grids))
+            for i in range(150)]
         targets = {traj.trial_id: TargetSpec(trial_id=traj.trial_id,
                                              reach_m=0.25)
                    for traj in trajectories}
@@ -806,6 +809,7 @@ class TestAnalyzeTrials:
         def capturing_segments(vz, t, *args):
             # _trial_views hands each trajectory's own t array down, so its
             # identity names the trial a row belongs to
+            assert len(t) <= 64
             for row, times in zip(vz, t, strict=True):
                 assert id(times) not in rows
                 rows[id(times)] = row.copy()
