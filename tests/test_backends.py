@@ -57,14 +57,6 @@ def first_bad(xyz: np.ndarray, beta: float) -> int:
     return int(str(info.value).split()[1])
 
 
-# The kernels once had a compiled twin, and a module of their own; the
-# module name and the "numpy" id keep the test names that the suite's
-# history records.
-@pytest.fixture(params=["numpy"])
-def backend(request):
-    return request.param
-
-
 def _random_cloud(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return np.column_stack([
@@ -75,7 +67,7 @@ def _random_cloud(n: int, seed: int) -> np.ndarray:
 
 
 class TestRemapPoints:
-    def test_matches_scalar_transform(self, backend):
+    def test_matches_scalar_transform(self):
         xyz = _random_cloud(64, seed=1)
         before = xyz.copy()
         beta = math.radians(0.22)
@@ -87,13 +79,13 @@ class TestRemapPoints:
             assert dst[0] == src[0] and dst[1] == src[1]
             assert dst[2] == pytest.approx(expected.z, rel=1e-14)
 
-    def test_zero_offset_bitwise_copy(self, backend):
+    def test_zero_offset_bitwise_copy(self):
         xyz = _random_cloud(64, seed=2)
         out = remap(xyz, 0.0)
         assert np.array_equal(out, xyz)
         assert out is not xyz
 
-    def test_first_bad_vertex_reported(self, backend):
+    def test_first_bad_vertex_reported(self):
         xyz = _random_cloud(8, seed=3)
         xyz[5] = [0.3, 0.3, 0.05]  # radicand goes negative under -0.04 rad
         assert first_bad(xyz, -0.04) == 5
@@ -102,49 +94,49 @@ class TestRemapPoints:
             transform_points(xyz, EYES, PerturbationParams(-0.04),
                              kind="vertex")
 
-    def test_behind_viewer_rejected(self, backend):
+    def test_behind_viewer_rejected(self):
         xyz = _random_cloud(4, seed=4)
         xyz[2, 2] = -0.4
         assert first_bad(xyz, math.radians(0.22)) == 2
 
-    def test_too_distant_rejected(self, backend):
+    def test_too_distant_rejected(self):
         xyz = np.array([[0.0, 0.0, 2.0]])
         assert first_bad(xyz, 0.04) == 0
 
 
 class TestSustainedRunStart:
-    def test_first_long_run(self, backend):
+    def test_first_long_run(self):
         flags = np.array([0, 1, 0, 1, 1, 1, 0], dtype=bool)
         assert sustained_run_start(flags, 3) == 3
 
-    def test_short_runs_skipped(self, backend):
+    def test_short_runs_skipped(self):
         flags = np.array([1, 1, 0, 1, 1, 0], dtype=bool)
         assert sustained_run_start(flags, 3) == -1
 
-    def test_min_run_one_finds_any_true(self, backend):
+    def test_min_run_one_finds_any_true(self):
         flags = np.array([0, 0, 1, 0], dtype=bool)
         assert sustained_run_start(flags, 1) == 2
 
-    def test_start_offset_skips_earlier_runs(self, backend):
+    def test_start_offset_skips_earlier_runs(self):
         flags = np.array([1, 1, 1, 0, 1, 1, 1], dtype=bool)
         assert sustained_run_start(flags, 3, start=1) == 4
         # a run already in progress at `start` is counted from `start`
         assert sustained_run_start(flags, 2, start=1) == 1
 
-    def test_tail_run_accepted_when_asked(self, backend):
+    def test_tail_run_accepted_when_asked(self):
         flags = np.array([0, 0, 0, 1, 1], dtype=bool)
         assert sustained_run_start(flags, 4) == -1
         assert sustained_run_start(flags, 4, accept_tail=True) == 3
 
-    def test_tail_not_accepted_when_last_false(self, backend):
+    def test_tail_not_accepted_when_last_false(self):
         flags = np.array([0, 1, 1, 0], dtype=bool)
         assert sustained_run_start(flags, 3, accept_tail=True) == -1
 
-    def test_all_true_with_tail(self, backend):
+    def test_all_true_with_tail(self):
         flags = np.ones(3, dtype=bool)
         assert sustained_run_start(flags, 10, accept_tail=True) == 0
 
-    def test_start_past_end(self, backend):
+    def test_start_past_end(self):
         flags = np.ones(3, dtype=bool)
         assert sustained_run_start(flags, 1, start=3) == -1
 

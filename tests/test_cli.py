@@ -29,11 +29,17 @@ import pytest
 
 from vackit import __version__, cli, fitting, synth
 from vackit.cli import main
-from vackit.correction import MeshModel, transform_points
+from vackit.correction import MeshModel, transform_mesh, transform_points
 from vackit.geometry import EyeGeometry
 from vackit.kinematics import (
+    AnalyzedTrial,
+    EyePose,
+    TargetSpec,
     Trajectory,
+    outcome_columns,
     read_trajectories_csv,
+    trial_outcome,
+    write_outcomes_csv,
     write_trajectories_csv,
 )
 from vackit.meshio import read_obj, read_points_csv, write_obj, write_points_csv
@@ -187,24 +193,39 @@ class TestTransform:
                                    rtol=0, atol=0)
         assert "transformed 12 points" in capsys.readouterr().out
 
-    def test_csv_matches_library_remap(self, tmp_path):
-        rng = np.random.default_rng(13)
-        points = np.vstack([[[0.0, 0.0, 0.45], [0.05, -0.02, 0.6],
-                             [-0.1, 0.08, 0.9]],
-                            rng.uniform([-0.3, -0.3, 0.2], [0.3, 0.3, 1.5],
-                                        (2000, 3))])
-        src = tmp_path / "points.csv"
-        dst = tmp_path / "out.csv"
-        write_points_csv(points, src)
+    # the CLI remaps the array it read in place, the library a copy, and the
+    # half-angle variant is the library's remap at twice the offset; the OBJ
+    # is a quad grid of many parse chunks, v//vn tokens, negative references
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("suffix", [".csv", ".obj"])
+    def test_matches_library_remap(self, tmp_path, suffix):
+        src, dst, library = (tmp_path / f"{name}{suffix}"
+                             for name in ("in", "out", "library"))
+        read, write, remap = {
+            ".csv": (read_points_csv, write_points_csv, transform_points),
+            ".obj": (read_obj, write_obj, transform_mesh)}[suffix]
+        if suffix == ".csv":
+            rng = np.random.default_rng(13)
+            write_points_csv(np.vstack([
+                [[0.0, 0.0, 0.45], [0.05, -0.02, 0.6], [-0.1, 0.08, 0.9]],
+                rng.uniform([-0.3, -0.3, 0.2], [0.3, 0.3, 1.5], (2000, 3))]), src)
+        else:
+            n = 120
+            src.write_text("\n".join([
+                "# grid", *(f"v {0.01 * c!r} {0.01 * r!r} {0.6 + 0.001 * (r * c % 7)!r}"
+                            for r in range(n) for c in range(n)),
+                "vn 0.0 0.0 -1.0", *(f"f {a - n * n}//1 {a + 1 - n * n}//1 "
+                                     f"{a + n + 1 - n * n}//1 {a + n - n * n}//1"
+                                     for a in range(n * n - n) if a % n < n - 1),
+            ]) + "\n", encoding="utf-8")
+            assert src.stat().st_size > 1 << 18
         beta = math.radians(0.22)
         for compat in COMPAT_FLAGS:
             assert main(["transform", "--in", str(src), "--out", str(dst),
                          "--beta-deg", "0.22", "--ipd-mm", "63", *compat]) == 0
-            # the half-angle variant is the remap at twice the offset
-            expected = transform_points(
-                points, EyeGeometry(ipd=0.063),
-                PerturbationParams(2 * beta if compat else beta))
-            assert read_points_csv(dst).tobytes() == expected.tobytes(), compat
+            write(remap(read(src), EyeGeometry(ipd=0.063),
+                        PerturbationParams(2 * beta if compat else beta)), library)
+            assert dst.read_bytes() == library.read_bytes(), compat
 
     def test_literal_half_angle_flag_changes_depths(self, tmp_path):
         points = np.array([[0.0, 0.0, 0.45], [0.02, 0.01, 0.7]])
@@ -300,6 +321,19 @@ class TestTransform:
                      "--beta-deg", "0.22", "--ipd-mm", "63"])
         assert code == 1
         assert ".obj or .csv" in capsys.readouterr().err
+
+    # a NUL (which csv refuses before Python 3.11) and a field over csv's
+    # 131,072-character limit are data errors, not tracebacks
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("row", ["0.0,0.0\0,0.45", "1" * 131_073 + ",0.0,0.45"],
+                             ids=["nul", "long-field"])
+    def test_unreadable_field_exits_two(self, tmp_path, capsys, row):
+        src = tmp_path / "bad.csv"
+        src.write_text(f"x,y,z\n{row}\n", encoding="utf-8")
+        assert main(["transform", "--in", str(src), "--out", str(tmp_path / "out.csv"),
+                     "--beta-deg", "0.22", "--ipd-mm", "63"]) == 2
+        err, = capsys.readouterr().err.splitlines()
+        assert err.startswith("vackit: data error: ")
 
 
 class TestSimulate:
@@ -506,6 +540,28 @@ class TestAnalyze:
         manifest = json.loads(
             (outdir / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["outputs"] == ["outcomes.csv", "summary.csv"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_long_trials_equal_per_trial_outcomes(self, tmp_path):
+        # 96 trials of 8,001 samples, two 64-trial windows of one block,
+        # against trial_outcome on each trial alone, with its target and ipd_m
+        simdir, outdir = tmp_path / "sim", tmp_path / "analysis"
+        assert main(["simulate", "--config", _write_json(tmp_path / "sim.json", {
+            "n_participants": 2, "seed": 5, "sample_rate_hz": 5000,
+            "rest_padding_s": 0.6}), "--out", str(simdir)]) == 0
+        assert main(self._analyze_args(simdir, tmp_path, outdir)) == 0
+        targets = json.loads((simdir / "targets.json").read_text(encoding="utf-8"))
+        specs = {trial_id: TargetSpec(trial_id=trial_id, **fields)
+                 for trial_id, fields in targets.items()}
+        trials, rejected = read_trajectories_csv(simdir / "trajectories.csv")
+        assert len(trials) == 96 and len(trials[0]) == 8001 and not rejected
+        pose = EyePose(behind_m=0.30, above_m=0.35, lateral_m=0.0)
+        per_trial = [AnalyzedTrial(specs[tr.trial_id], trial_outcome(
+            tr, specs[tr.trial_id], EyeGeometry(ipd=specs[tr.trial_id].ipd_m), pose))
+            for tr in trials]
+        write_outcomes_csv(outcome_columns(per_trial), tmp_path / "per-trial.csv")
+        assert (tmp_path / "per-trial.csv").read_bytes() == \
+            (outdir / "outcomes.csv").read_bytes()
 
     def test_bom_prefixed_json_inputs(self, simulated, tmp_path):
         # a leading UTF-8 byte-order mark on the simulate config, the

@@ -966,6 +966,8 @@ class TestFastPathRuns:
         assert self._analyze(tmp_path, quoted, tmp_path / "targets.json",
                              "quoted") == plain
         assert calls == [quoted]
+        assert (tmp_path / "quoted" / "summary.csv").read_bytes() == \
+            (tmp_path / "plain" / "summary.csv").read_bytes()
 
     def test_trial_id_with_a_comma_is_written_quoted(self, tmp_path,
                                                      monkeypatch):

@@ -32,6 +32,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -700,62 +701,73 @@ class TestAnalyzeTrials:
         assert not by_id["b"].valid
         assert by_id["b"].rejection_reason == "no target"
 
-    @pytest.mark.parametrize("block_trials", [64, 256])
-    def test_batch_equals_per_trial_outcomes(self, monkeypatch, block_trials):
-        # mixed lengths, two sample rates, shifted t grids, slow and
-        # false-start trials, trials without a target, and one group
-        # large enough to span more than one block (shrunk to keep the
-        # batch small).  At 256, one block holds a t grid of more than 64
-        # trials among shifted ones, so it spans several 64-trial windows
-        # that mix grids
-        monkeypatch.setattr(kin, "BLOCK_TRIALS", block_trials)
-        rng = np.random.default_rng(7)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           windows=st.lists(st.sampled_from(["shared", "offset", "own"]),
+                            min_size=2, max_size=2), last=st.integers(1, 64),
+           pick=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.5, 1.0)))
+    # a second window on one grid, not the block's first trial's, and a
+    # second window that mixes grids, each with a threshold from a trial there
+    @example(seed=0, windows=["own", "shared"], last=64, pick=(0.9, 0.6))
+    @example(seed=0, windows=["shared", "own"], last=64, pick=(0.9, 0.6))
+    def test_batch_equals_per_trial_outcomes(self, seed, windows, last, pick):
+        # two 64-trial windows of one rate and length, each on one jittered t
+        # grid, on even grids offset by multiples of 13.7 ms, or on a jittered
+        # grid per trial (within Trajectory's 1%); interleaved, trials of
+        # another rate or length, with no target, a bad target or ipd, or a
+        # go cue after onset.  A threshold (pick) halfway between two of one
+        # trial's speeds lets a velocity off by up to 1% move an onset
+        rng = np.random.default_rng(seed)
+        shared = (np.arange(41) + rng.uniform(-0.0045, 0.0045, 41)) / 100.0
+        trials = []                # (rate, duration, t grid, label)
+        for kind in [kind for kind in windows for _ in range(64)][:64 + last]:
+            extra = rng.integers(12)
+            if extra < 6:
+                trials.append([(100.0, 0.36, "own", None), (80.0, 0.3, "own", None),
+                               *((100.0, 0.3, kind, label) for label in (
+                                   "bad target", "bad ipd", "no target",
+                                   "false start"))][extra])
+            trials.append((100.0, 0.3, kind, None))
         trajectories, targets = [], {}
-        for i in range(2 * kin.BLOCK_TRIALS):
-            trial_id = f"tr{i:03d}"
-            distance = 0.005 if i % 8 == 3 else (0.20, 0.25, 0.30)[i % 3]
-            trajectories.append(_noisy_trajectory(
-                distance, 0.5 if i % 6 == 5 else 0.4, rng,
-                fs=200.0 if i % 10 == 9 else FS, trial_id=trial_id,
-                t0=1.0 if i % 9 == 4 else 0.0))
-            if i % 11 != 2:
+        for fs, duration, kind, label in trials:
+            n = round((0.1 + duration) * fs) + 1
+            t = {"shared": shared,
+                 "offset": 0.0137 * rng.integers(7) + np.arange(n) / fs,
+                 "own": (np.arange(n) + rng.uniform(-0.0045, 0.0045, n)) / fs}[kind]
+            u = np.clip((t - t[0] - 0.05) / duration, 0.0, 1.0)
+            reach = rng.choice([0.005, 0.2, 0.25, 0.3])
+            x, y, z = rng.normal(0.0, 5e-4, (3, n))
+            trial_id = f"tr{len(trajectories):03d}"
+            trajectories.append(Trajectory(trial_id, fs, t, x, y, z + reach * (
+                10 * u**3 - 15 * u**4 + 6 * u**5)))
+            if label != "no target":
                 targets[trial_id] = TargetSpec(
-                    trial_id=trial_id, reach_m=distance,
-                    go_cue_time_s=0.5 if i % 13 == 7 else None,
-                    ipd_m=0.058 if i % 4 == 1 else None)
-        groups: dict[tuple[float, bytes], int] = {}
-        for traj in trajectories:
-            if traj.trial_id in targets:
-                key = (traj.sample_rate, traj.t.tobytes())
-                groups[key] = groups.get(key, 0) + 1
-        assert len(groups) > 3 and max(groups.values()) > kin.BLOCK_TRIALS
-        # shifted grids share a filter block with unshifted ones: each rate
-        # and length's trials, in trial_id order, cut into blocks
-        lengths: dict[tuple[float, int], list[bytes]] = {}
-        for traj in trajectories:
-            if traj.trial_id in targets:
-                lengths.setdefault((traj.sample_rate, len(traj.t)),
-                                   []).append(traj.t.tobytes())
-        blocks = [grids[i:i + block_trials] for grids in lengths.values()
-                  for i in range(0, len(grids), block_trials)]
-        largest = [max(map(block.count, set(block))) for block in blocks
-                   if len(set(block)) > 1]
-        assert largest and (block_trials == 64 or max(largest) > 64)
-
-        analyzed = analyze_trials(trajectories[::-1], targets, EYES, POSE)
-        assert [a.outcome.trial_id for a in analyzed] == \
-            [traj.trial_id for traj in trajectories]
-        for traj, item in zip(trajectories, analyzed):
+                    trial_id=trial_id, reach_m=-reach if label == "bad target" else reach,
+                    go_cue_time_s=0.5 if label == "false start" else None,
+                    ipd_m=0.5 if label == "bad ipd" else (None, 0.058)[rng.integers(2)])
+        threshold = kin.DEFAULT_THRESHOLD
+        if pick is not None:
+            speeds = np.unique(differentiate(lowpass_filter(
+                trajectories[int(pick[0] * (len(trajectories) - 1))])).vz)
+            speeds = speeds[speeds >= 0]
+            m = int(pick[1] * (len(speeds) - 2))
+            threshold = (speeds[m] + speeds[m + 1]) / 2
+        want = []
+        for traj, (*_, label) in zip(trajectories, trials):
             target = targets.get(traj.trial_id)
-            if target is None:
-                assert item.outcome.rejection_reason == "no target"
-                continue
-            trial_eyes = EYES if target.ipd_m is None else \
-                EyeGeometry(ipd=target.ipd_m)
-            assert item.target == target
-            assert item.outcome == trial_outcome(traj, target, trial_eyes, POSE)
-        reasons = {a.outcome.rejection_reason for a in analyzed}
-        assert reasons == {None, "slow", "false start", "no target"}
+            want.append(TrialOutcome(trial_id=traj.trial_id, valid=False,
+                                     rejection_reason=label)
+                        if label in ("bad target", "bad ipd", "no target") else
+                        trial_outcome(traj, target, EYES if target.ipd_m is None
+                                      else EyeGeometry(ipd=target.ipd_m), POSE,
+                                      threshold=threshold))
+        for block_trials in (1, 63, 64, 65, 256, 512):
+            with mock.patch.object(kin, "BLOCK_TRIALS", block_trials):
+                analyzed = analyze_trials(trajectories[::-1], targets, EYES, POSE,
+                                          threshold=threshold)
+            assert [item.outcome for item in analyzed] == want, block_trials
+            assert all(item.target == targets[item.target.trial_id]
+                       for item in analyzed if item.target.trial_id in targets)
 
     def test_offset_grids_filter_in_one_block(self, monkeypatch):
         # recorded trials each with their own timestamps but one rate and
