@@ -710,7 +710,8 @@ class TestAnalyzeTrials:
     # second window that mixes grids, each with a threshold from a trial there
     @example(seed=0, windows=["own", "shared"], last=64, pick=(0.9, 0.6))
     @example(seed=0, windows=["shared", "own"], last=64, pick=(0.9, 0.6))
-    def test_batch_equals_per_trial_outcomes(self, seed, windows, last, pick):
+    def test_batch_equals_per_trial_outcomes_on_drawn_blocks(self, seed, windows,
+                                                             last, pick):
         # two 64-trial windows of one rate and length, each on one jittered t
         # grid, on even grids offset by multiples of 13.7 ms, or on a jittered
         # grid per trial (within Trajectory's 1%); interleaved, trials of
@@ -768,6 +769,63 @@ class TestAnalyzeTrials:
             assert [item.outcome for item in analyzed] == want, block_trials
             assert all(item.target == targets[item.target.trial_id]
                        for item in analyzed if item.target.trial_id in targets)
+
+    @pytest.mark.parametrize("block_trials", [64, 256])
+    def test_batch_equals_per_trial_outcomes(self, monkeypatch, block_trials):
+        # mixed lengths, two sample rates, shifted t grids, slow and
+        # false-start trials, trials without a target, and one group
+        # large enough to span more than one block (shrunk to keep the
+        # batch small).  At 256, one block holds a t grid of more than 64
+        # trials among shifted ones, so it spans several 64-trial windows
+        # that mix grids
+        monkeypatch.setattr(kin, "BLOCK_TRIALS", block_trials)
+        rng = np.random.default_rng(7)
+        trajectories, targets = [], {}
+        for i in range(2 * kin.BLOCK_TRIALS):
+            trial_id = f"tr{i:03d}"
+            distance = 0.005 if i % 8 == 3 else (0.20, 0.25, 0.30)[i % 3]
+            trajectories.append(_noisy_trajectory(
+                distance, 0.5 if i % 6 == 5 else 0.4, rng,
+                fs=200.0 if i % 10 == 9 else FS, trial_id=trial_id,
+                t0=1.0 if i % 9 == 4 else 0.0))
+            if i % 11 != 2:
+                targets[trial_id] = TargetSpec(
+                    trial_id=trial_id, reach_m=distance,
+                    go_cue_time_s=0.5 if i % 13 == 7 else None,
+                    ipd_m=0.058 if i % 4 == 1 else None)
+        groups: dict[tuple[float, bytes], int] = {}
+        for traj in trajectories:
+            if traj.trial_id in targets:
+                key = (traj.sample_rate, traj.t.tobytes())
+                groups[key] = groups.get(key, 0) + 1
+        assert len(groups) > 3 and max(groups.values()) > kin.BLOCK_TRIALS
+        # shifted grids share a filter block with unshifted ones: each rate
+        # and length's trials, in trial_id order, cut into blocks
+        lengths: dict[tuple[float, int], list[bytes]] = {}
+        for traj in trajectories:
+            if traj.trial_id in targets:
+                lengths.setdefault((traj.sample_rate, len(traj.t)),
+                                   []).append(traj.t.tobytes())
+        blocks = [grids[i:i + block_trials] for grids in lengths.values()
+                  for i in range(0, len(grids), block_trials)]
+        largest = [max(map(block.count, set(block))) for block in blocks
+                   if len(set(block)) > 1]
+        assert largest and (block_trials == 64 or max(largest) > 64)
+
+        analyzed = analyze_trials(trajectories[::-1], targets, EYES, POSE)
+        assert [a.outcome.trial_id for a in analyzed] == \
+            [traj.trial_id for traj in trajectories]
+        for traj, item in zip(trajectories, analyzed):
+            target = targets.get(traj.trial_id)
+            if target is None:
+                assert item.outcome.rejection_reason == "no target"
+                continue
+            trial_eyes = EYES if target.ipd_m is None else \
+                EyeGeometry(ipd=target.ipd_m)
+            assert item.target == target
+            assert item.outcome == trial_outcome(traj, target, trial_eyes, POSE)
+        reasons = {a.outcome.rejection_reason for a in analyzed}
+        assert reasons == {None, "slow", "false start", "no target"}
 
     def test_offset_grids_filter_in_one_block(self, monkeypatch):
         # recorded trials each with their own timestamps but one rate and
