@@ -35,7 +35,7 @@ def _face_dtype(n_vertices: int) -> np.dtype:
     return np.dtype(np.int32 if n_vertices <= np.iinfo(np.int32).max else np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeshModel:
     """Triangle mesh: an (N, 3) vertex array and (M, 3) face index array.
 

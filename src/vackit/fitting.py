@@ -179,7 +179,7 @@ def _read_outcome_columns(fh) -> tuple | None:
             reach_m, error_m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitDataset:
     """Per-trial distance errors keyed by participant and condition.
 

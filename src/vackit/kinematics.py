@@ -1,7 +1,9 @@
 """Reaching-trajectory analysis.
 
 Filtering, differentiation, movement segmentation, and per-trial error
-measures for sampled 3D pointing movements.
+measures for sampled 3D pointing movements.  Every filter call, of one
+trial or of a block, fills the one padded layout of _padded_series.  The
+types that hold arrays compare and hash by identity.
 
 World frame convention: the home position is the origin, +z is the depth
 axis toward the targets, +y is up, +x is right.  The observer's eyes are
@@ -35,7 +37,6 @@ __all__ = [
     "TargetSpec",
     "AnalyzedTrial",
     "lowpass_filter",
-    "lowpass_block",
     "differentiate",
     "detect_segment",
     "trial_outcome",
@@ -57,16 +58,18 @@ MIN_SAMPLES = 25
 # filter's Python loop steps once per sample over the whole block, so small
 # blocks pay for it.  Peak memory grows with this and with the trial length,
 # not with the batch size: a block is one padded copy, filtered in place
-# (2.9 MB for 512 trials of 221 samples), and analyze then segments it 64
-# trials at a time from a scratch of that size (analyze_trials of 576 trials
-# peaks at about 3.9 MB at 221 samples, 111 MB at 8,001).
+# (2.9 MB for 512 trials of 221 samples), and analyze then segments it a
+# window at a time from a scratch of one window (analyze_trials of 576
+# trials peaks at about 3.9 MB at 221 samples, 111 MB at 8,001).
 BLOCK_TRIALS = 512
+# trials of a block copied in, and later segmented, at a time
+_WINDOW_TRIALS = 64
 # odd-extension length at each end of a filtered series: scipy filtfilt's
 # default, 3 * max(len(a), len(b)) for an order-2 filter
 _PADLEN = 9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A sampled 3D finger path.
 
@@ -131,7 +134,7 @@ class _TrialTable(Sequence):
     start[i] to start[i] + length[i] of the (3, rows) xyz, and its t the
     length[i] values of t from t_start[i], so trials on one grid can share
     them.  Indexing builds (and checks) a Trajectory of views; nothing else
-    does.  It compares with == as the list of its items would.
+    does.  Like a Trajectory, it compares equal only to itself.
     """
 
     trial_id: list[str]
@@ -150,9 +153,6 @@ class _TrialTable(Sequence):
         return Trajectory(self.trial_id[i], float(self.sample_rate[i]),
                           self.t[b:b + n], *self.xyz[:, a:a + n])
 
-    def __eq__(self, other) -> bool:
-        return list(self) == other if isinstance(other, list) else NotImplemented
-
 
 def _trial_views(trials: Sequence[Trajectory]) -> list[tuple]:
     """(trial_id, sample_rate, t, x, y, z) of each trial, in order: views
@@ -168,7 +168,7 @@ def _trial_views(trials: Sequence[Trajectory]) -> list[tuple]:
                 trials.t_start.tolist())]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VelocitySeries:
     """Per-axis velocities in m/s, aligned with the source timestamps."""
 
@@ -349,13 +349,12 @@ def _lfilter_rows(b: np.ndarray, a: np.ndarray, zi: np.ndarray,
         z1 -= np.multiply(xk, a2, out=ya)
 
 
-def _padded_series(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """An empty (n + 18, m) array for _lowpass_in_place, and its middle
-    rows as a view of the given (..., n) shape of m series."""
-    *stack, n = shape
-    padded = np.empty((n + 2 * _PADLEN, math.prod(stack)))
-    return padded, np.moveaxis(padded.reshape(len(padded), *stack), 0, -1)[
-        ..., _PADLEN:-_PADLEN]
+def _padded_series(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An empty (n + 18, 3k) array for _lowpass_in_place and its middle rows
+    as a (k, 3, n) view: trial i's axis a is column 3i + a.  Every filter
+    call, of one trial or of a block, uses this layout."""
+    padded = np.empty((n + 2 * _PADLEN, 3 * k))
+    return padded, padded[_PADLEN:-_PADLEN].reshape(n, k, 3).transpose(1, 2, 0)
 
 
 def _lowpass_in_place(x: np.ndarray, sample_rate: float,
@@ -375,29 +374,6 @@ def _lowpass_in_place(x: np.ndarray, sample_rate: float,
     np.subtract(2 * mid[-1:], mid[-2:-_PADLEN - 2:-1], out=x[-_PADLEN:])
     _lfilter_rows(b, a, zi, x)
     _lfilter_rows(b, a, zi, x[::-1])
-
-
-def lowpass_block(samples: np.ndarray, sample_rate: float,
-                  cutoff: float = DEFAULT_CUTOFF_HZ) -> np.ndarray:
-    """Zero-phase low-pass of every series in a stack, along the last axis.
-
-    Bit for bit scipy.signal.filtfilt(b, a, samples, axis=-1) with the
-    order-2 Butterworth (b, a): the series are copied time-major into one
-    padded array, filtered there by _lowpass_in_place, and copied out.
-
-    Raises:
-        DomainError: If the cutoff is not inside (0, sample_rate/2).
-        ValueError: If the series have 9 samples or fewer.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape[-1] <= _PADLEN:
-        _lowpass_design(sample_rate, cutoff)  # a bad cutoff is named first
-        raise ValueError("The length of the input vector x must be greater "
-                         f"than padlen, which is {_PADLEN}.")
-    padded, series = _padded_series(samples.shape)
-    series[...] = samples
-    _lowpass_in_place(padded, sample_rate, cutoff)
-    return np.ascontiguousarray(series)
 
 
 def _velocity(f: np.ndarray, t: np.ndarray,
@@ -433,14 +409,16 @@ def lowpass_filter(traj: Trajectory, cutoff: float = DEFAULT_CUTOFF_HZ) -> Traje
     """Zero-phase second-order Butterworth low-pass, applied per axis.
 
     The forward-backward pass doubles the effective order and cancels the
-    phase; DC gain is exactly 1.
+    phase; DC gain is exactly 1.  The trial is filtered as a block of one,
+    as analyze_trials filters its blocks, so the bits are the same.
 
     Raises:
         DomainError: If the cutoff is not inside (0, sample_rate/2).
     """
-    x, y, z = lowpass_block(np.stack((traj.x, traj.y, traj.z)),
-                            traj.sample_rate, cutoff)
-    return replace(traj, x=x, y=y, z=z)
+    padded, (xyz,) = _padded_series(1, len(traj))
+    xyz[...] = traj.x, traj.y, traj.z
+    _lowpass_in_place(padded, traj.sample_rate, cutoff)
+    return replace(traj, x=xyz[0], y=xyz[1], z=xyz[2])  # Trajectory copies
 
 
 def differentiate(traj: Trajectory) -> VelocitySeries:
@@ -493,8 +471,8 @@ def _check_threshold(threshold: float) -> None:
 def _segments(vz: np.ndarray, t: Sequence[np.ndarray], sample_rate: float,
               threshold: float) -> list[MovementSegment | None]:
     """The movement segment of each row of a (k, n) depth-velocity block,
-    t holding each row's timestamps; None where a row has none.  The
-    callers hand it at most 64 rows, so its masked copy stays small."""
+    t holding each row's timestamps; None where a row has none.  Callers
+    pass at most _WINDOW_TRIALS rows, so its masked copy stays small."""
     k, n = vz.shape
     min_run = max(1, math.ceil(HYSTERESIS_S * sample_rate))
     onset = _run_starts(vz > threshold, min_run, np.zeros(k, dtype=np.intp),
@@ -521,7 +499,7 @@ def detect_segment(velocity: VelocitySeries,
     20 ms (a run cut off by the end of the recording counts as sustained,
     since recordings stop with the hand at rest); the peak is the fastest
     sample at or after the onset.  analyze_trials runs the same scan on
-    up to 64 trials at a time.
+    a window of trials at a time.
 
     Args:
         velocity: Output of differentiate.
@@ -575,24 +553,25 @@ def _block_outcomes(trials: list[tuple], targets: list[TargetSpec],
     sample rate and one length.
 
     The trials are copied into one padded time-major array and filtered in
-    place (which never reads t).  Then, 64 trials at a time, their depth
-    velocities go into a scratch of 64 trials, one _velocity call per t
-    grid among them (straight from the block when they share one, from a
+    place (which never reads t).  Then, a window at a time, their depth
+    velocities go into a scratch of _WINDOW_TRIALS, one _velocity call per
+    t grid among them (straight from the block when they share one, from a
     copy of its columns otherwise); one _segments call segments them, and
     each trial is measured.  So the block holds the padded array and that
     scratch; every trial's numbers equal those of a batch of one.
     """
     ids, rates, t = zip(*(tr[:3] for tr in trials))
     k, n = len(trials), len(t[0])
-    padded, series = _padded_series((k, 3, n))
-    for i in range(0, k, 64):  # 64 trials a write, whole cache lines
-        series[i:i + 64] = np.array([tr[3:] for tr in trials[i:i + 64]])
+    padded, series = _padded_series(k, n)
+    for i in range(0, k, _WINDOW_TRIALS):  # whole cache lines a write
+        series[i:i + _WINDOW_TRIALS] = np.array(
+            [tr[3:] for tr in trials[i:i + _WINDOW_TRIALS]])
     _lowpass_in_place(padded, rates[0], cutoff)
-    z = padded[_PADLEN:-_PADLEN, 2::3]
-    scratch = np.empty((n, 64))  # time-major, as the filter leaves z
+    z = series[:, 2].T  # time-major, as the filter leaves it
+    scratch = np.empty((n, _WINDOW_TRIALS))
     outcomes: list[TrialOutcome] = []
-    for i in range(0, k, 64):
-        window = slice(i, i + 64)
+    for i in range(0, k, _WINDOW_TRIALS):
+        window = slice(i, i + _WINDOW_TRIALS)
         zw, vz = z[:, window], scratch[:, :len(t[window])]
         grids: dict[bytes, list[int]] = {}
         for j, times in enumerate(t[window]):
@@ -862,17 +841,18 @@ def write_trajectories_csv(trajectories: Sequence[Trajectory] | Iterable[list[tu
     """Write trajectories in the trial_id,t,x,y,z schema.
 
     trajectories is a Sequence of Trajectory, a trial table (as
-    read_trajectories_csv returns it) included, or an iterable of blocks,
-    each a list of (trial_id, sample_rate, t, x, y, z) as _trial_views
-    gives them, written before the next block is asked for: vackit
-    simulate streams synth._trajectory_blocks so.  The bytes equal a
-    csv.writer row per sample.  Each trial is formatted as one string, and
-    consecutive trials on the same t grid share its formatted timestamps,
-    across block edges too.  If a block raises, the part written is
-    removed and the error propagates.
+    read_trajectories_csv returns it) included, or an iterable of blocks, a
+    list of them included, each a list of (trial_id, sample_rate, t, x, y,
+    z) as _trial_views gives them, written before the next block is asked
+    for: vackit simulate streams synth._trajectory_blocks so.  The bytes
+    equal a csv.writer row per sample.  Each trial is formatted as one
+    string, and consecutive trials on the same t grid share its formatted
+    timestamps, across block edges too.  If a block raises, the part
+    written is removed and the error propagates.
     """
-    blocks = [_trial_views(trajectories)] if isinstance(trajectories, Sequence) \
-        else trajectories
+    blocks = trajectories
+    if isinstance(blocks, Sequence) and not isinstance(next(iter(blocks), None), list):
+        blocks = [_trial_views(trajectories)]  # a Sequence of trials: one block
     grid: bytes | None = None
     times: list[str] = []
     path = Path(path)

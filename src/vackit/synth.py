@@ -191,7 +191,7 @@ class Participant:
     trajectory_seed: np.random.SeedSequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialTable:
     """Ground truth of every trial, one column per field.
 
@@ -398,7 +398,7 @@ def _filled_blocks(config: SimConfig, trials: TrialTable,
             for p in participants}
     k = min(len(trials), BLOCK_TRIALS)
     if sd > 0:
-        padded, samples = _padded_series((k, 3, n))
+        padded, samples = _padded_series(k, n)
     else:
         # axis-major zeros, of which only z is written: the pages of x and y
         # are never touched

@@ -473,6 +473,15 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(outdir)]) == 0
         assert (outdir / "trajectories.csv").read_bytes() == \
             reference.read_bytes()
+        # the same blocks, each copied out of the array the stream reuses,
+        # written as a list of blocks and as a generator of them
+        blocks = [[(*tr[:3], *np.copy(tr[3:])) for tr in block] for block
+                  in synth._trajectory_blocks(config, trials, people)]
+        assert len(blocks) == -(-80 // block)
+        for name, source in (("list", blocks), ("generator", iter(blocks))):
+            write_trajectories_csv(source, tmp_path / f"{name}.csv")
+            assert (tmp_path / f"{name}.csv").read_bytes() == \
+                reference.read_bytes()
 
     def test_malformed_json_exits_two_with_location(self, tmp_path, capsys):
         cfg = tmp_path / "sim.json"
