@@ -227,9 +227,7 @@ class FitDataset:
     @classmethod
     def from_rows(cls, rows: list[tuple[str, str, float, float]]) -> "FitDataset":
         """Build from (participant_id, condition, reach_m, distance_error_m)."""
-        if not rows:
-            raise DomainError("dataset is empty")
-        pid, cond, reach, err = zip(*rows)
+        pid, cond, reach, err = zip(*rows) if rows else ((),) * 4
         return cls(np.array(pid, dtype=object), np.array(cond, dtype=object),
                    np.array(reach, dtype=float), np.array(err, dtype=float))
 

@@ -291,6 +291,8 @@ def shift_distances(distance: np.ndarray, half_ipd: np.ndarray | float,
 
 
 def _derivative(values: np.ndarray, sample_rate: float) -> np.ndarray:
+    if len(values) < 3:
+        raise DomainError(f"need >= 3 samples for temporal derivatives, got {len(values)}")
     # np.gradient: central differences interior, one-sided at the ends.
     return np.gradient(values, 1.0 / sample_rate)
 
@@ -307,8 +309,6 @@ def cdot(series: AngleTimeSeries) -> np.ndarray:
     Returns:
         Angle rate in rad/s, same length as the input.
     """
-    if len(series) < 3:
-        raise DomainError(f"need >= 3 samples for temporal derivatives, got {len(series)}")
     return _derivative(series.alpha_left - series.alpha_right, series.sample_rate)
 
 
@@ -318,8 +318,6 @@ def iovd(series: AngleTimeSeries) -> np.ndarray:
     Mathematically identical to cdot when computed with the same
     differencing scheme; both are provided so the identity can be checked.
     """
-    if len(series) < 3:
-        raise DomainError(f"need >= 3 samples for temporal derivatives, got {len(series)}")
     left = _derivative(series.alpha_left, series.sample_rate)
     right = _derivative(series.alpha_right, series.sample_rate)
     return left - right

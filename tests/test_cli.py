@@ -493,6 +493,22 @@ class TestSimulate:
         assert err.startswith("vackit: data error:")
         assert "sim.json" in err
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "[Errno 2] No such file or directory: {path!r}"),
+        ("[1, 2]\n", "top-level JSON value must be an object"),
+    ], ids=["unreadable", "array"])
+    def test_unusable_config_exits_two(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "sim.json"
+        if text is not None:
+            cfg.write_text(text, encoding="utf-8")
+        code = main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        message = message.format(path=str(cfg))
+        assert capsys.readouterr().err == \
+            f"vackit: data error: {message} [{cfg}]\n"
+        assert not (tmp_path / "run").exists()
+
 
 class TestAnalyze:
     @pytest.fixture()
@@ -1183,6 +1199,14 @@ class TestBadFieldValues:
         assert err.startswith("vackit: error: bad ") and err.count("\n") == 1
         assert f" field {key}: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", [{"x_m": 0.0}, 0.3],
+                             ids=["no-reach", "not-an-object"])
+    def test_target_without_reach_exits_one(self, tmp_path, capsys, entry):
+        argv = self._argv(tmp_path, "targets", {"t0": entry})
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            "vackit: error: target entry 't0' needs a reach_m field\n"
 
     @pytest.mark.parametrize("source, payload, name", [
         ("simulate", {"motor_noise_sd_mm": math.nan}, "motor_noise_sd"),

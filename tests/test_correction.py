@@ -25,6 +25,7 @@ keep every bit of the whole-array expression.
 from __future__ import annotations
 
 import math
+import re
 
 from unittest import mock
 
@@ -169,6 +170,16 @@ class TestMeshModel:
             MeshModel(vertices=np.zeros((2, 3)) + [0, 0, 1.0],
                       faces=np.array([[0, 1, 2]]),
                       provenance="bad")
+
+    @pytest.mark.parametrize("faces, shape", [
+        (np.zeros((2, 4), dtype=np.int64), (2, 4)),
+        (np.zeros(3, dtype=np.int64), (3,)),
+        ([[0, 1]], (1, 2)),
+    ])
+    def test_face_shape_checked(self, faces, shape):
+        message = f"faces must be (M, 3), got shape {shape}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            MeshModel(vertices=np.ones((3, 3)), faces=faces)
 
     def test_vertex_shape_checked(self):
         with pytest.raises(DomainError):

@@ -97,8 +97,15 @@ class TestFitDataset:
         assert ds.conditions == ["original"]
 
     def test_empty_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^dataset is empty$"):
             FitDataset.from_rows([])
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(DomainError,
+                           match="^dataset columns differ in length$"):
+            FitDataset(np.array(["p0", "p1"], dtype=object),
+                       np.array(["original"], dtype=object),
+                       np.array([0.2, 0.3]), np.zeros(2))
 
     def test_nonpositive_reach_rejected(self):
         with pytest.raises(DomainError):

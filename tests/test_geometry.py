@@ -15,6 +15,7 @@ For ipd = 0.064 m:
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ class TestVisualAngles:
         with pytest.raises(DomainError):
             visual_angles(ScenePoint(-0.032, 0.0, 1e-300), fix, EYES64)
 
+    @pytest.mark.parametrize("angle", [math.pi / 2, -math.pi / 2, 2.0])
+    def test_pair_refuses_a_right_angle_or_more(self, angle):
+        message = f"alpha_right must be finite with |angle| < pi/2, got {angle!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            VisualAnglePair(0.0, angle)
+
+    def test_fixation_whose_vergence_rounds_to_zero_is_refused(self):
+        # 1e20 m to the side, both lines of sight have one angle in doubles
+        with pytest.raises(DomainError,
+                           match=r"^vergence angle must be positive, got 0\.0$"):
+            FixationState(ScenePoint(1e20, 0.0, 1.0), EYES64)
+
 
 class TestDisparity:
     def test_zero_pair(self):
@@ -197,15 +210,25 @@ class TestAngleTimeSeries:
     def test_derivatives_require_three_samples(self):
         series = AngleTimeSeries(250.0, [VisualAnglePair(0, 0),
                                          VisualAnglePair(0, 0)])
-        with pytest.raises(DomainError):
+        message = r"^need >= 3 samples for temporal derivatives, got 2$"
+        with pytest.raises(DomainError, match=message):
             cdot(series)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=message):
             iovd(series)
 
     def test_requires_positive_rate(self):
         pairs = [VisualAnglePair(0, 0)] * 4
         with pytest.raises(DomainError):
             AngleTimeSeries(0.0, pairs)
+
+    @pytest.mark.parametrize("left, right", [
+        ([0.0, 0.1, 0.2], [0.0, 0.1]),
+        (np.zeros((3, 1)), np.zeros((3, 1))),
+    ], ids=["unequal", "2-d"])
+    def test_requires_equal_length_1d_series(self, left, right):
+        with pytest.raises(DomainError, match=(
+                r"^left/right angle series must be equal-length 1-D$")):
+            AngleTimeSeries(250.0, (left, right))
 
 
 class TestTemporalDerivatives:

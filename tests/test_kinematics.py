@@ -28,6 +28,7 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -150,6 +151,14 @@ class TestTrajectoryValidation:
     def test_too_few_samples(self):
         t = np.arange(10) / FS
         with pytest.raises(DomainError):
+            Trajectory("short", FS, t, t, t, t)
+
+    @pytest.mark.parametrize("n", [0, 2, kin.MIN_SAMPLES - 1])
+    def test_refuses_fewer_than_min_samples(self, n):
+        # so differentiate, whose differences need 3, never sees fewer
+        t = np.arange(n) / FS
+        with pytest.raises(DomainError, match=(
+                f"^trial short: need >= {kin.MIN_SAMPLES} samples, got {n}$")):
             Trajectory("short", FS, t, t, t, t)
 
     def test_nonuniform_sampling(self):
@@ -437,10 +446,13 @@ class TestLowpassOracle:
 
     def test_package_source_imports_no_scipy(self):
         # scipy is a test-only oracle.  The import check above sees only
-        # import time; this one also sees an import inside a function.
+        # import time; this one also sees an import inside a function.  A
+        # test reaches scipy only through pytest.importorskip, so that the
+        # suite runs, oracles skipped, where scipy is not installed.
         package = Path(kin.__file__).resolve().parent
-        sources = sorted(package.glob("*.py"))
-        assert package / "kinematics.py" in sources
+        here = Path(__file__).resolve()
+        sources = sorted(package.glob("*.py")) + sorted(here.parent.glob("*.py"))
+        assert package / "kinematics.py" in sources and here in sources
         found = []
         for source in sources:
             for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
@@ -450,7 +462,8 @@ class TestLowpassOracle:
                     names = [node.module or ""]
                 else:
                     continue
-                found += [f"{source.name}:{node.lineno}: {name}" for name in names
+                found += [f"{source.parent.name}/{source.name}:{node.lineno}: {name}"
+                          for name in names
                           if name.split(".")[0] == "scipy"]
         assert found == []
 
@@ -495,6 +508,13 @@ class TestDetectSegment:
     def test_no_crossing_returns_none(self):
         traj = _minimum_jerk_trajectory(0.005, 0.4)  # peak 23 mm/s
         assert detect_segment(differentiate(lowpass_filter(traj, 10.0))) is None
+
+    @pytest.mark.parametrize("onset, termination", [(5, 5), (6, 5), (-1, 3)])
+    def test_segment_needs_onset_before_termination(self, onset, termination):
+        message = ("segment indices must satisfy 0 <= onset < termination, "
+                   f"got {onset}..{termination}")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            MovementSegment(onset, termination, 0.0, 0.1)
 
     def test_hysteresis_rejects_single_sample_blips(self):
         n = 200

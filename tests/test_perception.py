@@ -20,6 +20,7 @@ through the model with the offset removed recovers the true distance.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from vackit.perception import (
     fixated_distance_error,
     offset_as_fixation_shift,
     perceived_distance,
+    perturbed_vergence,
     predict_endpoint,
 )
 
@@ -66,6 +68,14 @@ class TestPerturbationParams:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             PerturbationParams(beta_offset=math.nan)
+
+
+class TestPerturbedVergence:
+    @pytest.mark.parametrize("phi", [0.0, -0.1])
+    def test_rejects_nonpositive_vergence(self, phi):
+        message = f"vergence angle must be positive, got {phi!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            perturbed_vergence(phi, PerturbationParams(BETA))
 
 
 class TestEffectiveTargetAngle:
@@ -192,3 +202,9 @@ class TestOffsetAsFixationShift:
     def test_zero_offset_no_shift(self):
         shift = offset_as_fixation_shift(PerturbationParams(0.0), 0.7, EYES63)
         assert shift == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("distance", [0.0, -0.7])
+    def test_rejects_nonpositive_distance(self, distance):
+        message = f"fixation_distance must be positive, got {distance!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            offset_as_fixation_shift(PerturbationParams(BETA), distance, EYES63)

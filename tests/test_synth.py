@@ -109,6 +109,12 @@ class TestSimConfigValidation:
         with pytest.raises(DomainError, match=f"^{name} must be finite"):
             SimConfig(**{name: value})
 
+    @pytest.mark.parametrize("duration", [0.0, -0.5])
+    def test_rejects_nonpositive_movement_duration(self, duration):
+        with pytest.raises(DomainError,
+                           match="^movement_duration must be positive$"):
+            SimConfig(movement_duration=duration)
+
     @pytest.mark.parametrize("reach", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_reach(self, reach):
         with pytest.raises(DomainError,
